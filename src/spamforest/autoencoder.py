@@ -2,8 +2,10 @@
 
 The encoder maps an input vector of width n to a hidden code of width m
 through one or more affine + sigmoid layers; the decoder mirrors the shape
-chain back to width n. Parameters are immutable during inference; only the
-training loop mutates them, and it has exclusive access while doing so.
+chain back to width n. Both stacks run through ``numerics.sigmoid_chain``
+in the model's one forward pass (``training.forward``). Parameters are
+immutable during inference; only the training loop mutates them, and it
+has exclusive access while doing so.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import Layer, sigmoid_chain
+from .numerics import Layer
 
-__all__ = ["AutoencoderParams", "encode", "decode", "reconstruction_loss"]
+__all__ = ["AutoencoderParams", "reconstruction_loss"]
 
 
 @dataclass
@@ -45,16 +47,6 @@ class AutoencoderParams:
     @property
     def hidden_dim(self) -> int:
         return self.encoder[-1].out_dim
-
-
-def encode(x: np.ndarray, params: AutoencoderParams) -> np.ndarray:
-    """Hidden code for ``x``: sigmoid(affine(.)) through each encoder layer."""
-    return sigmoid_chain(x, params.encoder)[-1]
-
-
-def decode(h: np.ndarray, params: AutoencoderParams) -> np.ndarray:
-    """Reconstruction of the input from a hidden code ``h``."""
-    return sigmoid_chain(h, params.decoder)[-1]
 
 
 def reconstruction_loss(x_in: np.ndarray, x_rec: np.ndarray) -> float:

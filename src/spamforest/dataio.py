@@ -36,7 +36,7 @@ from .autoencoder import AutoencoderParams
 from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      ParseError)
 from .features import FeatureMatrix, ReviewRecord
-from .forest import ForestParams, TreeParams
+from .forest import ForestParams
 from .numerics import Layer, Rng
 from .training import Model, TrainConfig, parameter_blocks
 
@@ -94,7 +94,6 @@ class LabeledDataset:
     features: FeatureMatrix
     labels: np.ndarray
     user_ids: list[str]
-    norm_stats: NormStats | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -376,6 +375,20 @@ def _collect_layers(tensors: dict, prefix: str) -> list[Layer]:
     return layers
 
 
+def _stack_trees(tensors: dict, kind: str) -> np.ndarray:
+    """Per-tree ``tree.{k}.<kind>`` tensors stacked along a leading tree axis."""
+    arrays = []
+    while f"tree.{len(arrays)}.{kind}" in tensors:
+        arrays.append(_tensor_from_json(tensors[f"tree.{len(arrays)}.{kind}"]))
+    if not arrays:
+        raise ModelIntegrityError(f"model file has no tree.0.{kind} tensor")
+    if len({a.shape for a in arrays}) > 1:
+        raise ModelIntegrityError(
+            f"per-tree {kind} tensors do not stack to one shape: "
+            f"{[a.shape for a in arrays]}")
+    return np.stack(arrays)
+
+
 def load_model(path) -> Model:
     """Load a model file; bit-exact inverse of save_model."""
     try:
@@ -390,27 +403,27 @@ def load_model(path) -> Model:
             f"model format version {doc['format_version']} unsupported "
             f"(expected {MODEL_FORMAT_VERSION})")
     body = doc.get("body")
-    if body is None or doc.get("checksum") != _body_checksum(body):
+    if not isinstance(body, dict) or doc.get("checksum") != _body_checksum(body):
         raise ModelIntegrityError("model file checksum mismatch")
+    missing = [key for key in ("config", "tensors", "n_classes") if key not in body]
+    if missing:
+        raise ModelIntegrityError(f"model file body lacks {', '.join(missing)}")
 
-    config = TrainConfig.from_dict(body["config"])
-    tensors = body["tensors"]
-    encoder = _collect_layers(tensors, "encoder")
-    decoder = _collect_layers(tensors, "decoder")
-    fc = _collect_layers(tensors, "fc")
-    trees = []
-    k = 0
-    while f"tree.{k}.routing" in tensors:
-        trees.append(TreeParams(
-            config.n_depth,
-            _tensor_from_json(tensors[f"tree.{k}.routing"]),
-            _tensor_from_json(tensors[f"tree.{k}.leaf_logits"]),
-        ))
-        k += 1
-    norm_stats = (NormStats.from_dict(body["norm_stats"])
-                  if body.get("norm_stats") else None)
-    return Model(AutoencoderParams(encoder, decoder), ForestParams(trees, fc),
-                 config, norm_stats=norm_stats,
+    try:
+        config = TrainConfig.from_dict(body["config"])
+        tensors = body["tensors"]
+        encoder = _collect_layers(tensors, "encoder")
+        decoder = _collect_layers(tensors, "decoder")
+        forest = ForestParams(_stack_trees(tensors, "routing"),
+                              _stack_trees(tensors, "leaf_logits"),
+                              _collect_layers(tensors, "fc"))
+        norm_stats = (NormStats.from_dict(body["norm_stats"])
+                      if body.get("norm_stats") else None)
+    except (KeyError, TypeError) as exc:
+        raise ModelIntegrityError(
+            f"model file body is incomplete: {type(exc).__name__} {exc}") from None
+    return Model(AutoencoderParams(encoder, decoder), forest, config,
+                 norm_stats=norm_stats,
                  manifest_version=body.get("manifest_version"))
 
 
@@ -455,7 +468,7 @@ def load_features(in_dir) -> LabeledDataset:
         header = fh.readline().rstrip("\n").split("\t")
         if header != names:
             raise ParseError("features.tsv header does not match manifest.json", 1)
-        rows = []
+        rows, line_numbers = [], []
         for ln, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -467,6 +480,14 @@ def load_features(in_dir) -> LabeledDataset:
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
                 raise ParseError(str(exc), ln) from None
+            line_numbers.append(ln)
+    values = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        raise ParseError(
+            f"features.tsv column {j + 1} ({names[j]!r}) is not finite: "
+            f"{float(values[i, j])!r}", line_numbers[i])
 
     user_ids, labels = [], []
     with open(os.path.join(in_dir, "labels.tsv"), "r", encoding="utf-8") as fh:
@@ -482,6 +503,6 @@ def load_features(in_dir) -> LabeledDataset:
             user_ids.append(parts[0])
             labels.append(int(parts[1]))
 
-    matrix = FeatureMatrix(np.array(rows, dtype=np.float64), names, scopes,
-                           kinds, manifest["manifest_version"])
+    matrix = FeatureMatrix(values, names, scopes, kinds,
+                           manifest["manifest_version"])
     return LabeledDataset(matrix, np.array(labels, dtype=np.int64), user_ids)

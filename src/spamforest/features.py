@@ -57,6 +57,9 @@ MANIFEST_VERSION = 1
 SCOPES = ("history", "rating", "feedback", "time", "product", "review")
 
 _EPOCH = date(1970, 1, 1)
+# Timestamps must name a representable date: date.min .. date.max.
+_MIN_DAY = (date.min - _EPOCH).days
+_MAX_DAY = (date.max - _EPOCH).days
 
 _WORD_RE = re.compile(r"[a-z']+")
 
@@ -82,6 +85,10 @@ class ReviewRecord:
             raise ValueError(f"rating must be in 1..5, got {self.rating}")
         if self.helpful_votes < 0 or self.unhelpful_votes < 0:
             raise ValueError("vote counts must be nonnegative")
+        if not _MIN_DAY <= self.timestamp <= _MAX_DAY:
+            raise ValueError(
+                f"timestamp must be in {_MIN_DAY}..{_MAX_DAY} days since "
+                f"1970-01-01, got {self.timestamp}")
 
     @property
     def review_date(self) -> date:

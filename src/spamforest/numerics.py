@@ -25,7 +25,6 @@ __all__ = [
     "sigmoid",
     "softmax",
     "entropy",
-    "rng_normal_init",
     "sigmoid_chain",
 ]
 
@@ -43,7 +42,10 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
-        return rng_normal_init(self, shape, scale)
+        """I.i.d. normal(0, scale^2) array, deterministic per seed."""
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        return self._gen.normal(0.0, scale, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -53,13 +55,6 @@ class Rng:
         idx = self._gen.choice(len(items), size=k, replace=False)
         idx.sort()
         return [items[i] for i in idx]
-
-
-def rng_normal_init(rng: Rng, shape, scale: float) -> np.ndarray:
-    """I.i.d. normal(0, scale^2) array, deterministic per seed."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return rng._gen.normal(0.0, scale, size=shape)
 
 
 def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:

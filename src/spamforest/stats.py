@@ -44,8 +44,6 @@ __all__ = [
 
 EXACT_LIMIT = 12
 
-ALTERNATIVES = ("two-sided", "less", "greater")
-
 # Display floor for chi-squared p-values in written reports.
 REPORT_P_FLOOR = 2.2e-16
 
@@ -60,11 +58,6 @@ class TestResult:
     significant_at_05: bool
     method: str = ""
     note: str = ""
-
-
-def _check_alternative(alternative: str):
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -111,17 +104,14 @@ def _rank_sum_exact_dist(ranks2: np.ndarray, n_a: int) -> dict[int, int]:
     return {s: int(c) for s, c in enumerate(dp[n_a]) if c > 0}
 
 
-def rank_sum_test(group_a, group_b, alternative: str = "two-sided",
-                  feature_name: str = "") -> TestResult:
+def rank_sum_test(group_a, group_b, feature_name: str = "") -> TestResult:
     """Wilcoxon-Mann-Whitney test of two independent samples.
 
     The statistic is the mid-rank sum of ``group_a`` in the pooled ranking.
     ``p_less`` is the probability (under exchangeability) of a rank sum at
     most the observed one, i.e. small when group a runs low. All three
-    p-values are always computed; ``alternative`` is validated for
-    call-site clarity.
+    p-values are always computed.
     """
-    _check_alternative(alternative)
     a = np.asarray(group_a, dtype=np.float64)
     b = np.asarray(group_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -175,14 +165,12 @@ def _signed_rank_exact_dist(ranks2: np.ndarray) -> dict[int, int]:
     return {s: int(c) for s, c in enumerate(dp) if c > 0}
 
 
-def signed_rank_test(paired_diffs, alternative: str = "two-sided",
-                     feature_name: str = "") -> TestResult:
+def signed_rank_test(paired_diffs, feature_name: str = "") -> TestResult:
     """Wilcoxon signed-rank test on paired differences.
 
     Zero differences are removed first; the statistic is the positive-rank
     sum W+. ``p_greater`` is small when the differences run positive.
     """
-    _check_alternative(alternative)
     diffs = np.asarray(paired_diffs, dtype=np.float64)
     diffs = diffs[diffs != 0]
     if diffs.size == 0:

@@ -8,8 +8,10 @@ probabilities, averaged over trees). The scalar objective is
 
     mean over samples [ ||x - x_c||^2 + mean over trees( -log p_tree[y] ) ]
 
-and every gradient here is derived by hand, layer by layer; the finite
-difference harness in the test suite is the arbiter of correctness.
+and every gradient is derived by hand, layer by layer; the forest's part
+of the forward and backward pass is ``forest.forest_forward`` and
+``forest.forest_backward``. The finite difference harness in the test suite
+is the arbiter of correctness.
 
 Per-epoch cost model: one epoch costs O(n_batches * batch_size * (
 sum_l n_{l-1} n_l over encoder+decoder layers + sum_l n_{l-1} n_l over
@@ -39,8 +41,8 @@ import numpy as np
 
 from .autoencoder import AutoencoderParams
 from .errors import ConfigError, NumericError
-from .forest import ForestParams, TreeParams, _reach_probabilities
-from .numerics import Layer, Rng, sigmoid, sigmoid_chain
+from .forest import ForestParams, forest_backward, forest_forward
+from .numerics import Layer, Rng, sigmoid_chain
 
 __all__ = [
     "TrainConfig",
@@ -54,7 +56,6 @@ __all__ = [
     "joint_loss",
     "gradients",
     "rmsprop_step",
-    "leaf_update_step",
     "train",
     "predict",
     "measure_epoch_seconds",
@@ -197,20 +198,22 @@ def init_model(config: TrainConfig, n_features: int, rng: Rng | None = None,
 
     n_dec = 2 ** config.n_depth - 1
     n_leaf = 2 ** config.n_depth
-    trees = []
+    routing, leaf_logits = [], []
     for _ in range(config.n_tree):
-        routing = rng.normal((n_dec, xt_dim), scale)
-        leaf_logits = rng.normal((n_leaf, n_classes), scale)
-        trees.append(TreeParams(config.n_depth, routing, leaf_logits))
+        routing.append(rng.normal((n_dec, xt_dim), scale))
+        leaf_logits.append(rng.normal((n_leaf, n_classes), scale))
+    forest = ForestParams(np.stack(routing), np.stack(leaf_logits), fc)
 
-    return Model(AutoencoderParams(encoder, decoder), ForestParams(trees, fc), config)
+    return Model(AutoencoderParams(encoder, decoder), forest, config)
 
 
 def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
     """Named references to every trainable tensor, leaf logits included.
 
     The arrays are the model's own buffers: writing through them (e.g.
-    ``block[...] = new``) updates the model.
+    ``block[...] = new``) updates the model. Tree k's blocks are the views
+    ``forest.routing[k]`` and ``forest.leaf_logits[k]`` of the stacked
+    forest tensors.
     """
     blocks = []
     for i, layer in enumerate(model.autoencoder.encoder):
@@ -222,9 +225,9 @@ def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
     for i, layer in enumerate(model.forest.fc):
         blocks.append((f"fc.{i}.W", layer.W))
         blocks.append((f"fc.{i}.b", layer.b))
-    for k, tree in enumerate(model.forest.trees):
-        blocks.append((f"tree.{k}.routing", tree.routing))
-        blocks.append((f"tree.{k}.leaf_logits", tree.leaf_logits))
+    for k in range(model.forest.n_trees):
+        blocks.append((f"tree.{k}.routing", model.forest.routing[k]))
+        blocks.append((f"tree.{k}.leaf_logits", model.forest.leaf_logits[k]))
     return blocks
 
 
@@ -249,27 +252,12 @@ def _forward_cache(X: np.ndarray, model: Model) -> dict:
     H = enc_acts[-1]
     dec_acts = sigmoid_chain(H, model.autoencoder.decoder)
     fc_acts = sigmoid_chain(H, model.forest.fc)
-    XT = fc_acts[-1]
-
-    per_tree = []
-    probs_sum = None
-    for tree in model.forest.trees:
-        decisions = sigmoid(XT @ tree.routing.T)
-        reach = _reach_probabilities(decisions, tree.depth)
-        mu = reach[:, tree.n_decision_nodes:]
-        pi = tree.leaf_distributions()
-        probs = mu @ pi
-        per_tree.append({"decisions": decisions, "reach": reach, "mu": mu,
-                         "pi": pi, "probs": probs})
-        probs_sum = probs if probs_sum is None else probs_sum + probs
-
     return {
         "enc_acts": enc_acts,
         "dec_acts": dec_acts,
         "fc_acts": fc_acts,
         "x_c": dec_acts[-1],
-        "per_tree": per_tree,
-        "forest_probs": probs_sum / model.forest.n_trees,
+        "forest": forest_forward(fc_acts[-1], model.forest),
     }
 
 
@@ -281,8 +269,8 @@ def forward(x: np.ndarray, model: Model):
     """
     X, single = _as_batch(x)
     cache = _forward_cache(X, model)
-    per_tree = np.stack([t["probs"] for t in cache["per_tree"]])
-    x_c, forest_probs = cache["x_c"], cache["forest_probs"]
+    x_c = cache["x_c"]
+    per_tree, forest_probs = cache["forest"]["probs"], cache["forest"]["forest_probs"]
     if single:
         return x_c[0], per_tree[:, 0, :], forest_probs[0]
     return x_c, per_tree, forest_probs
@@ -291,7 +279,7 @@ def forward(x: np.ndarray, model: Model):
 def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, forest probabilities) for a batch; argmax ties go low."""
     X, single = _as_batch(X)
-    probs = _forward_cache(X, model)["forest_probs"]
+    probs = _forward_cache(X, model)["forest"]["forest_probs"]
     labels = probs.argmax(axis=1)
     if single:
         return labels[0], probs[0]
@@ -320,8 +308,8 @@ def joint_loss(X: np.ndarray, y: np.ndarray, model: Model) -> float:
     recon = ((X - cache["x_c"]) ** 2).sum(axis=1)
     rows = np.arange(X.shape[0])
     tree_terms = np.zeros(X.shape[0])
-    for t in cache["per_tree"]:
-        p_y = np.maximum(t["probs"][rows, y], PROB_FLOOR)
+    for probs in cache["forest"]["probs"]:
+        p_y = np.maximum(probs[rows, y], PROB_FLOOR)
         tree_terms += -np.log(p_y)
     tree_terms /= model.forest.n_trees
     return float((recon + tree_terms).mean())
@@ -370,35 +358,15 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
         grads[f"decoder.{i}.W"] = gW
         grads[f"decoder.{i}.b"] = gb
 
-    # Trees: route dL/dp back through the leaf mixture and the reach
-    # recursion, accumulating dL/dx_t across trees.
-    XT = cache["fc_acts"][-1]
-    g_xt = np.zeros_like(XT)
-    for k, t in enumerate(cache["per_tree"]):
-        tree = model.forest.trees[k]
-        n_dec = tree.n_decision_nodes
-        p_y = t["probs"][rows, y]
-        # Zero gradient where the probability floor is active.
-        s = np.where(p_y > PROB_FLOOR, -1.0 / (K * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
-
-        onehot_s = np.zeros((B, tree.n_classes))
-        onehot_s[rows, y] = s
-        g_pi = t["mu"].T @ onehot_s
-        pi = t["pi"]
-        grads[f"tree.{k}.leaf_logits"] = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
-
-        g_mu = s[:, None] * pi[:, y].T
-        g_reach = np.empty_like(t["reach"])
-        g_reach[:, n_dec:] = g_mu
-        d = t["decisions"]
-        for i in range(n_dec - 1, -1, -1):
-            g_reach[:, i] = (g_reach[:, 2 * i + 1] * d[:, i]
-                             + g_reach[:, 2 * i + 2] * (1.0 - d[:, i]))
-        left = 2 * np.arange(n_dec) + 1
-        g_d = (g_reach[:, left] - g_reach[:, left + 1]) * t["reach"][:, :n_dec]
-        g_f = g_d * d * (1.0 - d)
-        grads[f"tree.{k}.routing"] = g_f.T @ XT
-        g_xt += g_f @ tree.routing
+    # Trees: d(mean_k -log p_k[y]) / d p_k[y], zero where the probability
+    # floor is active; the forest carries it back to the tree input.
+    p_y = cache["forest"]["probs"][:, rows, y]
+    g_py = np.where(p_y > PROB_FLOOR, -1.0 / (K * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
+    g_routing, g_leaf_logits, g_xt = forest_backward(
+        cache["fc_acts"][-1], y, g_py, cache["forest"], model.forest)
+    for k in range(K):
+        grads[f"tree.{k}.leaf_logits"] = g_leaf_logits[k]
+        grads[f"tree.{k}.routing"] = g_routing[k]
 
     # Fully connected chain (identity pass-through when empty).
     fc_grads, g_h_fc = _backward_layers(model.forest.fc, cache["fc_acts"], g_xt)
@@ -428,21 +396,13 @@ def rmsprop_step(theta: np.ndarray, grad: np.ndarray, accum: np.ndarray,
     """One accumulator-scaled step.
 
     G <- G + g*g ; theta <- theta - (lr / sqrt(G + eps)) * g, elementwise.
-    Pure: returns (new_theta, new_accumulator).
+    Pure: returns (new_theta, new_accumulator). The per-epoch leaf step uses
+    it too; leaf distributions are softmax(logits), so they stay normalized
+    exactly no matter the step.
     """
     accum = accum + grad * grad
     theta = theta - learning_rate / np.sqrt(accum + epsilon) * grad
     return theta, accum
-
-
-def leaf_update_step(leaf_logits: np.ndarray, grad: np.ndarray, accum: np.ndarray,
-                     leaf_learning_rate: float, epsilon: float):
-    """Accumulator-scaled step on the leaf logits.
-
-    The exposed class distribution is softmax(logits), so it stays
-    normalized exactly no matter the step. Returns (new_logits, new_accum).
-    """
-    return rmsprop_step(leaf_logits, grad, accum, leaf_learning_rate, epsilon)
 
 
 @dataclass
@@ -532,7 +492,7 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         except NumericError as exc:
             raise NumericError(f"{exc} at epoch {epoch}", context=epoch) from exc
         for name in leaf_names:
-            new, state.accumulators[name] = leaf_update_step(
+            new, state.accumulators[name] = rmsprop_step(
                 blocks[name], full_grads[name], state.accumulators[name],
                 config.leaf_learning_rate, config.epsilon)
             blocks[name][...] = new

@@ -1,6 +1,7 @@
 """Shared test oracles, deliberately independent of the library code paths
 they check: the gradient checker evaluates only the public loss, and the
-tree follower walks the heap by hand instead of reusing the reach recursion."""
+tree follower walks the heap by hand instead of reusing the reach recursion
+and takes the leaf softmax with its own exp."""
 
 import numpy as np
 
@@ -38,23 +39,27 @@ def finite_difference_check(model, X, y, h=1e-5):
     return worst, per_block
 
 
-def follow_tree(x_t, tree):
+def follow_tree(x_t, routing, leaf_logits):
     """Deterministic tree evaluator: at each node go left iff w . x_t > 0.
 
-    Returns the reached leaf's class distribution. This is the hard-routing
-    limit that soft routing should approach as weights are scaled up.
+    ``routing`` (2^D - 1, d) and ``leaf_logits`` (2^D, C) are one tree's
+    slices of the stacked forest tensors. Returns the reached leaf's class
+    distribution. This is the hard-routing limit that soft routing should
+    approach as weights are scaled up.
     """
+    n_dec = routing.shape[0]
     node = 0
-    for _ in range(tree.depth):
-        go_left = float(tree.routing[node] @ x_t) > 0
+    while node < n_dec:
+        go_left = float(routing[node] @ x_t) > 0
         node = 2 * node + 1 + (0 if go_left else 1)
-    leaf = node - (2 ** tree.depth - 1)
-    return tree.leaf_distributions()[leaf]
+    e = np.exp(leaf_logits[node - n_dec] - leaf_logits[node - n_dec].max())
+    return e / e.sum()
 
 
 def follow_forest(x_t, forest):
-    """Average of follow_tree over the forest."""
-    dists = [follow_tree(x_t, t) for t in forest.trees]
+    """Average of follow_tree over the trees of a stacked forest."""
+    dists = [follow_tree(x_t, forest.routing[k], forest.leaf_logits[k])
+             for k in range(forest.n_trees)]
     return np.mean(dists, axis=0)
 
 

@@ -17,8 +17,7 @@ from helpers import (finite_difference_check, follow_forest,
                      rank_sum_brute_force, signed_rank_brute_force)
 from spamforest.dataio import load_model, save_model
 from spamforest.features import ReviewRecord, build_feature_matrix
-from spamforest.forest import ForestParams, TreeParams, forest_predict, \
-    leaf_reach_probabilities
+from spamforest.forest import ForestParams, forest_forward
 from spamforest.metrics import compute_metrics
 from spamforest.numerics import Rng, entropy
 from spamforest.stats import chi_squared_test, rank_sum_test, signed_rank_test
@@ -62,10 +61,10 @@ def test_03_routing_normalization_1000_instances():
     for depth in (1, 2, 3, 4, 5):
         for _ in range(200):
             dim = int(r.permutation(4)[0]) + 2
-            tree = TreeParams(depth,
-                              r.normal((2 ** depth - 1, dim), 2.0),
-                              r.normal((2 ** depth, 2)))
-            mu = leaf_reach_probabilities(r.normal((dim,), 2.0), tree)
+            forest = ForestParams(r.normal((1, 2 ** depth - 1, dim), 2.0),
+                                  r.normal((1, 2 ** depth, 2)))
+            reach = forest_forward(r.normal((1, dim), 2.0), forest)["reach"][0]
+            mu = reach[0, 2 ** depth - 1:]
             worst = max(worst, abs(float(mu.sum()) - 1.0))
             assert 1.0 - 1e-9 <= mu.sum() <= 1.0 + 1e-9
     report(3, f"1000 instances at depths 1-5, worst |sum - 1| = {worst:.2e}")
@@ -75,11 +74,13 @@ def test_04_hard_routing_oracle_100_instances():
     r = Rng(47)
     worst = 0.0
     for _ in range(100):
-        trees = [TreeParams(3, r.normal((7, 6)) * 1e6, r.normal((8, 2)))
-                 for _ in range(3)]
-        forest = ForestParams(trees)
+        routing, leaves = [], []
+        for _ in range(3):
+            routing.append(r.normal((7, 6)) * 1e6)
+            leaves.append(r.normal((8, 2)))
+        forest = ForestParams(np.stack(routing), np.stack(leaves))
         x = r.normal((6,))
-        soft = forest_predict(x, forest)
+        soft = forest_forward(x[None, :], forest)["forest_probs"][0]
         hard = follow_forest(x, forest)
         worst = max(worst, float(np.max(np.abs(soft - hard))))
         npt.assert_allclose(soft, hard, atol=1e-6)
@@ -210,10 +211,9 @@ def test_09_leaf_validity_every_epoch():
     epochs_checked = []
 
     def check(epoch, model):
-        for tree in model.forest.trees:
-            dists = tree.leaf_distributions()
-            assert np.all(dists >= 0.0)
-            npt.assert_allclose(dists.sum(axis=1), 1.0, atol=1e-12)
+        dists = model.forest.leaf_distributions()
+        assert np.all(dists >= 0.0)
+        npt.assert_allclose(dists.sum(axis=2), 1.0, atol=1e-12)
         epochs_checked.append(epoch)
 
     train(Xn, y, cfg, epoch_callback=check)

@@ -5,14 +5,23 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from spamforest.autoencoder import (AutoencoderParams, decode, encode,
-                                    reconstruction_loss)
+from spamforest.autoencoder import AutoencoderParams, reconstruction_loss
 from spamforest.errors import ShapeError
-from spamforest.numerics import Layer, Rng
+from spamforest.numerics import Layer, Rng, sigmoid_chain
 
 
 def _sigma(z):
     return 1.0 / (1.0 + math.exp(-z))
+
+
+# The model's forward pass runs each stack through sigmoid_chain; these are
+# its encoder and decoder halves.
+def encode(x, params):
+    return sigmoid_chain(x, params.encoder)[-1]
+
+
+def decode(h, params):
+    return sigmoid_chain(h, params.decoder)[-1]
 
 
 def single_layer_params(W_e, b_e, W_d, b_d):

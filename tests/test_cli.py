@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -231,6 +232,39 @@ class TestTrainEvaluatePredict:
         rc = main(["train", "--features", str(gaussian_features), "--out",
                    str(tmp_path / "out"), "--train-count", "99999"])
         assert rc == 2
+
+    def test_incomplete_model_exits_2(self, run_dir, tmp_path, capsys):
+        doc = json.loads((run_dir / "model.json").read_text())
+        del doc["body"]["config"]
+        canonical = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = main(["predict", "--features", str(run_dir / "heldout"),
+                   "--model", str(model), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config" in err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_exits_2(self, run_dir, tmp_path, capsys,
+                                        command, cell):
+        ds = load_features(run_dir / "heldout")
+        feat = tmp_path / "feat"
+        save_features(feat, ds.features, ds.labels, ds.user_ids)
+        lines = (feat / "features.tsv").read_text().splitlines()
+        cells = lines[3].split("\t")
+        cells[1] = cell
+        lines[3] = "\t".join(cells)
+        (feat / "features.tsv").write_text("\n".join(lines) + "\n")
+        args = [command, "--features", str(feat), "--out", str(tmp_path / "out")]
+        if command == "predict":
+            args += ["--model", str(run_dir / "model.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "features.tsv" in err and "column 2" in err
+        assert not (tmp_path / "out" / "predictions.tsv").exists()
 
 
 class TestConfigFile:

@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import json
 
 import numpy as np
@@ -65,6 +67,25 @@ class TestLoadReviews:
         with pytest.raises(ParseError, match="missing required"):
             load_reviews(path)
 
+    @pytest.mark.parametrize("day", [-719163, 2932897, 10 ** 9])
+    def test_timestamp_beyond_date_range_line_numbered(self, tmp_path, day):
+        path = tmp_path / "reviews.jsonl"
+        good = record_json(rec())
+        bad = good.replace('"timestamp": 10', f'"timestamp": {day}')
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError, match="line 2.*timestamp") as err:
+            load_reviews(path)
+        assert err.value.line_number == 2
+
+    def test_timestamp_range_ends_accepted(self, tmp_path):
+        # date.min and date.max, in days since 1970-01-01.
+        records = [rec(day=-719162), rec(day=2932896)]
+        assert [r.review_date.isoformat() for r in records] == \
+            ["0001-01-01", "9999-12-31"]
+        path = tmp_path / "reviews.jsonl"
+        path.write_text("\n".join(record_json(r) for r in records) + "\n")
+        assert load_reviews(path) == records
+
     def test_unknown_field_warns_but_parses(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
         obj = json.loads(record_json(rec()))
@@ -93,6 +114,21 @@ class TestLoadReviewsDelimited:
         path.write_text("user_id\tproduct_id\nonly-one-cell\n")
         with pytest.raises(ParseError, match="line 2"):
             load_reviews_delimited(path)
+
+    def test_timestamp_beyond_date_range_line_numbered(self, tmp_path):
+        cols = ["user_id", "product_id", "rating", "helpful_votes",
+                "unhelpful_votes", "timestamp", "category", "summary_text",
+                "review_text"]
+        good = rec()
+        lines = ["\t".join(cols),
+                 "\t".join(str(getattr(good, c)) for c in cols),
+                 "\t".join(str(10 ** 9 if c == "timestamp" else getattr(good, c))
+                           for c in cols)]
+        path = tmp_path / "reviews.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 3.*timestamp") as err:
+            load_reviews_delimited(path)
+        assert err.value.line_number == 3
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "reviews.tsv"
@@ -315,6 +351,65 @@ class TestModelSerialization:
         model.norm_stats = None
 
 
+    @staticmethod
+    def rewrite_body(path, change):
+        """Apply ``change`` to the body and re-sign it with a valid checksum."""
+        doc = json.loads(path.read_text())
+        change(doc["body"])
+        canonical = json.dumps(doc["body"], sort_keys=True,
+                               separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        path.write_text(json.dumps(doc))
+
+    def test_tree_tensors_load_stacked(self, trained_desk, tmp_path):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        forest = load_model(path).forest
+        assert forest.routing.shape == (2, 3, model.forest.input_dim)
+        assert forest.leaf_logits.shape == (2, 4, 2)
+        npt.assert_array_equal(forest.routing, model.forest.routing)
+        npt.assert_array_equal(forest.leaf_logits, model.forest.leaf_logits)
+
+    @pytest.mark.parametrize("key", ["config", "tensors", "n_classes"])
+    def test_missing_body_key_is_integrity_error(self, trained_desk, tmp_path,
+                                                 key):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body.pop(key))
+        with pytest.raises(ModelIntegrityError, match=key):
+            load_model(path)
+
+    def test_tensor_entry_without_data_is_integrity_error(self, trained_desk,
+                                                          tmp_path):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body["tensors"]["encoder.0.W"].pop("data"))
+        with pytest.raises(ModelIntegrityError, match="incomplete"):
+            load_model(path)
+
+    def test_unstackable_tree_tensors_is_integrity_error(self, trained_desk,
+                                                         tmp_path):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+
+        def shrink_tree1(body):
+            # Tree 1's routing keeps two of its three decision rows.
+            tensor = body["tensors"]["tree.1.routing"]
+            rows, width = tensor["shape"]
+            raw = base64.b64decode(tensor["data"])
+            tensor["shape"] = [rows - 1, width]
+            tensor["data"] = base64.b64encode(
+                raw[: (rows - 1) * width * 8]).decode("ascii")
+
+        self.rewrite_body(path, shrink_tree1)
+        with pytest.raises(ModelIntegrityError, match="routing.*stack"):
+            load_model(path)
+
+
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path, rng):
         matrix = FeatureMatrix(rng.normal((6, 3)), ["a", "b", "c"],
@@ -330,6 +425,25 @@ class TestFeatureFiles:
         assert ds.features.kinds == matrix.kinds
         npt.assert_array_equal(ds.labels, labels)
         assert ds.user_ids == uids
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, rng,
+                                                        cell):
+        matrix = FeatureMatrix(rng.normal((4, 3)), ["a", "b", "c"],
+                               ["rating", "time", "review"],
+                               ["continuous"] * 3)
+        save_features(tmp_path / "feat", matrix, np.array([0, 1, 0, 1]),
+                      [f"u{i}" for i in range(4)])
+        path = tmp_path / "feat" / "features.tsv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split("\t")
+        cells[2] = cell
+        lines[3] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match=r"line 4: features.tsv column 3 \('c'\)") as err:
+            load_features(tmp_path / "feat")
+        assert err.value.line_number == 4
 
     def test_labeled_dataset_row_checks(self, rng):
         matrix = FeatureMatrix(rng.normal((3, 2)), ["a", "b"],

@@ -6,196 +6,248 @@ import pytest
 
 from helpers import follow_forest
 from spamforest.errors import ConfigError, ShapeError
-from spamforest.forest import (ForestParams, TreeParams, decision_probability,
-                               forest_predict, leaf_reach_probabilities,
-                               predict_label, tree_input, tree_predict)
-from spamforest.numerics import Layer, sigmoid
+from spamforest.forest import ForestParams, forest_forward
+from spamforest.numerics import Layer, Rng, sigmoid, sigmoid_chain
+from spamforest.training import TrainConfig, init_model, predict
 
 
 def logit(p):
     return math.log(p / (1 - p))
 
 
-def depth1_tree(p_left, leaf0=(0.9, 0.1), leaf1=(0.2, 0.8)):
-    """Single decision node with P(left) = p_left on input x_t = [1]."""
+def depth1_forest(p_left, leaf0=(0.9, 0.1), leaf1=(0.2, 0.8)):
+    """One tree with a single decision node, P(left) = p_left on x_t = [1]."""
     logits = np.log([leaf0, leaf1])
-    return TreeParams(1, np.array([[logit(p_left)]]), logits)
+    return ForestParams(np.array([[[logit(p_left)]]]), logits[None])
 
 
-def random_tree(rng, depth, dim, n_classes=2, scale=1.0):
-    return TreeParams(depth, rng.normal((2 ** depth - 1, dim), scale),
-                      rng.normal((2 ** depth, n_classes), scale))
+def random_forest(rng, n_trees, depth, dim, n_classes=2, scale=1.0):
+    return ForestParams(rng.normal((n_trees, 2 ** depth - 1, dim), scale),
+                        rng.normal((n_trees, 2 ** depth, n_classes), scale))
+
+
+def run(x_t, forest):
+    """forest_forward on one tree-input vector (or a batch)."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    return forest_forward(np.atleast_2d(x_t), forest)
+
+
+def leaf_reach(x_t, forest, k=0):
+    """Leaf reach probabilities mu of tree k; one row per input."""
+    return run(x_t, forest)["reach"][k][:, forest.n_decision_nodes:]
 
 
 class TestTreeInput:
+    # The tree input is the hidden code pushed through forest.fc by the
+    # same sigmoid_chain the model's forward pass runs.
     def test_zero_layers_pass_through(self):
         h = np.array([0.2, 0.9])
-        npt.assert_array_equal(tree_input(h, []), h)
+        npt.assert_array_equal(sigmoid_chain(h, [])[-1], h)
 
     def test_zero_weights_give_half(self):
         fc = [Layer(np.zeros((3, 2)), np.zeros(3))]
-        npt.assert_array_equal(tree_input([0.4, 0.6], fc), [0.5, 0.5, 0.5])
+        npt.assert_array_equal(sigmoid_chain([0.4, 0.6], fc)[-1], [0.5, 0.5, 0.5])
 
     def test_single_layer_matches_sigma_affine(self):
         W, b = np.array([[1.0, -2.0], [0.3, 0.4]]), np.array([0.5, 0.0])
         h = [0.1, 0.7]
         expected = [1 / (1 + math.exp(-(W[i] @ h + b[i]))) for i in range(2)]
-        npt.assert_allclose(tree_input(h, [Layer(W, b)]), expected, atol=1e-15)
+        npt.assert_allclose(sigmoid_chain(h, [Layer(W, b)])[-1], expected,
+                            atol=1e-15)
 
 
 class TestDecisionProbability:
+    @staticmethod
+    def decision(x_t, w_d):
+        forest = ForestParams(np.array([[w_d]], dtype=np.float64),
+                              np.zeros((1, 2, 2)))
+        return float(run(x_t, forest)["decisions"][0][0, 0])
+
     def test_orthogonal_input(self):
-        assert decision_probability([1.0, 0.0], [0.0, 5.0]) == 0.5
+        assert self.decision([1.0, 0.0], [0.0, 5.0]) == 0.5
 
     def test_zero_weights(self):
-        assert decision_probability([3.0, -2.0], [0.0, 0.0]) == 0.5
+        assert self.decision([3.0, -2.0], [0.0, 0.0]) == 0.5
 
     def test_closed_form(self):
-        assert decision_probability([1.0], [math.log(3)]) == pytest.approx(
+        assert self.decision([1.0], [math.log(3)]) == pytest.approx(
             0.75, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            decision_probability([1.0, 2.0], [1.0])
+            self.decision([1.0, 2.0], [1.0])
 
 
 class TestLeafReach:
     def test_depth1_split(self):
-        mu = leaf_reach_probabilities([1.0], depth1_tree(0.7))
-        npt.assert_allclose(mu, [0.7, 0.3], atol=1e-15)
+        mu = leaf_reach([1.0], depth1_forest(0.7))
+        npt.assert_allclose(mu[0], [0.7, 0.3], atol=1e-15)
 
     def test_depth2_uniform_routing(self):
-        tree = TreeParams(2, np.zeros((3, 2)), np.zeros((4, 2)))
-        mu = leaf_reach_probabilities([0.3, 0.8], tree)
-        npt.assert_allclose(mu, [0.25] * 4, atol=1e-15)
+        forest = ForestParams(np.zeros((1, 3, 2)), np.zeros((1, 4, 2)))
+        mu = leaf_reach([0.3, 0.8], forest)
+        npt.assert_allclose(mu[0], [0.25] * 4, atol=1e-15)
 
     def test_path_products_match_decision_algebra(self, rng):
         # Leftmost leaf is reached with d_root * d_left; its sibling with
-        # d_root * (1 - d_left).
-        tree = random_tree(rng, 2, 3)
+        # d_root * (1 - d_left). Checked on every tree of a stacked forest.
+        forest = random_forest(rng, 3, 2, 3)
         x_t = rng.normal((3,))
-        d = sigmoid(x_t @ tree.routing.T)
-        mu = leaf_reach_probabilities(x_t, tree)
-        assert mu[0] == pytest.approx(d[0] * d[1], abs=1e-15)
-        assert mu[1] == pytest.approx(d[0] * (1 - d[1]), abs=1e-15)
-        assert mu[2] == pytest.approx((1 - d[0]) * d[2], abs=1e-15)
-        assert mu[3] == pytest.approx((1 - d[0]) * (1 - d[2]), abs=1e-15)
+        for k in range(3):
+            d = sigmoid(x_t @ forest.routing[k].T)
+            mu = leaf_reach(x_t, forest, k)[0]
+            assert mu[0] == pytest.approx(d[0] * d[1], abs=1e-15)
+            assert mu[1] == pytest.approx(d[0] * (1 - d[1]), abs=1e-15)
+            assert mu[2] == pytest.approx((1 - d[0]) * d[2], abs=1e-15)
+            assert mu[3] == pytest.approx((1 - d[0]) * (1 - d[2]), abs=1e-15)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     def test_sums_to_one(self, depth, rng):
         for _ in range(40):
             dim = int(rng.permutation(5)[0]) + 2
-            tree = random_tree(rng, depth, dim, scale=3.0)
-            mu = leaf_reach_probabilities(rng.normal((dim,), 3.0), tree)
-            assert abs(mu.sum() - 1.0) <= 1e-9
-            assert np.all(mu >= 0)
+            forest = random_forest(rng, 2, depth, dim, scale=3.0)
+            x_t = rng.normal((dim,), 3.0)
+            for k in range(2):
+                mu = leaf_reach(x_t, forest, k)
+                assert abs(mu.sum() - 1.0) <= 1e-9
+                assert np.all(mu >= 0)
 
     def test_batch_rows_sum_to_one(self, rng):
-        tree = random_tree(rng, 3, 4)
-        mu = leaf_reach_probabilities(rng.normal((16, 4)), tree)
-        assert mu.shape == (16, 8)
-        npt.assert_allclose(mu.sum(axis=1), 1.0, atol=1e-9)
+        forest = random_forest(rng, 2, 3, 4)
+        for k in range(2):
+            mu = leaf_reach(rng.normal((16, 4)), forest, k)
+            assert mu.shape == (16, 8)
+            npt.assert_allclose(mu.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestTreePredict:
     def test_identical_leaves_wash_out_routing(self, rng):
         q = np.log([0.3, 0.7])
-        tree = TreeParams(2, rng.normal((3, 2)), np.tile(q, (4, 1)))
-        out = tree_predict(rng.normal((2,)), tree)
+        forest = ForestParams(rng.normal((1, 3, 2)), np.tile(q, (1, 4, 1)))
+        out = run(rng.normal((2,)), forest)["probs"][0, 0]
         npt.assert_allclose(out, [0.3, 0.7], atol=1e-12)
 
     def test_depth1_hand_mixture(self):
         # 0.7*[0.9,0.1] + 0.3*[0.2,0.8] = [0.69, 0.31]
-        out = tree_predict([1.0], depth1_tree(0.7))
+        out = run([1.0], depth1_forest(0.7))["probs"][0, 0]
         npt.assert_allclose(out, [0.69, 0.31], atol=1e-12)
 
     def test_hard_routing_returns_single_leaf(self):
-        tree = depth1_tree(0.5)
-        tree.routing[0, 0] = 1e4  # saturate: always left
-        out = tree_predict([1.0], tree)
+        forest = depth1_forest(0.5)
+        forest.routing[0, 0, 0] = 1e4  # saturate: always left
+        out = run([1.0], forest)["probs"][0, 0]
         npt.assert_allclose(out, [0.9, 0.1], atol=1e-12)
 
     def test_valid_distribution(self, rng):
         for _ in range(25):
-            tree = random_tree(rng, 3, 5, scale=2.0)
-            out = tree_predict(rng.normal((5,), 2.0), tree)
-            assert abs(out.sum() - 1.0) <= 1e-9
+            forest = random_forest(rng, 2, 3, 5, scale=2.0)
+            out = run(rng.normal((5,), 2.0), forest)["probs"][:, 0]
+            npt.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
             assert np.all((out >= 0) & (out <= 1))
 
 
 class TestForestPredict:
     def test_identical_trees_equal_single_tree(self, rng):
-        tree = random_tree(rng, 2, 3)
-        clone = TreeParams(2, tree.routing.copy(), tree.leaf_logits.copy())
-        forest = ForestParams([tree, clone])
+        single = random_forest(rng, 1, 2, 3)
+        forest = ForestParams(np.repeat(single.routing, 2, axis=0),
+                              np.repeat(single.leaf_logits, 2, axis=0))
         x = rng.normal((3,))
-        npt.assert_allclose(forest_predict(x, forest), tree_predict(x, tree),
-                            atol=1e-15)
+        npt.assert_allclose(run(x, forest)["forest_probs"],
+                            run(x, single)["probs"][0], atol=1e-15)
 
     def test_arithmetic_mean(self):
-        t1 = depth1_tree(1.0 - 1e-12, leaf0=(0.6, 0.4), leaf1=(0.6, 0.4))
-        t2 = depth1_tree(1.0 - 1e-12, leaf0=(0.8, 0.2), leaf1=(0.8, 0.2))
-        out = forest_predict([1.0], ForestParams([t1, t2]))
+        leaves = np.log([[[0.6, 0.4], [0.6, 0.4]], [[0.8, 0.2], [0.8, 0.2]]])
+        routing = np.full((2, 1, 1), logit(1.0 - 1e-12))
+        out = run([1.0], ForestParams(routing, leaves))["forest_probs"][0]
         npt.assert_allclose(out, [0.7, 0.3], atol=1e-9)
 
     def test_single_tree_forest(self, rng):
-        tree = random_tree(rng, 3, 4)
-        x = rng.normal((4,))
-        npt.assert_array_equal(forest_predict(x, ForestParams([tree])),
-                               tree_predict(x, tree))
+        forest = random_forest(rng, 1, 3, 4)
+        result = run(rng.normal((4,)), forest)
+        npt.assert_array_equal(result["forest_probs"], result["probs"][0])
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ConfigError):
-            ForestParams([])
+            ForestParams(np.zeros((0, 3, 2)), np.zeros((0, 4, 2)))
 
     def test_ensemble_bound(self, rng):
-        trees = [random_tree(rng, 2, 3, scale=2.0) for _ in range(5)]
-        forest = ForestParams(trees)
+        forest = random_forest(rng, 5, 2, 3, scale=2.0)
         for _ in range(20):
-            x = rng.normal((3,))
-            per_tree = np.array([tree_predict(x, t) for t in trees])
-            out = forest_predict(x, forest)
+            result = run(rng.normal((3,)), forest)
+            per_tree = result["probs"][:, 0]
+            out = result["forest_probs"][0]
             assert np.all(out >= per_tree.min(axis=0) - 1e-12)
             assert np.all(out <= per_tree.max(axis=0) + 1e-12)
 
     def test_mismatched_trees_rejected(self, rng):
+        # Routing for depth 2 with leaves for depth 3, and a tree count
+        # that differs between the two tensors.
         with pytest.raises(ShapeError):
-            ForestParams([random_tree(rng, 2, 3), random_tree(rng, 3, 3)])
+            ForestParams(rng.normal((2, 3, 3)), rng.normal((2, 8, 2)))
+        with pytest.raises(ShapeError):
+            ForestParams(rng.normal((2, 3, 3)), rng.normal((3, 4, 2)))
 
 
 class TestHardRoutingEquivalence:
     def test_scaled_weights_match_deterministic_follower(self, rng):
         for _ in range(30):
-            trees = [random_tree(rng, 3, 6) for _ in range(3)]
-            scaled = [TreeParams(3, t.routing * 1e6, t.leaf_logits)
-                      for t in trees]
-            forest = ForestParams(scaled)
+            forest = random_forest(rng, 3, 3, 6)
+            forest.routing[...] *= 1e6
             x = rng.normal((6,))
-            soft = forest_predict(x, forest)
+            soft = run(x, forest)["forest_probs"][0]
             hard = follow_forest(x, forest)
             npt.assert_allclose(soft, hard, atol=1e-6)
 
 
 class TestPredictLabel:
+    # Labels come from training.predict, the path the predict command runs.
+    @staticmethod
+    def model_with_leaves(leaf_row):
+        model = init_model(TrainConfig(n_tree=2, n_depth=1, seed=1), 3)
+        model.forest.leaf_logits[...] = np.log(leaf_row)
+        return model
+
     def test_clear_winner(self):
-        assert predict_label([0.7, 0.3]) == 0
-        assert predict_label([0.3, 0.7]) == 1
+        X = Rng(2).normal((4, 3))
+        labels, _ = predict(self.model_with_leaves([0.7, 0.3]), X)
+        npt.assert_array_equal(labels, 0)
+        labels, _ = predict(self.model_with_leaves([0.3, 0.7]), X)
+        npt.assert_array_equal(labels, 1)
 
     def test_tie_breaks_low(self):
-        assert predict_label([0.5, 0.5]) == 0
+        model = self.model_with_leaves([0.5, 0.5])
+        model.forest.routing[...] = 0.0  # every reach exactly 0.5
+        labels, probs = predict(model, Rng(3).normal((4, 3)))
+        npt.assert_array_equal(probs, 0.5)
+        npt.assert_array_equal(labels, 0)
 
 
 class TestTreeParamsValidation:
+    # Per-tree tensor shapes inside the stacked forest.
     def test_wrong_node_count_rejected(self):
         with pytest.raises(ShapeError):
-            TreeParams(2, np.zeros((2, 4)), np.zeros((4, 2)))
+            ForestParams(np.zeros((1, 2, 4)), np.zeros((1, 4, 2)))
 
     def test_wrong_leaf_count_rejected(self):
         with pytest.raises(ShapeError):
-            TreeParams(2, np.zeros((3, 4)), np.zeros((3, 2)))
+            ForestParams(np.zeros((1, 3, 4)), np.zeros((1, 3, 2)))
 
     def test_leaf_distributions_are_stochastic(self, rng):
-        tree = random_tree(rng, 3, 4, scale=5.0)
-        dists = tree.leaf_distributions()
-        npt.assert_allclose(dists.sum(axis=1), 1.0, atol=1e-12)
+        forest = random_forest(rng, 2, 3, 4, scale=5.0)
+        dists = forest.leaf_distributions()
+        assert dists.shape == (2, 8, 2)
+        npt.assert_allclose(dists.sum(axis=2), 1.0, atol=1e-12)
         assert np.all(dists >= 0)
+
+
+class TestForestShape:
+    def test_depth_read_from_leaf_count(self, rng):
+        for depth in (1, 2, 5):
+            forest = random_forest(rng, 3, depth, 4)
+            assert forest.depth == depth
+            assert (forest.n_trees, forest.input_dim, forest.n_classes) == (3, 4, 2)
+
+    def test_fc_output_must_match_tree_input(self, rng):
+        with pytest.raises(ShapeError):
+            ForestParams(np.zeros((1, 1, 3)), np.zeros((1, 2, 2)),
+                         [Layer(np.zeros((2, 4)), np.zeros(2))])

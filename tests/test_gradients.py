@@ -5,7 +5,8 @@ analytic gradient coordinate must agree within 1e-4 relative error. The
 desk-scale setting (2 autoencoder layers, 1 fully connected layer, 2 trees
 of depth 2, 8 features, batch of 5) is the reference; the variants cover
 no-FC pass-through, deeper trees, single-sample batches, and multiple
-fully connected layers.
+fully connected layers, and several trees at depth 4 (the level-order
+reach recursion over a stacked forest).
 """
 
 import numpy as np
@@ -46,6 +47,13 @@ class TestFiniteDifferences:
         model, X, y = make_case(cfg, 5, 3, 31)
         worst, _ = finite_difference_check(model, X, y)
         assert worst < TOLERANCE
+
+    def test_three_trees_depth4(self):
+        cfg = TrainConfig(n_tree=3, n_depth=4, fc_layer_count=1,
+                          ae_layer_count=2, batch_size=6, seed=53)
+        model, X, y = make_case(cfg, 6, 6, 59)
+        worst, per_block = finite_difference_check(model, X, y)
+        assert worst < TOLERANCE, f"worst blocks: {per_block}"
 
     def test_single_sample(self):
         cfg = TrainConfig(n_tree=3, n_depth=1, fc_layer_count=1,

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from spamforest.errors import ShapeError
 from spamforest.numerics import (Rng, affine, chi2_sf, entropy, norm_sf,
-                                 rng_normal_init, sigmoid, softmax)
+                                 sigmoid, softmax)
 
 
 class TestAffine:
@@ -138,28 +138,28 @@ class TestEntropy:
 
 class TestRng:
     def test_deterministic_per_seed(self):
-        a = rng_normal_init(Rng(99), (3, 4), 0.5)
-        b = rng_normal_init(Rng(99), (3, 4), 0.5)
+        a = Rng(99).normal((3, 4), 0.5)
+        b = Rng(99).normal((3, 4), 0.5)
         npt.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = rng_normal_init(Rng(1), (8,), 1.0)
-        b = rng_normal_init(Rng(2), (8,), 1.0)
+        a = Rng(1).normal((8,), 1.0)
+        b = Rng(2).normal((8,), 1.0)
         assert not np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
-        samples = rng_normal_init(Rng(5), (10_000,), 0.1)
+        samples = Rng(5).normal((10_000,), 0.1)
         assert abs(samples.mean()) < 0.01
 
     def test_shape_contract(self):
-        out = rng_normal_init(Rng(0), (2, 3), 0.1)
+        out = Rng(0).normal((2, 3), 0.1)
         assert out.shape == (2, 3) and out.size == 6
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            rng_normal_init(Rng(0), (2,), 0.0)
+            Rng(0).normal((2,), 0.0)
         with pytest.raises(ValueError):
-            rng_normal_init(Rng(0), (2,), -1.0)
+            Rng(0).normal((2,), -1.0)
 
     def test_permutation_is_permutation(self):
         perm = Rng(3).permutation(100)

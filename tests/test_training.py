@@ -5,14 +5,17 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spamforest.autoencoder import decode, encode, reconstruction_loss
+from spamforest.autoencoder import reconstruction_loss
 from spamforest.errors import ConfigError, NumericError
-from spamforest.forest import tree_input, tree_predict
 from spamforest.numerics import Rng
 from spamforest.training import (OptimizerState, TrainConfig, forward,
                                  gradients, init_model, joint_loss,
-                                 leaf_update_step, parameter_blocks, predict,
-                                 rmsprop_step, train, tree_loss)
+                                 parameter_blocks, predict, rmsprop_step,
+                                 train, tree_loss)
+
+
+def np_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 class TestTrainConfig:
@@ -48,6 +51,15 @@ class TestInitModel:
         assert blocks["tree.0.routing"].shape == (3, 2)
         assert blocks["tree.1.leaf_logits"].shape == (4, 2)
 
+    def test_tree_blocks_are_views_of_stacked_forest(self, desk_model):
+        blocks = dict(parameter_blocks(desk_model))
+        blocks["tree.1.routing"][...] = 3.0
+        blocks["tree.0.leaf_logits"][...] = -2.0
+        npt.assert_array_equal(desk_model.forest.routing[1], 3.0)
+        npt.assert_array_equal(desk_model.forest.leaf_logits[0], -2.0)
+        assert desk_model.forest.routing.shape == (2, 3, 2)
+        assert desk_model.forest.leaf_logits.shape == (2, 4, 2)
+
     def test_deterministic_per_seed(self):
         cfg = TrainConfig(seed=5)
         a = init_model(cfg, 6)
@@ -58,17 +70,15 @@ class TestInitModel:
     def test_no_fc_layers_use_hidden_as_tree_input(self):
         cfg = TrainConfig(fc_layer_count=0, n_depth=2, n_tree=1)
         model = init_model(cfg, 8)
-        assert model.forest.trees[0].input_dim == model.autoencoder.hidden_dim
+        assert model.forest.input_dim == model.autoencoder.hidden_dim
 
 
 class TestForward:
     def test_identical_trees_collapse_to_one(self, rng):
         cfg = TrainConfig(n_tree=3, n_depth=2, seed=9)
         model = init_model(cfg, 6)
-        src = model.forest.trees[0]
-        for tree in model.forest.trees[1:]:
-            tree.routing[...] = src.routing
-            tree.leaf_logits[...] = src.leaf_logits
+        model.forest.routing[1:] = model.forest.routing[0]
+        model.forest.leaf_logits[1:] = model.forest.leaf_logits[0]
         x = rng.normal((6,))
         _, per_tree, forest_probs = forward(x, model)
         for k in range(3):
@@ -82,15 +92,20 @@ class TestForward:
             npt.assert_array_equal(u, v)
 
     def test_matches_publicly_composed_chain(self, rng):
-        # Oracle: compose the public per-stage ops by hand.
+        # Oracle: the closed form of 1 tree of depth 1 with no FC layer,
+        # h = s(W1 x + b1), x_c = s(W2 h + b2),
+        # p = s(w . h) softmax(L0) + (1 - s(w . h)) softmax(L1).
         cfg = TrainConfig(n_tree=1, n_depth=1, ae_layer_count=1,
                           fc_layer_count=0, ae_widths=(2,), seed=21)
         model = init_model(cfg, 2)
         x = rng.normal((2,))
-        h = encode(x, model.autoencoder)
-        x_c = decode(h, model.autoencoder)
-        x_t = tree_input(h, model.forest.fc)
-        probs = tree_predict(x_t, model.forest.trees[0])
+        enc, dec = model.autoencoder.encoder[0], model.autoencoder.decoder[0]
+        h = np_sigmoid(enc.W @ x + enc.b)
+        x_c = np_sigmoid(dec.W @ h + dec.b)
+        d = np_sigmoid(model.forest.routing[0, 0] @ h)
+        L = model.forest.leaf_logits[0]
+        leaves = np.exp(L) / np.exp(L).sum(axis=1, keepdims=True)
+        probs = d * leaves[0] + (1.0 - d) * leaves[1]
         f_xc, f_per_tree, f_forest = forward(x, model)
         npt.assert_allclose(f_xc, x_c, atol=1e-15)
         npt.assert_allclose(f_per_tree[0], probs, atol=1e-15)
@@ -121,8 +136,8 @@ class TestJointLoss:
         for layer in model.autoencoder.decoder:
             layer.W[...] = 0.0
             layer.b[...] = 0.0
-        model.forest.trees[0].leaf_logits[...] = np.array([[500.0, -500.0],
-                                                           [500.0, -500.0]])
+        model.forest.leaf_logits[0] = np.array([[500.0, -500.0],
+                                                [500.0, -500.0]])
         X = np.full((3, 2), 0.5)
         y = np.zeros(3, dtype=int)
         assert joint_loss(X, y, model) == 0.0
@@ -167,8 +182,8 @@ class TestGradientToyCases:
         cfg = TrainConfig(n_tree=1, n_depth=1, ae_layer_count=1,
                           fc_layer_count=0, ae_widths=(2,), seed=5)
         model = init_model(cfg, 2)
-        model.forest.trees[0].leaf_logits[...] = np.array([[500.0, -500.0],
-                                                           [500.0, -500.0]])
+        model.forest.leaf_logits[0] = np.array([[500.0, -500.0],
+                                                [500.0, -500.0]])
         X = rng.normal((4, 2))
         y = np.zeros(4, dtype=int)
         grads = gradients(X, y, model)
@@ -180,12 +195,11 @@ class TestGradientToyCases:
         cfg = TrainConfig(n_tree=1, n_depth=1, ae_layer_count=1,
                           fc_layer_count=0, ae_widths=(2,), seed=6)
         model = init_model(cfg, 2)
-        tree = model.forest.trees[0]
-        tree.leaf_logits[...] = np.array([[500.0, -500.0], [-500.0, 500.0]])
+        model.forest.leaf_logits[0] = np.array([[500.0, -500.0], [-500.0, 500.0]])
         x = rng.normal((2,))
-        h = encode(x, model.autoencoder)
-        x_t = tree_input(h, model.forest.fc)
-        sig = 1.0 / (1.0 + math.exp(-float(tree.routing[0] @ x_t)))
+        enc = model.autoencoder.encoder[0]
+        x_t = np_sigmoid(enc.W @ x + enc.b)  # no FC layer: x_t = h
+        sig = 1.0 / (1.0 + math.exp(-float(model.forest.routing[0, 0] @ x_t)))
         closed_form = (sig - 1.0) * x_t
         grads = gradients(x[None, :], np.array([0]), model)
         npt.assert_allclose(grads["tree.0.routing"][0], closed_form, atol=1e-10)
@@ -227,28 +241,29 @@ class TestRmspropStep:
 
 
 class TestLeafUpdateStep:
+    # The per-epoch leaf step is rmsprop_step on the leaf logits.
     def test_zero_gradient_keeps_distribution(self, rng):
         logits = rng.normal((4, 2))
         from spamforest.numerics import softmax
         before = softmax(logits)
-        new_logits, _ = leaf_update_step(logits, np.zeros_like(logits),
-                                         np.zeros_like(logits), 0.01, 1e-8)
+        new_logits, _ = rmsprop_step(logits, np.zeros_like(logits),
+                                     np.zeros_like(logits), 0.01, 1e-8)
         npt.assert_array_equal(softmax(new_logits), before)
 
     def test_distribution_stays_normalized(self, rng):
         from spamforest.numerics import softmax
         logits = rng.normal((8, 2))
         grad = rng.normal((8, 2), 5.0)
-        new_logits, _ = leaf_update_step(logits, grad, np.zeros_like(logits),
-                                         0.5, 1e-8)
+        new_logits, _ = rmsprop_step(logits, grad, np.zeros_like(logits),
+                                     0.5, 1e-8)
         npt.assert_allclose(softmax(new_logits).sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_leaf_hand_step(self):
         from spamforest.numerics import softmax
         logits = np.array([[0.3, -0.1]])
         grad = np.array([[2.0, -1.0]])
-        new_logits, _ = leaf_update_step(logits, grad, np.zeros((1, 2)),
-                                         0.1, 1e-8)
+        new_logits, _ = rmsprop_step(logits, grad, np.zeros((1, 2)),
+                                     0.1, 1e-8)
         expected_logits = logits - 0.1 / np.sqrt(grad ** 2 + 1e-8) * grad
         npt.assert_allclose(new_logits, expected_logits, atol=1e-15)
         npt.assert_allclose(softmax(new_logits), softmax(expected_logits),
@@ -326,10 +341,9 @@ class TestTrain:
         checked = []
 
         def check(epoch, model):
-            for tree in model.forest.trees:
-                dists = tree.leaf_distributions()
-                assert np.all(dists >= 0)
-                npt.assert_allclose(dists.sum(axis=1), 1.0, atol=1e-12)
+            dists = model.forest.leaf_distributions()
+            assert np.all(dists >= 0)
+            npt.assert_allclose(dists.sum(axis=2), 1.0, atol=1e-12)
             checked.append(epoch)
 
         train(X, y, cfg, epoch_callback=check)
