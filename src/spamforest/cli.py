@@ -19,7 +19,7 @@ import warnings
 from .dataio import (LabeledDataset, apply_normalization, label_and_cap_users,
                      load_features, load_model, load_reviews,
                      load_reviews_delimited, load_spam_scores, normalize,
-                     save_features, save_model, split_shuffle_batch)
+                     save_features, save_model, split_train_test)
 from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      NumericError, ParseError)
 from .features import SCOPES, FeatureMatrix, build_feature_matrix
@@ -28,6 +28,10 @@ from .stats import screen_features, write_histograms, write_screening_report
 from .training import Model, TrainConfig, predict, train
 
 __all__ = ["main", "run_ablation", "load_config_file"]
+
+# perfbench/tracing.py times the train/test split by wrapping the module
+# attribute split_shuffle_batch, so the commands call the split by that name.
+split_shuffle_batch = split_train_test
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
@@ -134,13 +138,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _split_dataset(ds: LabeledDataset, train_count: int, seed: int):
-    # One batch of size train_count: just reusing the seeded permutation split.
-    batches, test_idx = split_shuffle_batch(ds.n_rows, train_count,
-                                            train_count, seed)
-    return batches[0], test_idx
-
-
 def cmd_train(args) -> int:
     ds = load_features(args.features)
     config = _resolve_config(args)
@@ -149,7 +146,7 @@ def cmd_train(args) -> int:
         raise ConfigError(
             f"train_count {train_count} exceeds {ds.n_rows} feature rows")
 
-    train_idx, test_idx = _split_dataset(ds, train_count, config.seed)
+    train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
     train_matrix = FeatureMatrix(ds.features.values[train_idx],
                                  list(ds.features.names),
                                  list(ds.features.scopes),
@@ -238,25 +235,19 @@ def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int):
     otherwise on the training rows. Scopes without features are skipped
     with a warning.
     """
-    train_idx, test_idx = _split_dataset(ds, train_count, config.seed)
+    train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
     eval_idx = test_idx if len(test_idx) > 0 else train_idx
 
     def run_subset(cols):
-        sub = FeatureMatrix(ds.features.values[:, cols],
-                            [ds.features.names[c] for c in cols],
-                            [ds.features.scopes[c] for c in cols],
-                            [ds.features.kinds[c] for c in cols],
-                            ds.features.manifest_version)
-        train_part = FeatureMatrix(sub.values[train_idx], list(sub.names),
-                                   list(sub.scopes), list(sub.kinds),
-                                   sub.manifest_version)
+        values = ds.features.values[:, cols]
+        train_part = FeatureMatrix(values[train_idx],
+                                   [ds.features.names[c] for c in cols],
+                                   [ds.features.scopes[c] for c in cols],
+                                   [ds.features.kinds[c] for c in cols],
+                                   ds.features.manifest_version)
         normed, stats = normalize(train_part, config.normalization)
         result = train(normed.values, ds.labels[train_idx], config)
-        eval_matrix = FeatureMatrix(sub.values[eval_idx], list(sub.names),
-                                    list(sub.scopes), list(sub.kinds),
-                                    sub.manifest_version)
-        eval_normed = apply_normalization(eval_matrix, stats)
-        labels, _ = predict(result.model, eval_normed.values)
+        labels, _ = predict(result.model, stats.apply(values[eval_idx]))
         return float((labels == ds.labels[eval_idx]).mean())
 
     rows = []

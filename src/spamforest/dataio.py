@@ -1,5 +1,5 @@
-"""Review ingestion, labeling, capping, normalization, batching, and
-model/feature-file serialization.
+"""Review ingestion, labeling, capping, normalization, the train/test
+split, and model/feature-file serialization.
 
 File formats
 ------------
@@ -50,7 +50,7 @@ __all__ = [
     "label_and_cap_users",
     "normalize",
     "apply_normalization",
-    "split_shuffle_batch",
+    "split_train_test",
     "save_model",
     "load_model",
     "save_features",
@@ -87,6 +87,9 @@ class NormStats:
     def from_dict(cls, d: dict) -> "NormStats":
         return cls(d["method"], np.asarray(d["center"], dtype=np.float64),
                    np.asarray(d["scale"], dtype=np.float64))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return (values - self.center) / self.scale
 
 
 @dataclass
@@ -287,36 +290,28 @@ def apply_normalization(features: FeatureMatrix, stats: NormStats) -> FeatureMat
             f"normalization stats cover {len(stats.center)} columns, "
             f"matrix has {features.n_features}"
         )
-    values = (features.values - stats.center) / stats.scale
-    return FeatureMatrix(values, list(features.names), list(features.scopes),
-                         list(features.kinds), features.manifest_version)
+    return FeatureMatrix(stats.apply(features.values), list(features.names),
+                         list(features.scopes), list(features.kinds),
+                         features.manifest_version)
 
 
 # ---------------------------------------------------------------------------
-# Shuffle / split / batch
+# Train/test split
 
 
-def split_shuffle_batch(n_rows: int, train_count: int, batch_size: int, seed: int):
-    """Seeded permutation split into training batches plus a test set.
+def split_train_test(n_rows: int, train_count: int, seed: int):
+    """Seeded permutation split: ``(train_indices, test_indices)``.
 
-    Returns ``(batches, test_indices)`` where ``batches`` is a list of
-    index arrays (the last one possibly short) and the union of all returned
-    indices is exactly ``range(n_rows)``.
+    The first ``train_count`` entries of ``Rng(seed).permutation(n_rows)``
+    train, the rest are held out; together they are exactly
+    ``range(n_rows)``.
     """
     if train_count > n_rows:
         raise ConfigError(f"train_count {train_count} exceeds {n_rows} rows")
     if train_count < 1:
         raise ConfigError(f"train_count must be >= 1, got {train_count}")
-    if batch_size > train_count:
-        raise ConfigError(
-            f"batch_size {batch_size} exceeds train_count {train_count}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     perm = Rng(seed).permutation(n_rows)
-    train = perm[:train_count]
-    test = perm[train_count:]
-    batches = [train[i:i + batch_size] for i in range(0, train_count, batch_size)]
-    return batches, test
+    return perm[:train_count], perm[train_count:]
 
 
 # ---------------------------------------------------------------------------

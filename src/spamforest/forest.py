@@ -32,7 +32,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .numerics import Layer, sigmoid, softmax
 
-__all__ = ["ForestParams", "forest_forward", "forest_backward"]
+__all__ = ["ForestParams", "forest_forward", "leaf_mixture", "leaf_gradient",
+           "forest_backward"]
 
 
 @dataclass
@@ -109,17 +110,14 @@ def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
 
     Returns per-tree lists ``decisions`` (B, 2^D - 1) of left probabilities
     and ``reach`` (B, 2^(D+1) - 1) of node-reach probabilities in heap order
-    (the last 2^D columns are the leaf reach mu, rows summing to one),
-    ``leaf_dists`` (K, 2^D, C), per-tree class distributions ``probs``
-    (K, B, C) = mu @ leaf_dists[k], and their tree average ``forest_probs``.
+    (the last 2^D columns are the leaf reach mu, rows summing to one), plus
+    the ``leaf_mixture`` entries.
     """
     if XT.ndim != 2 or XT.shape[1] != forest.input_dim:
         raise ShapeError(
             f"tree input shape {XT.shape} != (batch, {forest.input_dim})")
     n_dec = forest.n_decision_nodes
-    leaf_dists = forest.leaf_distributions()
     decisions, reaches = [], []
-    probs = np.empty((forest.n_trees, XT.shape[0], forest.n_classes))
     for k in range(forest.n_trees):
         d = sigmoid(XT @ forest.routing[k].T)
         reach = np.empty((XT.shape[0], 2 * n_dec + 1))
@@ -127,11 +125,46 @@ def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
         for nodes, left, right in _levels(forest.depth):
             reach[:, left] = reach[:, nodes] * d[:, nodes]
             reach[:, right] = reach[:, nodes] * (1.0 - d[:, nodes])
-        probs[k] = reach[:, n_dec:] @ leaf_dists[k]
         decisions.append(d)
         reaches.append(reach)
-    return {"decisions": decisions, "reach": reaches, "leaf_dists": leaf_dists,
-            "probs": probs, "forest_probs": probs.mean(axis=0)}
+    return {"decisions": decisions, "reach": reaches,
+            **leaf_mixture(reaches, forest)}
+
+
+def leaf_mixture(reaches: list[np.ndarray], forest: ForestParams) -> dict:
+    """The leaf half of the forward pass, from ``forest_forward``'s reach.
+
+    Returns ``leaf_dists`` (K, 2^D, C) of the forest's current leaf logits,
+    per-tree class distributions ``probs`` (K, B, C) = mu @ leaf_dists[k],
+    and their tree average ``forest_probs``. A step on the leaf logits alone
+    leaves the reach unchanged, so calling this after one gives what a new
+    ``forest_forward`` would, bit for bit.
+    """
+    n_dec = forest.n_decision_nodes
+    leaf_dists = forest.leaf_distributions()
+    probs = np.empty((forest.n_trees, reaches[0].shape[0], forest.n_classes))
+    for k, reach in enumerate(reaches):
+        probs[k] = reach[:, n_dec:] @ leaf_dists[k]
+    return {"leaf_dists": leaf_dists, "probs": probs,
+            "forest_probs": probs.mean(axis=0)}
+
+
+def leaf_gradient(y: np.ndarray, g_py: np.ndarray, cache: dict,
+                  forest: ForestParams) -> np.ndarray:
+    """dL/d leaf logits (K, 2^D, C) for ``g_py[k, b] = dL / d probs[k, b,
+    y[b]]``, from a ``forest_forward`` cache: only the leaf reach mu and the
+    leaf distributions enter, through p = mu @ pi and the softmax behind pi.
+    """
+    n_dec = forest.n_decision_nodes
+    rows = np.arange(g_py.shape[1])
+    g_leaf_logits = np.empty_like(forest.leaf_logits)
+    for k in range(forest.n_trees):
+        pi = cache["leaf_dists"][k]
+        onehot_s = np.zeros((g_py.shape[1], forest.n_classes))
+        onehot_s[rows, y] = g_py[k]
+        g_pi = cache["reach"][k][:, n_dec:].T @ onehot_s
+        g_leaf_logits[k] = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
+    return g_leaf_logits
 
 
 def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
@@ -144,25 +177,17 @@ def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
     routing and leaf logits, and dL/dXT summed over the trees.
     """
     n_dec = forest.n_decision_nodes
-    rows = np.arange(XT.shape[0])
+    g_leaf_logits = leaf_gradient(y, g_py, cache, forest)
     g_routing = np.empty_like(forest.routing)
-    g_leaf_logits = np.empty_like(forest.leaf_logits)
     g_xt = np.zeros_like(XT)
     for k in range(forest.n_trees):
         d, reach = cache["decisions"][k], cache["reach"][k]
         pi = cache["leaf_dists"][k]
-        s = g_py[k]
-
-        # Leaf mixture p = mu @ pi, then the softmax behind pi.
-        onehot_s = np.zeros((XT.shape[0], forest.n_classes))
-        onehot_s[rows, y] = s
-        g_pi = reach[:, n_dec:].T @ onehot_s
-        g_leaf_logits[k] = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
 
         # Reach recursion, deepest decision level first: a node's reach
         # feeds its left child through d and its right child through 1 - d.
         g_reach = np.empty_like(reach)
-        g_reach[:, n_dec:] = s[:, None] * pi[:, y].T
+        g_reach[:, n_dec:] = g_py[k][:, None] * pi[:, y].T
         for nodes, left, right in reversed(list(_levels(forest.depth))):
             g_reach[:, nodes] = (g_reach[:, left] * d[:, nodes]
                                  + g_reach[:, right] * (1.0 - d[:, nodes]))

@@ -80,13 +80,20 @@ def sigmoid(x):
 
     Accepts a scalar or an array; returns the same shape. Outputs lie in
     (0, 1) until float64 saturation (|x| > ~37).
+
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
+    otherwise, the same operations on the same values as evaluating each
+    branch on its own, so the result is bit-identical to that form.
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # min(x, -x) is -|x| but passes a NaN through with its sign, as the
+    # x < 0 branch does. out= keeps a 0-d input an array, not a scalar.
+    out = np.negative(arr, out=np.empty_like(arr))
+    np.minimum(arr, out, out=out)
+    np.exp(out, out=out)
+    den = out + 1.0
+    out[arr >= 0] = 1.0
+    out /= den
     if arr.ndim == 0:
         return float(out)
     return out

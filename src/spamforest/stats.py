@@ -332,8 +332,14 @@ def write_screening_report(results: list[TestResult], path):
 
 
 def write_histograms(features: FeatureMatrix, labels, out_dir, n_bins: int = 20):
-    """Per-feature CSVs of bin edges and per-class densities."""
+    """Per-feature CSVs of bin edges and per-class densities.
+
+    Feature ``name`` goes to ``hist_<quote(name)>.csv``: letters, digits and
+    ``_.-~`` stay, every other character is percent-encoded, so distinct
+    names never share a file.
+    """
     import os
+    from urllib.parse import quote
 
     labels = np.asarray(labels)
     os.makedirs(out_dir, exist_ok=True)
@@ -346,8 +352,7 @@ def write_histograms(features: FeatureMatrix, labels, out_dir, n_bins: int = 20)
         edges = np.linspace(lo, hi, n_bins + 1)
         dens0, _ = np.histogram(col[labels == 0], bins=edges, density=True)
         dens1, _ = np.histogram(col[labels == 1], bins=edges, density=True)
-        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
-        path = os.path.join(out_dir, f"hist_{safe}.csv")
+        path = os.path.join(out_dir, f"hist_{quote(name, safe='')}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("bin_start,bin_end,density_genuine,density_spam\n")
             for i in range(n_bins):

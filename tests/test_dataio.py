@@ -10,7 +10,7 @@ from spamforest.dataio import (LabeledDataset, NormStats, apply_normalization,
                                label_and_cap_users, load_features, load_model,
                                load_reviews, load_reviews_delimited,
                                load_spam_scores, normalize, save_features,
-                               save_model, split_shuffle_batch)
+                               save_model, split_train_test)
 from spamforest.errors import (ConfigError, ModelIntegrityError,
                                ModelVersionError, ParseError)
 from spamforest.features import FeatureMatrix, ReviewRecord
@@ -245,34 +245,30 @@ class TestNormalize:
 
 
 class TestSplitShuffleBatch:
-    def test_batch_counts_for_train_4000(self):
-        batches, _ = split_shuffle_batch(5000, 4000, 100, seed=1)
-        assert len(batches) == 40
-        batches, _ = split_shuffle_batch(5000, 4000, 50, seed=1)
-        assert len(batches) == 80
+    """``split_train_test``, the seeded split the CLI commands run."""
 
-    def test_short_last_batch(self):
-        batches, test = split_shuffle_batch(10, 7, 3, seed=2)
-        assert [len(b) for b in batches] == [3, 3, 1]
-        assert len(test) == 3
+    def test_first_rows_of_the_seeded_permutation_train(self):
+        train_idx, test_idx = split_train_test(10, 7, seed=2)
+        perm = Rng(2).permutation(10)
+        npt.assert_array_equal(train_idx, perm[:7])
+        npt.assert_array_equal(test_idx, perm[7:])
 
     def test_deterministic_per_seed(self):
-        b1, t1 = split_shuffle_batch(50, 30, 10, seed=9)
-        b2, t2 = split_shuffle_batch(50, 30, 10, seed=9)
-        for x, y in zip(b1, b2):
-            npt.assert_array_equal(x, y)
+        a1, t1 = split_train_test(50, 30, seed=9)
+        a2, t2 = split_train_test(50, 30, seed=9)
+        npt.assert_array_equal(a1, a2)
         npt.assert_array_equal(t1, t2)
 
     def test_is_a_permutation(self):
-        batches, test = split_shuffle_batch(40, 25, 7, seed=3)
-        seen = np.concatenate(batches + [test])
-        assert sorted(seen) == list(range(40))
+        train_idx, test = split_train_test(40, 25, seed=3)
+        assert len(train_idx) == 25
+        assert sorted(np.concatenate([train_idx, test])) == list(range(40))
 
     def test_preconditions(self):
         with pytest.raises(ConfigError):
-            split_shuffle_batch(10, 11, 2, seed=0)
+            split_train_test(10, 11, seed=0)
         with pytest.raises(ConfigError):
-            split_shuffle_batch(10, 5, 6, seed=0)
+            split_train_test(10, 0, seed=0)
 
 
 @pytest.fixture(scope="module")

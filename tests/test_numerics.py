@@ -69,6 +69,42 @@ class TestSigmoid:
         assert out.shape == (2, 3)
         npt.assert_array_equal(out, 0.5)
 
+    SPECIAL = [0.0, -0.0, 37.0, -37.0, 745.0, -745.0, 1e308, -1e308,
+               np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               2.2e-308, -2.2e-308, 1e-310, -1e-310]
+
+    @staticmethod
+    def two_branch(x):
+        """Reference: each sign evaluated on its own, gathered and scattered
+        through a boolean mask."""
+        arr = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(arr)
+        pos = arr >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+        ex = np.exp(arr[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        if arr.ndim == 0:
+            return float(out)
+        return out
+
+    @staticmethod
+    def bits(v):
+        return np.asarray(v, dtype=np.float64).view(np.int64)
+
+    def test_bitwise_equal_to_two_branch_form(self, rng):
+        values = np.concatenate([np.array(self.SPECIAL),
+                                 rng.normal((997,)) * 40.0,
+                                 rng.normal((200,))])
+        grid = values.reshape(45, 27)
+        for arr in (values, grid, grid.T):
+            npt.assert_array_equal(self.bits(sigmoid(arr)),
+                                   self.bits(self.two_branch(arr)))
+        for v in self.SPECIAL:
+            for x in (v, np.float64(v), np.array(v)):
+                got = sigmoid(x)
+                assert type(got) is float
+                assert self.bits(got) == self.bits(self.two_branch(x))
+
 
 class TestSoftmax:
     def test_uniform(self):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -270,3 +271,20 @@ class TestReports:
         content = open(written[0]).read().splitlines()
         assert content[0] == "bin_start,bin_end,density_genuine,density_spam"
         assert len(content) == 21
+
+    def test_histogram_files_distinct_for_colliding_names(self, tmp_path, rng):
+        # Replacing unsafe characters with "_" would map all three names to
+        # hist_category_ratio_Books.csv.
+        labels = (rng.normal((60,)) > 0).astype(int)
+        names = ["category_ratio:Books", "category_ratio_Books",
+                 "category_ratio/Books"]
+        matrix = make_matrix({n: rng.normal((60,)) * (i + 1)
+                              for i, n in enumerate(names)})
+        written = write_histograms(matrix, labels, tmp_path / "hists")
+        assert len(set(written)) == 3
+        assert sorted(p.name for p in (tmp_path / "hists").iterdir()) == \
+            sorted(os.path.basename(p) for p in written)
+        for j, path in enumerate(written):
+            col = matrix.values[:, j]
+            first = open(path).read().splitlines()[1].split(",")
+            assert float(first[0]) == col.min()

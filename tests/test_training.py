@@ -349,6 +349,33 @@ class TestTrain:
         train(X, y, cfg, epoch_callback=check)
         assert checked == list(range(6))
 
+    @pytest.mark.parametrize("reshuffle", [False, True])
+    def test_trace_equals_full_set_loss_and_predict(self, reshuffle):
+        # Oracle: a fresh joint_loss and predict on the model after each
+        # epoch, over the rows in the loop's order (one seeded shuffle after
+        # initialization, then one more per later epoch when reshuffling).
+        cfg = TrainConfig(n_epoch=5, batch_size=16, seed=3, n_tree=3,
+                          n_depth=3, reshuffle_each_epoch=reshuffle)
+        X = Rng(21).normal((70, 5))
+        y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
+        rng = Rng(cfg.seed)
+        init_model(cfg, X.shape[1], rng=rng)
+        order = rng.permutation(len(y))
+        rows = {"X": X[order], "y": y[order]}
+        expected = []
+
+        def oracle(epoch, model):
+            if reshuffle and epoch > 0:
+                perm = rng.permutation(len(y))
+                rows["X"], rows["y"] = rows["X"][perm], rows["y"][perm]
+            labels, _ = predict(model, rows["X"])
+            expected.append((joint_loss(rows["X"], rows["y"], model),
+                             float((labels == rows["y"]).mean())))
+
+        result = train(X, y, cfg, epoch_callback=oracle)
+        assert result.losses == [loss for loss, _ in expected]
+        assert result.accuracies == [acc for _, acc in expected]
+
     def test_predict_on_training_rows_matches_trace_accuracy(self):
         cfg = TrainConfig(n_epoch=10, batch_size=10, seed=6, n_tree=2, n_depth=2)
         X = Rng(11).normal((30, 3)) + np.array([1.0, 0, 0])
