@@ -20,8 +20,8 @@ from .dataio import (LabeledDataset, apply_normalization, label_and_cap_users,
                      load_features, load_model, load_reviews,
                      load_reviews_delimited, load_spam_scores, normalize,
                      save_features, save_model, split_train_test)
-from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
-                     NumericError, ParseError)
+from .errors import (ConfigError, FeatureMismatchError, ModelIntegrityError,
+                     ModelVersionError, NumericError, ParseError)
 from .features import SCOPES, FeatureMatrix, build_feature_matrix
 from .metrics import compute_metrics, confusion, write_metrics_report
 from .stats import screen_features, write_histograms, write_screening_report
@@ -159,6 +159,7 @@ def cmd_train(args) -> int:
     result = train(normed.values, ds.labels[train_idx], config, log_path=log_path)
     result.model.norm_stats = stats
     result.model.manifest_version = ds.features.manifest_version
+    result.model.feature_names = list(ds.features.names)
     model_path = os.path.join(args.out, "model.json")
     save_model(model_path, result.model)
 
@@ -179,6 +180,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_feature_names(trained: list[str] | None, given: list[str]):
+    """Reject feature columns other than the model's training columns."""
+    if trained is None or trained == given:
+        return
+    j = next((j for j, (t, g) in enumerate(zip(trained, given)) if t != g),
+             min(len(trained), len(given)))
+    raise FeatureMismatchError(
+        f"feature column {j + 1} is {given[j] if j < len(given) else None!r}, "
+        f"but the model was trained with {trained[j] if j < len(trained) else None!r} "
+        f"there ({len(given)} columns given, {len(trained)} trained)")
+
+
 def _load_and_normalize(features_dir, model: Model) -> LabeledDataset:
     ds = load_features(features_dir)
     if (model.manifest_version is not None
@@ -186,6 +199,7 @@ def _load_and_normalize(features_dir, model: Model) -> LabeledDataset:
         raise ModelVersionError(
             f"model was trained against manifest version {model.manifest_version}, "
             f"features carry {ds.features.manifest_version}")
+    _check_feature_names(model.feature_names, ds.features.names)
     if model.norm_stats is not None:
         matrix = apply_normalization(ds.features, model.norm_stats)
     else:

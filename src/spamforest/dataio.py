@@ -15,10 +15,10 @@ names), ``labels.tsv`` (user_id and label per row), ``manifest.json``
 (column names, scopes, kinds, manifest version).
 
 Model file: a single JSON document (format_version, sha256 checksum, config,
-normalization stats, manifest version, and every tensor as base64 raw
-little-endian float64), so save -> load -> predict is bit-exact. A wrong
-format_version raises ModelVersionError; any corruption or truncation
-raises ModelIntegrityError and loads nothing.
+normalization stats, manifest version, training feature names, and every
+tensor as base64 raw little-endian float64), so save -> load -> predict is
+bit-exact. A wrong format_version raises ModelVersionError; any corruption
+or truncation raises ModelIntegrityError and loads nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ __all__ = [
     "load_features",
 ]
 
-MODEL_FORMAT_VERSION = 1
+# 2: the body stores the training feature names ("feature_names").
+MODEL_FORMAT_VERSION = 2
 
 REQUIRED_FIELDS = (
     "user_id", "product_id", "rating", "helpful_votes", "unhelpful_votes",
@@ -346,6 +347,7 @@ def save_model(path, model: Model):
         "config": model.config.to_dict(),
         "n_classes": model.n_classes,
         "manifest_version": model.manifest_version,
+        "feature_names": model.feature_names,
         "norm_stats": model.norm_stats.to_dict() if model.norm_stats else None,
         "tensors": {name: _tensor_to_json(arr)
                     for name, arr in parameter_blocks(model)},
@@ -396,11 +398,13 @@ def load_model(path) -> Model:
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"model format version {doc['format_version']} unsupported "
-            f"(expected {MODEL_FORMAT_VERSION})")
+            f"(expected {MODEL_FORMAT_VERSION}); train the model again to "
+            f"write a current file")
     body = doc.get("body")
     if not isinstance(body, dict) or doc.get("checksum") != _body_checksum(body):
         raise ModelIntegrityError("model file checksum mismatch")
-    missing = [key for key in ("config", "tensors", "n_classes") if key not in body]
+    missing = [key for key in ("config", "tensors", "n_classes", "feature_names")
+               if key not in body]
     if missing:
         raise ModelIntegrityError(f"model file body lacks {', '.join(missing)}")
 
@@ -417,9 +421,17 @@ def load_model(path) -> Model:
     except (KeyError, TypeError) as exc:
         raise ModelIntegrityError(
             f"model file body is incomplete: {type(exc).__name__} {exc}") from None
-    return Model(AutoencoderParams(encoder, decoder), forest, config,
-                 norm_stats=norm_stats,
-                 manifest_version=body.get("manifest_version"))
+    model = Model(AutoencoderParams(encoder, decoder), forest, config,
+                  norm_stats=norm_stats,
+                  manifest_version=body.get("manifest_version"),
+                  feature_names=body["feature_names"])
+    names = model.feature_names
+    if names is not None and (
+            not isinstance(names, list) or len(names) != model.n_features
+            or not all(isinstance(n, str) for n in names)):
+        raise ModelIntegrityError(
+            f"model file feature_names must be {model.n_features} strings")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +445,7 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
     with open(os.path.join(out_dir, "features.tsv"), "w", encoding="utf-8") as fh:
         fh.write("\t".join(matrix.names) + "\n")
         for row in matrix.values:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
+            fh.write("\t".join(map(repr, row.tolist())) + "\n")
     with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
         fh.write("user_id\tlabel\n")
         for uid, lab in zip(user_ids, labels):

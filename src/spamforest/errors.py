@@ -27,6 +27,10 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
+class FeatureMismatchError(ValueError):
+    """Feature columns differ from the ones a model was trained on."""
+
+
 class ModelIntegrityError(RuntimeError):
     """A model file is corrupt or truncated; nothing was loaded."""
 

@@ -110,12 +110,6 @@ class FeatureVector:
         self.kinds.append(kind)
         self.values.append(float(value))
 
-    def extend(self, other: "FeatureVector"):
-        self.values.extend(other.values)
-        self.names.extend(other.names)
-        self.scopes.extend(other.scopes)
-        self.kinds.extend(other.kinds)
-
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.names, self.values))
 
@@ -249,10 +243,6 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def _year_month_index(d: date) -> int:
-    return d.year * 12 + (d.month - 1)
-
-
 def extract_user_features(reviews: list[ReviewRecord], categories=None,
                           common_names=None) -> FeatureVector:
     """Behavioral profile of one user over all their reviews.
@@ -321,12 +311,9 @@ def extract_user_features(reviews: list[ReviewRecord], categories=None,
     out.add("unhelp_max", "feedback", "continuous", unhelps.max())
 
     days = np.array([r.timestamp for r in reviews])
-    years = [r.review_date.year for r in reviews]
-    first_year, last_year = min(years), max(years)
-    span = last_year - first_year + 1
-    year_counts = np.zeros(span)
-    for yr in years:
-        year_counts[yr - first_year] += 1
+    years = days.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
+    year_counts = np.bincount(years - years.min())
+    span = len(year_counts)
     out.add("day_gap", "time", "continuous", days.max() - days.min())
     out.add("review_time_entropy", "time", "continuous",
             entropy(year_counts / n))
@@ -345,6 +332,46 @@ def extract_user_features(reviews: list[ReviewRecord], categories=None,
     return out
 
 
+def _product_context(days: np.ndarray, ratings: np.ndarray):
+    """The product block of one product, and the product's sorted days.
+
+    ``days`` and ``ratings`` hold every review of the product, in any
+    order. The block follows ``REVIEW_FEATURES``: mean rating, review
+    count, score entropy, time gap, comment-time entropy over calendar
+    months (binned through ``datetime64``) and the first-day review count.
+    It is the same for every review of the product, so it is computed once.
+    """
+    n = len(days)
+    sorted_days = np.sort(days)
+    months = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+    block = [ratings.mean(), n, entropy(np.bincount(ratings, minlength=6)[1:] / n),
+             sorted_days[-1] - sorted_days[0],
+             entropy(np.bincount(months - months.min()) / n),
+             (days == sorted_days[0]).sum()]
+    return np.array(block, dtype=np.float64), sorted_days
+
+
+def _review_part(reviews: list[ReviewRecord], sorted_days: np.ndarray) -> np.ndarray:
+    """The review-scope features of some reviews of one product, one row each.
+
+    ``sorted_days`` is the product's sorted days from ``_product_context``.
+    A review's rank is one plus the number of the product's reviews posted
+    on an earlier day, one ``searchsorted``; reviews of the same day share
+    the earliest rank.
+    """
+    own = np.array([(r.timestamp, r.rating, r.helpful_votes, r.unhelpful_votes,
+                     len(r.summary_text.split()), len(r.review_text.split()),
+                     sentiment_score(r.summary_text), sentiment_score(r.review_text))
+                    for r in reviews], dtype=np.int64)
+    first_day, gap = sorted_days[0], sorted_days[-1] - sorted_days[0]
+    since_first = own[:, 0] - first_day
+    rank = 1 + np.searchsorted(sorted_days, own[:, 0], "left")
+    return np.column_stack([
+        own[:, 1:4], since_first,
+        since_first / gap if gap > 0 else np.zeros(len(own)),
+        rank, rank / len(sorted_days), own[:, 4:]]).astype(np.float64)
+
+
 def extract_review_features(review: ReviewRecord,
                             product_reviews: list[ReviewRecord]) -> FeatureVector:
     """Product-context signals for one review.
@@ -357,48 +384,12 @@ def extract_review_features(review: ReviewRecord,
         raise ValueError(
             f"review by {review.user_id!r} is not among the product's reviews"
         )
-    ratings = np.array([r.rating for r in product_reviews])
-    days = np.array([r.timestamp for r in product_reviews])
-    n = len(product_reviews)
-    first_day, last_day = days.min(), days.max()
-    gap = last_day - first_day
-
-    score_ratios = np.array([(ratings == s).sum() for s in range(1, 6)]) / n
-    month_idx = [_year_month_index(r.review_date) for r in product_reviews]
-    lo, hi = min(month_idx), max(month_idx)
-    month_counts = np.zeros(hi - lo + 1)
-    for m in month_idx:
-        month_counts[m - lo] += 1
-
-    out = FeatureVector()
-    out.add("product_mean_rating", "product", "continuous", ratings.mean())
-    out.add("product_review_count", "product", "continuous", n)
-    out.add("product_score_entropy", "product", "continuous", entropy(score_ratios))
-    out.add("product_time_gap", "product", "continuous", gap)
-    out.add("product_time_entropy", "product", "continuous",
-            entropy(month_counts / n))
-    out.add("product_first_day_reviews", "product", "continuous",
-            (days == first_day).sum())
-
-    rank = 1 + int((days < review.timestamp).sum())
-    out.add("user_rate", "review", "categorical", review.rating)
-    out.add("review_help_votes", "review", "continuous", review.helpful_votes)
-    out.add("review_unhelp_votes", "review", "continuous", review.unhelpful_votes)
-    out.add("comment_gap_days", "review", "continuous",
-            review.timestamp - first_day)
-    out.add("comment_gap_ratio", "review", "continuous",
-            _ratio(review.timestamp - first_day, gap))
-    out.add("comment_rank", "review", "continuous", rank)
-    out.add("comment_rank_ratio", "review", "continuous", rank / n)
-    out.add("summary_length", "review", "continuous",
-            len(review.summary_text.split()))
-    out.add("review_length", "review", "continuous",
-            len(review.review_text.split()))
-    out.add("summary_sentiment", "review", "categorical",
-            sentiment_score(review.summary_text))
-    out.add("review_sentiment", "review", "categorical",
-            sentiment_score(review.review_text))
-    return out
+    block, sorted_days = _product_context(
+        np.array([r.timestamp for r in product_reviews]),
+        np.array([r.rating for r in product_reviews]))
+    values = np.concatenate([block, _review_part([review], sorted_days)[0]])
+    names, scopes, kinds = (list(c) for c in zip(*REVIEW_FEATURES))
+    return FeatureVector(values.tolist(), names, scopes, kinds)
 
 
 def build_feature_matrix(records: list[ReviewRecord], categories=None,
@@ -407,7 +398,8 @@ def build_feature_matrix(records: list[ReviewRecord], categories=None,
 
     Returns ``(FeatureMatrix, user_ids)`` with ``user_ids[i]`` naming the
     author of row i. The category catalog defaults to every category seen
-    in ``records``, sorted.
+    in ``records``, sorted. Each user's profile and each product's block
+    are computed once, so the cost is linear in the number of records.
     """
     if not records:
         raise ValueError("cannot build a feature matrix from zero records")
@@ -415,31 +407,33 @@ def build_feature_matrix(records: list[ReviewRecord], categories=None,
         categories = sorted({r.category for r in records})
 
     by_user: dict[str, list[ReviewRecord]] = {}
-    by_product: dict[str, list[ReviewRecord]] = {}
-    for r in records:
+    by_product: dict[str, list[int]] = {}
+    for i, r in enumerate(records):
         by_user.setdefault(r.user_id, []).append(r)
-        by_product.setdefault(r.product_id, []).append(r)
+        by_product.setdefault(r.product_id, []).append(i)
 
-    user_vectors = {
-        uid: extract_user_features(revs, categories=categories,
-                                   common_names=common_names)
-        for uid, revs in by_user.items()
-    }
+    user_vectors = [extract_user_features(revs, categories=categories,
+                                          common_names=common_names)
+                    for revs in by_user.values()]
+    user_row = {uid: k for k, uid in enumerate(by_user)}
+    user_ids = [r.user_id for r in records]
+    width = len(user_vectors[0].values)
+    values = np.empty((len(records), width + len(REVIEW_FEATURES)))
+    values[:, :width] = np.array([v.values for v in user_vectors])[
+        [user_row[uid] for uid in user_ids]]
 
-    rows = []
-    names = scopes = kinds = None
-    user_ids = []
-    for r in records:
-        vec = FeatureVector()
-        vec.extend(user_vectors[r.user_id])
-        vec.extend(extract_review_features(r, by_product[r.product_id]))
-        rows.append(vec.values)
-        user_ids.append(r.user_id)
-        if names is None:
-            names, scopes, kinds = vec.names, vec.scopes, vec.kinds
+    days = np.array([r.timestamp for r in records])
+    ratings = np.array([r.rating for r in records])
+    for rows in by_product.values():
+        block, sorted_days = _product_context(days[rows], ratings[rows])
+        values[rows, width:width + len(block)] = block
+        values[rows, width + len(block):] = _review_part(
+            [records[i] for i in rows], sorted_days)
 
-    matrix = FeatureMatrix(np.array(rows, dtype=np.float64), names, scopes, kinds)
-    return matrix, user_ids
+    first = user_vectors[0]
+    names, scopes, kinds = (list(c) for c in zip(*REVIEW_FEATURES))
+    return FeatureMatrix(values, first.names + names, first.scopes + scopes,
+                         first.kinds + kinds), user_ids
 
 
 def build_manifest() -> dict:

@@ -63,14 +63,14 @@ class TestResult:
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the mean of their rank range."""
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # Tie groups are runs of equal neighbours; NaN equals nothing, so each
+    # NaN is a group of its own. A group over i..j gets (i + j) / 2 + 1.
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [len(values)]))
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] - 1) / 2.0 + 1.0,
+                             np.diff(bounds))
     return ranks
 
 

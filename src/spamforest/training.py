@@ -141,8 +141,9 @@ class Model:
     """All trainable tensors plus the config that shaped them.
 
     ``norm_stats`` (a dataio.NormStats, kept untyped here to avoid the
-    import cycle) and ``manifest_version`` ride along so a serialized model
-    can be applied to raw feature files without extra sidecars.
+    import cycle), ``manifest_version`` and ``feature_names`` (the training
+    columns, in order) ride along so a serialized model can be applied to
+    raw feature files without extra sidecars.
     """
 
     autoencoder: AutoencoderParams
@@ -150,6 +151,7 @@ class Model:
     config: TrainConfig
     norm_stats: object = None
     manifest_version: int | None = None
+    feature_names: list[str] | None = None
 
     @property
     def n_features(self) -> int:

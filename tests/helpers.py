@@ -1,10 +1,16 @@
 """Shared test oracles, deliberately independent of the library code paths
-they check: the gradient checker evaluates only the public loss, and the
-tree follower walks the heap by hand instead of reusing the reach recursion
-and takes the leaf softmax with its own exp."""
+they check: the gradient checker evaluates only the public loss, the tree
+follower walks the heap by hand instead of reusing the reach recursion and
+takes the leaf softmax with its own exp, and the feature reference
+recomputes every row from ``datetime.date`` objects and per-review scans."""
+
+import re
+from datetime import date, timedelta
+from importlib import resources
 
 import numpy as np
 
+from spamforest.numerics import entropy
 from spamforest.training import joint_loss, parameter_blocks
 
 
@@ -117,3 +123,106 @@ def signed_rank_brute_force(diffs):
     p_less = sum(s <= observed for s in sums) / total
     p_greater = sum(s >= observed for s in sums) / total
     return p_less, p_greater, min(1.0, 2.0 * min(p_less, p_greater))
+
+
+def _wordlist(filename):
+    text = resources.files("spamforest.data").joinpath(filename).read_text("utf-8")
+    return {w.strip() for w in text.splitlines() if w.strip()}
+
+
+def _reference_sentiment(text, positive, negative):
+    words = re.findall(r"[a-z']+", text.lower())
+    score = sum(w in positive for w in words) - sum(w in negative for w in words)
+    return (score > 0) - (score < 0)
+
+
+def _review_date(r):
+    return date(1970, 1, 1) + timedelta(days=int(r.timestamp))
+
+
+def _reference_user_row(reviews, categories, common_names):
+    """The user profile plus category block, from per-review Python loops."""
+    first = reviews[0]
+    name = first.user_name if first.user_name else first.user_id
+    name_token = name.lower().split()[0] if name.split() else ""
+    ratings = np.array([r.rating for r in reviews])
+    helps = np.array([r.helpful_votes for r in reviews], dtype=np.float64)
+    unhelps = np.array([r.unhelpful_votes for r in reviews], dtype=np.float64)
+    n = len(reviews)
+    score_counts = np.array([(ratings == s).sum() for s in range(1, 6)],
+                            dtype=np.float64)
+    score_ratios = score_counts / n
+    total_votes = helps.sum() + unhelps.sum()
+
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    days = np.array([r.timestamp for r in reviews])
+    years = [_review_date(r).year for r in reviews]
+    span = max(years) - min(years) + 1
+    year_counts = np.zeros(span)
+    for yr in years:
+        year_counts[yr - min(years)] += 1
+    row = [len({r.product_id for r in reviews}), len(name),
+           0 if name_token in common_names else 1,
+           1 if first.user_memo else 0, len(first.user_memo),
+           ratings.min(), ratings.max(), *score_ratios, *score_counts,
+           (ratings >= 4).mean(), (ratings <= 2).mean(), entropy(score_ratios),
+           ratings.mean(), helps.sum(), unhelps.sum(), helps.mean(),
+           unhelps.mean(), ratio(helps.sum(), total_votes),
+           ratio(unhelps.sum(), total_votes), np.median(helps), helps.min(),
+           helps.max(), np.median(unhelps), unhelps.min(), unhelps.max(),
+           days.max() - days.min(), entropy(year_counts / n),
+           1 if days.max() == days.min() else 0,
+           (year_counts > 0).sum() / span]
+    row += [sum(r.category == c for r in reviews) / n for c in categories]
+    return [float(v) for v in row]
+
+
+def _reference_review_row(review, product_reviews, positive, negative):
+    """The product block and review part of one row, scanning every review
+    of the product again, as the quadratic extraction did."""
+    ratings = np.array([r.rating for r in product_reviews])
+    days = np.array([r.timestamp for r in product_reviews])
+    n = len(product_reviews)
+    first_day, gap = days.min(), days.max() - days.min()
+    score_ratios = np.array([(ratings == s).sum() for s in range(1, 6)]) / n
+    month_idx = [_review_date(r).year * 12 + _review_date(r).month - 1
+                 for r in product_reviews]
+    month_counts = np.zeros(max(month_idx) - min(month_idx) + 1)
+    for m in month_idx:
+        month_counts[m - min(month_idx)] += 1
+    rank = 1 + int((days < review.timestamp).sum())
+    since_first = review.timestamp - first_day
+    row = [ratings.mean(), n, entropy(score_ratios), gap,
+           entropy(month_counts / n), (days == first_day).sum(),
+           review.rating, review.helpful_votes, review.unhelpful_votes,
+           since_first, since_first / gap if gap > 0 else 0.0, rank, rank / n,
+           len(review.summary_text.split()), len(review.review_text.split()),
+           _reference_sentiment(review.summary_text, positive, negative),
+           _reference_sentiment(review.review_text, positive, negative)]
+    return [float(v) for v in row]
+
+
+def reference_feature_rows(records, categories=None):
+    """Feature matrix values of ``records`` by the per-review formulas.
+
+    Every row recomputes its product's statistics over all of that
+    product's reviews, so the cost is quadratic in reviews per product.
+    Column order is the manifest's: user block, category block, product
+    block, review part.
+    """
+    if categories is None:
+        categories = sorted({r.category for r in records})
+    positive = _wordlist("positive_words.txt")
+    negative = _wordlist("negative_words.txt")
+    common_names = _wordlist("common_names.txt")
+    by_user, by_product = {}, {}
+    for r in records:
+        by_user.setdefault(r.user_id, []).append(r)
+        by_product.setdefault(r.product_id, []).append(r)
+    user_rows = {uid: _reference_user_row(revs, categories, common_names)
+                 for uid, revs in by_user.items()}
+    return np.array([user_rows[r.user_id] + _reference_review_row(
+        r, by_product[r.product_id], positive, negative) for r in records],
+        dtype=np.float64)

@@ -267,6 +267,67 @@ class TestTrainEvaluatePredict:
         assert not (tmp_path / "out" / "predictions.tsv").exists()
 
 
+@pytest.fixture(scope="module")
+def corpus_run(corpus_files, tmp_path_factory):
+    """Features extracted from the review corpus and a model trained on them."""
+    reviews, scores = corpus_files
+    base = tmp_path_factory.mktemp("corpus_run")
+    assert main(["extract", "--reviews", str(reviews), "--scores", str(scores),
+                 "--out", str(base / "feat")]) == 0
+    cfg = base / "train.cfg"
+    cfg.write_text("n_epoch = 2\nseed = 1\n")
+    assert main(["train", "--features", str(base / "feat"), "--out",
+                 str(base / "run"), "--config", str(cfg)]) == 0
+    return base
+
+
+class TestFeatureNames:
+    def score(self, command, features, model, out):
+        return main([command, "--features", str(features), "--model",
+                     str(model), "--out", str(out)])
+
+    def test_model_stores_training_names(self, corpus_run):
+        doc = json.loads((corpus_run / "run" / "model.json").read_text())
+        assert doc["format_version"] == 2
+        assert doc["body"]["feature_names"] == \
+            load_features(corpus_run / "feat").features.names
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_swapped_category_columns_exit_2(self, corpus_run, tmp_path,
+                                             capsys, command):
+        model = corpus_run / "run" / "model.json"
+        assert self.score(command, corpus_run / "feat", model, tmp_path / "ok") == 0
+        ds = load_features(corpus_run / "feat")
+        m = ds.features
+        a, b = [j for j, n in enumerate(m.names)
+                if n.startswith("category_ratio:")][:2]
+        order = list(range(m.n_features))
+        order[a], order[b] = b, a
+        swapped = FeatureMatrix(m.values[:, order], [m.names[j] for j in order],
+                                [m.scopes[j] for j in order],
+                                [m.kinds[j] for j in order], m.manifest_version)
+        save_features(tmp_path / "feat", swapped, ds.labels, ds.user_ids)
+        capsys.readouterr()
+        assert self.score(command, tmp_path / "feat", model, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"column {a + 1} is {m.names[b]!r}" in err
+        assert f"trained with {m.names[a]!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_version_1_model_exits_2(self, corpus_run, tmp_path, capsys):
+        doc = json.loads((corpus_run / "run" / "model.json").read_text())
+        del doc["body"]["feature_names"]
+        canonical = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        doc["format_version"] = 1
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert self.score("predict", corpus_run / "feat", model, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "version 1" in err
+
+
 class TestConfigFile:
     def test_parse_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"

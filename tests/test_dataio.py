@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 
@@ -6,7 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spamforest.dataio import (LabeledDataset, NormStats, apply_normalization,
+from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
+                               NormStats, apply_normalization,
                                label_and_cap_users, load_features, load_model,
                                load_reviews, load_reviews_delimited,
                                load_spam_scores, normalize, save_features,
@@ -357,6 +359,35 @@ class TestModelSerialization:
         doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         path.write_text(json.dumps(doc))
 
+    def test_feature_names_survive_round_trip(self, trained_desk, tmp_path):
+        model, _ = trained_desk
+        named = dataclasses.replace(model, feature_names=[f"f{j}" for j in range(6)])
+        path = tmp_path / "model.json"
+        save_model(path, named)
+        assert json.loads(path.read_text())["format_version"] == MODEL_FORMAT_VERSION == 2
+        assert load_model(path).feature_names == named.feature_names
+
+    def test_feature_names_of_wrong_width_is_integrity_error(self, trained_desk,
+                                                              tmp_path):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body.update(feature_names=["x"] * 5))
+        with pytest.raises(ModelIntegrityError, match="6 strings"):
+            load_model(path)
+
+    def test_version_1_file_is_version_error(self, trained_desk, tmp_path):
+        # A version 1 body is a version 2 body without feature_names.
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body.pop("feature_names"))
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelVersionError, match="version 1 .*expected 2"):
+            load_model(path)
+
     def test_tree_tensors_load_stacked(self, trained_desk, tmp_path):
         model, _ = trained_desk
         path = tmp_path / "model.json"
@@ -367,7 +398,8 @@ class TestModelSerialization:
         npt.assert_array_equal(forest.routing, model.forest.routing)
         npt.assert_array_equal(forest.leaf_logits, model.forest.leaf_logits)
 
-    @pytest.mark.parametrize("key", ["config", "tensors", "n_classes"])
+    @pytest.mark.parametrize("key", ["config", "tensors", "n_classes",
+                                     "feature_names"])
     def test_missing_body_key_is_integrity_error(self, trained_desk, tmp_path,
                                                  key):
         model, _ = trained_desk

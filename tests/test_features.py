@@ -1,9 +1,12 @@
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_feature_rows
+from spamforest import features
 from spamforest.features import (MANIFEST_VERSION, REVIEW_FEATURES,
                                  USER_FEATURES, ReviewRecord,
                                  build_feature_matrix, build_manifest,
@@ -259,3 +262,78 @@ class TestInvariants:
     def test_all_values_finite(self, revs):
         matrix, _ = build_feature_matrix(revs)
         assert np.all(np.isfinite(matrix.values))
+
+
+# Days around calendar edges: month ends, New Year in several years
+# (including before 1970), and the ends of the representable range.
+_EDGE_DAYS = [(date(y, m, 1) - date(1970, 1, 1)).days + k
+              for y, m in ((1969, 1), (1970, 1), (1970, 3), (1971, 1),
+                           (2000, 3), (2024, 1))
+              for k in (-1, 0, 1)]
+_EDGE_DAYS += [(date.min - date(1970, 1, 1)).days,
+               (date.max - date(1970, 1, 1)).days]
+
+corpus_strategy = st.lists(
+    st.builds(
+        rec,
+        user=st.sampled_from(["u1", "u2", "u3", "u4"]),
+        product=st.sampled_from(["p1", "p2", "p3", "p4"]),
+        rating=st.integers(1, 5),
+        help_=st.integers(0, 20),
+        unhelp=st.integers(0, 20),
+        day=st.one_of(st.sampled_from(_EDGE_DAYS), st.integers(-400, 800)),
+        category=st.sampled_from(["books", "music", "toys"]),
+        summary=st.sampled_from(["", "great", "terrible thing", "ok item"]),
+        text=st.sampled_from(["", "love it", "hate hate hate", "plain words"]),
+        name=st.sampled_from(["", "alice", "zxq9"]),
+        memo=st.sampled_from(["", "hello"]),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestExtractionOracle:
+    """build_feature_matrix against the per-review reference in helpers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus_strategy)
+    def test_matrix_matches_reference_bitwise(self, records):
+        matrix, user_ids = build_feature_matrix(records)
+        assert_bitwise_equal(matrix.values, reference_feature_rows(records))
+        assert user_ids == [r.user_id for r in records]
+        by_product = [r for r in records if r.product_id == records[0].product_id]
+        review_part = np.array(
+            extract_review_features(records[0], by_product).values)
+        assert_bitwise_equal(review_part,
+                             matrix.values[0, -len(REVIEW_FEATURES):])
+
+    def test_product_dense_corpus_matches_reference_bitwise(self):
+        from spamforest.synthetic import synthetic_review_corpus
+
+        records, _ = synthetic_review_corpus(n_genuine=60, n_spammers=60,
+                                             n_products=15, seed=5)
+        assert len(records) / 15 > 50
+        matrix, _ = build_feature_matrix(records)
+        assert_bitwise_equal(matrix.values, reference_feature_rows(records))
+
+    def test_product_context_runs_once_per_product(self, monkeypatch,
+                                                   review_corpus):
+        records, _ = review_corpus
+        calls = []
+        original = features._product_context
+
+        def counting(days, ratings):
+            calls.append(sorted(days.tolist()))
+            return original(days, ratings)
+
+        monkeypatch.setattr(features, "_product_context", counting)
+        build_feature_matrix(records)
+        by_product = {}
+        for r in records:
+            by_product.setdefault(r.product_id, []).append(r.timestamp)
+        assert sorted(calls) == sorted(sorted(d) for d in by_product.values())

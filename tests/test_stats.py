@@ -8,9 +8,54 @@ from hypothesis import given, settings, strategies as st
 from helpers import rank_sum_brute_force, signed_rank_brute_force
 from spamforest.errors import DegenerateInputError
 from spamforest.features import FeatureMatrix
-from spamforest.stats import (chi_squared_test, rank_sum_test,
+from spamforest.stats import (_midranks, chi_squared_test, rank_sum_test,
                               screen_features, signed_rank_test,
                               write_histograms, write_screening_report)
+
+
+def loop_midranks(values):
+    """The per-element mid-rank loop: a run of equal values in stable
+    sorted order shares the mean of its 1-based positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+tie_heavy_arrays = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.nan,
+                               math.inf, -math.inf]),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    min_size=1, max_size=40,
+).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
+class TestMidranks:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_arrays)
+    def test_matches_loop_bitwise(self, values):
+        np.testing.assert_array_equal(_midranks(values).view(np.int64),
+                                      loop_midranks(values).view(np.int64))
+
+    @pytest.mark.parametrize("values", [
+        [7.0], [4.0] * 9, [0.0, -0.0, 0.0, -0.0], [math.nan] * 3,
+        [1.0, math.nan, 1.0, math.nan, -0.0, 0.0],
+    ])
+    def test_edge_cases_match_loop_bitwise(self, values):
+        values = np.array(values, dtype=np.float64)
+        np.testing.assert_array_equal(_midranks(values).view(np.int64),
+                                      loop_midranks(values).view(np.int64))
+
+    def test_nans_are_not_merged(self):
+        # Each NaN is its own group, unlike np.unique, which merges them.
+        np.testing.assert_array_equal(_midranks(np.array([math.nan, 1.0, math.nan])),
+                                      [2.0, 1.0, 3.0])
 
 
 class TestRankSumExact:
