@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numeric/runtime failure, 2 input or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import warnings
@@ -36,8 +37,7 @@ split_shuffle_batch = split_train_test
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
 
-_CONFIG_FIELDS = {f.name: f.type for f in
-                  __import__("dataclasses").fields(TrainConfig)}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 def load_config_file(path) -> dict:
@@ -147,11 +147,8 @@ def cmd_train(args) -> int:
             f"train_count {train_count} exceeds {ds.n_rows} feature rows")
 
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
-    train_matrix = FeatureMatrix(ds.features.values[train_idx],
-                                 list(ds.features.names),
-                                 list(ds.features.scopes),
-                                 list(ds.features.kinds),
-                                 ds.features.manifest_version)
+    train_matrix = dataclasses.replace(ds.features,
+                                       values=ds.features.values[train_idx])
     normed, stats = normalize(train_matrix, config.normalization)
 
     os.makedirs(args.out, exist_ok=True)
@@ -164,11 +161,8 @@ def cmd_train(args) -> int:
     save_model(model_path, result.model)
 
     if len(test_idx) > 0:
-        heldout = FeatureMatrix(ds.features.values[test_idx],
-                                list(ds.features.names),
-                                list(ds.features.scopes),
-                                list(ds.features.kinds),
-                                ds.features.manifest_version)
+        heldout = dataclasses.replace(ds.features,
+                                      values=ds.features.values[test_idx])
         save_features(os.path.join(args.out, "heldout"), heldout,
                       ds.labels[test_idx], [ds.user_ids[i] for i in test_idx])
 

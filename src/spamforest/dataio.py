@@ -125,11 +125,16 @@ def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
         raise ParseError(f"missing required field(s) {missing}", line_number)
     clean = {}
     for name in _INT_FIELDS:
+        value = fields[name]
         try:
-            clean[name] = int(fields[name])
+            # A JSON number may be written 4.0, but not 4.7, inf or true.
+            if isinstance(value, bool) or (
+                    isinstance(value, float) and not value.is_integer()):
+                raise ValueError
+            clean[name] = int(value)
         except (TypeError, ValueError):
             raise ParseError(
-                f"field {name!r} must be an integer, got {fields[name]!r}",
+                f"field {name!r} must be an integer, got {value!r}",
                 line_number) from None
     for name in _STR_FIELDS:
         if name in fields and fields[name] is not None:
@@ -464,12 +469,21 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
 
 def load_features(in_dir) -> LabeledDataset:
     """Read a feature directory written by save_features."""
-    manifest_path = os.path.join(in_dir, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    names = [f["name"] for f in manifest["features"]]
-    scopes = [f["scope"] for f in manifest["features"]]
-    kinds = [f["kind"] for f in manifest["features"]]
+    with open(os.path.join(in_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"manifest.json is not valid JSON ({exc.msg})",
+                             exc.lineno) from None
+    try:
+        version = manifest["manifest_version"]
+        names, scopes, kinds = ([f[key] for f in manifest["features"]]
+                                for key in ("name", "scope", "kind"))
+    except KeyError as exc:
+        raise ParseError(f"manifest.json lacks {exc}") from None
+    except TypeError:
+        raise ParseError("manifest.json must be an object whose 'features' "
+                         "list holds name/scope/kind objects") from None
 
     with open(os.path.join(in_dir, "features.tsv"), "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -510,6 +524,5 @@ def load_features(in_dir) -> LabeledDataset:
             user_ids.append(parts[0])
             labels.append(int(parts[1]))
 
-    matrix = FeatureMatrix(values, names, scopes, kinds,
-                           manifest["manifest_version"])
+    matrix = FeatureMatrix(values, names, scopes, kinds, version)
     return LabeledDataset(matrix, np.array(labels, dtype=np.int64), user_ids)

@@ -2,11 +2,15 @@
 
 Each dataset row describes one review: the writing user's behavioral
 profile (history, rating, feedback and time signals, identical across that
-user's rows) concatenated with the review's product-context signals. Every
-feature is listed in ``USER_FEATURES`` / ``REVIEW_FEATURES`` with its scope
-tag (one of history, rating, feedback, time, product, review) and its kind
-(continuous or categorical); the shipped ``data/feature_manifest.json``
-pins the order and names, and feature files reference its version.
+user's rows) concatenated with the review's product-context signals. The
+registry names the columns: ``USER_FEATURES``, the ``CATEGORY_BLOCK`` rule
+(one ``category_ratio:<c>`` column per catalog category) and
+``REVIEW_FEATURES`` list every column with its scope tag (one of history,
+rating, feedback, time, product, review) and its kind (continuous or
+categorical), and ``feature_columns`` expands them in matrix order. The
+extraction functions return bare value rows in that order and write no
+names. The shipped ``data/feature_manifest.json`` pins the registry, and
+feature files reference its version.
 
 Conventions that apply throughout:
 
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import lru_cache
 from importlib import resources
@@ -38,14 +43,14 @@ from .numerics import entropy
 
 __all__ = [
     "ReviewRecord",
-    "FeatureVector",
     "FeatureMatrix",
     "MANIFEST_VERSION",
     "USER_FEATURES",
+    "CATEGORY_BLOCK",
     "REVIEW_FEATURES",
     "SCOPES",
+    "feature_columns",
     "extract_user_features",
-    "extract_review_features",
     "sentiment_score",
     "build_feature_matrix",
     "build_manifest",
@@ -96,25 +101,6 @@ class ReviewRecord:
 
 
 @dataclass
-class FeatureVector:
-    """Parallel lists of values, names, scope tags and kinds."""
-
-    values: list[float] = field(default_factory=list)
-    names: list[str] = field(default_factory=list)
-    scopes: list[str] = field(default_factory=list)
-    kinds: list[str] = field(default_factory=list)
-
-    def add(self, name: str, scope: str, kind: str, value: float):
-        self.names.append(name)
-        self.scopes.append(scope)
-        self.kinds.append(kind)
-        self.values.append(float(value))
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
-
-
-@dataclass
 class FeatureMatrix:
     """n x d feature table with per-column names, scopes and kinds."""
 
@@ -146,8 +132,8 @@ class FeatureMatrix:
 
 
 # (name, scope, kind) in pinned order. The reviewed-product category block
-# (one ratio per catalog category, scope history) is appended after the
-# user block; its names are data-driven, prefixed "category_ratio:".
+# (one ratio per catalog category) follows the user block; its names are
+# data-driven, the CATEGORY_BLOCK prefix plus the category.
 USER_FEATURES = [
     ("n_products", "history", "continuous"),
     ("name_length", "history", "continuous"),
@@ -188,6 +174,13 @@ USER_FEATURES = [
     ("active_ratio", "time", "continuous"),
 ]
 
+CATEGORY_BLOCK = {
+    "prefix": "category_ratio:",
+    "scope": "history",
+    "kind": "continuous",
+    "position": "after user features",
+}
+
 REVIEW_FEATURES = [
     ("product_mean_rating", "product", "continuous"),
     ("product_review_count", "product", "continuous"),
@@ -207,6 +200,15 @@ REVIEW_FEATURES = [
     ("summary_sentiment", "review", "categorical"),
     ("review_sentiment", "review", "categorical"),
 ]
+
+
+def feature_columns(categories) -> list[tuple[str, str, str]]:
+    """(name, scope, kind) of every matrix column, in order: ``USER_FEATURES``,
+    one ``CATEGORY_BLOCK`` column per entry of ``categories``, then
+    ``REVIEW_FEATURES``."""
+    block = [(CATEGORY_BLOCK["prefix"] + c, CATEGORY_BLOCK["scope"],
+              CATEGORY_BLOCK["kind"]) for c in categories]
+    return USER_FEATURES + block + REVIEW_FEATURES
 
 
 def _read_wordlist(filename: str) -> frozenset[str]:
@@ -244,12 +246,14 @@ def _ratio(num: float, den: float) -> float:
 
 
 def extract_user_features(reviews: list[ReviewRecord], categories=None,
-                          common_names=None) -> FeatureVector:
+                          common_names=None) -> np.ndarray:
     """Behavioral profile of one user over all their reviews.
 
-    ``categories`` is the corpus-wide catalog backing the reviewed-product
-    structure block; it defaults to the categories present in ``reviews``.
-    ``common_names`` overrides the bundled given-name list.
+    Returns one float64 row: the ``USER_FEATURES`` values in registry
+    order, then the share of the user's reviews in each of ``categories``
+    (the ``CATEGORY_BLOCK``). ``categories`` is the corpus-wide catalog; it
+    defaults to the categories present in ``reviews``. ``common_names``
+    overrides the bundled given-name list.
     """
     if not reviews:
         raise ValueError("cannot extract features from an empty review list")
@@ -262,7 +266,6 @@ def extract_user_features(reviews: list[ReviewRecord], categories=None,
     if common_names is None:
         common_names = _common_names_default()
 
-    out = FeatureVector()
     first = reviews[0]
     name = first.user_name if first.user_name else first.user_id
     name_token = name.lower().split()[0] if name.split() else ""
@@ -270,66 +273,39 @@ def extract_user_features(reviews: list[ReviewRecord], categories=None,
     ratings = np.array([r.rating for r in reviews])
     helps = np.array([r.helpful_votes for r in reviews], dtype=np.float64)
     unhelps = np.array([r.unhelpful_votes for r in reviews], dtype=np.float64)
+    days = np.array([r.timestamp for r in reviews])
     n = len(reviews)
 
-    out.add("n_products", "history", "continuous",
-            len({r.product_id for r in reviews}))
-    out.add("name_length", "history", "continuous", len(name))
-    out.add("uncommon_name", "history", "categorical",
-            0 if name_token in common_names else 1)
-    out.add("has_memo", "history", "categorical", 1 if first.user_memo else 0)
-    out.add("memo_length", "history", "continuous", len(first.user_memo))
-
-    score_counts = np.array([(ratings == s).sum() for s in range(1, 6)],
-                            dtype=np.float64)
+    score_counts = np.bincount(ratings, minlength=6)[1:].astype(np.float64)
     score_ratios = score_counts / n
-    out.add("min_score", "rating", "categorical", ratings.min())
-    out.add("max_score", "rating", "categorical", ratings.max())
-    for s in range(1, 6):
-        out.add(f"score_ratio_{s}", "rating", "continuous", score_ratios[s - 1])
-    for s in range(1, 6):
-        out.add(f"score_count_{s}", "rating", "continuous", score_counts[s - 1])
-    # High rates are scores 4 and 5; low rates are 1 and 2. Score 3 counts
-    # toward neither, so the two ratios sum to at most 1.
-    out.add("positive_ratio", "rating", "continuous", (ratings >= 4).mean())
-    out.add("negative_ratio", "rating", "continuous", (ratings <= 2).mean())
-    out.add("rating_entropy", "rating", "continuous", entropy(score_ratios))
-    out.add("mean_rating", "rating", "continuous", ratings.mean())
-
-    out.add("help_sum", "feedback", "continuous", helps.sum())
-    out.add("unhelp_sum", "feedback", "continuous", unhelps.sum())
-    out.add("help_mean", "feedback", "continuous", helps.mean())
-    out.add("unhelp_mean", "feedback", "continuous", unhelps.mean())
     total_votes = helps.sum() + unhelps.sum()
-    out.add("help_ratio", "feedback", "continuous", _ratio(helps.sum(), total_votes))
-    out.add("unhelp_ratio", "feedback", "continuous", _ratio(unhelps.sum(), total_votes))
-    out.add("help_median", "feedback", "continuous", np.median(helps))
-    out.add("help_min", "feedback", "continuous", helps.min())
-    out.add("help_max", "feedback", "continuous", helps.max())
-    out.add("unhelp_median", "feedback", "continuous", np.median(unhelps))
-    out.add("unhelp_min", "feedback", "continuous", unhelps.min())
-    out.add("unhelp_max", "feedback", "continuous", unhelps.max())
-
-    days = np.array([r.timestamp for r in reviews])
     years = days.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
     year_counts = np.bincount(years - years.min())
-    span = len(year_counts)
-    out.add("day_gap", "time", "continuous", days.max() - days.min())
-    out.add("review_time_entropy", "time", "continuous",
-            entropy(year_counts / n))
-    out.add("same_date_indicator", "time", "continuous",
-            1 if days.max() == days.min() else 0)
-    out.add("active_ratio", "time", "continuous",
-            (year_counts > 0).sum() / span)
+    category_counts = Counter(r.category for r in reviews)
 
-    cat_counts = {c: 0 for c in categories}
-    for r in reviews:
-        if r.category in cat_counts:
-            cat_counts[r.category] += 1
-    for c in categories:
-        out.add(f"category_ratio:{c}", "history", "continuous", cat_counts[c] / n)
-
-    return out
+    row = [
+        # history
+        len({r.product_id for r in reviews}), len(name),
+        0 if name_token in common_names else 1,
+        1 if first.user_memo else 0, len(first.user_memo),
+        # rating. High rates are scores 4 and 5; low rates are 1 and 2.
+        # Score 3 counts toward neither, so the two ratios sum to at most 1.
+        ratings.min(), ratings.max(), *score_ratios, *score_counts,
+        (ratings >= 4).mean(), (ratings <= 2).mean(), entropy(score_ratios),
+        ratings.mean(),
+        # feedback
+        helps.sum(), unhelps.sum(), helps.mean(), unhelps.mean(),
+        _ratio(helps.sum(), total_votes), _ratio(unhelps.sum(), total_votes),
+        np.median(helps), helps.min(), helps.max(),
+        np.median(unhelps), unhelps.min(), unhelps.max(),
+        # time
+        days.max() - days.min(), entropy(year_counts / n),
+        1 if days.max() == days.min() else 0,
+        (year_counts > 0).sum() / len(year_counts),
+        # category block
+        *(category_counts[c] / n for c in categories),
+    ]
+    return np.array(row, dtype=np.float64)
 
 
 def _product_context(days: np.ndarray, ratings: np.ndarray):
@@ -372,26 +348,6 @@ def _review_part(reviews: list[ReviewRecord], sorted_days: np.ndarray) -> np.nda
         rank, rank / len(sorted_days), own[:, 4:]]).astype(np.float64)
 
 
-def extract_review_features(review: ReviewRecord,
-                            product_reviews: list[ReviewRecord]) -> FeatureVector:
-    """Product-context signals for one review.
-
-    ``product_reviews`` holds every corpus review of the same product,
-    including ``review`` itself. Rank 1 means this user reviewed first;
-    ties in posting day share the earliest rank.
-    """
-    if review not in product_reviews:
-        raise ValueError(
-            f"review by {review.user_id!r} is not among the product's reviews"
-        )
-    block, sorted_days = _product_context(
-        np.array([r.timestamp for r in product_reviews]),
-        np.array([r.rating for r in product_reviews]))
-    values = np.concatenate([block, _review_part([review], sorted_days)[0]])
-    names, scopes, kinds = (list(c) for c in zip(*REVIEW_FEATURES))
-    return FeatureVector(values.tolist(), names, scopes, kinds)
-
-
 def build_feature_matrix(records: list[ReviewRecord], categories=None,
                          common_names=None):
     """One feature row per record: user profile + category block + review part.
@@ -412,15 +368,15 @@ def build_feature_matrix(records: list[ReviewRecord], categories=None,
         by_user.setdefault(r.user_id, []).append(r)
         by_product.setdefault(r.product_id, []).append(i)
 
-    user_vectors = [extract_user_features(revs, categories=categories,
-                                          common_names=common_names)
-                    for revs in by_user.values()]
+    user_rows = np.array([extract_user_features(revs, categories=categories,
+                                                common_names=common_names)
+                          for revs in by_user.values()])
     user_row = {uid: k for k, uid in enumerate(by_user)}
     user_ids = [r.user_id for r in records]
-    width = len(user_vectors[0].values)
-    values = np.empty((len(records), width + len(REVIEW_FEATURES)))
-    values[:, :width] = np.array([v.values for v in user_vectors])[
-        [user_row[uid] for uid in user_ids]]
+    columns = feature_columns(categories)
+    width = len(columns) - len(REVIEW_FEATURES)
+    values = np.empty((len(records), len(columns)))
+    values[:, :width] = user_rows[[user_row[uid] for uid in user_ids]]
 
     days = np.array([r.timestamp for r in records])
     ratings = np.array([r.rating for r in records])
@@ -430,10 +386,8 @@ def build_feature_matrix(records: list[ReviewRecord], categories=None,
         values[rows, width + len(block):] = _review_part(
             [records[i] for i in rows], sorted_days)
 
-    first = user_vectors[0]
-    names, scopes, kinds = (list(c) for c in zip(*REVIEW_FEATURES))
-    return FeatureMatrix(values, first.names + names, first.scopes + scopes,
-                         first.kinds + kinds), user_ids
+    names, scopes, kinds = (list(c) for c in zip(*columns))
+    return FeatureMatrix(values, names, scopes, kinds), user_ids
 
 
 def build_manifest() -> dict:
@@ -446,12 +400,7 @@ def build_manifest() -> dict:
         "review_features": [
             {"name": n, "scope": s, "kind": k} for n, s, k in REVIEW_FEATURES
         ],
-        "category_block": {
-            "prefix": "category_ratio:",
-            "scope": "history",
-            "kind": "continuous",
-            "position": "after user features",
-        },
+        "category_block": dict(CATEGORY_BLOCK),
     }
 
 

@@ -75,6 +75,26 @@ class TestExtract:
         assert rc == 2
         assert "nope.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, raw", [
+        ("rating", "4.7"), ("timestamp", "100.9"), ("rating", "true"),
+        ("helpful_votes", "Infinity"), ("unhelpful_votes", "-Infinity")])
+    def test_non_integer_json_number_exits_2(self, tmp_path, capsys, field,
+                                             raw):
+        recs = [ReviewRecord(f"u{i}", "p0", 4, 1, 2, 100, "books", "fine",
+                             "good product") for i in range(2)]
+        lines = [record_json(r) for r in recs]
+        value = json.loads(lines[1])[field]
+        lines[1] = lines[1].replace(f'"{field}": {value}', f'"{field}": {raw}')
+        reviews = tmp_path / "r.jsonl"
+        reviews.write_text("\n".join(lines) + "\n")
+        scores = tmp_path / "s.tsv"
+        scores.write_text("u0\t0.1\nu1\t0.9\n")
+        rc = main(["extract", "--reviews", str(reviews), "--scores",
+                   str(scores), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"line 2: field '{field}' must be an integer" in \
+            capsys.readouterr().err
+
     def test_rerun_byte_identical(self, corpus_files, tmp_path):
         reviews, scores = corpus_files
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -139,6 +159,18 @@ class TestAnalyze:
         assert by_name["mirror"][6] == "yes"
         assert by_name["constant"][6] == "no"
         assert "degenerate" in by_name["constant"][7]
+
+    def test_malformed_manifest_exits_2(self, gaussian_features, tmp_path,
+                                        capsys):
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        for name in ("features.tsv", "labels.tsv"):
+            (feat / name).write_bytes((gaussian_features / name).read_bytes())
+        (feat / "manifest.json").write_text('{"manifest_version": 1}\n')
+        rc = main(["analyze", "--features", str(feat),
+                   "--out", str(tmp_path / "screen")])
+        assert rc == 2
+        assert "manifest.json lacks 'features'" in capsys.readouterr().err
 
     def test_paired_mode_flag(self, tmp_path):
         labels = np.array([0] * 8 + [1] * 8)

@@ -88,6 +88,30 @@ class TestLoadReviews:
         path.write_text("\n".join(record_json(r) for r in records) + "\n")
         assert load_reviews(path) == records
 
+    @pytest.mark.parametrize("field, raw", [
+        ("rating", "4.7"), ("timestamp", "100.9"), ("rating", "true"),
+        ("helpful_votes", "Infinity"), ("unhelpful_votes", "-Infinity")])
+    def test_non_integer_json_number_names_line_and_field(self, tmp_path,
+                                                          field, raw):
+        good = record_json(rec())
+        value = json.loads(good)[field]
+        bad = good.replace(f'"{field}": {value}', f'"{field}": {raw}')
+        assert bad != good
+        path = tmp_path / "reviews.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError,
+                           match=f"line 2: field '{field}' must be an integer"
+                           ) as err:
+            load_reviews(path)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("raw", ["4", "4.0", '"4"'])
+    def test_integral_json_rating_accepted(self, tmp_path, raw):
+        path = tmp_path / "reviews.jsonl"
+        path.write_text(record_json(rec()).replace('"rating": 4',
+                                                   f'"rating": {raw}') + "\n")
+        assert load_reviews(path) == [rec()]
+
     def test_unknown_field_warns_but_parses(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
         obj = json.loads(record_json(rec()))
@@ -472,6 +496,31 @@ class TestFeatureFiles:
                            match=r"line 4: features.tsv column 3 \('c'\)") as err:
             load_features(tmp_path / "feat")
         assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"manifest_version": 1}', "manifest.json lacks 'features'"),
+        ('{"features": [{"name": "a", "scope": "rating", "kind": "continuous"}]}',
+         "manifest.json lacks 'manifest_version'"),
+        ('{"manifest_version": 1, "features": [{"scope": "rating", '
+         '"kind": "continuous"}]}', "manifest.json lacks 'name'"),
+        ('{"manifest_version": 1, "features": [{"name": "a", '
+         '"kind": "continuous"}]}', "manifest.json lacks 'scope'"),
+        ('{"manifest_version": 1, "features": [{"name": "a", '
+         '"scope": "rating"}]}', "manifest.json lacks 'kind'"),
+        ('{"manifest_version": 1, "features": "abc"}',
+         "manifest.json must be an object"),
+        ("[]", "manifest.json must be an object"),
+        ('{"features": [', "line 1: manifest.json is not valid JSON"),
+    ], ids=["no-features", "no-version", "no-name", "no-scope", "no-kind",
+            "features-string", "top-level-list", "invalid-json"])
+    def test_malformed_manifest_is_parse_error(self, tmp_path, rng, text,
+                                                message):
+        matrix = FeatureMatrix(rng.normal((2, 1)), ["a"], ["rating"],
+                               ["continuous"])
+        save_features(tmp_path / "feat", matrix, np.array([0, 1]), ["u0", "u1"])
+        (tmp_path / "feat" / "manifest.json").write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_features(tmp_path / "feat")
 
     def test_labeled_dataset_row_checks(self, rng):
         matrix = FeatureMatrix(rng.normal((3, 2)), ["a", "b"],

@@ -10,8 +10,7 @@ from spamforest import features
 from spamforest.features import (MANIFEST_VERSION, REVIEW_FEATURES,
                                  USER_FEATURES, ReviewRecord,
                                  build_feature_matrix, build_manifest,
-                                 extract_review_features,
-                                 extract_user_features,
+                                 extract_user_features, feature_columns,
                                  load_packaged_manifest, sentiment_score)
 
 
@@ -19,6 +18,23 @@ def rec(user="u1", product="p1", rating=5, help_=0, unhelp=0, day=0,
         category="books", summary="", text="", name="", memo=""):
     return ReviewRecord(user, product, rating, help_, unhelp, day, category,
                         summary, text, user_name=name, user_memo=memo)
+
+
+def user_features(revs, categories=None):
+    """One user's extracted row as a name -> value dict, named by the registry."""
+    row = extract_user_features(revs, categories=categories)
+    if categories is None:
+        categories = sorted({r.category for r in revs})
+    names = [n for n, _, _ in feature_columns(categories)]
+    assert row.dtype == np.float64
+    assert row.shape == (len(USER_FEATURES) + len(categories),)
+    return dict(zip(names, row.tolist()))
+
+
+def matrix_row(records, i):
+    """Row ``i`` of ``build_feature_matrix(records)`` as a name -> value dict."""
+    matrix, _ = build_feature_matrix(records)
+    return dict(zip(matrix.names, matrix.values[i].tolist()))
 
 
 class TestReviewRecord:
@@ -40,7 +56,7 @@ class TestReviewRecord:
 class TestUserFeatures:
     def test_all_fives(self):
         revs = [rec(product=f"p{i}", rating=5) for i in range(3)]
-        d = extract_user_features(revs).as_dict()
+        d = user_features(revs)
         assert d["rating_entropy"] == 0.0
         assert d["positive_ratio"] == 1.0
         assert d["negative_ratio"] == 0.0
@@ -48,13 +64,13 @@ class TestUserFeatures:
 
     def test_uniform_ratings(self):
         revs = [rec(product=f"p{i}", rating=i + 1) for i in range(5)]
-        d = extract_user_features(revs).as_dict()
+        d = user_features(revs)
         for s in range(1, 6):
             assert d[f"score_ratio_{s}"] == pytest.approx(0.2)
         assert d["rating_entropy"] == pytest.approx(math.log(5), abs=1e-12)
 
     def test_single_review_degenerate_history(self):
-        d = extract_user_features([rec(day=100)]).as_dict()
+        d = user_features([rec(day=100)])
         assert d["day_gap"] == 0.0
         assert d["same_date_indicator"] == 1.0
         assert d["active_ratio"] == 1.0
@@ -63,7 +79,7 @@ class TestUserFeatures:
     def test_vote_aggregates(self):
         revs = [rec(product="a", help_=4, unhelp=1),
                 rec(product="b", help_=0, unhelp=3)]
-        d = extract_user_features(revs).as_dict()
+        d = user_features(revs)
         assert d["help_sum"] == 4.0 and d["unhelp_sum"] == 4.0
         assert d["help_mean"] == 2.0 and d["unhelp_mean"] == 2.0
         assert d["help_ratio"] == 0.5 and d["unhelp_ratio"] == 0.5
@@ -71,7 +87,7 @@ class TestUserFeatures:
         assert (d["help_min"], d["help_max"]) == (0.0, 4.0)
 
     def test_zero_votes_guard(self):
-        d = extract_user_features([rec()]).as_dict()
+        d = user_features([rec()])
         assert d["help_ratio"] == 0.0 and d["unhelp_ratio"] == 0.0
 
     def test_year_binning_and_active_ratio(self):
@@ -79,7 +95,7 @@ class TestUserFeatures:
         # active 2 of 3.
         revs = [rec(product="a", day=10), rec(product="b", day=740),
                 rec(product="c", day=750)]
-        d = extract_user_features(revs).as_dict()
+        d = user_features(revs)
         assert d["active_ratio"] == pytest.approx(2 / 3)
         expected = -(1 / 3 * math.log(1 / 3) + 2 / 3 * math.log(2 / 3))
         assert d["review_time_entropy"] == pytest.approx(expected, abs=1e-12)
@@ -88,25 +104,25 @@ class TestUserFeatures:
         revs = [rec(product="a", category="books"),
                 rec(product="b", category="music"),
                 rec(product="c", category="books")]
-        d = extract_user_features(revs, categories=["books", "music", "toys"]).as_dict()
+        d = user_features(revs, categories=["books", "music", "toys"])
         assert d["category_ratio:books"] == pytest.approx(2 / 3)
         assert d["category_ratio:music"] == pytest.approx(1 / 3)
         assert d["category_ratio:toys"] == 0.0
 
     def test_name_features(self):
-        d = extract_user_features([rec(name="Alice Smith")]).as_dict()
+        d = user_features([rec(name="Alice Smith")])
         assert d["name_length"] == len("Alice Smith")
         assert d["uncommon_name"] == 0.0
-        d = extract_user_features([rec(name="xq7zt")]).as_dict()
+        d = user_features([rec(name="xq7zt")])
         assert d["uncommon_name"] == 1.0
         # user_id stands in when no display name is present
-        d = extract_user_features([rec(user="A1B2")]).as_dict()
+        d = user_features([rec(user="A1B2")])
         assert d["name_length"] == 4
 
     def test_memo_features(self):
-        d = extract_user_features([rec(memo="avid reader")]).as_dict()
+        d = user_features([rec(memo="avid reader")])
         assert d["has_memo"] == 1.0 and d["memo_length"] == 11.0
-        d = extract_user_features([rec()]).as_dict()
+        d = user_features([rec()])
         assert d["has_memo"] == 0.0 and d["memo_length"] == 0.0
 
     def test_empty_list_rejected(self):
@@ -120,22 +136,22 @@ class TestUserFeatures:
     def test_purity(self):
         revs = [rec(product=f"p{i}", rating=(i % 5) + 1, day=i * 40)
                 for i in range(6)]
-        assert extract_user_features(revs).values == \
-            extract_user_features(revs).values
+        assert extract_user_features(revs).tolist() == \
+            extract_user_features(revs).tolist()
 
 
 class TestReviewFeatures:
     def test_first_reviewer(self):
         target = rec(user="a", day=5)
         others = [target, rec(user="b", day=9), rec(user="c", day=30)]
-        d = extract_review_features(target, others).as_dict()
+        d = matrix_row(others, 0)
         assert d["comment_rank"] == 1.0
         assert d["comment_gap_ratio"] == 0.0
         assert d["comment_gap_days"] == 0.0
 
     def test_equal_ratings_zero_entropy(self):
         revs = [rec(user=u, rating=4) for u in ("a", "b", "c")]
-        d = extract_review_features(revs[0], revs).as_dict()
+        d = matrix_row(revs, 0)
         assert d["product_score_entropy"] == 0.0
 
     def test_three_day_timeline(self):
@@ -143,7 +159,7 @@ class TestReviewFeatures:
         # rank 2 with half the gap behind it.
         revs = [rec(user="a", day=0), rec(user="b", day=10),
                 rec(user="c", day=20)]
-        d = extract_review_features(revs[1], revs).as_dict()
+        d = matrix_row(revs, 1)
         assert d["product_time_gap"] == 20.0
         assert d["comment_gap_ratio"] == 0.5
         assert d["comment_rank"] == 2.0
@@ -152,7 +168,7 @@ class TestReviewFeatures:
     def test_product_aggregates(self):
         revs = [rec(user="a", rating=2), rec(user="b", rating=4),
                 rec(user="c", rating=4)]
-        d = extract_review_features(revs[0], revs).as_dict()
+        d = matrix_row(revs, 0)
         assert d["product_mean_rating"] == pytest.approx(10 / 3)
         assert d["product_review_count"] == 3.0
         assert d["user_rate"] == 2.0
@@ -160,19 +176,15 @@ class TestReviewFeatures:
     def test_first_day_review_count(self):
         revs = [rec(user="a", day=3), rec(user="b", day=3),
                 rec(user="c", day=9)]
-        d = extract_review_features(revs[2], revs).as_dict()
+        d = matrix_row(revs, 2)
         assert d["product_first_day_reviews"] == 2.0
 
     def test_text_lengths_in_words(self):
         target = rec(user="a", summary="three word summary",
                      text="five words are in here")
-        d = extract_review_features(target, [target]).as_dict()
+        d = matrix_row([target], 0)
         assert d["summary_length"] == 3.0
         assert d["review_length"] == 5.0
-
-    def test_review_not_in_product_list_rejected(self):
-        with pytest.raises(ValueError, match="not among"):
-            extract_review_features(rec(user="a"), [rec(user="b")])
 
 
 class TestSentiment:
@@ -207,6 +219,10 @@ class TestManifest:
         assert matrix.names[len(fixed_user) + n_cat:] == \
             [n for n, _, _ in REVIEW_FEATURES]
         assert matrix.manifest_version == MANIFEST_VERSION
+        categories = sorted({r.category for r in records[:80]})
+        assert list(zip(matrix.names, matrix.scopes, matrix.kinds)) == \
+            USER_FEATURES + [(f"category_ratio:{c}", "history", "continuous")
+                             for c in categories] + REVIEW_FEATURES
 
     def test_scope_and_kind_tags_cover_all_columns(self, review_corpus):
         records, _ = review_corpus
@@ -239,8 +255,7 @@ class TestInvariants:
     @settings(max_examples=150, deadline=None)
     @given(records_strategy)
     def test_ratio_features_bounded_and_entropies_capped(self, revs):
-        user_vec = extract_user_features(revs)
-        d = user_vec.as_dict()
+        d = user_features(revs)
         for name, value in d.items():
             if "ratio" in name:
                 assert 0.0 <= value <= 1.0, name
@@ -251,11 +266,14 @@ class TestInvariants:
         cats = [v for k, v in d.items() if k.startswith("category_ratio:")]
         assert sum(cats) == pytest.approx(1.0, abs=1e-9)
 
-        review_d = extract_review_features(revs[0], revs).as_dict()
-        for name, value in review_d.items():
+        matrix, _ = build_feature_matrix(revs)
+        review = slice(matrix.n_features - len(REVIEW_FEATURES), None)
+        for j, name in enumerate(matrix.names[review], start=review.start):
             if "ratio" in name:
-                assert 0.0 <= value <= 1.0, name
-        assert review_d["product_score_entropy"] <= math.log(5) + 1e-12
+                assert np.all((0.0 <= matrix.values[:, j])
+                              & (matrix.values[:, j] <= 1.0)), name
+        j = matrix.names.index("product_score_entropy")
+        assert np.all(matrix.values[:, j] <= math.log(5) + 1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(records_strategy)
@@ -306,11 +324,6 @@ class TestExtractionOracle:
         matrix, user_ids = build_feature_matrix(records)
         assert_bitwise_equal(matrix.values, reference_feature_rows(records))
         assert user_ids == [r.user_id for r in records]
-        by_product = [r for r in records if r.product_id == records[0].product_id]
-        review_part = np.array(
-            extract_review_features(records[0], by_product).values)
-        assert_bitwise_equal(review_part,
-                             matrix.values[0, -len(REVIEW_FEATURES):])
 
     def test_product_dense_corpus_matches_reference_bitwise(self):
         from spamforest.synthetic import synthetic_review_corpus
