@@ -3,7 +3,7 @@
 The encoder maps an input vector of width n to a hidden code of width m
 through one or more affine + sigmoid layers; the decoder mirrors the shape
 chain back to width n. Both stacks run through ``numerics.sigmoid_chain``
-in the model's one forward pass (``training.forward``). Parameters are
+in the model's one forward pass (``training._forward_cache``). Parameters are
 immutable during inference; only the training loop mutates them, and it
 has exclusive access while doing so.
 """

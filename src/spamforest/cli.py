@@ -363,8 +363,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
     except (ParseError, ConfigError, ModelVersionError, ModelIntegrityError,
             ValueError) as exc:

@@ -467,28 +467,11 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
         fh.write("\n")
 
 
-def load_features(in_dir) -> LabeledDataset:
-    """Read a feature directory written by save_features."""
-    with open(os.path.join(in_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"manifest.json is not valid JSON ({exc.msg})",
-                             exc.lineno) from None
-    try:
-        version = manifest["manifest_version"]
-        names, scopes, kinds = ([f[key] for f in manifest["features"]]
-                                for key in ("name", "scope", "kind"))
-    except KeyError as exc:
-        raise ParseError(f"manifest.json lacks {exc}") from None
-    except TypeError:
-        raise ParseError("manifest.json must be an object whose 'features' "
-                         "list holds name/scope/kind objects") from None
-
-    with open(os.path.join(in_dir, "features.tsv"), "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != names:
-            raise ParseError("features.tsv header does not match manifest.json", 1)
+def _parse_feature_rows(path, names: list[str]) -> np.ndarray:
+    """The body of ``features.tsv`` parsed line by line, naming the line of
+    a malformed or non-finite cell; ``load_features``' fallback."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
         rows, line_numbers = [], []
         for ln, line in enumerate(fh, start=2):
             if not line.strip():
@@ -509,6 +492,39 @@ def load_features(in_dir) -> LabeledDataset:
         raise ParseError(
             f"features.tsv column {j + 1} ({names[j]!r}) is not finite: "
             f"{float(values[i, j])!r}", line_numbers[i])
+    return values
+
+
+def load_features(in_dir) -> LabeledDataset:
+    """Read a feature directory written by save_features."""
+    with open(os.path.join(in_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"manifest.json is not valid JSON ({exc.msg})",
+                             exc.lineno) from None
+    try:
+        version = manifest["manifest_version"]
+        names, scopes, kinds = ([f[key] for f in manifest["features"]]
+                                for key in ("name", "scope", "kind"))
+    except KeyError as exc:
+        raise ParseError(f"manifest.json lacks {exc}") from None
+    except TypeError:
+        raise ParseError("manifest.json must be an object whose 'features' "
+                         "list holds name/scope/kind objects") from None
+
+    path = os.path.join(in_dir, "features.tsv")
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n").split("\t") != names:
+            raise ParseError("features.tsv header does not match manifest.json", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty body only warns
+            try:  # np.loadtxt rounds as float() does
+                values = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
+            except (ValueError, UserWarning):
+                values = None
+    if values is None or values.shape[1] != len(names) or not np.isfinite(values).all():
+        values = _parse_feature_rows(path, names)
 
     user_ids, labels = [], []
     with open(os.path.join(in_dir, "labels.tsv"), "r", encoding="utf-8") as fh:

@@ -4,7 +4,8 @@ epoch/batch training loop.
 The model chains three stages: a sigmoid autoencoder (input x -> hidden
 code h -> reconstruction x_c), an optional fully connected stack
 (h -> tree input x_t), and a forest of soft-routed trees (x_t -> class
-probabilities, averaged over trees). The scalar objective is
+probabilities, averaged over trees); ``predict`` skips the decoder, whose
+x_c enters only the loss. The scalar objective is
 
     mean over samples [ ||x - x_c||^2 + mean over trees( -log p_tree[y] ) ]
 
@@ -59,8 +60,6 @@ __all__ = [
     "TrainResult",
     "init_model",
     "parameter_blocks",
-    "forward",
-    "tree_loss",
     "joint_loss",
     "gradients",
     "rmsprop_step",
@@ -105,8 +104,8 @@ class TrainConfig:
         if self.fc_layer_count < 0:
             raise ConfigError(f"fc_layer_count must be >= 0, got {self.fc_layer_count}")
         for name in ("learning_rate", "leaf_learning_rate", "epsilon", "init_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.normalization not in NORMALIZATION_METHODS:
             raise ConfigError(
                 f"normalization must be one of {NORMALIZATION_METHODS}, got {self.normalization!r}"
@@ -271,25 +270,15 @@ def _forward_cache(X: np.ndarray, model: Model) -> dict:
     }
 
 
-def forward(x: np.ndarray, model: Model):
-    """Full inference chain for one vector or a batch.
-
-    Returns ``(x_c, probs_per_tree, forest_probs)`` where ``probs_per_tree``
-    is stacked with the tree axis first.
-    """
-    X, single = _as_batch(x)
-    cache = _forward_cache(X, model)
-    x_c = cache["x_c"]
-    per_tree, forest_probs = cache["forest"]["probs"], cache["forest"]["forest_probs"]
-    if single:
-        return x_c[0], per_tree[:, 0, :], forest_probs[0]
-    return x_c, per_tree, forest_probs
-
-
 def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, forest probabilities) for a batch; argmax ties go low."""
+    """(labels, forest probabilities) for a batch; argmax ties go low.
+
+    Runs encoder -> fully connected -> forest; the decoder is skipped.
+    """
     X, single = _as_batch(X)
-    probs = _forward_cache(X, model)["forest"]["forest_probs"]
+    H = sigmoid_chain(X, model.autoencoder.encoder)[-1]
+    x_t = sigmoid_chain(H, model.forest.fc)[-1]
+    probs = forest_forward(x_t, model.forest)["forest_probs"]
     labels = probs.argmax(axis=1)
     if single:
         return labels[0], probs[0]
@@ -298,12 +287,6 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Losses
-
-
-def tree_loss(probs: np.ndarray, y: int) -> float:
-    """-log of the probability assigned to the true class, floored at 1e-12."""
-    p = max(float(np.asarray(probs)[int(y)]), PROB_FLOOR)
-    return -float(np.log(p))
 
 
 def joint_loss(X: np.ndarray, y: np.ndarray, model: Model) -> float:

@@ -299,6 +299,33 @@ class TestTrainEvaluatePredict:
         assert not (tmp_path / "out" / "predictions.tsv").exists()
 
 
+class TestOSErrors:
+    @pytest.mark.parametrize("case", ["model-is-directory", "features-is-file",
+                                      "reviews-is-directory", "out-is-file"])
+    def test_os_error_exits_2_naming_the_path(self, run_dir, corpus_files,
+                                              tmp_path, capsys, case):
+        heldout, model = str(run_dir / "heldout"), str(run_dir / "model.json")
+        out = str(tmp_path / "out")
+        if case == "model-is-directory":
+            path = str(tmp_path)
+            args = ["predict", "--features", heldout, "--model", path]
+        elif case == "features-is-file":
+            path = model
+            args = ["predict", "--features", path, "--model", model]
+        elif case == "reviews-is-directory":
+            path = str(tmp_path)
+            args = ["extract", "--reviews", path, "--scores",
+                    str(corpus_files[1])]
+        else:
+            out = path = str(tmp_path / "taken")
+            (tmp_path / "taken").write_text("")
+            args = ["predict", "--features", heldout, "--model", model]
+        assert main(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def corpus_run(corpus_files, tmp_path_factory):
     """Features extracted from the review corpus and a model trained on them."""
@@ -385,6 +412,20 @@ class TestConfigFile:
         rc = main(["train", "--features", str(gaussian_features), "--out",
                    str(tmp_path / "out"), "--config", str(cfg)])
         assert rc == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["learning_rate", "leaf_learning_rate",
+                                     "epsilon", "init_scale"])
+    def test_non_finite_rate_through_cli_exits_2(self, gaussian_features,
+                                                 tmp_path, capsys, key, raw):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n_epoch = 1\n{key} = {raw}\n")
+        rc = main(["train", "--features", str(gaussian_features), "--out",
+                   str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be finite and positive" in err
+        assert not (tmp_path / "out" / "model.json").exists()
 
     def test_cli_seed_overrides_config(self, tmp_path, gaussian_features):
         cfg = tmp_path / "c.cfg"

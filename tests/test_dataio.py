@@ -2,11 +2,17 @@ import base64
 import dataclasses
 import hashlib
 import json
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spamforest import dataio
 from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
                                NormStats, apply_normalization,
                                label_and_cap_users, load_features, load_model,
@@ -462,6 +468,30 @@ class TestModelSerialization:
             load_model(path)
 
 
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e308,
+     -1e308, 1.7976931348623157e308])
+FLOAT_FORMATS = st.sampled_from([repr, "{:.17g}".format, "{:.6e}".format,
+                                 "{:.25e}".format, "{:.3f}".format])
+# Decimal strings float() reads as finite numbers, rounding cases included.
+DECIMAL_STRINGS = st.from_regex(
+    r"\A[-+]?([0-9]{1,25}(\.[0-9]{0,25})?|\.[0-9]{1,25})([eE][-+]?[0-9]{1,3})?\Z"
+).filter(lambda text: np.isfinite(float(text)))
+
+
+def feature_dir(base, rows):
+    """A feature directory whose features.tsv body is the given lines."""
+    n_cols = len(rows[0].split("\t")) if rows else 3
+    names = ["a", "b", "c", "d", "e"][:n_cols]
+    matrix = FeatureMatrix(np.zeros((len(rows), n_cols)), names,
+                           ["rating"] * n_cols, ["continuous"] * n_cols)
+    save_features(base / "feat", matrix, np.zeros(len(rows), dtype=int),
+                  [f"u{i}" for i in range(len(rows))])
+    (base / "feat" / "features.tsv").write_text(
+        "\t".join(names) + "\n" + "".join(row + "\n" for row in rows))
+    return base / "feat"
+
+
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path, rng):
         matrix = FeatureMatrix(rng.normal((6, 3)), ["a", "b", "c"],
@@ -521,6 +551,84 @@ class TestFeatureFiles:
         (tmp_path / "feat" / "manifest.json").write_text(text)
         with pytest.raises(ParseError, match=message):
             load_features(tmp_path / "feat")
+
+    # Each body replaces line 4 (the third data row) of a 3-column file.
+    # The outcomes are those of the line-by-line float() parse: a ParseError
+    # message, or the value the replaced row's second cell loads as.
+    @pytest.mark.parametrize("row, outcome", [
+        ("1\t2", "line 4: expected 3 columns, got 2"),
+        ("1\t2\t3\t4", "line 4: expected 3 columns, got 4"),
+        ("1\t\t3", "line 4: could not convert string to float: ''"),
+        ("1\t#\t3", "line 4: could not convert string to float: '#'"),
+        ("#1\t2\t3", "line 4: could not convert string to float: '#1'"),
+        ("1\tnan\t3", "line 4: features.tsv column 2 ('b') is not finite: nan"),
+        ("1\tinf\t3", "line 4: features.tsv column 2 ('b') is not finite: inf"),
+        ("1\t1e400\t3",
+         "line 4: features.tsv column 2 ('b') is not finite: inf"),
+        ("1\t1_0\t3", 10.0),
+        ("1\t \u0661 \t3", 1.0),
+        ("1\t 2.5\t3", 2.5),
+    ], ids=["too-few", "too-many", "empty-cell", "hash-cell", "hash-row",
+            "nan", "inf", "overflow", "underscore", "arabic-digit",
+            "padded"])
+    def test_malformed_body_matches_line_parse(self, tmp_path, row, outcome):
+        feat = feature_dir(tmp_path, ["0.5\t1.5\t2.5"] * 2 + [row, "4\t5\t6"])
+        if isinstance(outcome, str):
+            with pytest.raises(ParseError) as err:
+                load_features(feat)
+            assert str(err.value) == outcome and err.value.line_number == 4
+        else:
+            values = load_features(feat).features.values
+            assert values.shape == (4, 3) and values[2, 1] == outcome
+
+    @pytest.mark.parametrize("body", [
+        "0.5\t1.5\t2.5\n \t \n  \n4\t5\t6\n",
+        "0.5\t1.5\t2.5\n4\t5\t6\n\n",
+        "0.5\t1.5\t2.5\r\n4\t5\t6\r\n",
+    ], ids=["whitespace-lines", "trailing-blank-line", "crlf"])
+    def test_blank_lines_and_crlf_accepted(self, tmp_path, body):
+        feat = feature_dir(tmp_path, ["0\t0\t0"] * 2)
+        with open(feat / "features.tsv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("a\tb\tc\n" + body)
+        ds = load_features(feat)
+        npt.assert_array_equal(ds.features.values, [[0.5, 1.5, 2.5], [4, 5, 6]])
+
+    def test_every_row_short_names_first_line(self, tmp_path):
+        feat = feature_dir(tmp_path, ["0\t0\t0"] * 2)
+        (feat / "features.tsv").write_text("a\tb\tc\n1\t2\n3\t4\n")
+        with pytest.raises(ParseError) as err:
+            load_features(feat)
+        assert str(err.value) == "line 2: expected 3 columns, got 2"
+
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    def test_header_only_file_as_line_parse_without_warning(self, tmp_path,
+                                                            n_cols):
+        feat = feature_dir(tmp_path, ["0\t" * (n_cols - 1) + "0"])
+        names = ["a", "b", "c"][:n_cols]
+        (feat / "features.tsv").write_text("\t".join(names) + "\n")
+        (feat / "labels.tsv").write_text("user_id\tlabel\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"lengths {n_cols}/{n_cols}/"
+                                                 f"{n_cols} do not match width 0"):
+                load_features(feat)
+        assert not caught
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n_cols: st.lists(
+        st.lists(st.tuples(FINITE_FLOATS, FLOAT_FORMATS).map(
+            lambda vf: vf[1](vf[0])) | DECIMAL_STRINGS,
+            min_size=n_cols, max_size=n_cols), min_size=1, max_size=6)))
+    def test_bulk_parse_bitwise_equals_float(self, cells):
+        # float() on each cell is the reference; the line-by-line fallback
+        # is patched out so that the bulk parse alone must produce the rows.
+        expected = np.array([[float(c) for c in row] for row in cells])
+        with tempfile.TemporaryDirectory() as tmp:
+            feat = feature_dir(Path(tmp), ["\t".join(row) for row in cells])
+            with mock.patch.object(dataio, "_parse_feature_rows",
+                                   side_effect=AssertionError("fell back")):
+                values = load_features(feat).features.values
+        npt.assert_array_equal(values.view(np.int64), expected.view(np.int64))
 
     def test_labeled_dataset_row_checks(self, rng):
         matrix = FeatureMatrix(rng.normal((3, 2)), ["a", "b"],

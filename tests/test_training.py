@@ -8,14 +8,27 @@ from hypothesis import given, settings, strategies as st
 from spamforest.autoencoder import reconstruction_loss
 from spamforest.errors import ConfigError, NumericError
 from spamforest.numerics import Rng
-from spamforest.training import (OptimizerState, TrainConfig, forward,
-                                 gradients, init_model, joint_loss,
-                                 parameter_blocks, predict, rmsprop_step,
-                                 train, tree_loss)
+from spamforest.training import (OptimizerState, TrainConfig,
+                                 _forward_cache, _loss_terms, gradients,
+                                 init_model, joint_loss, parameter_blocks,
+                                 predict, rmsprop_step, train)
 
 
 def np_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def forward_one(x, model):
+    """(x_c, per-tree probabilities) of one vector from the training forward."""
+    cache = _forward_cache(np.asarray(x, dtype=np.float64)[None, :], model)
+    return cache["x_c"][0], cache["forest"]["probs"][:, 0, :]
+
+
+def tree_term(probs, y):
+    """One tree's -log p[y] from the production loss, reconstruction exact."""
+    x = np.zeros((1, 1))
+    return _loss_terms(x, np.array([y]), x,
+                       np.asarray(probs, dtype=np.float64)[None, None, :])
 
 
 class TestTrainConfig:
@@ -30,6 +43,8 @@ class TestTrainConfig:
         {"ae_layer_count": 0}, {"fc_layer_count": -1}, {"n_epoch": -1},
         {"learning_rate": 0.0}, {"epsilon": 0.0}, {"leaf_learning_rate": -0.1},
         {"normalization": "rank"}, {"ae_widths": (3,)}, {"fc_width": 0},
+        {"epsilon": float("nan")}, {"learning_rate": float("inf")},
+        {"leaf_learning_rate": float("nan")}, {"init_scale": float("inf")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -80,16 +95,27 @@ class TestForward:
         model.forest.routing[1:] = model.forest.routing[0]
         model.forest.leaf_logits[1:] = model.forest.leaf_logits[0]
         x = rng.normal((6,))
-        _, per_tree, forest_probs = forward(x, model)
+        _, per_tree = forward_one(x, model)
+        _, forest_probs = predict(model, x)
         for k in range(3):
             npt.assert_allclose(per_tree[k], forest_probs, atol=1e-15)
 
     def test_deterministic(self, desk_model, desk_batch):
         X, _ = desk_batch
-        a = forward(X, desk_model)
-        b = forward(X, desk_model)
-        for u, v in zip(a, b):
+        a, b = (_forward_cache(X, desk_model) for _ in range(2))
+        npt.assert_array_equal(a["x_c"], b["x_c"])
+        npt.assert_array_equal(a["forest"]["probs"], b["forest"]["probs"])
+        for u, v in zip(predict(desk_model, X), predict(desk_model, X)):
             npt.assert_array_equal(u, v)
+
+    def test_predict_equals_training_forward_bitwise(self, rng):
+        cfg = TrainConfig(n_tree=4, n_depth=3, seed=13)
+        model = init_model(cfg, 7)
+        X = rng.normal((40, 7))
+        cached = _forward_cache(X, model)["forest"]["forest_probs"]
+        labels, probs = predict(model, X)
+        npt.assert_array_equal(probs.view(np.int64), cached.view(np.int64))
+        npt.assert_array_equal(labels, cached.argmax(axis=1))
 
     def test_matches_publicly_composed_chain(self, rng):
         # Oracle: the closed form of 1 tree of depth 1 with no FC layer,
@@ -106,7 +132,8 @@ class TestForward:
         L = model.forest.leaf_logits[0]
         leaves = np.exp(L) / np.exp(L).sum(axis=1, keepdims=True)
         probs = d * leaves[0] + (1.0 - d) * leaves[1]
-        f_xc, f_per_tree, f_forest = forward(x, model)
+        f_xc, f_per_tree = forward_one(x, model)
+        _, f_forest = predict(model, x)
         npt.assert_allclose(f_xc, x_c, atol=1e-15)
         npt.assert_allclose(f_per_tree[0], probs, atol=1e-15)
         npt.assert_allclose(f_forest, probs, atol=1e-15)
@@ -114,16 +141,16 @@ class TestForward:
 
 class TestTreeLoss:
     def test_certain_prediction(self):
-        assert tree_loss([0.0, 1.0], 1) == 0.0
+        assert tree_term([0.0, 1.0], 1) == 0.0
 
     def test_half(self):
-        assert tree_loss([0.5, 0.5], 0) == pytest.approx(math.log(2), abs=1e-15)
+        assert tree_term([0.5, 0.5], 0) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_hand_value(self):
-        assert tree_loss([0.69, 0.31], 0) == pytest.approx(0.3710636814, abs=1e-9)
+        assert tree_term([0.69, 0.31], 0) == pytest.approx(0.3710636814, abs=1e-9)
 
     def test_zero_probability_clamped_finite(self):
-        assert tree_loss([0.0, 1.0], 0) == pytest.approx(-math.log(1e-12))
+        assert tree_term([0.0, 1.0], 0) == pytest.approx(-math.log(1e-12))
 
 
 class TestJointLoss:
@@ -146,8 +173,8 @@ class TestJointLoss:
         cfg = TrainConfig(n_tree=1, n_depth=2, seed=3)
         model = init_model(cfg, 5)
         x = rng.normal((5,))
-        x_c, per_tree, _ = forward(x, model)
-        expected = reconstruction_loss(x, x_c) + tree_loss(per_tree[0], 1)
+        x_c, per_tree = forward_one(x, model)
+        expected = reconstruction_loss(x, x_c) - math.log(per_tree[0, 1])
         assert joint_loss(x, [1], model) == pytest.approx(expected, abs=1e-12)
 
     def test_mean_over_samples_and_trees(self, rng):
@@ -157,9 +184,9 @@ class TestJointLoss:
         y = np.array([0, 1, 0, 0, 1, 1])
         total = 0.0
         for i in range(6):
-            x_c, per_tree, _ = forward(X[i], model)
+            x_c, per_tree = forward_one(X[i], model)
             per_sample = reconstruction_loss(X[i], x_c)
-            per_sample += np.mean([tree_loss(per_tree[k], y[i])
+            per_sample += np.mean([-math.log(per_tree[k, y[i]])
                                    for k in range(3)])
             total += per_sample
         assert joint_loss(X, y, model) == pytest.approx(total / 6, abs=1e-12)
