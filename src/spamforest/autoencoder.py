@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShapeError
 from .numerics import Layer
 
-__all__ = ["AutoencoderParams", "reconstruction_loss"]
+__all__ = ["AutoencoderParams"]
 
 
 @dataclass
@@ -47,13 +45,3 @@ class AutoencoderParams:
     @property
     def hidden_dim(self) -> int:
         return self.encoder[-1].out_dim
-
-
-def reconstruction_loss(x_in: np.ndarray, x_rec: np.ndarray) -> float:
-    """Squared error ||x_in - x_rec||^2; mean over samples for a batch."""
-    x_in = np.asarray(x_in, dtype=np.float64)
-    x_rec = np.asarray(x_rec, dtype=np.float64)
-    if x_in.shape != x_rec.shape:
-        raise ShapeError(f"input shape {x_in.shape} != reconstruction shape {x_rec.shape}")
-    sq = ((x_in - x_rec) ** 2).sum(axis=-1)
-    return float(sq if sq.ndim == 0 else sq.mean())

@@ -20,7 +20,7 @@ import warnings
 from .dataio import (LabeledDataset, apply_normalization, label_and_cap_users,
                      load_features, load_model, load_reviews,
                      load_reviews_delimited, load_spam_scores, normalize,
-                     save_features, save_model, split_train_test)
+                     open_text, save_features, save_model, split_train_test)
 from .errors import (ConfigError, FeatureMismatchError, ModelIntegrityError,
                      ModelVersionError, NumericError, ParseError)
 from .features import SCOPES, FeatureMatrix, build_feature_matrix
@@ -43,7 +43,7 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines (# comments allowed) into config kwargs."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -141,10 +141,7 @@ def cmd_analyze(args) -> int:
 def cmd_train(args) -> int:
     ds = load_features(args.features)
     config = _resolve_config(args)
-    train_count = args.train_count if args.train_count else ds.n_rows
-    if train_count > ds.n_rows:
-        raise ConfigError(
-            f"train_count {train_count} exceeds {ds.n_rows} feature rows")
+    train_count = args.train_count or ds.n_rows  # the split checks the range
 
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
     train_matrix = dataclasses.replace(ds.features,
@@ -273,10 +270,7 @@ def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int):
 def cmd_ablate(args) -> int:
     ds = load_features(args.features)
     config = _resolve_config(args)
-    train_count = args.train_count if args.train_count else ds.n_rows
-    if train_count > ds.n_rows:
-        raise ConfigError(
-            f"train_count {train_count} exceeds {ds.n_rows} feature rows")
+    train_count = args.train_count or ds.n_rows  # the split checks the range
     rows = run_ablation(ds, config, train_count)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "ablation.tsv")

@@ -28,6 +28,7 @@ import hashlib
 import json
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,7 @@ __all__ = [
     "load_model",
     "save_features",
     "load_features",
+    "open_text",
 ]
 
 # 2: the body stores the training feature names ("feature_names").
@@ -119,6 +121,23 @@ class LabeledDataset:
 # Review ingestion
 
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8, met
+    anywhere in the block, raise ParseError naming the file and line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # A UTF-8 character never spans a newline, so lines decode alone;
+        # only a line holding bad bytes changes on a lossy round trip.
+        with open(path, "rb") as fh:
+            line = next((ln for ln, raw in enumerate(fh, start=1)
+                         if raw.decode("utf-8", "ignore").encode() != raw), None)
+        raise ParseError(f"{os.fspath(path)} is not UTF-8 text ({exc.reason})",
+                         line) from None
+
+
 def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
     missing = [f for f in REQUIRED_FIELDS if f not in fields]
     if missing:
@@ -161,7 +180,7 @@ def load_reviews(path) -> list[ReviewRecord]:
     """
     records = []
     seen_unknown: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -181,7 +200,7 @@ def load_reviews_delimited(path, delimiter: str = "\t") -> list[ReviewRecord]:
     """Parse a delimited text export whose header row names the fields."""
     records = []
     seen_unknown: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = None
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -205,7 +224,7 @@ def load_reviews_delimited(path, delimiter: str = "\t") -> list[ReviewRecord]:
 def load_spam_scores(path) -> dict[str, float]:
     """Parse ``user_id<TAB>average_score`` lines into a dict."""
     scores = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -270,20 +289,26 @@ def normalize(features: FeatureMatrix, method: str):
     """Fit a per-column transform and apply it; returns (matrix, stats).
 
     zscore: (x - mean) / std. minmax: (x - min) / (max - min). Constant
-    columns map to all zeros under both methods (scale 1 guard).
+    columns map to all zeros under both methods (scale 1 guard). A column
+    whose center or scale overflows float64 raises ValueError naming it.
     """
     if method not in ("zscore", "minmax", "none"):
         raise ConfigError(f"unknown normalization method {method!r}")
     values = features.values
-    if method == "zscore":
-        center = values.mean(axis=0)
-        scale = values.std(axis=0)
-    elif method == "minmax":
-        center = values.min(axis=0)
-        scale = values.max(axis=0) - values.min(axis=0)
-    else:
-        center = np.zeros(values.shape[1])
-        scale = np.ones(values.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "zscore":
+            center = values.mean(axis=0)
+            scale = values.std(axis=0)
+        elif method == "minmax":
+            center = values.min(axis=0)
+            scale = values.max(axis=0) - values.min(axis=0)
+        else:
+            center = np.zeros(values.shape[1])
+            scale = np.ones(values.shape[1])
+    bad = np.flatnonzero(~(np.isfinite(center) & np.isfinite(scale)))
+    if len(bad):
+        raise ValueError(f"feature column {bad[0] + 1} ({features.names[bad[0]]!r}) "
+                         f"overflows float64 under {method} normalization")
     scale = np.where(scale == 0, 1.0, scale)
     stats = NormStats(method, center, scale)
     return apply_normalization(features, stats), stats
@@ -362,9 +387,9 @@ def save_model(path, model: Model):
         "checksum": _body_checksum(body),
         "body": body,
     }
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _collect_layers(tensors: dict, prefix: str) -> list[Layer]:
@@ -394,7 +419,7 @@ def _stack_trees(tensors: dict, kind: str) -> np.ndarray:
 def load_model(path) -> Model:
     """Load a model file; bit-exact inverse of save_model."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelIntegrityError(f"model file is not valid JSON: {exc.msg}") from None
@@ -470,7 +495,7 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
 def _parse_feature_rows(path, names: list[str]) -> np.ndarray:
     """The body of ``features.tsv`` parsed line by line, naming the line of
     a malformed or non-finite cell; ``load_features``' fallback."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         fh.readline()
         rows, line_numbers = [], []
         for ln, line in enumerate(fh, start=2):
@@ -497,7 +522,7 @@ def _parse_feature_rows(path, names: list[str]) -> np.ndarray:
 
 def load_features(in_dir) -> LabeledDataset:
     """Read a feature directory written by save_features."""
-    with open(os.path.join(in_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+    with open_text(os.path.join(in_dir, "manifest.json")) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -514,7 +539,7 @@ def load_features(in_dir) -> LabeledDataset:
                          "list holds name/scope/kind objects") from None
 
     path = os.path.join(in_dir, "features.tsv")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         if fh.readline().rstrip("\n").split("\t") != names:
             raise ParseError("features.tsv header does not match manifest.json", 1)
         with warnings.catch_warnings():
@@ -527,7 +552,7 @@ def load_features(in_dir) -> LabeledDataset:
         values = _parse_feature_rows(path, names)
 
     user_ids, labels = [], []
-    with open(os.path.join(in_dir, "labels.tsv"), "r", encoding="utf-8") as fh:
+    with open_text(os.path.join(in_dir, "labels.tsv")) as fh:
         header_line = fh.readline()
         if header_line.strip() != "user_id\tlabel":
             raise ParseError("labels.tsv must start with 'user_id\\tlabel'", 1)

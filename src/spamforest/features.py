@@ -9,8 +9,8 @@ registry names the columns: ``USER_FEATURES``, the ``CATEGORY_BLOCK`` rule
 rating, feedback, time, product, review) and its kind (continuous or
 categorical), and ``feature_columns`` expands them in matrix order. The
 extraction functions return bare value rows in that order and write no
-names. The shipped ``data/feature_manifest.json`` pins the registry, and
-feature files reference its version.
+names. ``dataio.save_features`` writes the expanded columns, with
+``MANIFEST_VERSION``, to a feature directory's ``manifest.json``.
 
 Conventions that apply throughout:
 
@@ -29,7 +29,6 @@ vector, and extraction may safely run user- or product-parallel.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -53,8 +52,6 @@ __all__ = [
     "extract_user_features",
     "sentiment_score",
     "build_feature_matrix",
-    "build_manifest",
-    "load_packaged_manifest",
 ]
 
 MANIFEST_VERSION = 1
@@ -211,31 +208,17 @@ def feature_columns(categories) -> list[tuple[str, str, str]]:
     return USER_FEATURES + block + REVIEW_FEATURES
 
 
+@lru_cache(maxsize=None)
 def _read_wordlist(filename: str) -> frozenset[str]:
     text = resources.files("spamforest.data").joinpath(filename).read_text("utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
-@lru_cache(maxsize=None)
-def _positive_words() -> frozenset[str]:
-    return _read_wordlist("positive_words.txt")
-
-
-@lru_cache(maxsize=None)
-def _negative_words() -> frozenset[str]:
-    return _read_wordlist("negative_words.txt")
-
-
-@lru_cache(maxsize=None)
-def _common_names_default() -> frozenset[str]:
-    return _read_wordlist("common_names.txt")
-
-
 def sentiment_score(text: str, positive=None, negative=None) -> int:
     """Sign of (positive hits - negative hits) against the bundled lexicon:
     1 positive, -1 negative, 0 on ties or empty text."""
-    positive = _positive_words() if positive is None else positive
-    negative = _negative_words() if negative is None else negative
+    positive = _read_wordlist("positive_words.txt") if positive is None else positive
+    negative = _read_wordlist("negative_words.txt") if negative is None else negative
     words = _WORD_RE.findall(text.lower())
     score = sum(w in positive for w in words) - sum(w in negative for w in words)
     return (score > 0) - (score < 0)
@@ -264,7 +247,7 @@ def extract_user_features(reviews: list[ReviewRecord], categories=None,
     if categories is None:
         categories = sorted({r.category for r in reviews})
     if common_names is None:
-        common_names = _common_names_default()
+        common_names = _read_wordlist("common_names.txt")
 
     first = reviews[0]
     name = first.user_name if first.user_name else first.user_id
@@ -388,23 +371,3 @@ def build_feature_matrix(records: list[ReviewRecord], categories=None,
 
     names, scopes, kinds = (list(c) for c in zip(*columns))
     return FeatureMatrix(values, names, scopes, kinds), user_ids
-
-
-def build_manifest() -> dict:
-    """Manifest dict pinning the fixed feature order plus the category-block rule."""
-    return {
-        "manifest_version": MANIFEST_VERSION,
-        "user_features": [
-            {"name": n, "scope": s, "kind": k} for n, s, k in USER_FEATURES
-        ],
-        "review_features": [
-            {"name": n, "scope": s, "kind": k} for n, s, k in REVIEW_FEATURES
-        ],
-        "category_block": dict(CATEGORY_BLOCK),
-    }
-
-
-def load_packaged_manifest() -> dict:
-    text = resources.files("spamforest.data").joinpath(
-        "feature_manifest.json").read_text("utf-8")
-    return json.loads(text)

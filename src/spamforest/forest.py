@@ -26,6 +26,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,11 +99,13 @@ class ForestParams:
         return softmax(self.leaf_logits)
 
 
-def _levels(depth: int):
-    """Per decision level: its node slice and its children's left/right slices."""
-    for level in range(depth):
-        lo, hi = 2 ** level - 1, 2 ** (level + 1) - 1
-        yield slice(lo, hi), slice(2 * lo + 1, 2 * hi, 2), slice(2 * lo + 2, 2 * hi + 1, 2)
+@lru_cache(maxsize=None)
+def _levels(depth: int) -> tuple:
+    """Per decision level, built once per depth: its node slice and its
+    children's left/right slices."""
+    spans = [(2 ** level - 1, 2 ** (level + 1) - 1) for level in range(depth)]
+    return tuple((slice(lo, hi), slice(2 * lo + 1, 2 * hi, 2),
+                  slice(2 * lo + 2, 2 * hi + 1, 2)) for lo, hi in spans)
 
 
 def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
@@ -173,11 +176,11 @@ def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
     true class, ``g_py[k, b] = dL / d probs[k, b, y[b]]`` (K, B).
 
     ``cache`` is the ``forest_forward`` result for the same ``XT``. Returns
-    ``(g_routing, g_leaf_logits, g_xt)``: gradients shaped like the stacked
-    routing and leaf logits, and dL/dXT summed over the trees.
+    ``(g_routing, g_xt)``: the gradient shaped like the stacked routing, and
+    dL/dXT summed over the trees. The leaf logits enter only through the
+    leaf distributions in ``cache``; their gradient is ``leaf_gradient``'s.
     """
     n_dec = forest.n_decision_nodes
-    g_leaf_logits = leaf_gradient(y, g_py, cache, forest)
     g_routing = np.empty_like(forest.routing)
     g_xt = np.zeros_like(XT)
     for k in range(forest.n_trees):
@@ -188,11 +191,11 @@ def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
         # feeds its left child through d and its right child through 1 - d.
         g_reach = np.empty_like(reach)
         g_reach[:, n_dec:] = g_py[k][:, None] * pi[:, y].T
-        for nodes, left, right in reversed(list(_levels(forest.depth))):
+        for nodes, left, right in reversed(_levels(forest.depth)):
             g_reach[:, nodes] = (g_reach[:, left] * d[:, nodes]
                                  + g_reach[:, right] * (1.0 - d[:, nodes]))
         g_d = (g_reach[:, 1::2] - g_reach[:, 2::2]) * reach[:, :n_dec]
         g_f = g_d * d * (1.0 - d)
         g_routing[k] = g_f.T @ XT
         g_xt += g_f @ forest.routing[k]
-    return g_routing, g_leaf_logits, g_xt
+    return g_routing, g_xt

@@ -9,30 +9,26 @@ x_c enters only the loss. The scalar objective is
 
     mean over samples [ ||x - x_c||^2 + mean over trees( -log p_tree[y] ) ]
 
-and every gradient is derived by hand, layer by layer; the forest's part
-of the forward and backward pass is ``forest.forest_forward`` and
-``forest.forest_backward``. The finite difference harness in the test suite
-is the arbiter of correctness.
+and every gradient is derived by hand, layer by layer, in one backward
+pass whose forest part is ``forest.forest_backward``. The finite
+difference harness in the test suite is the arbiter of correctness.
 
 Per-epoch cost model: one epoch costs O(n_batches * batch_size * (
-sum_l n_{l-1} n_l over encoder+decoder layers + sum_l n_{l-1} n_l over
-fully connected layers + xt_dim * n_trees * n_leaves)). At a fixed depth
-the forest term, and hence the epoch wall time once it dominates, grows
-linearly in the number of trees.
+sum_l n_{l-1} n_l over encoder, decoder and fully connected layers +
+xt_dim * n_trees * n_leaves)). At a fixed depth the forest term, and hence
+the epoch wall time once it dominates, grows linearly in the number of trees.
 
-Two optimizers run side by side, exactly as the training loop is staged:
-the weight set theta (encoder, decoder, fully connected, routing) takes an
-accumulator-scaled step after every mini-batch, while the leaf logits take
-one step per epoch from the gradient over the full training set. Leaf
-class distributions are always the softmax of the stored logits, so they
-remain valid distributions after every update.
-
-Each epoch passes the full training set through the forward pass once.
-The leaf gradient uses only that pass's leaf reach mu, leaf distributions
-pi and true-class probabilities; a leaf step changes only pi, so the
-epoch's logged loss and accuracy reuse mu and the reconstruction and
-recompute only the leaf mixture mu @ pi. Beside the mini-batches, an epoch
-therefore forwards each training row twice and backpropagates it once.
+Two optimizers run side by side. In ``train`` the weight set theta
+(encoder, decoder, fully connected, routing) is one float64 vector, and
+every ``Layer.W``/``.b`` and the stacked routing are views into it. After
+each mini-batch the backward's theta gradient, concatenated in the same
+layout, is checked for finiteness once and takes one accumulator-scaled
+``rmsprop_step``; that backward computes no leaf-logit gradient. The leaf
+logits take one step per epoch from the full-training-set gradient, which
+needs only one full-set forward's leaf reach mu, leaf distributions pi (the
+softmax of the logits, so always valid) and true-class probabilities. The
+step changes only pi, so the epoch's logged loss and accuracy reuse mu and
+the reconstruction and recompute only the leaf mixture mu @ pi.
 
 The loop owns the model exclusively while training; per-batch gradient
 reductions are plain indexed sums, so results are reproducible for a fixed
@@ -42,7 +38,7 @@ reductions are plain indexed sums, so results are reproducible for a fixed
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from math import ceil
 
 import numpy as np
@@ -66,6 +62,7 @@ __all__ = [
     "train",
     "predict",
     "measure_epoch_seconds",
+    "MAX_DEPTH",
 ]
 
 NORMALIZATION_METHODS = ("zscore", "minmax", "none")
@@ -73,6 +70,11 @@ NORMALIZATION_METHODS = ("zscore", "minmax", "none")
 # -log is kept finite by flooring the predicted probability of the true
 # class here; the gradient is zero wherever the floor is active.
 PROB_FLOOR = 1e-12
+
+# Soft routing sends every row through all 2^D - 1 decision nodes of every
+# tree, so a forward holds a (rows, 2^(D+1) - 1) reach matrix per tree: at
+# depth 10, 16 KB per row per tree. The deepest config shipped uses 6.
+MAX_DEPTH = 10
 
 
 @dataclass
@@ -101,6 +103,8 @@ class TrainConfig:
         for name in ("n_tree", "n_depth", "batch_size", "ae_layer_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_depth > MAX_DEPTH:
+            raise ConfigError(f"n_depth must be <= {MAX_DEPTH}, got {self.n_depth}")
         if self.fc_layer_count < 0:
             raise ConfigError(f"fc_layer_count must be >= 0, got {self.fc_layer_count}")
         for name in ("learning_rate", "leaf_learning_rate", "epsilon", "init_scale"):
@@ -216,6 +220,11 @@ def init_model(config: TrainConfig, n_features: int, rng: Rng | None = None,
     return Model(AutoencoderParams(encoder, decoder), forest, config)
 
 
+def _layer_stacks(model: Model) -> list[tuple[str, list[Layer]]]:
+    return [("encoder", model.autoencoder.encoder),
+            ("decoder", model.autoencoder.decoder), ("fc", model.forest.fc)]
+
+
 def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
     """Named references to every trainable tensor, leaf logits included.
 
@@ -225,23 +234,28 @@ def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
     forest tensors.
     """
     blocks = []
-    for i, layer in enumerate(model.autoencoder.encoder):
-        blocks.append((f"encoder.{i}.W", layer.W))
-        blocks.append((f"encoder.{i}.b", layer.b))
-    for i, layer in enumerate(model.autoencoder.decoder):
-        blocks.append((f"decoder.{i}.W", layer.W))
-        blocks.append((f"decoder.{i}.b", layer.b))
-    for i, layer in enumerate(model.forest.fc):
-        blocks.append((f"fc.{i}.W", layer.W))
-        blocks.append((f"fc.{i}.b", layer.b))
+    for prefix, layers in _layer_stacks(model):
+        for i, layer in enumerate(layers):
+            blocks += [(f"{prefix}.{i}.W", layer.W), (f"{prefix}.{i}.b", layer.b)]
     for k in range(model.forest.n_trees):
         blocks.append((f"tree.{k}.routing", model.forest.routing[k]))
         blocks.append((f"tree.{k}.leaf_logits", model.forest.leaf_logits[k]))
     return blocks
 
 
-def _leaf_block_names(model: Model) -> list[str]:
-    return [f"tree.{k}.leaf_logits" for k in range(model.forest.n_trees)]
+def _flat_theta(model: Model) -> np.ndarray:
+    """Move the weight set theta (every block but the leaf logits) into one
+    float64 vector, in ``parameter_blocks`` order, and return it; every
+    ``Layer.W``/``.b`` and ``forest.routing`` becomes a view into it."""
+    layers = [layer for _, stack in _layer_stacks(model) for layer in stack]
+    arrays = [a for layer in layers for a in (layer.W, layer.b)] + [model.forest.routing]
+    theta = np.concatenate([a.ravel() for a in arrays])
+    chunks = np.split(theta, np.cumsum([a.size for a in arrays])[:-1])
+    views = iter([c.reshape(a.shape) for c, a in zip(chunks, arrays)])
+    for layer in layers:
+        layer.W, layer.b = next(views), next(views)
+    model.forest.routing = next(views)
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +356,56 @@ def _tree_loss_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(p_y > PROB_FLOOR, -1.0 / (K * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
 
 
-def _check_finite(name: str, g: np.ndarray):
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"non-finite gradient in block {name}", context=name)
+def _check_finite(grads: dict[str, np.ndarray]):
+    """Raise NumericError naming the first block, in ``grads`` order, with a
+    non-finite entry."""
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient in block {name}", context=name)
+
+
+def _backward(X: np.ndarray, y: np.ndarray, model: Model,
+              with_leaf: bool) -> dict[str, np.ndarray]:
+    """The one backward pass: dL/d every theta block, plus the leaf logits
+    when ``with_leaf``, for a validated batch.
+
+    Blocks are keyed by ``parameter_blocks`` name in the order the pass
+    produces them (decoder, trees, fully connected, encoder), the order in
+    which ``_check_finite`` looks for the first non-finite one.
+    """
+    B = X.shape[0]
+    cache = _forward_cache(X, model)
+    grads: dict[str, np.ndarray] = {}
+
+    # Decoder chain, seeded by d/dx_c of mean_b ||x - x_c||^2.
+    g_xc = 2.0 * (cache["x_c"] - X) / B
+    dec_grads, g_h_dec = _backward_layers(model.autoencoder.decoder,
+                                          cache["dec_acts"], g_xc)
+    for i, (gW, gb) in enumerate(dec_grads):
+        grads[f"decoder.{i}.W"], grads[f"decoder.{i}.b"] = gW, gb
+
+    # Trees: the forest carries d(mean_k -log p_k[y]) back to the tree input.
+    g_py = _tree_loss_grad(cache["forest"]["probs"], y)
+    g_routing, g_xt = forest_backward(
+        cache["fc_acts"][-1], y, g_py, cache["forest"], model.forest)
+    if with_leaf:
+        g_leaf_logits = leaf_gradient(y, g_py, cache["forest"], model.forest)
+    for k in range(model.forest.n_trees):
+        if with_leaf:
+            grads[f"tree.{k}.leaf_logits"] = g_leaf_logits[k]
+        grads[f"tree.{k}.routing"] = g_routing[k]
+
+    # Fully connected chain (identity pass-through when empty).
+    fc_grads, g_h_fc = _backward_layers(model.forest.fc, cache["fc_acts"], g_xt)
+    for i, (gW, gb) in enumerate(fc_grads):
+        grads[f"fc.{i}.W"], grads[f"fc.{i}.b"] = gW, gb
+
+    # Encoder receives gradient from both the decoder and the forest.
+    enc_grads, _ = _backward_layers(model.autoencoder.encoder,
+                                    cache["enc_acts"], g_h_dec + g_h_fc)
+    for i, (gW, gb) in enumerate(enc_grads):
+        grads[f"encoder.{i}.W"], grads[f"encoder.{i}.b"] = gW, gb
+    return grads
 
 
 def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarray]:
@@ -356,42 +417,8 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("gradients of an empty batch are undefined")
-    B = X.shape[0]
-    K = model.forest.n_trees
-    cache = _forward_cache(X, model)
-    grads: dict[str, np.ndarray] = {}
-
-    # Decoder chain, seeded by d/dx_c of mean_b ||x - x_c||^2.
-    g_xc = 2.0 * (cache["x_c"] - X) / B
-    dec_grads, g_h_dec = _backward_layers(model.autoencoder.decoder,
-                                          cache["dec_acts"], g_xc)
-    for i, (gW, gb) in enumerate(dec_grads):
-        grads[f"decoder.{i}.W"] = gW
-        grads[f"decoder.{i}.b"] = gb
-
-    # Trees: the forest carries d(mean_k -log p_k[y]) back to the tree input.
-    g_py = _tree_loss_grad(cache["forest"]["probs"], y)
-    g_routing, g_leaf_logits, g_xt = forest_backward(
-        cache["fc_acts"][-1], y, g_py, cache["forest"], model.forest)
-    for k in range(K):
-        grads[f"tree.{k}.leaf_logits"] = g_leaf_logits[k]
-        grads[f"tree.{k}.routing"] = g_routing[k]
-
-    # Fully connected chain (identity pass-through when empty).
-    fc_grads, g_h_fc = _backward_layers(model.forest.fc, cache["fc_acts"], g_xt)
-    for i, (gW, gb) in enumerate(fc_grads):
-        grads[f"fc.{i}.W"] = gW
-        grads[f"fc.{i}.b"] = gb
-
-    # Encoder receives gradient from both the decoder and the forest.
-    enc_grads, _ = _backward_layers(model.autoencoder.encoder,
-                                    cache["enc_acts"], g_h_dec + g_h_fc)
-    for i, (gW, gb) in enumerate(enc_grads):
-        grads[f"encoder.{i}.W"] = gW
-        grads[f"encoder.{i}.b"] = gb
-
-    for name, g in grads.items():
-        _check_finite(name, g)
+    grads = _backward(X, y, model, with_leaf=True)
+    _check_finite(grads)
     return grads
 
 
@@ -415,16 +442,21 @@ def rmsprop_step(theta: np.ndarray, grad: np.ndarray, accum: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """Squared-gradient accumulators, one per parameter block.
+    """Squared-gradient accumulators: ``theta`` is one vector in the layout
+    of ``_flat_theta``, ``leaf_logits`` is shaped like the stacked leaf
+    logits.
 
     Entries are nonnegative and nondecreasing across steps.
     """
 
-    accumulators: dict[str, np.ndarray] = field(default_factory=dict)
+    theta: np.ndarray
+    leaf_logits: np.ndarray
 
     @classmethod
     def for_model(cls, model: Model) -> "OptimizerState":
-        return cls({name: np.zeros_like(arr) for name, arr in parameter_blocks(model)})
+        n_theta = sum(arr.size for _, arr in parameter_blocks(model))
+        leaf = model.forest.leaf_logits
+        return cls(np.zeros(n_theta - leaf.size), np.zeros_like(leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +477,11 @@ def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model,
     forest_cache = cache["forest"]
     g_leaf_logits = leaf_gradient(
         y, _tree_loss_grad(forest_cache["probs"], y), forest_cache, model.forest)
-    for k, name in enumerate(_leaf_block_names(model)):
-        _check_finite(name, g_leaf_logits[k])
-        model.forest.leaf_logits[k], state.accumulators[name] = rmsprop_step(
-            model.forest.leaf_logits[k], g_leaf_logits[k], state.accumulators[name],
-            config.leaf_learning_rate, config.epsilon)
+    if not np.isfinite(g_leaf_logits).all():
+        _check_finite({f"tree.{k}.leaf_logits": g for k, g in enumerate(g_leaf_logits)})
+    model.forest.leaf_logits[...], state.leaf_logits = rmsprop_step(
+        model.forest.leaf_logits, g_leaf_logits, state.leaf_logits,
+        config.leaf_learning_rate, config.epsilon)
     mixture = leaf_mixture(forest_cache["reach"], model.forest)
     loss = _loss_terms(X, y, cache["x_c"], mixture["probs"])
     acc = float((mixture["forest_probs"].argmax(axis=1) == y).mean())
@@ -493,13 +525,14 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
 
     rng = Rng(config.seed)
     model = init_model(config, X.shape[1], rng=rng)
+    theta = _flat_theta(model)
+    theta_names = [name for name, _ in parameter_blocks(model)
+                   if not name.endswith(".leaf_logits")]
     state = OptimizerState.for_model(model)
-    leaf_names = _leaf_block_names(model)
 
     order = rng.permutation(n)
     X, y = X[order], y[order]
 
-    blocks = dict(parameter_blocks(model))
     n_batches = ceil(n / config.batch_size)
     losses: list[float] = []
     accuracies: list[float] = []
@@ -508,22 +541,15 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         if config.reshuffle_each_epoch and epoch > 0:
             order = rng.permutation(n)
             X, y = X[order], y[order]
-        for b in range(n_batches):
-            sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
-            try:
-                grads = gradients(X[sl], y[sl], model)
-            except NumericError as exc:
-                raise NumericError(f"{exc} at epoch {epoch}",
-                                   context=epoch) from exc
-            for name, arr in blocks.items():
-                if name in leaf_names:
-                    continue
-                new, state.accumulators[name] = rmsprop_step(
-                    arr, grads[name], state.accumulators[name],
-                    config.learning_rate, config.epsilon)
-                arr[...] = new
-
         try:
+            for b in range(n_batches):
+                sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
+                grads = _backward(X[sl], y[sl], model, with_leaf=False)
+                g = np.concatenate([grads[name].ravel() for name in theta_names])
+                if not np.isfinite(g).all():
+                    _check_finite(grads)
+                theta[...], state.theta = rmsprop_step(
+                    theta, g, state.theta, config.learning_rate, config.epsilon)
             loss, acc = _leaf_epoch_step(X, y, model, state, config)
         except NumericError as exc:
             raise NumericError(f"{exc} at epoch {epoch}", context=epoch) from exc

@@ -5,9 +5,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from spamforest.autoencoder import AutoencoderParams, reconstruction_loss
+from spamforest.autoencoder import AutoencoderParams
 from spamforest.errors import ShapeError
 from spamforest.numerics import Layer, Rng, sigmoid_chain
+from spamforest.training import TrainConfig, _loss_terms, init_model, joint_loss
 
 
 def _sigma(z):
@@ -22,6 +23,16 @@ def encode(x, params):
 
 def decode(h, params):
     return sigmoid_chain(h, params.decoder)[-1]
+
+
+def reconstruction_loss(x_in, x_rec):
+    """The production joint loss with one tree certain of the true class,
+    which leaves only the reconstruction term, mean over samples."""
+    x_in = np.atleast_2d(np.asarray(x_in, dtype=np.float64))
+    x_rec = np.atleast_2d(np.asarray(x_rec, dtype=np.float64))
+    certain = np.tile([1.0, 0.0], (1, x_in.shape[0], 1))
+    return _loss_terms(x_in, np.zeros(x_in.shape[0], dtype=np.int64), x_rec,
+                       certain)
 
 
 def single_layer_params(W_e, b_e, W_d, b_d):
@@ -110,8 +121,11 @@ class TestReconstructionLoss:
         assert reconstruction_loss(a, b) == reconstruction_loss(b, a)
 
     def test_length_mismatch(self):
+        # The loss only ever sees a reconstruction of the model's own input
+        # width; an input of another width is refused before the forward.
+        model = init_model(TrainConfig(n_tree=1, n_depth=1, seed=0), 3)
         with pytest.raises(ShapeError):
-            reconstruction_loss([1.0, 2.0], [1.0, 2.0, 3.0])
+            joint_loss([1.0, 2.0], [0], model)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
            st.integers(0, 2 ** 32 - 1))

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -299,6 +301,73 @@ class TestTrainEvaluatePredict:
         assert not (tmp_path / "out" / "predictions.tsv").exists()
 
 
+    @pytest.mark.parametrize("normalization", ["zscore", "minmax"])
+    def test_overflowing_normalization_exits_2(self, gaussian_features,
+                                               tmp_path, capsys, normalization):
+        ds = load_features(gaussian_features)
+        values = ds.features.values.copy()
+        values[3, 1], values[7, 1] = 1e308, -1e308
+        feat = tmp_path / "feat"
+        save_features(feat, dataclasses.replace(ds.features, values=values),
+                      ds.labels, ds.user_ids)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n_epoch = 1\nnormalization = {normalization}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["train", "--features", str(feat), "--out", str(out),
+                       "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "column 2 ('x1')" in err and normalization in err
+        assert not (out / "model.json").exists()
+
+
+class TestNonUtf8Input:
+    def test_bad_byte_names_file_and_line(self, corpus_files, tmp_path, capsys):
+        reviews, scores = corpus_files
+        lines = reviews.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"review_text": "', b'"review_text": "\xff', 1)
+        bad = tmp_path / "reviews.jsonl"
+        bad.write_bytes(b"".join(lines))
+        rc = main(["extract", "--reviews", str(bad), "--scores", str(scores),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and str(bad) in err
+        assert "UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["features.tsv", "labels.tsv",
+                                      "manifest.json"])
+    def test_feature_directory_files(self, gaussian_features, tmp_path, capsys,
+                                     name):
+        ds = load_features(gaussian_features)
+        feat = tmp_path / "feat"
+        save_features(feat, ds.features, ds.labels, ds.user_ids)
+        lines = (feat / name).read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xfe" + lines[2]
+        (feat / name).write_bytes(b"".join(lines))
+        assert main(["analyze", "--features", str(feat), "--out",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and name in err
+
+    def test_config_and_model_files(self, run_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"n_epoch = 1\n# note\nseed = 2 # \xe9\n")
+        assert main(["train", "--features", str(run_dir / "heldout"), "--out",
+                     str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+        model = tmp_path / "model.json"
+        lines = (run_dir / "model.json").read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"', b'"\xc3', 1)
+        model.write_bytes(b"".join(lines))
+        assert main(["predict", "--features", str(run_dir / "heldout"),
+                     "--model", str(model), "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and "model.json" in err
+
+
 class TestOSErrors:
     @pytest.mark.parametrize("case", ["model-is-directory", "features-is-file",
                                       "reviews-is-directory", "out-is-file"])
@@ -426,6 +495,16 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{key} must be finite and positive" in err
         assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_depth_beyond_bound_through_cli_exits_2(self, gaussian_features,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 1\nn_depth = 40\n")
+        rc = main(["train", "--features", str(gaussian_features), "--out",
+                   str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 2
+        assert "n_depth must be <=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_seed_overrides_config(self, tmp_path, gaussian_features):
         cfg = tmp_path / "c.cfg"

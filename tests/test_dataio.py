@@ -276,6 +276,15 @@ class TestNormalize:
             apply_normalization(small_matrix(rng.normal((4, 2))), stats)
 
 
+    @pytest.mark.parametrize("method", ["zscore", "minmax"])
+    def test_overflowing_stats_rejected_naming_column(self, method):
+        values = np.column_stack([np.arange(4.0), [1e308, -1e308, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"column 2 \('f1'\)"):
+                normalize(small_matrix(values), method)
+
+
 class TestSplitShuffleBatch:
     """``split_train_test``, the seeded split the CLI commands run."""
 
@@ -336,6 +345,15 @@ class TestModelSerialization:
         after_labels, after_probs = predict(loaded, X)
         npt.assert_array_equal(before_labels, after_labels)
         npt.assert_array_equal(before_probs, after_probs)
+
+    def test_non_finite_stats_not_written(self, trained_desk, tmp_path):
+        model, _ = trained_desk
+        model = dataclasses.replace(model, norm_stats=NormStats(
+            "zscore", np.zeros(model.n_features), np.full(model.n_features, np.inf)))
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            save_model(path, model)
+        assert not path.exists()
 
     def test_truncated_file_is_integrity_error(self, trained_desk, tmp_path):
         model, _ = trained_desk

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date
 
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import reference_feature_rows
 from spamforest import features
+from spamforest.dataio import save_features
 from spamforest.features import (MANIFEST_VERSION, REVIEW_FEATURES,
                                  USER_FEATURES, ReviewRecord,
-                                 build_feature_matrix, build_manifest,
-                                 extract_user_features, feature_columns,
-                                 load_packaged_manifest, sentiment_score)
+                                 build_feature_matrix, extract_user_features,
+                                 feature_columns, sentiment_score)
 
 
 def rec(user="u1", product="p1", rating=5, help_=0, unhelp=0, day=0,
@@ -205,8 +206,17 @@ class TestSentiment:
 
 
 class TestManifest:
-    def test_packaged_manifest_matches_registry(self):
-        assert load_packaged_manifest() == build_manifest()
+    def test_packaged_manifest_matches_registry(self, review_corpus, tmp_path):
+        # The manifest save_features writes is the registry's expansion.
+        records, _ = review_corpus
+        matrix, user_ids = build_feature_matrix(records[:80])
+        save_features(tmp_path, matrix, [0] * matrix.n_rows, user_ids)
+        manifest = json.loads((tmp_path / "manifest.json").read_text("utf-8"))
+        categories = sorted({r.category for r in records[:80]})
+        assert manifest == {
+            "manifest_version": MANIFEST_VERSION,
+            "features": [{"name": n, "scope": s, "kind": k}
+                         for n, s, k in feature_columns(categories)]}
 
     def test_matrix_columns_follow_manifest_order(self, review_corpus):
         records, _ = review_corpus

@@ -5,10 +5,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spamforest.autoencoder import reconstruction_loss
+from spamforest import forest as forest_module, training
 from spamforest.errors import ConfigError, NumericError
 from spamforest.numerics import Rng
-from spamforest.training import (OptimizerState, TrainConfig,
+from spamforest.training import (MAX_DEPTH, OptimizerState, TrainConfig,
                                  _forward_cache, _loss_terms, gradients,
                                  init_model, joint_loss, parameter_blocks,
                                  predict, rmsprop_step, train)
@@ -49,6 +49,14 @@ class TestTrainConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_depth_bounded(self):
+        # Only the config is built, so nothing of size 2^40 is allocated.
+        TrainConfig(n_depth=MAX_DEPTH)
+        with pytest.raises(ConfigError, match=f"n_depth must be <= {MAX_DEPTH}"):
+            TrainConfig(n_depth=40)
+        with pytest.raises(ConfigError):
+            TrainConfig(n_depth=MAX_DEPTH + 1)
 
     def test_dict_roundtrip(self):
         cfg = TrainConfig(ae_widths=(4, 2), seed=11)
@@ -174,7 +182,7 @@ class TestJointLoss:
         model = init_model(cfg, 5)
         x = rng.normal((5,))
         x_c, per_tree = forward_one(x, model)
-        expected = reconstruction_loss(x, x_c) - math.log(per_tree[0, 1])
+        expected = ((x - x_c) ** 2).sum() - math.log(per_tree[0, 1])
         assert joint_loss(x, [1], model) == pytest.approx(expected, abs=1e-12)
 
     def test_mean_over_samples_and_trees(self, rng):
@@ -185,7 +193,7 @@ class TestJointLoss:
         total = 0.0
         for i in range(6):
             x_c, per_tree = forward_one(X[i], model)
-            per_sample = reconstruction_loss(X[i], x_c)
+            per_sample = ((X[i] - x_c) ** 2).sum()
             per_sample += np.mean([-math.log(per_tree[k, y[i]])
                                    for k in range(3)])
             total += per_sample
@@ -441,9 +449,126 @@ class TestTwoGaussianLearning:
 
 class TestOptimizerState:
     def test_zero_initialized_per_block(self, desk_model):
+        # Theta's accumulator is one vector covering every block but the
+        # leaf logits, whose accumulator is stacked like the logits.
         state = OptimizerState.for_model(desk_model)
-        blocks = dict(parameter_blocks(desk_model))
-        assert set(state.accumulators) == set(blocks)
-        for name, acc in state.accumulators.items():
-            assert acc.shape == blocks[name].shape
-            assert np.all(acc == 0)
+        theta_sizes = [arr.size for name, arr in parameter_blocks(desk_model)
+                       if not name.endswith(".leaf_logits")]
+        assert state.theta.shape == (sum(theta_sizes),)
+        assert state.leaf_logits.shape == desk_model.forest.leaf_logits.shape
+        assert np.all(state.theta == 0)
+        assert np.all(state.leaf_logits == 0)
+
+
+def reference_train(X, y, config):
+    """``train`` written block by block, with no flat buffer: rmsprop_step
+    on each theta block of ``gradients``' output after every mini-batch,
+    leaf logits skipped, then each tree's leaf step from the full-set
+    gradient. Returns (model, losses, accuracies)."""
+    rng = Rng(config.seed)
+    model = init_model(config, X.shape[1], rng=rng)
+    accum = {name: np.zeros_like(arr) for name, arr in parameter_blocks(model)}
+    losses, accuracies = [], []
+    order = rng.permutation(len(y))
+    X, y = X[order], y[order]
+    for epoch in range(config.n_epoch):
+        if config.reshuffle_each_epoch and epoch > 0:
+            order = rng.permutation(len(y))
+            X, y = X[order], y[order]
+        for start in range(0, len(y), config.batch_size):
+            sl = slice(start, start + config.batch_size)
+            grads = gradients(X[sl], y[sl], model)
+            for name, arr in parameter_blocks(model):
+                if not name.endswith(".leaf_logits"):
+                    arr[...], accum[name] = rmsprop_step(
+                        arr, grads[name], accum[name], config.learning_rate,
+                        config.epsilon)
+        full = gradients(X, y, model)
+        for k in range(config.n_tree):
+            name = f"tree.{k}.leaf_logits"
+            model.forest.leaf_logits[k], accum[name] = rmsprop_step(
+                model.forest.leaf_logits[k], full[name], accum[name],
+                config.leaf_learning_rate, config.epsilon)
+        labels, _ = predict(model, X)
+        losses.append(joint_loss(X, y, model))
+        accuracies.append(float((labels == y).mean()))
+    return model, losses, accuracies
+
+
+class TestFlatParameterBuffer:
+    STRUCTURES = [
+        dict(fc_layer_count=0, n_tree=1, n_depth=2, reshuffle_each_epoch=True),
+        dict(fc_layer_count=2, n_tree=3, n_depth=3, reshuffle_each_epoch=False),
+        dict(fc_layer_count=1, n_tree=2, n_depth=2, ae_layer_count=1,
+             reshuffle_each_epoch=True),
+    ]
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_train_matches_per_block_reference_bit_for_bit(self, structure):
+        cfg = TrainConfig(n_epoch=4, batch_size=9, seed=17, **structure)
+        X = Rng(29).normal((40, 6))
+        y = (X[:, 0] - X[:, 2] > 0).astype(int)
+        result = train(X, y, cfg)
+        model, losses, accuracies = reference_train(X, y, cfg)
+        got, want = parameter_blocks(result.model), parameter_blocks(model)
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (name, a), (_, b) in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        assert np.array_equal(np.array(result.losses).view(np.int64),
+                              np.array(losses).view(np.int64))
+        assert result.accuracies == accuracies
+
+    def test_theta_blocks_are_views_of_one_vector(self):
+        cfg = TrainConfig(n_epoch=1, batch_size=5, seed=2, n_tree=2, n_depth=2)
+        result = train(Rng(4).normal((10, 4)), np.array([0, 1] * 5), cfg)
+        theta = [arr for name, arr in parameter_blocks(result.model)
+                 if not name.endswith(".leaf_logits")]
+        base = theta[0].base
+        assert base is not None and base.ndim == 1
+        assert all(np.shares_memory(arr, base) for arr in theta)
+        assert sum(arr.size for arr in theta) == base.size
+
+    def test_one_step_per_batch_and_no_batch_leaf_gradient(self, monkeypatch):
+        calls = {"rmsprop_step": 0, "leaf_gradient": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(training, "rmsprop_step")
+        counted(training, "leaf_gradient")
+        counted(forest_module, "leaf_gradient")  # as forest_backward sees it
+        cfg = TrainConfig(n_epoch=3, batch_size=4, seed=1, n_tree=3, n_depth=2)
+        train(Rng(8).normal((10, 3)), np.array([0, 1] * 5), cfg)
+        n_batches = 3  # 10 rows in batches of 4
+        assert calls["rmsprop_step"] == cfg.n_epoch * (n_batches + 1)
+        assert calls["leaf_gradient"] == cfg.n_epoch  # the leaf steps only
+
+    def test_non_finite_batch_gradient_names_block_and_epoch(self, monkeypatch):
+        # From the first batch of epoch 1, tree 1's routing gradient and the
+        # gradient into the tree input turn NaN, so the fully connected and
+        # encoder blocks do too; the error names the first in backward
+        # order (decoder, trees, fully connected, encoder), not in the flat
+        # buffer's order, which starts with the encoder.
+        original = training.forest_backward
+        seen = {"calls": 0}
+
+        def poisoned(*args):
+            g_routing, g_xt = original(*args)
+            seen["calls"] += 1
+            if seen["calls"] > 3:  # 3 batches per epoch
+                g_routing[1, 0, 0] = np.nan
+                g_xt[...] = np.nan
+            return g_routing, g_xt
+
+        monkeypatch.setattr(training, "forest_backward", poisoned)
+        cfg = TrainConfig(n_epoch=3, batch_size=4, seed=1, n_tree=2, n_depth=2)
+        with pytest.raises(NumericError) as info:
+            train(Rng(8).normal((10, 3)), np.array([0, 1] * 5), cfg)
+        assert str(info.value) == \
+            "non-finite gradient in block tree.1.routing at epoch 1"
+        assert info.value.context == 1
