@@ -141,7 +141,8 @@ def cmd_analyze(args) -> int:
 def cmd_train(args) -> int:
     ds = load_features(args.features)
     config = _resolve_config(args)
-    train_count = args.train_count or ds.n_rows  # the split checks the range
+    # the split checks the range
+    train_count = ds.n_rows if args.train_count is None else args.train_count
 
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
     train_matrix = dataclasses.replace(ds.features,
@@ -245,14 +246,17 @@ def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int):
 
     def run_subset(cols):
         values = ds.features.values[:, cols]
-        train_part = FeatureMatrix(values[train_idx],
-                                   [ds.features.names[c] for c in cols],
-                                   [ds.features.scopes[c] for c in cols],
-                                   [ds.features.kinds[c] for c in cols],
-                                   ds.features.manifest_version)
-        normed, stats = normalize(train_part, config.normalization)
+
+        def part(rows):
+            return FeatureMatrix(values[rows],
+                                 [ds.features.names[c] for c in cols],
+                                 [ds.features.scopes[c] for c in cols],
+                                 [ds.features.kinds[c] for c in cols],
+                                 ds.features.manifest_version)
+        normed, stats = normalize(part(train_idx), config.normalization)
         result = train(normed.values, ds.labels[train_idx], config)
-        labels, _ = predict(result.model, stats.apply(values[eval_idx]))
+        labels, _ = predict(result.model,
+                            apply_normalization(part(eval_idx), stats).values)
         return float((labels == ds.labels[eval_idx]).mean())
 
     rows = []
@@ -270,7 +274,8 @@ def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int):
 def cmd_ablate(args) -> int:
     ds = load_features(args.features)
     config = _resolve_config(args)
-    train_count = args.train_count or ds.n_rows  # the split checks the range
+    # the split checks the range
+    train_count = ds.n_rows if args.train_count is None else args.train_count
     rows = run_ablation(ds, config, train_count)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "ablation.tsv")

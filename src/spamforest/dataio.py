@@ -91,9 +91,6 @@ class NormStats:
         return cls(d["method"], np.asarray(d["center"], dtype=np.float64),
                    np.asarray(d["scale"], dtype=np.float64))
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.center) / self.scale
-
 
 @dataclass
 class LabeledDataset:
@@ -315,13 +312,26 @@ def normalize(features: FeatureMatrix, method: str):
 
 
 def apply_normalization(features: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    """Apply previously fit stats (e.g. training stats to test rows)."""
+    """Apply previously fit stats (e.g. training stats to test rows).
+
+    A cell that normalizes to a non-finite value (a finite input far outside
+    the training range can overflow) raises ValueError naming its column.
+    """
     if len(stats.center) != features.n_features:
         raise ConfigError(
             f"normalization stats cover {len(stats.center)} columns, "
             f"matrix has {features.n_features}"
         )
-    return FeatureMatrix(stats.apply(features.values), list(features.names),
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (features.values - stats.center) / stats.scale
+        # A column sum is finite only if every cell is, so the scan needs no
+        # full-size mask; only columns whose sum is not finite are checked.
+        suspects = np.flatnonzero(~np.isfinite(values.sum(axis=0)))
+    for j in suspects:
+        if not np.isfinite(values[:, j]).all():
+            raise ValueError(f"feature column {j + 1} ({features.names[j]!r}) "
+                             f"is not finite after {stats.method} normalization")
+    return FeatureMatrix(values, list(features.names),
                          list(features.scopes), list(features.kinds),
                          features.manifest_version)
 
@@ -510,6 +520,8 @@ def _parse_feature_rows(path, names: list[str]) -> np.ndarray:
             except ValueError as exc:
                 raise ParseError(str(exc), ln) from None
             line_numbers.append(ln)
+    if not rows:
+        raise ParseError(f"{path} has a header but no data rows")
     values = np.array(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 __all__ = [
     "Rng",
@@ -39,6 +39,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:

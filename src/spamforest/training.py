@@ -15,8 +15,10 @@ difference harness in the test suite is the arbiter of correctness.
 
 Per-epoch cost model: one epoch costs O(n_batches * batch_size * (
 sum_l n_{l-1} n_l over encoder, decoder and fully connected layers +
-xt_dim * n_trees * n_leaves)). At a fixed depth the forest term, and hence
-the epoch wall time once it dominates, grows linearly in the number of trees.
+xt_dim * n_trees * n_leaves)). At a fixed depth the forest term grows
+linearly in the number of trees. Acceptance test 10 checks this by counting
+the rows and weights each epoch's forward and backward calls see; wall time
+is measured by the benchmark in ``perfbench/``.
 
 Two optimizers run side by side. In ``train`` the weight set theta
 (encoder, decoder, fully connected, routing) is one float64 vector, and
@@ -37,7 +39,6 @@ reductions are plain indexed sums, so results are reproducible for a fixed
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, asdict
 from math import ceil
 
@@ -52,7 +53,6 @@ from .numerics import Layer, Rng, sigmoid_chain
 __all__ = [
     "TrainConfig",
     "Model",
-    "OptimizerState",
     "TrainResult",
     "init_model",
     "parameter_blocks",
@@ -61,7 +61,6 @@ __all__ = [
     "rmsprop_step",
     "train",
     "predict",
-    "measure_epoch_seconds",
     "MAX_DEPTH",
 ]
 
@@ -440,38 +439,20 @@ def rmsprop_step(theta: np.ndarray, grad: np.ndarray, accum: np.ndarray,
     return theta, accum
 
 
-@dataclass
-class OptimizerState:
-    """Squared-gradient accumulators: ``theta`` is one vector in the layout
-    of ``_flat_theta``, ``leaf_logits`` is shaped like the stacked leaf
-    logits.
-
-    Entries are nonnegative and nondecreasing across steps.
-    """
-
-    theta: np.ndarray
-    leaf_logits: np.ndarray
-
-    @classmethod
-    def for_model(cls, model: Model) -> "OptimizerState":
-        n_theta = sum(arr.size for _, arr in parameter_blocks(model))
-        leaf = model.forest.leaf_logits
-        return cls(np.zeros(n_theta - leaf.size), np.zeros_like(leaf))
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 
 
-def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model,
-                     state: OptimizerState, config: TrainConfig) -> tuple[float, float]:
-    """The epoch's leaf-logit step from one full-set forward pass.
+def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, accum: np.ndarray,
+                     config: TrainConfig) -> tuple[float, float, np.ndarray]:
+    """The epoch's leaf-logit step from one full-set forward pass; ``accum``
+    is the leaf logits' squared-gradient accumulator.
 
     Returns the joint loss and training accuracy of the stepped model, equal
-    to ``joint_loss`` and ``predict`` on it: the step changes only the leaf
-    logits, so the cached reach and reconstruction still hold and only the
-    leaf mixture is recomputed. The cache is dropped on return, before the
-    next epoch's forward.
+    to ``joint_loss`` and ``predict`` on it, and the updated accumulator. The
+    step changes only the leaf logits, so the cached reach and reconstruction
+    still hold and only the leaf mixture is recomputed. The cache is dropped
+    on return, before the next epoch's forward.
     """
     cache = _forward_cache(X, model)
     forest_cache = cache["forest"]
@@ -479,13 +460,13 @@ def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model,
         y, _tree_loss_grad(forest_cache["probs"], y), forest_cache, model.forest)
     if not np.isfinite(g_leaf_logits).all():
         _check_finite({f"tree.{k}.leaf_logits": g for k, g in enumerate(g_leaf_logits)})
-    model.forest.leaf_logits[...], state.leaf_logits = rmsprop_step(
-        model.forest.leaf_logits, g_leaf_logits, state.leaf_logits,
+    model.forest.leaf_logits[...], accum = rmsprop_step(
+        model.forest.leaf_logits, g_leaf_logits, accum,
         config.leaf_learning_rate, config.epsilon)
     mixture = leaf_mixture(forest_cache["reach"], model.forest)
     loss = _loss_terms(X, y, cache["x_c"], mixture["probs"])
     acc = float((mixture["forest_probs"].argmax(axis=1) == y).mean())
-    return loss, acc
+    return loss, acc, accum
 
 
 @dataclass
@@ -528,7 +509,8 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
     theta = _flat_theta(model)
     theta_names = [name for name, _ in parameter_blocks(model)
                    if not name.endswith(".leaf_logits")]
-    state = OptimizerState.for_model(model)
+    theta_accum = np.zeros_like(theta)
+    leaf_accum = np.zeros_like(model.forest.leaf_logits)
 
     order = rng.permutation(n)
     X, y = X[order], y[order]
@@ -548,9 +530,9 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
                 g = np.concatenate([grads[name].ravel() for name in theta_names])
                 if not np.isfinite(g).all():
                     _check_finite(grads)
-                theta[...], state.theta = rmsprop_step(
-                    theta, g, state.theta, config.learning_rate, config.epsilon)
-            loss, acc = _leaf_epoch_step(X, y, model, state, config)
+                theta[...], theta_accum = rmsprop_step(
+                    theta, g, theta_accum, config.learning_rate, config.epsilon)
+            loss, acc, leaf_accum = _leaf_epoch_step(X, y, model, leaf_accum, config)
         except NumericError as exc:
             raise NumericError(f"{exc} at epoch {epoch}", context=epoch) from exc
         if not np.isfinite(loss):
@@ -567,26 +549,3 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
 
     return TrainResult(model, losses, accuracies)
 
-
-def measure_epoch_seconds(X: np.ndarray, y: np.ndarray, config: TrainConfig,
-                          n_epochs: int = 3) -> float:
-    """Wall-clock seconds per epoch, with setup cost subtracted out.
-
-    Times an ``n_epochs`` run against an epoch-free run of the same config,
-    so initialization and shuffling do not pollute the per-epoch figure.
-    Each side is the fastest of three runs, since noise from other work on
-    the host only ever adds time.
-    """
-
-    def timed(n: int) -> float:
-        cfg = TrainConfig.from_dict({**config.to_dict(), "n_epoch": n})
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            train(X, y, cfg)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    setup = timed(0)
-    full = timed(n_epochs)
-    return max((full - setup) / n_epochs, 1e-9)

@@ -322,6 +322,62 @@ class TestTrainEvaluatePredict:
         assert "column 2 ('x1')" in err and normalization in err
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_overflow_past_training_range_exits_2(self, tmp_path, capsys,
+                                                  command):
+        # Columns with a standard deviation near 1e-3 turn a 1e308 cell into
+        # inf under the training stats; the score must not come out NaN.
+        X = Rng(5).normal((60, 3), 1e-3)
+        y = np.array([0, 1] * 30)
+        names = ["c0", "c1", "c2"]
+        matrix = FeatureMatrix(X, names, ["rating"] * 3, ["continuous"] * 3)
+        save_features(tmp_path / "feat", matrix, y, [f"u{i}" for i in range(60)])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 1\nbatch_size = 20\nnormalization = zscore\n")
+        assert main(["train", "--features", str(tmp_path / "feat"), "--out",
+                     str(tmp_path / "model"), "--config", str(cfg)]) == 0
+        X[4] = 1e308
+        save_features(tmp_path / "far", dataclasses.replace(matrix, values=X),
+                      y, [f"u{i}" for i in range(60)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--features", str(tmp_path / "far"), "--model",
+                       str(tmp_path / "model" / "model.json"), "--out", str(out)])
+        assert rc == 2
+        assert "column 1 ('c0')" in capsys.readouterr().err
+        assert not (out / "predictions.tsv").exists()
+        assert not (out / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_zero_train_count_exits_2(self, gaussian_features, tmp_path, capsys,
+                                      command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 1\n")
+        rc = main([command, "--features", str(gaussian_features), "--out",
+                   str(tmp_path / "out"), "--config", str(cfg),
+                   "--train-count", "0"])
+        assert rc == 2
+        assert "train_count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "analyze", "predict"])
+    def test_header_only_features_exits_2(self, gaussian_features, run_dir,
+                                          tmp_path, capsys, command):
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        for name in ("manifest.json", "labels.tsv", "features.tsv"):
+            head = (gaussian_features / name).read_text()
+            if name != "manifest.json":
+                head = head.splitlines(keepends=True)[0]
+            (feat / name).write_text(head)
+        args = [command, "--features", str(feat), "--out", str(tmp_path / "out")]
+        if command == "predict":
+            args += ["--model", str(run_dir / "model.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "features.tsv" in err and "no data rows" in err
+
 
 class TestNonUtf8Input:
     def test_bad_byte_names_file_and_line(self, corpus_files, tmp_path, capsys):
@@ -504,6 +560,19 @@ class TestConfigFile:
                    str(tmp_path / "out"), "--config", str(cfg)])
         assert rc == 2
         assert "n_depth must be <=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2(self, gaussian_features, tmp_path, capsys,
+                                   where):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 1\n" + ("seed = -1\n" if where == "config" else ""))
+        args = ["train", "--features", str(gaussian_features), "--out",
+                str(tmp_path / "out"), "--config", str(cfg)]
+        if where == "flag":
+            args += ["--seed", "-1"]
+        assert main(args) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_cli_seed_overrides_config(self, tmp_path, gaussian_features):

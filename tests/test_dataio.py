@@ -627,8 +627,8 @@ class TestFeatureFiles:
         (feat / "labels.tsv").write_text("user_id\tlabel\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match=f"lengths {n_cols}/{n_cols}/"
-                                                 f"{n_cols} do not match width 0"):
+            with pytest.raises(ParseError, match="features.tsv has a header "
+                                                 "but no data rows"):
                 load_features(feat)
         assert not caught
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from spamforest import forest as forest_module, training
 from spamforest.errors import ConfigError, NumericError
 from spamforest.numerics import Rng
-from spamforest.training import (MAX_DEPTH, OptimizerState, TrainConfig,
-                                 _forward_cache, _loss_terms, gradients,
-                                 init_model, joint_loss, parameter_blocks,
-                                 predict, rmsprop_step, train)
+from spamforest.training import (MAX_DEPTH, TrainConfig, _forward_cache,
+                                 _loss_terms, gradients, init_model,
+                                 joint_loss, parameter_blocks, predict,
+                                 rmsprop_step, train)
 
 
 def np_sigmoid(z):
@@ -447,24 +447,13 @@ class TestTwoGaussianLearning:
         assert float((labels == yte).mean()) >= 0.90
 
 
-class TestOptimizerState:
-    def test_zero_initialized_per_block(self, desk_model):
-        # Theta's accumulator is one vector covering every block but the
-        # leaf logits, whose accumulator is stacked like the logits.
-        state = OptimizerState.for_model(desk_model)
-        theta_sizes = [arr.size for name, arr in parameter_blocks(desk_model)
-                       if not name.endswith(".leaf_logits")]
-        assert state.theta.shape == (sum(theta_sizes),)
-        assert state.leaf_logits.shape == desk_model.forest.leaf_logits.shape
-        assert np.all(state.theta == 0)
-        assert np.all(state.leaf_logits == 0)
-
-
 def reference_train(X, y, config):
     """``train`` written block by block, with no flat buffer: rmsprop_step
     on each theta block of ``gradients``' output after every mini-batch,
     leaf logits skipped, then each tree's leaf step from the full-set
-    gradient. Returns (model, losses, accuracies)."""
+    gradient. Every block's accumulator starts at zero, so matching it pins
+    both ``train``'s zero start and its buffer layout. Returns (model,
+    losses, accuracies)."""
     rng = Rng(config.seed)
     model = init_model(config, X.shape[1], rng=rng)
     accum = {name: np.zeros_like(arr) for name, arr in parameter_blocks(model)}
