@@ -21,9 +21,12 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    records, scores = synthetic_review_corpus(
-        n_genuine=args.genuine, n_spammers=args.spammers,
-        n_products=args.products, seed=args.seed)
+    try:
+        records, scores = synthetic_review_corpus(
+            n_genuine=args.genuine, n_spammers=args.spammers,
+            n_products=args.products, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     os.makedirs(args.out, exist_ok=True)
     reviews_path = os.path.join(args.out, "reviews.jsonl")

@@ -21,8 +21,8 @@ from .dataio import (LabeledDataset, apply_normalization, label_and_cap_users,
                      load_features, load_model, load_reviews,
                      load_reviews_delimited, load_spam_scores, normalize,
                      open_text, save_features, save_model, split_train_test)
-from .errors import (ConfigError, FeatureMismatchError, ModelIntegrityError,
-                     ModelVersionError, NumericError, ParseError)
+from .errors import (FeatureMismatchError, ModelIntegrityError,
+                     ModelVersionError, ParseError)
 from .features import SCOPES, FeatureMatrix, build_feature_matrix
 from .metrics import compute_metrics, confusion, write_metrics_report
 from .stats import screen_features, write_histograms, write_screening_report
@@ -37,7 +37,16 @@ split_shuffle_batch = split_train_test
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
 
+# TrainConfig field name -> its annotation, e.g. "int" or "int | None".
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+# An annotation without " | None" -> (parser of the raw text, what it expects).
+_CONFIG_TYPES = {
+    "int": (int, "an integer"), "float": (float, "a number"), "str": (str, "text"),
+    "bool": (lambda raw: _BOOL_STRINGS[raw.lower()], "true or false"),
+    "tuple[int, ...]": (lambda raw: tuple(int(p) for p in raw.split(",") if p.strip()),
+                        "comma-separated integers"),
+}
 
 
 def load_config_file(path) -> dict:
@@ -59,25 +68,18 @@ def load_config_file(path) -> dict:
 
 
 def _parse_config_value(key: str, raw: str, ln: int):
-    if raw.lower() in ("none", ""):
+    """``raw`` read as the type of TrainConfig field ``key``; ``none`` or an
+    empty value is None only where the annotation allows None."""
+    annotation = _CONFIG_FIELDS[key]
+    optional = annotation.endswith(" | None")
+    if optional and raw.lower() in ("none", ""):
         return None
-    if key in ("normalization",):
-        return raw
-    if key in ("reshuffle_each_epoch",):
-        if raw.lower() not in _BOOL_STRINGS:
-            raise ParseError(f"{key} must be true/false, got {raw!r}", ln)
-        return _BOOL_STRINGS[raw.lower()]
-    if key == "ae_widths":
-        try:
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise ParseError(f"{key} must be comma-separated integers", ln) from None
+    parse, expected = _CONFIG_TYPES[annotation.removesuffix(" | None")]
     try:
-        if key in ("learning_rate", "leaf_learning_rate", "epsilon", "init_scale"):
-            return float(raw)
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"invalid value {raw!r} for {key}", ln) from None
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ParseError(f"{key} must be {expected}{' or none' if optional else ''}, "
+                         f"got {raw!r}", ln) from None
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -366,11 +368,10 @@ def main(argv=None) -> int:
         where = f": {exc.filename}" if exc.filename is not None else ""
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
-    except (ParseError, ConfigError, ModelVersionError, ModelIntegrityError,
-            ValueError) as exc:
+    except (ValueError, ModelVersionError, ModelIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 

@@ -26,20 +26,21 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .autoencoder import AutoencoderParams
 from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      ParseError)
 from .features import FeatureMatrix, ReviewRecord
-from .forest import ForestParams
-from .numerics import Layer, Rng
-from .training import Model, TrainConfig, parameter_blocks
+from .numerics import Rng
+from .training import (NORMALIZATION_METHODS, Model, TrainConfig, init_model,
+                       parameter_blocks)
 
 __all__ = [
     "LabeledDataset",
@@ -120,19 +121,22 @@ class LabeledDataset:
 
 @contextmanager
 def open_text(path):
-    """Open a UTF-8 text file for reading. Bytes that are not UTF-8, met
-    anywhere in the block, raise ParseError naming the file and line."""
+    """Open a UTF-8 text file for reading. A ParseError raised in the block,
+    and bytes that are not UTF-8, surface as a ParseError reading
+    ``<path>: line N: <reason>``, with ``line_number`` kept."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh
-    except UnicodeDecodeError as exc:
-        # A UTF-8 character never spans a newline, so lines decode alone;
-        # only a line holding bad bytes changes on a lossy round trip.
-        with open(path, "rb") as fh:
-            line = next((ln for ln, raw in enumerate(fh, start=1)
-                         if raw.decode("utf-8", "ignore").encode() != raw), None)
-        raise ParseError(f"{os.fspath(path)} is not UTF-8 text ({exc.reason})",
-                         line) from None
+    except (UnicodeDecodeError, ParseError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            # A UTF-8 character never spans a newline, so lines decode alone;
+            # only a line holding bad bytes changes on a lossy round trip.
+            with open(path, "rb") as fh:
+                line = next((ln for ln, raw in enumerate(fh, start=1)
+                             if raw.decode("utf-8", "ignore").encode() != raw), None)
+            exc = ParseError(f"not UTF-8 text ({exc.reason})", line)
+        exc.args = (f"{os.fspath(path)}: {exc}",)
+        raise exc from None
 
 
 def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
@@ -213,8 +217,8 @@ def load_reviews_delimited(path, delimiter: str = "\t") -> list[ReviewRecord]:
             fields = dict(zip(header, cells))
             _warn_unknown(fields, seen_unknown, ln)
             records.append(_record_from_fields(fields, ln))
-    if header is None:
-        raise ParseError("file has no header row", 1)
+        if header is None:
+            raise ParseError("file has no header row", 1)
     return records
 
 
@@ -289,7 +293,7 @@ def normalize(features: FeatureMatrix, method: str):
     columns map to all zeros under both methods (scale 1 guard). A column
     whose center or scale overflows float64 raises ValueError naming it.
     """
-    if method not in ("zscore", "minmax", "none"):
+    if method not in NORMALIZATION_METHODS:
         raise ConfigError(f"unknown normalization method {method!r}")
     values = features.values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,15 +369,13 @@ def _tensor_to_json(arr: np.ndarray) -> dict:
             "data": base64.b64encode(data).decode("ascii")}
 
 
-def _tensor_from_json(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    expected = int(np.prod(d["shape"])) if d["shape"] else 1
-    if arr.size != expected:
+def _tensor_from_json(name: str, d: dict) -> np.ndarray:
+    shape, arr = d["shape"], np.frombuffer(base64.b64decode(d["data"]), dtype="<f8")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+            and arr.size == math.prod(shape)):
         raise ModelIntegrityError(
-            f"tensor payload holds {arr.size} values, shape {d['shape']} "
-            f"needs {expected}")
-    return arr.reshape(d["shape"])
+            f"tensor {name} has {arr.size} values, which do not fill shape {shape!r}")
+    return arr.reshape(shape)
 
 
 def _body_checksum(body: dict) -> str:
@@ -402,30 +404,6 @@ def save_model(path, model: Model):
         fh.write(text + "\n")
 
 
-def _collect_layers(tensors: dict, prefix: str) -> list[Layer]:
-    layers = []
-    i = 0
-    while f"{prefix}.{i}.W" in tensors:
-        layers.append(Layer(_tensor_from_json(tensors[f"{prefix}.{i}.W"]),
-                            _tensor_from_json(tensors[f"{prefix}.{i}.b"])))
-        i += 1
-    return layers
-
-
-def _stack_trees(tensors: dict, kind: str) -> np.ndarray:
-    """Per-tree ``tree.{k}.<kind>`` tensors stacked along a leading tree axis."""
-    arrays = []
-    while f"tree.{len(arrays)}.{kind}" in tensors:
-        arrays.append(_tensor_from_json(tensors[f"tree.{len(arrays)}.{kind}"]))
-    if not arrays:
-        raise ModelIntegrityError(f"model file has no tree.0.{kind} tensor")
-    if len({a.shape for a in arrays}) > 1:
-        raise ModelIntegrityError(
-            f"per-tree {kind} tensors do not stack to one shape: "
-            f"{[a.shape for a in arrays]}")
-    return np.stack(arrays)
-
-
 def load_model(path) -> Model:
     """Load a model file; bit-exact inverse of save_model."""
     try:
@@ -449,23 +427,35 @@ def load_model(path) -> Model:
         raise ModelIntegrityError(f"model file body lacks {', '.join(missing)}")
 
     try:
-        config = TrainConfig.from_dict(body["config"])
-        tensors = body["tensors"]
-        encoder = _collect_layers(tensors, "encoder")
-        decoder = _collect_layers(tensors, "decoder")
-        forest = ForestParams(_stack_trees(tensors, "routing"),
-                              _stack_trees(tensors, "leaf_logits"),
-                              _collect_layers(tensors, "fc"))
-        norm_stats = (NormStats.from_dict(body["norm_stats"])
-                      if body.get("norm_stats") else None)
-    except (KeyError, TypeError) as exc:
+        tensors = {name: _tensor_from_json(name, t)
+                   for name, t in body["tensors"].items()}
+        if "encoder.0.W" not in tensors or tensors["encoder.0.W"].ndim != 2:
+            raise ModelIntegrityError(
+                "model file needs a 2-D tensor encoder.0.W (width, n_features)")
+        # The model the config describes. Every tensor is filled from the
+        # file below, so none is drawn (nor numpy.random imported, ~6 MB).
+        model = init_model(TrainConfig.from_dict(body["config"]),
+                           tensors["encoder.0.W"].shape[1],
+                           rng=SimpleNamespace(normal=lambda shape, _: np.zeros(shape)),
+                           n_classes=body["n_classes"])
+        model.norm_stats = (NormStats.from_dict(body["norm_stats"])
+                            if body.get("norm_stats") else None)
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ModelIntegrityError(
             f"model file body is incomplete: {type(exc).__name__} {exc}") from None
-    model = Model(AutoencoderParams(encoder, decoder), forest, config,
-                  norm_stats=norm_stats,
-                  manifest_version=body.get("manifest_version"),
-                  feature_names=body["feature_names"])
-    names = model.feature_names
+    blocks = dict(parameter_blocks(model))
+    for name in sorted(blocks.keys() | tensors.keys()):
+        if name not in blocks or name not in tensors:
+            held = "lacks" if name in blocks else "holds an extra"
+            raise ModelIntegrityError(
+                f"model file {held} tensor {name} for the model its config describes")
+        if tensors[name].shape != blocks[name].shape:
+            raise ModelIntegrityError(
+                f"tensor {name} has shape {list(tensors[name].shape)}; the "
+                f"model its config describes needs {list(blocks[name].shape)}")
+        blocks[name][...] = tensors[name]
+    model.manifest_version = body.get("manifest_version")
+    model.feature_names = names = body["feature_names"]
     if names is not None and (
             not isinstance(names, list) or len(names) != model.n_features
             or not all(isinstance(n, str) for n in names)):
@@ -520,15 +510,14 @@ def _parse_feature_rows(path, names: list[str]) -> np.ndarray:
             except ValueError as exc:
                 raise ParseError(str(exc), ln) from None
             line_numbers.append(ln)
-    if not rows:
-        raise ParseError(f"{path} has a header but no data rows")
-    values = np.array(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        i, j = bad[0]
-        raise ParseError(
-            f"features.tsv column {j + 1} ({names[j]!r}) is not finite: "
-            f"{float(values[i, j])!r}", line_numbers[i])
+        if not rows:
+            raise ParseError("header but no data rows")
+        values = np.array(rows, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            i, j = bad[0]
+            raise ParseError(f"column {j + 1} ({names[j]!r}) is not finite: "
+                             f"{float(values[i, j])!r}", line_numbers[i])
     return values
 
 
@@ -537,23 +526,21 @@ def load_features(in_dir) -> LabeledDataset:
     with open_text(os.path.join(in_dir, "manifest.json")) as fh:
         try:
             manifest = json.load(fh)
+            version = manifest["manifest_version"]
+            names, scopes, kinds = ([f[key] for f in manifest["features"]]
+                                    for key in ("name", "scope", "kind"))
         except json.JSONDecodeError as exc:
-            raise ParseError(f"manifest.json is not valid JSON ({exc.msg})",
-                             exc.lineno) from None
-    try:
-        version = manifest["manifest_version"]
-        names, scopes, kinds = ([f[key] for f in manifest["features"]]
-                                for key in ("name", "scope", "kind"))
-    except KeyError as exc:
-        raise ParseError(f"manifest.json lacks {exc}") from None
-    except TypeError:
-        raise ParseError("manifest.json must be an object whose 'features' "
-                         "list holds name/scope/kind objects") from None
+            raise ParseError(f"not valid JSON ({exc.msg})", exc.lineno) from None
+        except KeyError as exc:
+            raise ParseError(f"lacks {exc}") from None
+        except TypeError:
+            raise ParseError("must be an object whose 'features' list holds "
+                             "name/scope/kind objects") from None
 
     path = os.path.join(in_dir, "features.tsv")
     with open_text(path) as fh:
         if fh.readline().rstrip("\n").split("\t") != names:
-            raise ParseError("features.tsv header does not match manifest.json", 1)
+            raise ParseError("header does not match manifest.json", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # an empty body only warns
             try:  # np.loadtxt rounds as float() does
@@ -567,7 +554,7 @@ def load_features(in_dir) -> LabeledDataset:
     with open_text(os.path.join(in_dir, "labels.tsv")) as fh:
         header_line = fh.readline()
         if header_line.strip() != "user_id\tlabel":
-            raise ParseError("labels.tsv must start with 'user_id\\tlabel'", 1)
+            raise ParseError("header must be 'user_id\\tlabel'", 1)
         for ln, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

@@ -6,12 +6,13 @@ features go through the Pearson chi-squared contingency test. A paired
 signed-rank test is also provided, plus a paper-literal screening mode
 that pairs the two groups after trimming them to equal length.
 
-Both rank tests are exact for small samples: when the total count is at
-most ``EXACT_LIMIT`` the full permutation distribution is built by dynamic
-programming over twice-scaled ranks (mid-ranks are halves, so doubling
-makes them integers). Larger samples use the normal approximation with tie
-correction and a 0.5 continuity correction. In exact mode the two-sided
-p-value is min(1, 2 * min(one-sided)).
+Both rank tests run on one engine: a statistic that sums a subset of the
+ranks, of size n_a for the rank-sum and of any size for the signed-rank.
+With at most ``EXACT_LIMIT`` ranks one dynamic program counts the subsets
+of twice-scaled ranks (mid-ranks are halves, so doubling makes them
+integers) by size and sum, and the tails are exact, the two-sided p-value
+being min(1, 2 * min(one-sided)). Larger samples use the normal
+approximation with tie correction and a 0.5 continuity correction.
 
 Group convention for screening: group a holds the label-1 (spam) rows, so
 a small ``p_less`` means the feature runs lower for spammers.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -88,20 +88,44 @@ def _result(name, statistic, p_two, p_less, p_greater, method, note=""):
 
 
 # ---------------------------------------------------------------------------
-# Rank-sum (independent samples)
+# Rank tests
 
 
-def _rank_sum_exact_dist(ranks2: np.ndarray, n_a: int) -> dict[int, int]:
-    """Counts of each doubled rank-sum over all size-n_a subsets (DP)."""
-    total = int(ranks2.sum())
-    # dp[k][s] = number of size-k subsets with doubled-rank sum s
-    dp = [np.zeros(total + 1, dtype=np.int64) for _ in range(n_a + 1)]
-    dp[0][0] = 1
-    for r in ranks2:
-        r = int(r)
-        for k in range(n_a, 0, -1):  # descending so each rank is used once
-            dp[k][r:] += dp[k - 1][: total + 1 - r]
-    return {s: int(c) for s, c in enumerate(dp[n_a]) if c > 0}
+def _tie_term(values: np.ndarray) -> float:
+    """sum(t^3 - t) over the tie groups of ``values``."""
+    _, counts = np.unique(values, return_counts=True)
+    return float((counts.astype(np.float64) ** 3 - counts).sum())
+
+
+def _rank_test(name, test, statistic, ranks, size, mean, var, degenerate):
+    """The TestResult of a statistic summing ``size`` of the ``ranks`` (any
+    number when None): exact, or N(mean, var) with p = 1 and the note
+    ``degenerate`` when var <= 0."""
+    if len(ranks) <= EXACT_LIMIT:
+        # counts[k, s]: the number of size-k subsets of the doubled ranks
+        # summing to s. The right side is read before the write, so each
+        # rank joins a subset at most once.
+        ranks2 = np.rint(ranks * 2).astype(np.int64)
+        total = int(ranks2.sum())
+        counts = np.zeros((len(ranks2) + 1, total + 1), dtype=np.int64)
+        counts[0, 0] = 1
+        for r in ranks2:
+            counts[1:, r:] = counts[1:, r:] + counts[:-1, : total + 1 - r]
+        dist = counts.sum(axis=0) if size is None else counts[size]
+        w2 = int(round(statistic * 2))
+        p_less = int(dist[: w2 + 1].sum()) / int(dist.sum())
+        p_greater = int(dist[w2:].sum()) / int(dist.sum())
+        p_two = min(1.0, 2.0 * min(p_less, p_greater))
+        return _result(name, statistic, p_two, p_less, p_greater, f"{test}-exact")
+    if var <= 0:
+        return _result(name, statistic, 1.0, 1.0, 1.0, f"{test}-normal",
+                       note=degenerate)
+    sd = var ** 0.5
+    p_greater = norm_sf((statistic - 0.5 - mean) / sd)
+    p_less = norm_sf(-(statistic + 0.5 - mean) / sd)
+    z_abs = max(abs(statistic - mean) - 0.5, 0.0) / sd
+    p_two = min(1.0, 2.0 * norm_sf(z_abs))
+    return _result(name, statistic, p_two, p_less, p_greater, f"{test}-normal")
 
 
 def rank_sum_test(group_a, group_b, feature_name: str = "") -> TestResult:
@@ -121,48 +145,11 @@ def rank_sum_test(group_a, group_b, feature_name: str = "") -> TestResult:
     ranks = _midranks(pooled)
     n_a, n_b = a.size, b.size
     n = n_a + n_b
-    w = float(ranks[:n_a].sum())
-
-    if n <= EXACT_LIMIT:
-        ranks2 = np.rint(ranks * 2).astype(np.int64)
-        dist = _rank_sum_exact_dist(ranks2, n_a)
-        total = comb(n, n_a)
-        w2 = int(round(w * 2))
-        p_less = sum(c for s, c in dist.items() if s <= w2) / total
-        p_greater = sum(c for s, c in dist.items() if s >= w2) / total
-        p_two = min(1.0, 2.0 * min(p_less, p_greater))
-        return _result(feature_name, w, p_two, p_less, p_greater, "rank-sum-exact")
-
-    mean = n_a * (n + 1) / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
-    var = n_a * n_b * (n + 1) / 12.0 - n_a * n_b * tie_term / (12.0 * n * (n - 1))
-    if var <= 0:
-        return _result(feature_name, w, 1.0, 1.0, 1.0, "rank-sum-normal",
-                       note="degenerate: all pooled values tied")
-    sd = var ** 0.5
-    p_greater = norm_sf((w - 0.5 - mean) / sd)
-    p_less = norm_sf(-(w + 0.5 - mean) / sd)
-    z_abs = max(abs(w - mean) - 0.5, 0.0) / sd
-    p_two = min(1.0, 2.0 * norm_sf(z_abs))
-    return _result(feature_name, w, p_two, p_less, p_greater, "rank-sum-normal")
-
-
-# ---------------------------------------------------------------------------
-# Signed-rank (paired samples)
-
-
-def _signed_rank_exact_dist(ranks2: np.ndarray) -> dict[int, int]:
-    """Counts of each doubled positive-rank sum over all 2^n sign patterns."""
-    total = int(ranks2.sum())
-    dp = np.zeros(total + 1, dtype=np.int64)
-    dp[0] = 1
-    for r in ranks2:
-        r = int(r)
-        new = dp.copy()
-        new[r:] += dp[: total + 1 - r]
-        dp = new
-    return {s: int(c) for s, c in enumerate(dp) if c > 0}
+    var = (n_a * n_b * (n + 1) / 12.0
+           - n_a * n_b * _tie_term(pooled) / (12.0 * n * (n - 1)))
+    return _rank_test(feature_name, "rank-sum", float(ranks[:n_a].sum()), ranks,
+                      n_a, n_a * (n + 1) / 2.0, var,
+                      "degenerate: all pooled values tied")
 
 
 def signed_rank_test(paired_diffs, feature_name: str = "") -> TestResult:
@@ -178,33 +165,10 @@ def signed_rank_test(paired_diffs, feature_name: str = "") -> TestResult:
 
     n = diffs.size
     ranks = _midranks(np.abs(diffs))
-    w_plus = float(ranks[diffs > 0].sum())
-
-    if n <= EXACT_LIMIT:
-        ranks2 = np.rint(ranks * 2).astype(np.int64)
-        dist = _signed_rank_exact_dist(ranks2)
-        total = 2 ** n
-        w2 = int(round(w_plus * 2))
-        p_less = sum(c for s, c in dist.items() if s <= w2) / total
-        p_greater = sum(c for s, c in dist.items() if s >= w2) / total
-        p_two = min(1.0, 2.0 * min(p_less, p_greater))
-        return _result(feature_name, w_plus, p_two, p_less, p_greater,
-                       "signed-rank-exact")
-
-    mean = n * (n + 1) / 4.0
-    _, counts = np.unique(np.abs(diffs), return_counts=True)
-    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-    if var <= 0:
-        return _result(feature_name, w_plus, 1.0, 1.0, 1.0, "signed-rank-normal",
-                       note="degenerate: all absolute differences tied at zero variance")
-    sd = var ** 0.5
-    p_greater = norm_sf((w_plus - 0.5 - mean) / sd)
-    p_less = norm_sf(-(w_plus + 0.5 - mean) / sd)
-    z_abs = max(abs(w_plus - mean) - 0.5, 0.0) / sd
-    p_two = min(1.0, 2.0 * norm_sf(z_abs))
-    return _result(feature_name, w_plus, p_two, p_less, p_greater,
-                   "signed-rank-normal")
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(diffs)) / 48.0
+    return _rank_test(feature_name, "signed-rank", float(ranks[diffs > 0].sum()),
+                      ranks, None, n * (n + 1) / 4.0, var,
+                      "degenerate: all absolute differences tied at zero variance")
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +236,25 @@ def screen_features(features: FeatureMatrix, labels,
     results = []
     for j, name in enumerate(features.names):
         col = features.values[:, j]
-        if np.all(col == col[0]):
-            results.append(_result(name, 0.0, 1.0, 1.0, 1.0, "degenerate",
-                                   note="degenerate: constant feature"))
-            continue
-        if features.kinds[j] == "categorical":
-            values = np.unique(col)
-            table = np.array([
-                [(genuine[:, j] == v).sum(), (spam[:, j] == v).sum()]
-                for v in values
-            ])
-            try:
+        try:
+            if np.all(col == col[0]):
+                raise DegenerateInputError("constant feature")
+            if features.kinds[j] == "categorical":
+                table = np.array([
+                    [(genuine[:, j] == v).sum(), (spam[:, j] == v).sum()]
+                    for v in np.unique(col)
+                ])
                 results.append(chi_squared_test(table, feature_name=name))
-            except DegenerateInputError as exc:
-                results.append(_result(name, 0.0, 1.0, 1.0, 1.0, "degenerate",
-                                       note=f"degenerate: {exc}"))
-        elif paired_mode:
-            k = min(spam.shape[0], genuine.shape[0])
-            diffs = np.sort(spam[:, j])[:k] - np.sort(genuine[:, j])[:k]
-            try:
+            elif paired_mode:
+                k = min(spam.shape[0], genuine.shape[0])
+                diffs = np.sort(spam[:, j])[:k] - np.sort(genuine[:, j])[:k]
                 results.append(signed_rank_test(diffs, feature_name=name))
-            except DegenerateInputError as exc:
-                results.append(_result(name, 0.0, 1.0, 1.0, 1.0, "degenerate",
-                                       note=f"degenerate: {exc}"))
-        else:
-            results.append(rank_sum_test(spam[:, j], genuine[:, j],
-                                         feature_name=name))
+            else:
+                results.append(rank_sum_test(spam[:, j], genuine[:, j],
+                                             feature_name=name))
+        except DegenerateInputError as exc:
+            results.append(_result(name, 0.0, 1.0, 1.0, 1.0, "degenerate",
+                                   note=f"degenerate: {exc}"))
     return results
 
 

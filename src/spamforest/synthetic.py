@@ -52,6 +52,10 @@ _SPAM_TEXTS = (
     "Perfect. Great. Wonderful. Five stars.",
     "This is the best thing I have ever bought, totally perfect and amazing.",
 )
+# Each user reviews a number of distinct products drawn from [low, high).
+_GENUINE_REVIEWS = (4, 12)
+_SPAM_REVIEWS = (6, 15)
+
 _NAMES = ("alice", "david", "susan", "james", "karen", "peter", "laura",
           "kevin", "rachel", "thomas")
 
@@ -64,8 +68,14 @@ def synthetic_review_corpus(n_genuine: int = 40, n_spammers: int = 40,
     reviews; spammers blast 4-5 star reviews of near-identical text into a
     short window, early in each product's life. Returns
     ``(records, spam_scores)`` where spam_scores maps user_id to a score in
-    [0, 1] (>= 0.5 marks a spammer).
+    [0, 1] (>= 0.5 marks a spammer). ``n_products`` must cover the most
+    reviews one user can draw (14 for a spammer, 11 for a genuine user).
     """
+    most = max(_SPAM_REVIEWS[1] - 1 if n_spammers > 0 else 0,
+               _GENUINE_REVIEWS[1] - 1 if n_genuine > 0 else 0)
+    if n_products < most:
+        raise ValueError(f"n_products must be at least {most}, the most reviews "
+                         f"one user can draw, got {n_products}")
     rng = Rng(seed)
     gen = rng._gen
     records: list[ReviewRecord] = []
@@ -79,7 +89,7 @@ def synthetic_review_corpus(n_genuine: int = 40, n_spammers: int = 40,
         uid = f"gen{i:03d}"
         scores[uid] = float(gen.uniform(0.0, 0.4))
         name = _NAMES[int(gen.integers(0, len(_NAMES)))]
-        n_rev = int(gen.integers(4, 12))
+        n_rev = int(gen.integers(*_GENUINE_REVIEWS))
         products = gen.choice(product_ids, size=n_rev, replace=False)
         base_day = int(gen.integers(0, 2000))
         for p in products:
@@ -99,7 +109,7 @@ def synthetic_review_corpus(n_genuine: int = 40, n_spammers: int = 40,
     for i in range(n_spammers):
         uid = f"spam{i:03d}"
         scores[uid] = float(gen.uniform(0.5, 1.0))
-        n_rev = int(gen.integers(6, 15))
+        n_rev = int(gen.integers(*_SPAM_REVIEWS))
         products = gen.choice(product_ids, size=n_rev, replace=False)
         burst_day = int(gen.integers(0, 3500))
         for p in products:

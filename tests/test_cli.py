@@ -172,7 +172,7 @@ class TestAnalyze:
         rc = main(["analyze", "--features", str(feat),
                    "--out", str(tmp_path / "screen")])
         assert rc == 2
-        assert "manifest.json lacks 'features'" in capsys.readouterr().err
+        assert f"{feat / 'manifest.json'}: lacks 'features'" in capsys.readouterr().err
 
     def test_paired_mode_flag(self, tmp_path):
         labels = np.array([0] * 8 + [1] * 8)
@@ -390,7 +390,7 @@ class TestNonUtf8Input:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: ") and str(bad) in err
+        assert err.startswith(f"error: {bad}: line 3: ")
         assert "UTF-8" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["features.tsv", "labels.tsv",
@@ -406,14 +406,14 @@ class TestNonUtf8Input:
         assert main(["analyze", "--features", str(feat), "--out",
                      str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: ") and name in err
+        assert err.startswith(f"error: {feat / name}: line 3: ")
 
     def test_config_and_model_files(self, run_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_bytes(b"n_epoch = 1\n# note\nseed = 2 # \xe9\n")
         assert main(["train", "--features", str(run_dir / "heldout"), "--out",
                      str(tmp_path / "out"), "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: line 3: ")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: line 3: ")
         model = tmp_path / "model.json"
         lines = (run_dir / "model.json").read_bytes().splitlines(keepends=True)
         lines[2] = lines[2].replace(b'"', b'"\xc3', 1)
@@ -421,7 +421,7 @@ class TestNonUtf8Input:
         assert main(["predict", "--features", str(run_dir / "heldout"),
                      "--model", str(model), "--out", str(tmp_path / "p")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: ") and "model.json" in err
+        assert err.startswith(f"error: {model}: line 3: ")
 
 
 class TestOSErrors:
@@ -583,6 +583,80 @@ class TestConfigFile:
                      str(out), "--config", str(cfg), "--seed", "9",
                      "--train-count", "100"]) == 0
         assert "seed = 9" in (out / "config.txt").read_text()
+
+    def test_normalization_none_trains(self, gaussian_features, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 1\nnormalization = none\n")
+        out = tmp_path / "out"
+        assert main(["train", "--features", str(gaussian_features), "--out",
+                     str(out), "--config", str(cfg)]) == 0
+        assert "normalization = none\n" in (out / "config.txt").read_text()
+        assert json.loads((out / "model.json").read_text())["body"][
+            "norm_stats"]["method"] == "none"
+
+    @pytest.mark.parametrize("line, key", [
+        ("seed = none", "seed"), ("n_tree = none", "n_tree"),
+        ("n_epoch =", "n_epoch"),
+        ("reshuffle_each_epoch = none", "reshuffle_each_epoch")])
+    def test_none_for_a_non_optional_key_exits_2(self, gaussian_features,
+                                                 tmp_path, capsys, line, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n_epoch = 1\n{line}\n")
+        assert main(["train", "--features", str(gaussian_features), "--out",
+                     str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: line 2: {key} must be ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", ["none", "None", ""])
+    def test_none_reads_as_none_for_optional_keys(self, tmp_path, raw):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"ae_widths = {raw}\nfc_width = {raw}\n")
+        assert load_config_file(cfg) == {"ae_widths": None, "fc_width": None}
+
+
+class TestParseErrorsNameTheFile:
+    """A malformed line in any text input is reported as
+    ``error: <path>: line N: <reason>``."""
+
+    REVIEW = record_json(ReviewRecord("u0", "p0", 4, 1, 2, 100, "books",
+                                      "fine", "good")) + "\n"
+
+    @pytest.mark.parametrize("reviews, scores, delimited, bad, where", [
+        (REVIEW, "u0\t0.1\nu1\tabc\n", False, "scores",
+         "line 2: score must be a number"),
+        (REVIEW + "{not json\n", "u0\t0.1\n", False, "reviews",
+         "line 2: invalid JSON"),
+        ("user_id\tproduct_id\nu0\n", "u0\t0.1\n", True, "reviews",
+         "line 2: expected 2 columns, got 1"),
+        ("\n", "u0\t0.1\n", True, "reviews", "line 1: file has no header row"),
+    ], ids=["scores", "reviews-jsonl", "reviews-delimited", "delimited-no-header"])
+    def test_extract_inputs(self, tmp_path, capsys, reviews, scores, delimited,
+                            bad, where):
+        paths = {"reviews": tmp_path / "reviews", "scores": tmp_path / "scores"}
+        paths["reviews"].write_text(reviews)
+        paths["scores"].write_text(scores)
+        args = ["extract", "--reviews", str(paths["reviews"]), "--scores",
+                str(paths["scores"]), "--out", str(tmp_path / "out")]
+        assert main(args + ["--delimited"] * delimited) == 2
+        assert capsys.readouterr().err.startswith(f"error: {paths[bad]}: {where}")
+
+    @pytest.mark.parametrize("name, where", [
+        ("features.tsv", "line 3: could not convert string to float: 'x'"),
+        ("labels.tsv", "line 3: expected 'user_id<TAB>0|1'")])
+    def test_feature_directory(self, gaussian_features, tmp_path, capsys,
+                               name, where):
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        for f in ("features.tsv", "labels.tsv", "manifest.json"):
+            (feat / f).write_bytes((gaussian_features / f).read_bytes())
+        lines = (feat / name).read_text().splitlines(keepends=True)
+        lines[2] = "x\tx\n"
+        (feat / name).write_text("".join(lines))
+        assert main(["analyze", "--features", str(feat), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {feat / name}: {where}")
 
 
 def scoped_dataset(seed=4, n=240):

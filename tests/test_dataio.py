@@ -23,8 +23,8 @@ from spamforest.errors import (ConfigError, ModelIntegrityError,
                                ModelVersionError, ParseError)
 from spamforest.features import FeatureMatrix, ReviewRecord
 from spamforest.numerics import Rng
-from spamforest.training import (TrainConfig, parameter_blocks, predict,
-                                 train)
+from spamforest.training import (TrainConfig, init_model, parameter_blocks,
+                                 predict, train)
 
 
 def rec(user="u1", product="p1", rating=4, day=10, category="books"):
@@ -482,7 +482,56 @@ class TestModelSerialization:
                 raw[: (rows - 1) * width * 8]).decode("ascii")
 
         self.rewrite_body(path, shrink_tree1)
-        with pytest.raises(ModelIntegrityError, match="routing.*stack"):
+        with pytest.raises(ModelIntegrityError,
+                           match=r"tensor tree\.1\.routing has shape \[2, \d+\]; "
+                                 r"the model its config describes needs \[3, \d+\]"):
+            load_model(path)
+
+    def test_config_with_more_trees_than_tensors_is_integrity_error(self,
+                                                                     tmp_path):
+        # The config says 5 trees; the file holds tree 0-3's tensors only.
+        model = init_model(TrainConfig(n_tree=5, n_depth=2, seed=1), 6)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+
+        def drop_tree4(body):
+            for kind in ("routing", "leaf_logits"):
+                del body["tensors"][f"tree.4.{kind}"]
+
+        self.rewrite_body(path, drop_tree4)
+        with pytest.raises(ModelIntegrityError, match=r"lacks tensor tree\.4\."):
+            load_model(path)
+
+    def test_extra_tensor_is_integrity_error(self, trained_desk, tmp_path):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+
+        def add_tree2(body):
+            body["tensors"]["tree.2.routing"] = body["tensors"]["tree.1.routing"]
+
+        self.rewrite_body(path, add_tree2)
+        with pytest.raises(ModelIntegrityError,
+                           match=r"holds an extra tensor tree\.2\.routing"):
+            load_model(path)
+
+    @pytest.mark.parametrize("shape", [["6", 3], [3.0, 6], [18], []],
+                             ids=["string", "float", "1-d", "scalar"])
+    def test_malformed_first_encoder_shape_is_integrity_error(self, trained_desk,
+                                                              tmp_path, shape):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+
+        def reshape(body):
+            # The (3, 6) tensor's 18 values, or one value for the scalar.
+            tensor = body["tensors"]["encoder.0.W"]
+            tensor["shape"] = shape
+            if shape == []:
+                tensor["data"] = base64.b64encode(b"\0" * 8).decode("ascii")
+
+        self.rewrite_body(path, reshape)
+        with pytest.raises(ModelIntegrityError, match=r"encoder\.0\.W"):
             load_model(path)
 
 
@@ -541,24 +590,24 @@ class TestFeatureFiles:
         lines[3] = "\t".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError,
-                           match=r"line 4: features.tsv column 3 \('c'\)") as err:
+                           match=r"features.tsv: line 4: column 3 \('c'\)") as err:
             load_features(tmp_path / "feat")
         assert err.value.line_number == 4
 
     @pytest.mark.parametrize("text, message", [
-        ('{"manifest_version": 1}', "manifest.json lacks 'features'"),
+        ('{"manifest_version": 1}', "manifest.json: lacks 'features'"),
         ('{"features": [{"name": "a", "scope": "rating", "kind": "continuous"}]}',
-         "manifest.json lacks 'manifest_version'"),
+         "manifest.json: lacks 'manifest_version'"),
         ('{"manifest_version": 1, "features": [{"scope": "rating", '
-         '"kind": "continuous"}]}', "manifest.json lacks 'name'"),
+         '"kind": "continuous"}]}', "manifest.json: lacks 'name'"),
         ('{"manifest_version": 1, "features": [{"name": "a", '
-         '"kind": "continuous"}]}', "manifest.json lacks 'scope'"),
+         '"kind": "continuous"}]}', "manifest.json: lacks 'scope'"),
         ('{"manifest_version": 1, "features": [{"name": "a", '
-         '"scope": "rating"}]}', "manifest.json lacks 'kind'"),
+         '"scope": "rating"}]}', "manifest.json: lacks 'kind'"),
         ('{"manifest_version": 1, "features": "abc"}',
-         "manifest.json must be an object"),
-        ("[]", "manifest.json must be an object"),
-        ('{"features": [', "line 1: manifest.json is not valid JSON"),
+         "manifest.json: must be an object"),
+        ("[]", "manifest.json: must be an object"),
+        ('{"features": [', "manifest.json: line 1: not valid JSON"),
     ], ids=["no-features", "no-version", "no-name", "no-scope", "no-kind",
             "features-string", "top-level-list", "invalid-json"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, rng, text,
@@ -579,10 +628,9 @@ class TestFeatureFiles:
         ("1\t\t3", "line 4: could not convert string to float: ''"),
         ("1\t#\t3", "line 4: could not convert string to float: '#'"),
         ("#1\t2\t3", "line 4: could not convert string to float: '#1'"),
-        ("1\tnan\t3", "line 4: features.tsv column 2 ('b') is not finite: nan"),
-        ("1\tinf\t3", "line 4: features.tsv column 2 ('b') is not finite: inf"),
-        ("1\t1e400\t3",
-         "line 4: features.tsv column 2 ('b') is not finite: inf"),
+        ("1\tnan\t3", "line 4: column 2 ('b') is not finite: nan"),
+        ("1\tinf\t3", "line 4: column 2 ('b') is not finite: inf"),
+        ("1\t1e400\t3", "line 4: column 2 ('b') is not finite: inf"),
         ("1\t1_0\t3", 10.0),
         ("1\t \u0661 \t3", 1.0),
         ("1\t 2.5\t3", 2.5),
@@ -594,7 +642,8 @@ class TestFeatureFiles:
         if isinstance(outcome, str):
             with pytest.raises(ParseError) as err:
                 load_features(feat)
-            assert str(err.value) == outcome and err.value.line_number == 4
+            assert str(err.value) == f"{feat / 'features.tsv'}: {outcome}"
+            assert err.value.line_number == 4
         else:
             values = load_features(feat).features.values
             assert values.shape == (4, 3) and values[2, 1] == outcome
@@ -616,7 +665,8 @@ class TestFeatureFiles:
         (feat / "features.tsv").write_text("a\tb\tc\n1\t2\n3\t4\n")
         with pytest.raises(ParseError) as err:
             load_features(feat)
-        assert str(err.value) == "line 2: expected 3 columns, got 2"
+        assert str(err.value) == \
+            f"{feat / 'features.tsv'}: line 2: expected 3 columns, got 2"
 
     @pytest.mark.parametrize("n_cols", [1, 3])
     def test_header_only_file_as_line_parse_without_warning(self, tmp_path,
@@ -627,9 +677,9 @@ class TestFeatureFiles:
         (feat / "labels.tsv").write_text("user_id\tlabel\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ParseError, match="features.tsv has a header "
-                                                 "but no data rows"):
+            with pytest.raises(ParseError) as err:
                 load_features(feat)
+        assert str(err.value) == f"{feat / 'features.tsv'}: header but no data rows"
         assert not caught
 
     @settings(max_examples=80, deadline=None)

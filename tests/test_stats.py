@@ -117,6 +117,29 @@ class TestRankSumNormal:
         r = rank_sum_test([3.0] * 10, [3.0] * 10)
         assert r.p_two_sided == 1.0
 
+    def test_tails_follow_tie_corrected_formula(self):
+        # n = 17 > EXACT_LIMIT, with tie groups of sizes 2, 4, 3, 2 and 2.
+        a = [1, 2, 2, 3, 3, 3, 5, 8]
+        b = [3, 4, 4, 4, 5, 6, 7, 7, 9]
+        n_a, n_b = len(a), len(b)
+        n = n_a + n_b
+        w = loop_midranks(np.array(a + b, dtype=np.float64))[:n_a].sum()
+        _, t = np.unique(a + b, return_counts=True)
+        mean = n_a * (n + 1) / 2
+        var = n_a * n_b / 12 * ((n + 1) - (t ** 3 - t).sum() / (n * (n - 1)))
+        sd = math.sqrt(var)
+
+        def upper(z):  # P(Z > z) for a standard normal Z
+            return 0.5 * math.erfc(z / math.sqrt(2))
+
+        r = rank_sum_test(a, b)
+        assert r.method == "rank-sum-normal" and r.statistic == w
+        assert r.p_greater == pytest.approx(upper((w - 0.5 - mean) / sd), rel=1e-12)
+        assert r.p_less == pytest.approx(upper((mean - w - 0.5) / sd), rel=1e-12)
+        assert r.p_two_sided == pytest.approx(
+            2 * upper((abs(w - mean) - 0.5) / sd), rel=1e-12)
+        assert r.p_less < 0.05 < r.p_greater
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30),
            st.lists(st.floats(-50, 50), min_size=1, max_size=30))
