@@ -41,7 +41,3 @@ class AutoencoderParams:
     @property
     def input_dim(self) -> int:
         return self.encoder[0].in_dim
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.encoder[-1].out_dim

@@ -1,10 +1,12 @@
 """Batch command-line interface.
 
 Subcommands: extract, analyze, train, evaluate, predict, ablate. Every
-command takes --out (output directory), most take --config (key = value
-text mirroring TrainConfig field names) and --seed (overrides the config
-seed); the effective configuration is echoed into every output directory
-as config.txt, so a run is reproducible from its own outputs.
+command takes --out (output directory). train and ablate take --config
+(key = value text mirroring TrainConfig field names); extract, train and
+ablate take --seed (the subsample seed for extract, an override of the
+config seed for the other two). The effective configuration is echoed into
+every output directory as config.txt, so a run is reproducible from its
+own outputs.
 
 Exit codes: 0 success, 1 numeric/runtime failure, 2 input or config error.
 """
@@ -23,7 +25,7 @@ from .dataio import (LabeledDataset, apply_normalization, label_and_cap_users,
                      open_text, save_features, save_model, split_train_test)
 from .errors import (FeatureMismatchError, ModelIntegrityError,
                      ModelVersionError, ParseError)
-from .features import SCOPES, FeatureMatrix, build_feature_matrix
+from .features import SCOPES, build_feature_matrix
 from .metrics import compute_metrics, confusion, write_metrics_report
 from .stats import screen_features, write_histograms, write_screening_report
 from .training import Model, TrainConfig, predict, train
@@ -84,7 +86,7 @@ def _parse_config_value(key: str, raw: str, ln: int):
 
 def _resolve_config(args) -> TrainConfig:
     values = load_config_file(args.config) if args.config else {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         values["seed"] = args.seed
     return TrainConfig(**values)
 
@@ -93,8 +95,8 @@ def _echo_config(out_dir, command: str, config: TrainConfig | None, extras: dict
     os.makedirs(out_dir, exist_ok=True)
     lines = [f"command = {command}"]
     if config is not None:
-        for key, val in sorted(config.to_dict().items()):
-            if isinstance(val, list):
+        for key, val in sorted(dataclasses.asdict(config).items()):
+            if isinstance(val, tuple):
                 val = ",".join(str(v) for v in val)
             lines.append(f"{key} = {val}")
     for key, val in sorted(extras.items()):
@@ -107,17 +109,20 @@ def _echo_config(out_dir, command: str, config: TrainConfig | None, extras: dict
 # Commands
 
 
+def _rows(matrix, idx):
+    return dataclasses.replace(matrix, values=matrix.values[idx])
+
+
 def cmd_extract(args) -> int:
     loader = load_reviews_delimited if args.delimited else load_reviews
     records = loader(args.reviews)
     scores = load_spam_scores(args.scores)
-    seed = args.seed if args.seed is not None else 0
     capped, row_labels, _ = label_and_cap_users(records, scores,
-                                                cap=args.cap, seed=seed)
+                                                cap=args.cap, seed=args.seed)
     matrix, user_ids = build_feature_matrix(capped)
     save_features(args.out, matrix, row_labels, user_ids)
     _echo_config(args.out, "extract", None,
-                 {"cap": args.cap, "seed": seed, "reviews": args.reviews,
+                 {"cap": args.cap, "seed": args.seed, "reviews": args.reviews,
                   "scores": args.scores})
     print(f"wrote {matrix.n_rows} rows x {matrix.n_features} features to {args.out}")
     return 0
@@ -147,9 +152,7 @@ def cmd_train(args) -> int:
     train_count = ds.n_rows if args.train_count is None else args.train_count
 
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
-    train_matrix = dataclasses.replace(ds.features,
-                                       values=ds.features.values[train_idx])
-    normed, stats = normalize(train_matrix, config.normalization)
+    normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
 
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "training_log.tsv")
@@ -161,9 +164,7 @@ def cmd_train(args) -> int:
     save_model(model_path, result.model)
 
     if len(test_idx) > 0:
-        heldout = dataclasses.replace(ds.features,
-                                      values=ds.features.values[test_idx])
-        save_features(os.path.join(args.out, "heldout"), heldout,
+        save_features(os.path.join(args.out, "heldout"), _rows(ds.features, test_idx),
                       ds.labels[test_idx], [ds.user_ids[i] for i in test_idx])
 
     _echo_config(args.out, "train", config,
@@ -245,20 +246,14 @@ def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int):
     """
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
     eval_idx = test_idx if len(test_idx) > 0 else train_idx
+    # Normalization fits and applies column by column, so one fit serves
+    # every column subset.
+    normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
+    evaluated = apply_normalization(_rows(ds.features, eval_idx), stats)
 
     def run_subset(cols):
-        values = ds.features.values[:, cols]
-
-        def part(rows):
-            return FeatureMatrix(values[rows],
-                                 [ds.features.names[c] for c in cols],
-                                 [ds.features.scopes[c] for c in cols],
-                                 [ds.features.kinds[c] for c in cols],
-                                 ds.features.manifest_version)
-        normed, stats = normalize(part(train_idx), config.normalization)
-        result = train(normed.values, ds.labels[train_idx], config)
-        labels, _ = predict(result.model,
-                            apply_normalization(part(eval_idx), stats).values)
+        result = train(normed.values[:, cols], ds.labels[train_idx], config)
+        labels, _ = predict(result.model, evaluated.values[:, cols])
         return float((labels == ds.labels[eval_idx]).mean())
 
     rows = []
@@ -304,13 +299,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "training, evaluation, prediction, ablation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, training=False):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--seed", type=int, help="seed override")
+        if training:  # train and ablate read a TrainConfig
+            p.add_argument("--config", help="config file (key = value lines)")
+            p.add_argument("--seed", type=int, help="overrides the config seed")
 
     p = sub.add_parser("extract", help="compute features from raw reviews")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the per-user review subsample (default 0)")
     p.add_argument("--reviews", required=True, help="review file (JSON lines)")
     p.add_argument("--scores", required=True, help="user_id<TAB>score file")
     p.add_argument("--cap", type=int, default=20,
@@ -329,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train a model on a feature directory")
-    common(p)
+    common(p, training=True)
     p.add_argument("--features", required=True, help="feature directory")
     p.add_argument("--train-count", type=int, dest="train_count",
                    help="rows used for training; the rest are written to "
@@ -351,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("ablate", help="accuracy per feature scope plus full set")
-    common(p)
+    common(p, training=True)
     p.add_argument("--features", required=True, help="feature directory")
     p.add_argument("--train-count", type=int, dest="train_count",
                    help="rows used for training (default: all rows)")

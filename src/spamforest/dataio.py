@@ -6,7 +6,7 @@ File formats
 Reviews: one JSON object per line with fields user_id, product_id, rating
 (1-5), helpful_votes, unhelpful_votes, timestamp (days since 1970-01-01),
 category, summary_text, review_text, and optional user_name / user_memo.
-A delimited-text reader accepts the same fields as named header columns.
+A tab-delimited text reader accepts the same fields as named header columns.
 
 Spam scores: one ``user_id<TAB>average_score`` line per user, score in [0, 1].
 
@@ -24,13 +24,13 @@ or truncation raises ModelIntegrityError and loads nothing.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,18 +63,14 @@ __all__ = [
 # 2: the body stores the training feature names ("feature_names").
 MODEL_FORMAT_VERSION = 2
 
-REQUIRED_FIELDS = (
-    "user_id", "product_id", "rating", "helpful_votes", "unhelpful_votes",
-    "timestamp", "category", "summary_text", "review_text",
-)
-OPTIONAL_FIELDS = ("user_name", "user_memo")
-
-_INT_FIELDS = ("rating", "helpful_votes", "unhelpful_votes", "timestamp")
-_STR_FIELDS = ("user_id", "product_id", "category", "summary_text",
-               "review_text", "user_name", "user_memo")
+# The review schema is ReviewRecord's: field name -> its annotation ("int"
+# or "str"), in declaration order; the fields without a default are required.
+_REVIEW_FIELDS = {f.name: f.type for f in dataclasses.fields(ReviewRecord)}
+REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(ReviewRecord)
+                        if f.default is dataclasses.MISSING)
 
 
-@dataclass
+@dataclasses.dataclass
 class NormStats:
     """Per-column transform x -> (x - center) / scale fit on training rows."""
 
@@ -93,7 +89,7 @@ class NormStats:
                    np.asarray(d["scale"], dtype=np.float64))
 
 
-@dataclass
+@dataclasses.dataclass
 class LabeledDataset:
     features: FeatureMatrix
     labels: np.ndarray
@@ -144,8 +140,12 @@ def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
     if missing:
         raise ParseError(f"missing required field(s) {missing}", line_number)
     clean = {}
-    for name in _INT_FIELDS:
-        value = fields[name]
+    for name, kind in _REVIEW_FIELDS.items():
+        value = fields.get(name)
+        if kind == "str":
+            if value is not None:
+                clean[name] = str(value)
+            continue
         try:
             # A JSON number may be written 4.0, but not 4.7, inf or true.
             if isinstance(value, bool) or (
@@ -156,9 +156,6 @@ def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
             raise ParseError(
                 f"field {name!r} must be an integer, got {value!r}",
                 line_number) from None
-    for name in _STR_FIELDS:
-        if name in fields and fields[name] is not None:
-            clean[name] = str(fields[name])
     try:
         return ReviewRecord(**clean)
     except ValueError as exc:
@@ -166,9 +163,8 @@ def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
 
 
 def _warn_unknown(fields: dict, seen_unknown: set, line_number: int):
-    known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
     for name in fields:
-        if name not in known and name not in seen_unknown:
+        if name not in _REVIEW_FIELDS and name not in seen_unknown:
             seen_unknown.add(name)
             warnings.warn(f"line {line_number}: ignoring unknown field {name!r}")
 
@@ -197,8 +193,8 @@ def load_reviews(path) -> list[ReviewRecord]:
     return records
 
 
-def load_reviews_delimited(path, delimiter: str = "\t") -> list[ReviewRecord]:
-    """Parse a delimited text export whose header row names the fields."""
+def load_reviews_delimited(path) -> list[ReviewRecord]:
+    """Parse a tab-delimited text export whose header row names the fields."""
     records = []
     seen_unknown: set[str] = set()
     with open_text(path) as fh:
@@ -207,7 +203,7 @@ def load_reviews_delimited(path, delimiter: str = "\t") -> list[ReviewRecord]:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            cells = line.split(delimiter)
+            cells = line.split("\t")
             if header is None:
                 header = cells
                 continue
@@ -370,7 +366,12 @@ def _tensor_to_json(arr: np.ndarray) -> dict:
 
 
 def _tensor_from_json(name: str, d: dict) -> np.ndarray:
-    shape, arr = d["shape"], np.frombuffer(base64.b64decode(d["data"]), dtype="<f8")
+    try:
+        arr = np.frombuffer(base64.b64decode(d["data"], validate=True), dtype="<f8")
+    except ValueError as exc:  # binascii.Error is a ValueError
+        raise ModelIntegrityError(
+            f"tensor {name} data is not base64 of float64 values: {exc}") from None
+    shape = d["shape"]
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
             and arr.size == math.prod(shape)):
         raise ModelIntegrityError(
@@ -386,7 +387,7 @@ def _body_checksum(body: dict) -> str:
 def save_model(path, model: Model):
     """Write the model as a checksummed, versioned JSON document."""
     body = {
-        "config": model.config.to_dict(),
+        "config": dataclasses.asdict(model.config),
         "n_classes": model.n_classes,
         "manifest_version": model.manifest_version,
         "feature_names": model.feature_names,
@@ -425,6 +426,10 @@ def load_model(path) -> Model:
                if key not in body]
     if missing:
         raise ModelIntegrityError(f"model file body lacks {', '.join(missing)}")
+    n_classes = body["n_classes"]
+    if type(n_classes) is not int or n_classes < 1:
+        raise ModelIntegrityError(
+            f"model file n_classes must be a positive integer, got {n_classes!r}")
 
     try:
         tensors = {name: _tensor_from_json(name, t)
@@ -434,10 +439,10 @@ def load_model(path) -> Model:
                 "model file needs a 2-D tensor encoder.0.W (width, n_features)")
         # The model the config describes. Every tensor is filled from the
         # file below, so none is drawn (nor numpy.random imported, ~6 MB).
-        model = init_model(TrainConfig.from_dict(body["config"]),
+        model = init_model(TrainConfig(**body["config"]),
                            tensors["encoder.0.W"].shape[1],
                            rng=SimpleNamespace(normal=lambda shape, _: np.zeros(shape)),
-                           n_classes=body["n_classes"])
+                           n_classes=n_classes)
         model.norm_stats = (NormStats.from_dict(body["norm_stats"])
                             if body.get("norm_stats") else None)
     except (KeyError, TypeError, AttributeError) as exc:

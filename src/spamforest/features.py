@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from functools import lru_cache
 from importlib import resources
 
@@ -91,10 +91,6 @@ class ReviewRecord:
             raise ValueError(
                 f"timestamp must be in {_MIN_DAY}..{_MAX_DAY} days since "
                 f"1970-01-01, got {self.timestamp}")
-
-    @property
-    def review_date(self) -> date:
-        return _EPOCH + timedelta(days=int(self.timestamp))
 
 
 @dataclass
@@ -214,11 +210,11 @@ def _read_wordlist(filename: str) -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
-def sentiment_score(text: str, positive=None, negative=None) -> int:
+def sentiment_score(text: str) -> int:
     """Sign of (positive hits - negative hits) against the bundled lexicon:
     1 positive, -1 negative, 0 on ties or empty text."""
-    positive = _read_wordlist("positive_words.txt") if positive is None else positive
-    negative = _read_wordlist("negative_words.txt") if negative is None else negative
+    positive = _read_wordlist("positive_words.txt")
+    negative = _read_wordlist("negative_words.txt")
     words = _WORD_RE.findall(text.lower())
     score = sum(w in positive for w in words) - sum(w in negative for w in words)
     return (score > 0) - (score < 0)
@@ -228,15 +224,12 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def extract_user_features(reviews: list[ReviewRecord], categories=None,
-                          common_names=None) -> np.ndarray:
+def extract_user_features(reviews: list[ReviewRecord], categories) -> np.ndarray:
     """Behavioral profile of one user over all their reviews.
 
     Returns one float64 row: the ``USER_FEATURES`` values in registry
     order, then the share of the user's reviews in each of ``categories``
-    (the ``CATEGORY_BLOCK``). ``categories`` is the corpus-wide catalog; it
-    defaults to the categories present in ``reviews``. ``common_names``
-    overrides the bundled given-name list.
+    (the ``CATEGORY_BLOCK``), the corpus-wide catalog.
     """
     if not reviews:
         raise ValueError("cannot extract features from an empty review list")
@@ -244,10 +237,7 @@ def extract_user_features(reviews: list[ReviewRecord], categories=None,
     if len(users) != 1:
         raise ValueError(f"reviews must belong to one user, got {sorted(users)}")
 
-    if categories is None:
-        categories = sorted({r.category for r in reviews})
-    if common_names is None:
-        common_names = _read_wordlist("common_names.txt")
+    common_names = _read_wordlist("common_names.txt")
 
     first = reviews[0]
     name = first.user_name if first.user_name else first.user_id
@@ -331,19 +321,17 @@ def _review_part(reviews: list[ReviewRecord], sorted_days: np.ndarray) -> np.nda
         rank, rank / len(sorted_days), own[:, 4:]]).astype(np.float64)
 
 
-def build_feature_matrix(records: list[ReviewRecord], categories=None,
-                         common_names=None):
+def build_feature_matrix(records: list[ReviewRecord]):
     """One feature row per record: user profile + category block + review part.
 
     Returns ``(FeatureMatrix, user_ids)`` with ``user_ids[i]`` naming the
-    author of row i. The category catalog defaults to every category seen
-    in ``records``, sorted. Each user's profile and each product's block
+    author of row i. The category catalog is every category seen in
+    ``records``, sorted. Each user's profile and each product's block
     are computed once, so the cost is linear in the number of records.
     """
     if not records:
         raise ValueError("cannot build a feature matrix from zero records")
-    if categories is None:
-        categories = sorted({r.category for r in records})
+    categories = sorted({r.category for r in records})
 
     by_user: dict[str, list[ReviewRecord]] = {}
     by_product: dict[str, list[int]] = {}
@@ -351,8 +339,7 @@ def build_feature_matrix(records: list[ReviewRecord], categories=None,
         by_user.setdefault(r.user_id, []).append(r)
         by_product.setdefault(r.product_id, []).append(i)
 
-    user_rows = np.array([extract_user_features(revs, categories=categories,
-                                                common_names=common_names)
+    user_rows = np.array([extract_user_features(revs, categories=categories)
                           for revs in by_user.values()])
     user_row = {uid: k for k, uid in enumerate(by_user)}
     user_ids = [r.user_id for r in records]

@@ -26,10 +26,6 @@ class EvalMetrics:
     f1: float
     degenerate: list[str] = field(default_factory=list)
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(predicted, actual, positive_class: int = 1):
     """Counts (tp, fp, tn, fn) of binary predictions against truth."""

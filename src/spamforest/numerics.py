@@ -111,11 +111,11 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def entropy(p, atol: float = 1e-9) -> float:
+def entropy(p) -> float:
     """Shannon entropy -sum(p_i ln p_i) in nats.
 
     ``p`` must be a proportion vector: nonnegative, summing to 1 within
-    ``atol``. Zero proportions contribute zero.
+    1e-9. Zero proportions contribute zero.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
@@ -123,7 +123,7 @@ def entropy(p, atol: float = 1e-9) -> float:
     if np.any(p < 0):
         raise ValueError("proportions must be nonnegative")
     total = p.sum()
-    if abs(total - 1.0) > atol:
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"proportions must sum to 1 (got {total!r})")
     nz = p[p > 0]
     # Summing in sorted order makes the result exactly permutation-invariant;

@@ -97,10 +97,9 @@ def _tie_term(values: np.ndarray) -> float:
     return float((counts.astype(np.float64) ** 3 - counts).sum())
 
 
-def _rank_test(name, test, statistic, ranks, size, mean, var, degenerate):
+def _rank_test(name, test, statistic, ranks, size, mean, var):
     """The TestResult of a statistic summing ``size`` of the ``ranks`` (any
-    number when None): exact, or N(mean, var) with p = 1 and the note
-    ``degenerate`` when var <= 0."""
+    number when None): exact, or N(mean, var) with var > 0."""
     if len(ranks) <= EXACT_LIMIT:
         # counts[k, s]: the number of size-k subsets of the doubled ranks
         # summing to s. The right side is read before the write, so each
@@ -117,9 +116,6 @@ def _rank_test(name, test, statistic, ranks, size, mean, var, degenerate):
         p_greater = int(dist[w2:].sum()) / int(dist.sum())
         p_two = min(1.0, 2.0 * min(p_less, p_greater))
         return _result(name, statistic, p_two, p_less, p_greater, f"{test}-exact")
-    if var <= 0:
-        return _result(name, statistic, 1.0, 1.0, 1.0, f"{test}-normal",
-                       note=degenerate)
     sd = var ** 0.5
     p_greater = norm_sf((statistic - 0.5 - mean) / sd)
     p_less = norm_sf(-(statistic + 0.5 - mean) / sd)
@@ -145,11 +141,14 @@ def rank_sum_test(group_a, group_b, feature_name: str = "") -> TestResult:
     ranks = _midranks(pooled)
     n_a, n_b = a.size, b.size
     n = n_a + n_b
+    statistic = float(ranks[:n_a].sum())
     var = (n_a * n_b * (n + 1) / 12.0
            - n_a * n_b * _tie_term(pooled) / (12.0 * n * (n - 1)))
-    return _rank_test(feature_name, "rank-sum", float(ranks[:n_a].sum()), ranks,
-                      n_a, n_a * (n + 1) / 2.0, var,
-                      "degenerate: all pooled values tied")
+    if var <= 0 and n > EXACT_LIMIT:  # every pooled value tied
+        return _result(feature_name, statistic, 1.0, 1.0, 1.0, "rank-sum-normal",
+                       note="degenerate: all pooled values tied")
+    return _rank_test(feature_name, "rank-sum", statistic, ranks,
+                      n_a, n_a * (n + 1) / 2.0, var)
 
 
 def signed_rank_test(paired_diffs, feature_name: str = "") -> TestResult:
@@ -165,10 +164,10 @@ def signed_rank_test(paired_diffs, feature_name: str = "") -> TestResult:
 
     n = diffs.size
     ranks = _midranks(np.abs(diffs))
+    # Zero differences are gone, so var > 0 even when every |d| is tied.
     var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(diffs)) / 48.0
     return _rank_test(feature_name, "signed-rank", float(ranks[diffs > 0].sum()),
-                      ranks, None, n * (n + 1) / 4.0, var,
-                      "degenerate: all absolute differences tied at zero variance")
+                      ranks, None, n * (n + 1) / 4.0, var)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +287,8 @@ def write_screening_report(results: list[TestResult], path):
             ]) + "\n")
 
 
-def write_histograms(features: FeatureMatrix, labels, out_dir, n_bins: int = 20):
-    """Per-feature CSVs of bin edges and per-class densities.
+def write_histograms(features: FeatureMatrix, labels, out_dir):
+    """Per-feature CSVs of 20 bins: edges and per-class densities.
 
     Feature ``name`` goes to ``hist_<quote(name)>.csv``: letters, digits and
     ``_.-~`` stay, every other character is percent-encoded, so distinct
@@ -306,14 +305,13 @@ def write_histograms(features: FeatureMatrix, labels, out_dir, n_bins: int = 20)
         lo, hi = col.min(), col.max()
         if lo == hi:
             continue
-        edges = np.linspace(lo, hi, n_bins + 1)
+        edges = np.linspace(lo, hi, 21)
         dens0, _ = np.histogram(col[labels == 0], bins=edges, density=True)
         dens1, _ = np.histogram(col[labels == 1], bins=edges, density=True)
         path = os.path.join(out_dir, f"hist_{quote(name, safe='')}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("bin_start,bin_end,density_genuine,density_spam\n")
-            for i in range(n_bins):
-                cells = (edges[i], edges[i + 1], dens0[i], dens1[i])
+            for cells in zip(edges[:-1], edges[1:], dens0, dens1):
                 fh.write(",".join(repr(float(c)) for c in cells) + "\n")
         written.append(path)
     return written

@@ -16,15 +16,14 @@ from .numerics import Rng
 __all__ = ["two_gaussian_dataset", "synthetic_review_corpus"]
 
 
-def two_gaussian_dataset(n_per_class: int = 500, separation: float = 2.0,
-                         seed: int = 42):
-    """Two unit-variance Gaussian blobs at (-separation, 0) and (+separation, 0).
+def two_gaussian_dataset(n_per_class: int = 500, seed: int = 42):
+    """Two unit-variance Gaussian blobs at (-2, 0) and (+2, 0).
 
     Returns (X, y) with labels 0 for the left blob, 1 for the right.
     """
     rng = Rng(seed)
-    left = rng.normal((n_per_class, 2), 1.0) + np.array([-separation, 0.0])
-    right = rng.normal((n_per_class, 2), 1.0) + np.array([separation, 0.0])
+    left = rng.normal((n_per_class, 2), 1.0) + np.array([-2.0, 0.0])
+    right = rng.normal((n_per_class, 2), 1.0) + np.array([2.0, 0.0])
     X = np.vstack([left, right])
     y = np.array([0] * n_per_class + [1] * n_per_class, dtype=np.int64)
     return X, y

@@ -39,13 +39,13 @@ reductions are plain indexed sums, so results are reproducible for a fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
 
 from .autoencoder import AutoencoderParams
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .forest import (ForestParams, forest_backward, forest_forward,
                      leaf_gradient, leaf_mixture)
 from .numerics import Layer, Rng, sigmoid_chain
@@ -124,18 +124,6 @@ class TrainConfig:
                 raise ConfigError("ae_widths entries must be >= 1")
         if self.fc_width is not None and self.fc_width < 1:
             raise ConfigError(f"fc_width must be >= 1, got {self.fc_width}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ae_widths"] = list(self.ae_widths) if self.ae_widths is not None else None
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if d.get("ae_widths") is not None:
-            d["ae_widths"] = tuple(d["ae_widths"])
-        return cls(**d)
 
 
 @dataclass
@@ -261,11 +249,11 @@ def _flat_theta(model: Model) -> np.ndarray:
 # Forward pass
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+def _batch(X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError(f"expected a 2-D batch (rows, features), got shape {X.shape}")
+    return X
 
 
 def _forward_cache(X: np.ndarray, model: Model) -> dict:
@@ -284,18 +272,14 @@ def _forward_cache(X: np.ndarray, model: Model) -> dict:
 
 
 def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, forest probabilities) for a batch; argmax ties go low.
+    """(labels, forest probabilities) for a 2-D batch; argmax ties go low.
 
     Runs encoder -> fully connected -> forest; the decoder is skipped.
     """
-    X, single = _as_batch(X)
-    H = sigmoid_chain(X, model.autoencoder.encoder)[-1]
+    H = sigmoid_chain(_batch(X), model.autoencoder.encoder)[-1]
     x_t = sigmoid_chain(H, model.forest.fc)[-1]
     probs = forest_forward(x_t, model.forest)["forest_probs"]
-    labels = probs.argmax(axis=1)
-    if single:
-        return labels[0], probs[0]
-    return labels, probs
+    return probs.argmax(axis=1), probs
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +287,8 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def joint_loss(X: np.ndarray, y: np.ndarray, model: Model) -> float:
-    """Reconstruction error plus mean per-tree -log p[y], averaged over the batch."""
-    X, _ = _as_batch(X)
+    """Reconstruction error plus mean per-tree -log p[y], averaged over a 2-D batch."""
+    X = _batch(X)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("joint_loss of an empty batch is undefined")
@@ -412,7 +396,7 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
 
     Keys match ``parameter_blocks`` names; shapes match the parameters.
     """
-    X, _ = _as_batch(X)
+    X = _batch(X)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("gradients of an empty batch are undefined")

@@ -125,7 +125,7 @@ class TestReconstructionLoss:
         # width; an input of another width is refused before the forward.
         model = init_model(TrainConfig(n_tree=1, n_depth=1, seed=0), 3)
         with pytest.raises(ShapeError):
-            joint_loss([1.0, 2.0], [0], model)
+            joint_loss([[1.0, 2.0]], [0], model)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
            st.integers(0, 2 ** 32 - 1))

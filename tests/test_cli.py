@@ -280,6 +280,29 @@ class TestTrainEvaluatePredict:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "config" in err
 
+    @pytest.mark.parametrize("change, named", [
+        (lambda body: body["tensors"]["fc.0.b"].update(data="abc"),
+         "tensor fc.0.b data is not base64"),
+        (lambda body: body["tensors"]["fc.0.b"].update(data="AAAAAAAAAAAAAAAA"),
+         "tensor fc.0.b data is not base64 of float64 values"),
+        (lambda body: body.update(n_classes=-1),
+         "n_classes must be a positive integer, got -1"),
+    ], ids=["not-base64", "partial-float64", "negative-classes"])
+    def test_malformed_model_body_exits_2_naming_it(self, run_dir, tmp_path,
+                                                    capsys, change, named):
+        doc = json.loads((run_dir / "model.json").read_text())
+        change(doc["body"])
+        canonical = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = main(["predict", "--features", str(run_dir / "heldout"),
+                   "--model", str(model), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train", "predict"])
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_feature_exits_2(self, run_dir, tmp_path, capsys,
@@ -463,6 +486,41 @@ def corpus_run(corpus_files, tmp_path_factory):
     assert main(["train", "--features", str(base / "feat"), "--out",
                  str(base / "run"), "--config", str(cfg)]) == 0
     return base
+
+
+class TestFlags:
+    """Each command declares only the flags it reads."""
+
+    REQUIRED = {"extract": ["--reviews", "r.jsonl", "--scores", "s.tsv"],
+                "analyze": ["--features", "feat"],
+                "evaluate": ["--features", "feat", "--model", "m.json"],
+                "predict": ["--features", "feat", "--model", "m.json"]}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("extract", "--config"), ("analyze", "--config"), ("analyze", "--seed"),
+        ("evaluate", "--config"), ("evaluate", "--seed"),
+        ("predict", "--config"), ("predict", "--seed")])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys,
+                                                    command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out), *self.REQUIRED[command], flag, "99"])
+        assert exc.value.code == 2
+        # argparse's usage line and one error line, before any command runs.
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: spamforest ")
+        assert err[-1] == f"spamforest: error: unrecognized arguments: {flag} 99"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "analyze", "train",
+                                         "evaluate", "predict", "ablate"])
+    def test_help_lists_config_and_seed_only_where_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert ("--config" in text) == (command in ("train", "ablate"))
+        assert ("--seed" in text) == (command in ("extract", "train", "ablate"))
 
 
 class TestFeatureNames:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import tempfile
 import warnings
+from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
 
@@ -88,8 +89,8 @@ class TestLoadReviews:
     def test_timestamp_range_ends_accepted(self, tmp_path):
         # date.min and date.max, in days since 1970-01-01.
         records = [rec(day=-719162), rec(day=2932896)]
-        assert [r.review_date.isoformat() for r in records] == \
-            ["0001-01-01", "9999-12-31"]
+        assert [(date(1970, 1, 1) + timedelta(days=r.timestamp)).isoformat()
+                for r in records] == ["0001-01-01", "9999-12-31"]
         path = tmp_path / "reviews.jsonl"
         path.write_text("\n".join(record_json(r) for r in records) + "\n")
         assert load_reviews(path) == records
@@ -283,6 +284,23 @@ class TestNormalize:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=r"column 2 \('f1'\)"):
                 normalize(small_matrix(values), method)
+
+    @pytest.mark.parametrize("method", ["zscore", "minmax", "none"])
+    def test_column_subset_equals_columns_of_whole_fit(self, rng, method):
+        # run_ablation fits once and slices each scope's columns, where it
+        # used to fit each scope on values[:, cols][rows], a C-ordered copy.
+        # numpy sums the rows of a C-ordered block one by one, but a lone
+        # contiguous column, or the columns of an F-ordered array, pairwise,
+        # so only C-ordered subsets of two or more columns match bit for bit.
+        values = rng.normal((300, 9)) * np.arange(1.0, 10.0) + np.arange(9.0) * 100
+        whole, whole_stats = normalize(small_matrix(values), method)
+        for cols in ([0, 1], [2, 5, 8], [3, 4, 6, 7], list(range(9))):
+            subset = np.ascontiguousarray(values[:, cols])
+            part, stats = normalize(small_matrix(subset), method)
+            for got, want in ((part.values, whole.values[:, cols]),
+                              (stats.center, whole_stats.center[cols]),
+                              (stats.scale, whole_stats.scale[cols])):
+                npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSplitShuffleBatch:
@@ -532,6 +550,33 @@ class TestModelSerialization:
 
         self.rewrite_body(path, reshape)
         with pytest.raises(ModelIntegrityError, match=r"encoder\.0\.W"):
+            load_model(path)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"data": "abc"}, r"tensor fc\.0\.b data is not base64"),
+        ({"data": "AAAA!AAAAAAAAAAA"}, r"tensor fc\.0\.b data is not base64"),
+        ({"data": base64.b64encode(b"\0" * 12).decode("ascii")},
+         r"tensor fc\.0\.b data is not base64 of float64 values"),
+        ({"n_classes": -1}, "n_classes must be a positive integer, got -1"),
+        ({"n_classes": 0}, "n_classes must be a positive integer, got 0"),
+        ({"n_classes": 2.0}, r"n_classes must be a positive integer, got 2\.0"),
+        ({"n_classes": True}, "n_classes must be a positive integer, got True"),
+    ], ids=["not-base64", "non-alphabet", "partial-float64", "negative-classes",
+            "zero-classes", "float-classes", "bool-classes"])
+    def test_malformed_tensor_data_or_classes_names_it(self, trained_desk,
+                                                       tmp_path, change, match):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+
+        def apply(body):
+            if "data" in change:
+                body["tensors"]["fc.0.b"].update(change)
+            else:
+                body.update(change)
+
+        self.rewrite_body(path, apply)
+        with pytest.raises(ModelIntegrityError, match=match):
             load_model(path)
 
 

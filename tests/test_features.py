@@ -22,10 +22,11 @@ def rec(user="u1", product="p1", rating=5, help_=0, unhelp=0, day=0,
 
 
 def user_features(revs, categories=None):
-    """One user's extracted row as a name -> value dict, named by the registry."""
-    row = extract_user_features(revs, categories=categories)
+    """One user's extracted row as a name -> value dict, named by the
+    registry; the catalog defaults to the user's own categories."""
     if categories is None:
         categories = sorted({r.category for r in revs})
+    row = extract_user_features(revs, categories)
     names = [n for n, _, _ in feature_columns(categories)]
     assert row.dtype == np.float64
     assert row.shape == (len(USER_FEATURES) + len(categories),)
@@ -48,10 +49,6 @@ class TestReviewRecord:
     def test_negative_votes_rejected(self):
         with pytest.raises(ValueError):
             rec(help_=-1)
-
-    def test_review_date_derivation(self):
-        assert rec(day=0).review_date.isoformat() == "1970-01-01"
-        assert rec(day=365).review_date.year == 1971
 
 
 class TestUserFeatures:
@@ -128,17 +125,17 @@ class TestUserFeatures:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            extract_user_features([])
+            extract_user_features([], ["books"])
 
     def test_mixed_users_rejected(self):
         with pytest.raises(ValueError, match="one user"):
-            extract_user_features([rec(user="a"), rec(user="b")])
+            extract_user_features([rec(user="a"), rec(user="b")], ["books"])
 
     def test_purity(self):
         revs = [rec(product=f"p{i}", rating=(i % 5) + 1, day=i * 40)
                 for i in range(6)]
-        assert extract_user_features(revs).tolist() == \
-            extract_user_features(revs).tolist()
+        assert extract_user_features(revs, ["books"]).tolist() == \
+            extract_user_features(revs, ["books"]).tolist()
 
 
 class TestReviewFeatures:

@@ -51,7 +51,7 @@ class TestComputeMetrics:
         assert f"{m.precision * 100:.2f}" == "96.08"
         assert f"{m.recall * 100:.2f}" == "94.15"
         assert f"{m.f1 * 100:.2f}" == "95.11"
-        assert m.total == 3950
+        assert m.tp + m.fp + m.tn + m.fn == 3950
 
     def test_perfect_classifier(self):
         m = compute_metrics((10, 0, 15, 0))

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spamforest import forest as forest_module, training
-from spamforest.errors import ConfigError, NumericError
+from spamforest.errors import ConfigError, NumericError, ShapeError
 from spamforest.numerics import Rng
 from spamforest.training import (MAX_DEPTH, TrainConfig, _forward_cache,
                                  _loss_terms, gradients, init_model,
@@ -59,8 +62,9 @@ class TestTrainConfig:
             TrainConfig(n_depth=MAX_DEPTH + 1)
 
     def test_dict_roundtrip(self):
+        # The path a model file takes: asdict, JSON, then the constructor.
         cfg = TrainConfig(ae_widths=(4, 2), seed=11)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 class TestInitModel:
@@ -93,7 +97,7 @@ class TestInitModel:
     def test_no_fc_layers_use_hidden_as_tree_input(self):
         cfg = TrainConfig(fc_layer_count=0, n_depth=2, n_tree=1)
         model = init_model(cfg, 8)
-        assert model.forest.input_dim == model.autoencoder.hidden_dim
+        assert model.forest.input_dim == model.autoencoder.encoder[-1].out_dim
 
 
 class TestForward:
@@ -104,9 +108,9 @@ class TestForward:
         model.forest.leaf_logits[1:] = model.forest.leaf_logits[0]
         x = rng.normal((6,))
         _, per_tree = forward_one(x, model)
-        _, forest_probs = predict(model, x)
+        _, forest_probs = predict(model, x[None])
         for k in range(3):
-            npt.assert_allclose(per_tree[k], forest_probs, atol=1e-15)
+            npt.assert_allclose(per_tree[k], forest_probs[0], atol=1e-15)
 
     def test_deterministic(self, desk_model, desk_batch):
         X, _ = desk_batch
@@ -141,10 +145,22 @@ class TestForward:
         leaves = np.exp(L) / np.exp(L).sum(axis=1, keepdims=True)
         probs = d * leaves[0] + (1.0 - d) * leaves[1]
         f_xc, f_per_tree = forward_one(x, model)
-        _, f_forest = predict(model, x)
+        _, f_forest = predict(model, x[None])
         npt.assert_allclose(f_xc, x_c, atol=1e-15)
         npt.assert_allclose(f_per_tree[0], probs, atol=1e-15)
-        npt.assert_allclose(f_forest, probs, atol=1e-15)
+        npt.assert_allclose(f_forest[0], probs, atol=1e-15)
+
+
+class TestBatchShape:
+    @pytest.mark.parametrize("call", [
+        lambda X, model: predict(model, X),
+        lambda X, model: joint_loss(X, [0], model),
+        lambda X, model: gradients(X, [0], model),
+    ], ids=["predict", "joint_loss", "gradients"])
+    @pytest.mark.parametrize("shape", [(8,), (1, 1, 8)])
+    def test_non_2d_input_is_shape_error_naming_it(self, desk_model, call, shape):
+        with pytest.raises(ShapeError, match=rf"2-D batch.*{re.escape(str(shape))}"):
+            call(np.zeros(shape), desk_model)
 
 
 class TestTreeLoss:
@@ -183,7 +199,7 @@ class TestJointLoss:
         x = rng.normal((5,))
         x_c, per_tree = forward_one(x, model)
         expected = ((x - x_c) ** 2).sum() - math.log(per_tree[0, 1])
-        assert joint_loss(x, [1], model) == pytest.approx(expected, abs=1e-12)
+        assert joint_loss(x[None], [1], model) == pytest.approx(expected, abs=1e-12)
 
     def test_mean_over_samples_and_trees(self, rng):
         cfg = TrainConfig(n_tree=3, n_depth=2, seed=4)
