@@ -117,8 +117,8 @@ def cmd_extract(args) -> int:
     loader = load_reviews_delimited if args.delimited else load_reviews
     records = loader(args.reviews)
     scores = load_spam_scores(args.scores)
-    capped, row_labels, _ = label_and_cap_users(records, scores,
-                                                cap=args.cap, seed=args.seed)
+    capped, row_labels = label_and_cap_users(records, scores,
+                                             cap=args.cap, seed=args.seed)
     matrix, user_ids = build_feature_matrix(capped)
     save_features(args.out, matrix, row_labels, user_ids)
     _echo_config(args.out, "extract", None,

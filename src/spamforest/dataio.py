@@ -145,6 +145,8 @@ def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
         if kind == "str":
             if value is not None:
                 clean[name] = str(value)
+            elif name in REQUIRED_FIELDS:
+                raise ParseError(f"required field {name!r} is null", line_number)
             continue
         try:
             # A JSON number may be written 4.0, but not 4.7, inf or true.
@@ -252,8 +254,8 @@ def label_and_cap_users(records: list[ReviewRecord], spam_scores: dict[str, floa
     A user with average score below 0.5 is genuine (0); 0.5 or above is a
     spammer (1). Users with more than ``cap`` reviews keep a seeded uniform
     subsample of exactly ``cap``, in original order. Returns
-    ``(capped_records, row_labels, user_labels)`` with ``row_labels[i]``
-    the label of ``capped_records[i]``'s author.
+    ``(capped_records, row_labels)`` with ``row_labels[i]`` the label of
+    ``capped_records[i]``'s author.
     """
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
@@ -275,7 +277,7 @@ def label_and_cap_users(records: list[ReviewRecord], spam_scores: dict[str, floa
 
     capped = [r for i, r in enumerate(records) if i in keep]
     row_labels = np.array([user_labels[r.user_id] for r in capped], dtype=np.int64)
-    return capped, row_labels, user_labels
+    return capped, row_labels
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ matter what the optimizer does to the logits.
 The K trees are stored stacked: routing (K, 2^D - 1, xt_dim) and leaf
 logits (K, 2^D, n_classes), the layout of Deep Neural Decision Forests
 (Kontschieder et al., ICCV 2015). The depth is read off the leaf count.
-The forward and backward passes walk the trees one at a time, so their
-temporaries stay the size of one tree's batch, and compute reach
-probabilities and their gradients one tree level at a time.
+The forward pass keeps stacked decisions (K, B, 2^D - 1) and reach
+(K, B, 2^(D+1) - 1). Both passes take a chunk of trees per numpy call
+(``_tree_chunks``), with a batched matmul over the tree axis (one gemm per
+tree) and one reach step per tree level over all trees of the chunk.
 
 Forest parameters are read-only during inference and safe to share across
 threads.
@@ -108,46 +109,54 @@ def _levels(depth: int) -> tuple:
                   slice(2 * lo + 2, 2 * hi + 1, 2)) for lo, hi in spans)
 
 
+# A chunk holds as many trees as keep trees * rows * (2^(D+1) - 1) cells under
+# CHUNK_CELLS, and at least one: a mini-batch (default 5 * 50 * 15) takes every
+# tree, while the full-set pass and large predict batches take one tree at a
+# time, so that their temporaries stay in cache.
+CHUNK_CELLS = 2 ** 16
+
+
+def _tree_chunks(forest: ForestParams, n_rows: int) -> list[slice]:
+    per_chunk = max(1, CHUNK_CELLS // max(1, n_rows * (2 * forest.n_decision_nodes + 1)))
+    return [slice(k, k + per_chunk) for k in range(0, forest.n_trees, per_chunk)]
+
+
 def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
     """One batched forest pass over tree inputs ``XT`` (B, xt_dim).
 
-    Returns per-tree lists ``decisions`` (B, 2^D - 1) of left probabilities
-    and ``reach`` (B, 2^(D+1) - 1) of node-reach probabilities in heap order
-    (the last 2^D columns are the leaf reach mu, rows summing to one), plus
-    the ``leaf_mixture`` entries.
+    Returns the stacked ``decisions`` (K, B, 2^D - 1) of left probabilities
+    and ``reach`` (K, B, 2^(D+1) - 1) of node-reach probabilities in heap
+    order (the last 2^D columns are the leaf reach mu, rows summing to one),
+    plus the ``leaf_mixture`` entries. Trees are routed in chunks of
+    ``_tree_chunks``; each tree's arithmetic is the same in any chunk.
     """
     if XT.ndim != 2 or XT.shape[1] != forest.input_dim:
         raise ShapeError(
             f"tree input shape {XT.shape} != (batch, {forest.input_dim})")
     n_dec = forest.n_decision_nodes
-    decisions, reaches = [], []
-    for k in range(forest.n_trees):
-        d = sigmoid(XT @ forest.routing[k].T)
-        reach = np.empty((XT.shape[0], 2 * n_dec + 1))
-        reach[:, 0] = 1.0
+    decisions = np.empty((forest.n_trees, XT.shape[0], n_dec))
+    reach = np.empty((forest.n_trees, XT.shape[0], 2 * n_dec + 1))
+    reach[:, :, 0] = 1.0
+    for trees in _tree_chunks(forest, XT.shape[0]):
+        d = sigmoid(XT @ forest.routing[trees].transpose(0, 2, 1), out=decisions[trees])
+        r = reach[trees]
         for nodes, left, right in _levels(forest.depth):
-            reach[:, left] = reach[:, nodes] * d[:, nodes]
-            reach[:, right] = reach[:, nodes] * (1.0 - d[:, nodes])
-        decisions.append(d)
-        reaches.append(reach)
-    return {"decisions": decisions, "reach": reaches,
-            **leaf_mixture(reaches, forest)}
+            r[:, :, left] = r[:, :, nodes] * d[:, :, nodes]
+            r[:, :, right] = r[:, :, nodes] * (1.0 - d[:, :, nodes])
+    return {"decisions": decisions, "reach": reach, **leaf_mixture(reach, forest)}
 
 
-def leaf_mixture(reaches: list[np.ndarray], forest: ForestParams) -> dict:
+def leaf_mixture(reach: np.ndarray, forest: ForestParams) -> dict:
     """The leaf half of the forward pass, from ``forest_forward``'s reach.
 
     Returns ``leaf_dists`` (K, 2^D, C) of the forest's current leaf logits,
-    per-tree class distributions ``probs`` (K, B, C) = mu @ leaf_dists[k],
+    per-tree class distributions ``probs`` (K, B, C) = mu[k] @ leaf_dists[k],
     and their tree average ``forest_probs``. A step on the leaf logits alone
     leaves the reach unchanged, so calling this after one gives what a new
     ``forest_forward`` would, bit for bit.
     """
-    n_dec = forest.n_decision_nodes
     leaf_dists = forest.leaf_distributions()
-    probs = np.empty((forest.n_trees, reaches[0].shape[0], forest.n_classes))
-    for k, reach in enumerate(reaches):
-        probs[k] = reach[:, n_dec:] @ leaf_dists[k]
+    probs = reach[:, :, forest.n_decision_nodes:] @ leaf_dists
     return {"leaf_dists": leaf_dists, "probs": probs,
             "forest_probs": probs.mean(axis=0)}
 
@@ -158,16 +167,11 @@ def leaf_gradient(y: np.ndarray, g_py: np.ndarray, cache: dict,
     y[b]]``, from a ``forest_forward`` cache: only the leaf reach mu and the
     leaf distributions enter, through p = mu @ pi and the softmax behind pi.
     """
-    n_dec = forest.n_decision_nodes
-    rows = np.arange(g_py.shape[1])
-    g_leaf_logits = np.empty_like(forest.leaf_logits)
-    for k in range(forest.n_trees):
-        pi = cache["leaf_dists"][k]
-        onehot_s = np.zeros((g_py.shape[1], forest.n_classes))
-        onehot_s[rows, y] = g_py[k]
-        g_pi = cache["reach"][k][:, n_dec:].T @ onehot_s
-        g_leaf_logits[k] = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
-    return g_leaf_logits
+    pi = cache["leaf_dists"]
+    onehot_s = np.zeros((forest.n_trees, g_py.shape[1], forest.n_classes))
+    onehot_s[:, np.arange(g_py.shape[1]), y] = g_py
+    g_pi = cache["reach"][:, :, forest.n_decision_nodes:].transpose(0, 2, 1) @ onehot_s
+    return pi * (g_pi - (g_pi * pi).sum(axis=2, keepdims=True))
 
 
 def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
@@ -182,20 +186,21 @@ def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
     """
     n_dec = forest.n_decision_nodes
     g_routing = np.empty_like(forest.routing)
-    g_xt = np.zeros_like(XT)
-    for k in range(forest.n_trees):
-        d, reach = cache["decisions"][k], cache["reach"][k]
-        pi = cache["leaf_dists"][k]
+    g_xt_terms = np.empty((forest.n_trees,) + XT.shape)
+    for trees in _tree_chunks(forest, XT.shape[0]):
+        d, reach = cache["decisions"][trees], cache["reach"][trees]
+        pi_y = cache["leaf_dists"][trees][:, :, y].transpose(0, 2, 1)
 
         # Reach recursion, deepest decision level first: a node's reach
         # feeds its left child through d and its right child through 1 - d.
         g_reach = np.empty_like(reach)
-        g_reach[:, n_dec:] = g_py[k][:, None] * pi[:, y].T
+        g_reach[:, :, n_dec:] = g_py[trees, :, None] * pi_y
         for nodes, left, right in reversed(_levels(forest.depth)):
-            g_reach[:, nodes] = (g_reach[:, left] * d[:, nodes]
-                                 + g_reach[:, right] * (1.0 - d[:, nodes]))
-        g_d = (g_reach[:, 1::2] - g_reach[:, 2::2]) * reach[:, :n_dec]
+            g_reach[:, :, nodes] = (g_reach[:, :, left] * d[:, :, nodes]
+                                    + g_reach[:, :, right] * (1.0 - d[:, :, nodes]))
+        g_d = (g_reach[:, :, 1::2] - g_reach[:, :, 2::2]) * reach[:, :, :n_dec]
         g_f = g_d * d * (1.0 - d)
-        g_routing[k] = g_f.T @ XT
-        g_xt += g_f @ forest.routing[k]
-    return g_routing, g_xt
+        g_routing[trees] = g_f.transpose(0, 2, 1) @ XT
+        np.matmul(g_f, forest.routing[trees], out=g_xt_terms[trees])
+    # cumsum adds the trees' terms in tree order, where sum may pair them up.
+    return g_routing, np.cumsum(g_xt_terms, axis=0)[-1]

@@ -77,11 +77,12 @@ def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ W.T + b
 
 
-def sigmoid(x):
+def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1 / (1 + e^-x), numerically stable on both tails.
 
-    Accepts a scalar or an array; returns the same shape. Outputs lie in
-    (0, 1) until float64 saturation (|x| > ~37).
+    Accepts a scalar or an array; returns an array of the same shape, 0-d
+    for a scalar, written into ``out`` when given. Outputs lie in (0, 1)
+    until float64 saturation (|x| > ~37).
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
     otherwise, the same operations on the same values as evaluating each
@@ -90,14 +91,12 @@ def sigmoid(x):
     arr = np.asarray(x, dtype=np.float64)
     # min(x, -x) is -|x| but passes a NaN through with its sign, as the
     # x < 0 branch does. out= keeps a 0-d input an array, not a scalar.
-    out = np.negative(arr, out=np.empty_like(arr))
+    out = np.negative(arr, out=np.empty_like(arr) if out is None else out)
     np.minimum(arr, out, out=out)
     np.exp(out, out=out)
     den = out + 1.0
     out[arr >= 0] = 1.0
     out /= den
-    if arr.ndim == 0:
-        return float(out)
     return out
 
 

@@ -299,7 +299,6 @@ def write_histograms(features: FeatureMatrix, labels, out_dir):
 
     labels = np.asarray(labels)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     for j, name in enumerate(features.names):
         col = features.values[:, j]
         lo, hi = col.min(), col.max()
@@ -313,5 +312,3 @@ def write_histograms(features: FeatureMatrix, labels, out_dir):
             fh.write("bin_start,bin_end,density_genuine,density_spam\n")
             for cells in zip(edges[:-1], edges[1:], dens0, dens1):
                 fh.write(",".join(repr(float(c)) for c in cells) + "\n")
-        written.append(path)
-    return written

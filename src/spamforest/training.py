@@ -18,7 +18,9 @@ sum_l n_{l-1} n_l over encoder, decoder and fully connected layers +
 xt_dim * n_trees * n_leaves)). At a fixed depth the forest term grows
 linearly in the number of trees. Acceptance test 10 checks this by counting
 the rows and weights each epoch's forward and backward calls see; wall time
-is measured by the benchmark in ``perfbench/``.
+is measured by the benchmark in ``perfbench/``. The forest works on stacked
+(K, rows, nodes) arrays, one chunk of trees per numpy call: every tree for a
+mini-batch, one per call for the full-set pass (``forest._tree_chunks``).
 
 Two optimizers run side by side. In ``train`` the weight set theta
 (encoder, decoder, fully connected, routing) is one float64 vector, and
@@ -71,8 +73,8 @@ NORMALIZATION_METHODS = ("zscore", "minmax", "none")
 PROB_FLOOR = 1e-12
 
 # Soft routing sends every row through all 2^D - 1 decision nodes of every
-# tree, so a forward holds a (rows, 2^(D+1) - 1) reach matrix per tree: at
-# depth 10, 16 KB per row per tree. The deepest config shipped uses 6.
+# tree, so a forward holds a (K, rows, 2^(D+1) - 1) reach array: at depth 10,
+# 16 KB per row per tree. The deepest config shipped uses 6.
 MAX_DEPTH = 10
 
 
@@ -163,17 +165,15 @@ def _default_encoder_widths(n_features: int, n_layers: int) -> list[int]:
     return widths
 
 
-def init_model(config: TrainConfig, n_features: int, rng: Rng | None = None,
+def init_model(config: TrainConfig, n_features: int, rng: Rng,
                n_classes: int = 2) -> Model:
     """Freshly initialized model; every tensor is drawn normal(0, init_scale^2).
 
     The draw order (encoder, decoder, fully connected, then per-tree routing
-    and leaf logits) is fixed so a seed pins the whole initialization.
+    and leaf logits) is fixed so ``rng``'s seed pins the whole initialization.
     """
     if n_features < 1:
         raise ConfigError(f"need at least one input feature, got {n_features}")
-    if rng is None:
-        rng = Rng(config.seed)
     scale = config.init_scale
 
     enc_widths = list(config.ae_widths) if config.ae_widths is not None else \
@@ -302,12 +302,9 @@ def _loss_terms(X: np.ndarray, y: np.ndarray, x_c: np.ndarray,
                 probs: np.ndarray) -> float:
     """The joint loss from a reconstruction ``x_c`` and per-tree ``probs``."""
     recon = ((X - x_c) ** 2).sum(axis=1)
-    rows = np.arange(X.shape[0])
-    tree_terms = np.zeros(X.shape[0])
-    for tree_probs in probs:
-        p_y = np.maximum(tree_probs[rows, y], PROB_FLOOR)
-        tree_terms += -np.log(p_y)
-    tree_terms /= probs.shape[0]
+    p_y = np.maximum(probs[:, np.arange(X.shape[0]), y], PROB_FLOOR)
+    # cumsum adds the trees' terms in tree order, where sum may pair them up.
+    tree_terms = np.cumsum(-np.log(p_y), axis=0)[-1] / probs.shape[0]
     return float((recon + tree_terms).mean())
 
 

@@ -16,7 +16,7 @@ def desk_model():
     8 input features."""
     cfg = TrainConfig(n_tree=2, n_depth=2, fc_layer_count=1, ae_layer_count=2,
                       batch_size=5, seed=7)
-    return init_model(cfg, 8)
+    return init_model(cfg, 8, Rng(cfg.seed))
 
 
 @pytest.fixture

@@ -42,7 +42,7 @@ def test_02_gradient_correctness_desk_model():
     start = time.perf_counter()
     cfg = TrainConfig(n_tree=2, n_depth=2, fc_layer_count=1,
                       ae_layer_count=2, batch_size=5, seed=7)
-    model = init_model(cfg, 8)
+    model = init_model(cfg, 8, Rng(cfg.seed))
     r = Rng(123)
     X = r.normal((5, 8), 1.0)
     y = np.array([0, 1, 1, 0, 1])

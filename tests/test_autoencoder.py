@@ -123,7 +123,7 @@ class TestReconstructionLoss:
     def test_length_mismatch(self):
         # The loss only ever sees a reconstruction of the model's own input
         # width; an input of another width is refused before the forward.
-        model = init_model(TrainConfig(n_tree=1, n_depth=1, seed=0), 3)
+        model = init_model(TrainConfig(n_tree=1, n_depth=1, seed=0), 3, Rng(0))
         with pytest.raises(ShapeError):
             joint_loss([[1.0, 2.0]], [0], model)
 

@@ -689,7 +689,10 @@ class TestParseErrorsNameTheFile:
         ("user_id\tproduct_id\nu0\n", "u0\t0.1\n", True, "reviews",
          "line 2: expected 2 columns, got 1"),
         ("\n", "u0\t0.1\n", True, "reviews", "line 1: file has no header row"),
-    ], ids=["scores", "reviews-jsonl", "reviews-delimited", "delimited-no-header"])
+        (REVIEW + REVIEW.replace('"user_id": "u0"', '"user_id": null'),
+         "u0\t0.1\n", False, "reviews", "line 2: required field 'user_id' is null"),
+    ], ids=["scores", "reviews-jsonl", "reviews-delimited", "delimited-no-header",
+            "reviews-null-field"])
     def test_extract_inputs(self, tmp_path, capsys, reviews, scores, delimited,
                             bad, where):
         paths = {"reviews": tmp_path / "reviews", "scores": tmp_path / "scores"}

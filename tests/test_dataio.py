@@ -112,6 +112,25 @@ class TestLoadReviews:
             load_reviews(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("field", ["user_id", "product_id", "category",
+                                       "summary_text", "review_text"])
+    def test_null_required_text_names_line_and_field(self, tmp_path, field):
+        good = record_json(rec())
+        bad = json.dumps(dict(json.loads(good), **{field: None}))
+        path = tmp_path / "reviews.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError,
+                           match=f"line 2: required field '{field}' is null"
+                           ) as err:
+            load_reviews(path)
+        assert err.value.line_number == 2
+
+    def test_null_optional_text_keeps_default(self, tmp_path):
+        obj = dict(json.loads(record_json(rec())), user_name=None, user_memo=None)
+        path = tmp_path / "reviews.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        assert load_reviews(path) == [dataclasses.replace(rec(), user_name="")]
+
     @pytest.mark.parametrize("raw", ["4", "4.0", '"4"'])
     def test_integral_json_rating_accepted(self, tmp_path, raw):
         path = tmp_path / "reviews.jsonl"
@@ -192,17 +211,15 @@ class TestSpamScores:
 class TestLabelAndCap:
     def test_threshold_boundary(self):
         records = [rec(user="low"), rec(user="high")]
-        _, labels, user_labels = label_and_cap_users(
-            records, {"low": 0.49, "high": 0.5})
-        assert user_labels == {"low": 0, "high": 1}
+        _, labels = label_and_cap_users(records, {"low": 0.49, "high": 0.5})
         npt.assert_array_equal(labels, [0, 1])
 
     def test_cap_downsamples_deterministically(self):
         records = [rec(user="u", product=f"p{i}", day=i) for i in range(30)]
         scores = {"u": 0.9}
-        capped1, labels1, _ = label_and_cap_users(records, scores, cap=20, seed=5)
-        capped2, _, _ = label_and_cap_users(records, scores, cap=20, seed=5)
-        capped3, _, _ = label_and_cap_users(records, scores, cap=20, seed=6)
+        capped1, labels1 = label_and_cap_users(records, scores, cap=20, seed=5)
+        capped2, _ = label_and_cap_users(records, scores, cap=20, seed=5)
+        capped3, _ = label_and_cap_users(records, scores, cap=20, seed=6)
         assert len(capped1) == 20
         assert capped1 == capped2
         assert capped1 != capped3
@@ -210,7 +227,7 @@ class TestLabelAndCap:
 
     def test_under_cap_kept_in_full(self):
         records = [rec(user="u", product=f"p{i}") for i in range(5)]
-        capped, _, _ = label_and_cap_users(records, {"u": 0.1})
+        capped, _ = label_and_cap_users(records, {"u": 0.1})
         assert capped == records
 
     def test_missing_score_lists_users(self):
@@ -220,8 +237,8 @@ class TestLabelAndCap:
 
     def test_all_zero_scores(self):
         records = [rec(user=f"u{i}") for i in range(4)]
-        _, labels, _ = label_and_cap_users(records,
-                                           {f"u{i}": 0.0 for i in range(4)})
+        _, labels = label_and_cap_users(records,
+                                        {f"u{i}": 0.0 for i in range(4)})
         assert np.all(labels == 0)
 
 
@@ -508,7 +525,7 @@ class TestModelSerialization:
     def test_config_with_more_trees_than_tensors_is_integrity_error(self,
                                                                      tmp_path):
         # The config says 5 trees; the file holds tree 0-3's tensors only.
-        model = init_model(TrainConfig(n_tree=5, n_depth=2, seed=1), 6)
+        model = init_model(TrainConfig(n_tree=5, n_depth=2, seed=1), 6, Rng(1))
         path = tmp_path / "model.json"
         save_model(path, model)
 

@@ -6,7 +6,8 @@ import pytest
 
 from helpers import follow_forest
 from spamforest.errors import ConfigError, ShapeError
-from spamforest.forest import ForestParams, forest_forward
+from spamforest.forest import (CHUNK_CELLS, ForestParams, _tree_chunks,
+                               forest_backward, forest_forward, leaf_gradient)
 from spamforest.numerics import Layer, Rng, sigmoid, sigmoid_chain
 from spamforest.training import TrainConfig, init_model, predict
 
@@ -188,6 +189,33 @@ class TestForestPredict:
             ForestParams(rng.normal((2, 3, 3)), rng.normal((3, 4, 2)))
 
 
+class TestStackedForestPass:
+    # Each tree's slice of the stacked pass must be the single-tree pass,
+    # bit for bit, whether the trees are routed together or one at a time.
+    @pytest.mark.parametrize("trees_per_chunk", [5, 2, 1])
+    def test_tree_slices_equal_single_tree_passes(self, rng, trees_per_chunk):
+        forest = random_forest(rng, 5, 3, 4, scale=2.0)
+        rows = CHUNK_CELLS // (15 * trees_per_chunk)  # 15 reach cells per tree at depth 3
+        assert len(_tree_chunks(forest, rows)) == math.ceil(5 / trees_per_chunk)
+        XT = rng.normal((rows, 4))
+        y = (rng.normal((rows,)) > 0).astype(np.int64)
+        g_py = rng.normal((5, rows))
+        cache = forest_forward(XT, forest)
+        g_routing, _ = forest_backward(XT, y, g_py, cache, forest)
+        g_leaf = leaf_gradient(y, g_py, cache, forest)
+        for k in range(5):
+            single = ForestParams(forest.routing[k:k + 1], forest.leaf_logits[k:k + 1])
+            one = forest_forward(XT, single)
+            for name in ("decisions", "reach", "probs"):
+                npt.assert_array_equal(cache[name][k].view(np.int64),
+                                       one[name][0].view(np.int64))
+            one_g_routing, _ = forest_backward(XT, y, g_py[k:k + 1], one, single)
+            npt.assert_array_equal(g_routing[k].view(np.int64),
+                                   one_g_routing[0].view(np.int64))
+            npt.assert_array_equal(g_leaf[k].view(np.int64),
+                                   leaf_gradient(y, g_py[k:k + 1], one, single)[0].view(np.int64))
+
+
 class TestHardRoutingEquivalence:
     def test_scaled_weights_match_deterministic_follower(self, rng):
         for _ in range(30):
@@ -203,7 +231,7 @@ class TestPredictLabel:
     # Labels come from training.predict, the path the predict command runs.
     @staticmethod
     def model_with_leaves(leaf_row):
-        model = init_model(TrainConfig(n_tree=2, n_depth=1, seed=1), 3)
+        model = init_model(TrainConfig(n_tree=2, n_depth=1, seed=1), 3, Rng(1))
         model.forest.leaf_logits[...] = np.log(leaf_row)
         return model
 

@@ -19,7 +19,7 @@ TOLERANCE = 1e-4
 
 
 def make_case(cfg, n_features, batch, data_seed):
-    model = init_model(cfg, n_features)
+    model = init_model(cfg, n_features, Rng(cfg.seed))
     r = Rng(data_seed)
     X = r.normal((batch, n_features), 1.0)
     y = (r.normal((batch,)) > 0).astype(int)

@@ -59,7 +59,8 @@ class TestSigmoid:
         assert sigmoid(-1e6) == 0.0
 
     def test_scalar_in_scalar_out(self):
-        assert isinstance(sigmoid(1.2), float)
+        out = sigmoid(1.2)
+        assert out.shape == () and out.dtype == np.float64
 
     def test_list_input(self):
         npt.assert_array_equal(sigmoid([0.0, 0.0]), [0.5, 0.5])
@@ -99,10 +100,13 @@ class TestSigmoid:
         for arr in (values, grid, grid.T):
             npt.assert_array_equal(self.bits(sigmoid(arr)),
                                    self.bits(self.two_branch(arr)))
+            out = np.empty_like(arr)
+            assert sigmoid(arr, out=out) is out
+            npt.assert_array_equal(self.bits(out), self.bits(self.two_branch(arr)))
         for v in self.SPECIAL:
             for x in (v, np.float64(v), np.array(v)):
                 got = sigmoid(x)
-                assert type(got) is float
+                assert got.shape == ()
                 assert self.bits(got) == self.bits(self.two_branch(x))
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+from urllib.parse import quote
 
 import numpy as np
 import pytest
@@ -334,7 +335,8 @@ class TestReports:
     def test_histograms_written(self, tmp_path, rng):
         labels = (rng.normal((50,)) > 0).astype(int)
         matrix = make_matrix({"a": rng.normal((50,)), "const": np.ones(50)})
-        written = write_histograms(matrix, labels, tmp_path / "hists")
+        write_histograms(matrix, labels, tmp_path / "hists")
+        written = list((tmp_path / "hists").iterdir())
         assert len(written) == 1  # constant column skipped
         content = open(written[0]).read().splitlines()
         assert content[0] == "bin_start,bin_end,density_genuine,density_spam"
@@ -348,7 +350,9 @@ class TestReports:
                  "category_ratio/Books"]
         matrix = make_matrix({n: rng.normal((60,)) * (i + 1)
                               for i, n in enumerate(names)})
-        written = write_histograms(matrix, labels, tmp_path / "hists")
+        write_histograms(matrix, labels, tmp_path / "hists")
+        written = [str(tmp_path / "hists" / f"hist_{quote(n, safe='')}.csv")
+                   for n in names]
         assert len(set(written)) == 3
         assert sorted(p.name for p in (tmp_path / "hists").iterdir()) == \
             sorted(os.path.basename(p) for p in written)

@@ -89,21 +89,21 @@ class TestInitModel:
 
     def test_deterministic_per_seed(self):
         cfg = TrainConfig(seed=5)
-        a = init_model(cfg, 6)
-        b = init_model(cfg, 6)
+        a = init_model(cfg, 6, Rng(cfg.seed))
+        b = init_model(cfg, 6, Rng(cfg.seed))
         for (_, x), (_, y) in zip(parameter_blocks(a), parameter_blocks(b)):
             npt.assert_array_equal(x, y)
 
     def test_no_fc_layers_use_hidden_as_tree_input(self):
         cfg = TrainConfig(fc_layer_count=0, n_depth=2, n_tree=1)
-        model = init_model(cfg, 8)
+        model = init_model(cfg, 8, Rng(cfg.seed))
         assert model.forest.input_dim == model.autoencoder.encoder[-1].out_dim
 
 
 class TestForward:
     def test_identical_trees_collapse_to_one(self, rng):
         cfg = TrainConfig(n_tree=3, n_depth=2, seed=9)
-        model = init_model(cfg, 6)
+        model = init_model(cfg, 6, Rng(cfg.seed))
         model.forest.routing[1:] = model.forest.routing[0]
         model.forest.leaf_logits[1:] = model.forest.leaf_logits[0]
         x = rng.normal((6,))
@@ -122,7 +122,7 @@ class TestForward:
 
     def test_predict_equals_training_forward_bitwise(self, rng):
         cfg = TrainConfig(n_tree=4, n_depth=3, seed=13)
-        model = init_model(cfg, 7)
+        model = init_model(cfg, 7, Rng(cfg.seed))
         X = rng.normal((40, 7))
         cached = _forward_cache(X, model)["forest"]["forest_probs"]
         labels, probs = predict(model, X)
@@ -135,7 +135,7 @@ class TestForward:
         # p = s(w . h) softmax(L0) + (1 - s(w . h)) softmax(L1).
         cfg = TrainConfig(n_tree=1, n_depth=1, ae_layer_count=1,
                           fc_layer_count=0, ae_widths=(2,), seed=21)
-        model = init_model(cfg, 2)
+        model = init_model(cfg, 2, Rng(cfg.seed))
         x = rng.normal((2,))
         enc, dec = model.autoencoder.encoder[0], model.autoencoder.decoder[0]
         h = np_sigmoid(enc.W @ x + enc.b)
@@ -183,7 +183,7 @@ class TestJointLoss:
         # probability 1 to class 0.
         cfg = TrainConfig(n_tree=1, n_depth=1, ae_layer_count=1,
                           fc_layer_count=0, ae_widths=(2,), seed=0)
-        model = init_model(cfg, 2)
+        model = init_model(cfg, 2, Rng(cfg.seed))
         for layer in model.autoencoder.decoder:
             layer.W[...] = 0.0
             layer.b[...] = 0.0
@@ -195,7 +195,7 @@ class TestJointLoss:
 
     def test_single_sample_single_tree_composition(self, rng):
         cfg = TrainConfig(n_tree=1, n_depth=2, seed=3)
-        model = init_model(cfg, 5)
+        model = init_model(cfg, 5, Rng(cfg.seed))
         x = rng.normal((5,))
         x_c, per_tree = forward_one(x, model)
         expected = ((x - x_c) ** 2).sum() - math.log(per_tree[0, 1])
@@ -203,7 +203,7 @@ class TestJointLoss:
 
     def test_mean_over_samples_and_trees(self, rng):
         cfg = TrainConfig(n_tree=3, n_depth=2, seed=4)
-        model = init_model(cfg, 4)
+        model = init_model(cfg, 4, Rng(cfg.seed))
         X = rng.normal((6, 4))
         y = np.array([0, 1, 0, 0, 1, 1])
         total = 0.0
@@ -232,7 +232,7 @@ class TestGradientToyCases:
         # regardless of routing, so routing gradients vanish.
         cfg = TrainConfig(n_tree=1, n_depth=1, ae_layer_count=1,
                           fc_layer_count=0, ae_widths=(2,), seed=5)
-        model = init_model(cfg, 2)
+        model = init_model(cfg, 2, Rng(cfg.seed))
         model.forest.leaf_logits[0] = np.array([[500.0, -500.0],
                                                 [500.0, -500.0]])
         X = rng.normal((4, 2))
@@ -245,7 +245,7 @@ class TestGradientToyCases:
         # p[0] = sigmoid(w . x_t), so d(-log p)/dw = (sigmoid(w.x_t) - 1) x_t.
         cfg = TrainConfig(n_tree=1, n_depth=1, ae_layer_count=1,
                           fc_layer_count=0, ae_widths=(2,), seed=6)
-        model = init_model(cfg, 2)
+        model = init_model(cfg, 2, Rng(cfg.seed))
         model.forest.leaf_logits[0] = np.array([[500.0, -500.0], [-500.0, 500.0]])
         x = rng.normal((2,))
         enc = model.autoencoder.encoder[0]
