@@ -31,7 +31,6 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,8 +38,8 @@ from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      ParseError)
 from .features import FeatureMatrix, ReviewRecord
 from .numerics import Rng
-from .training import (NORMALIZATION_METHODS, Model, TrainConfig, init_model,
-                       parameter_blocks)
+from .training import (NORMALIZATION_METHODS, Model, TrainConfig,
+                       _allocate_model, parameter_blocks)
 
 __all__ = [
     "LabeledDataset",
@@ -84,9 +83,23 @@ class NormStats:
                 "scale": [float(v) for v in self.scale]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(d["method"], np.asarray(d["center"], dtype=np.float64),
-                   np.asarray(d["scale"], dtype=np.float64))
+    def from_dict(cls, d: dict, n_features: int) -> "NormStats":
+        """Inverse of ``to_dict``; checks the stats are of the kind
+        ``normalize`` writes, or raises ModelIntegrityError."""
+        try:
+            stats = cls(d["method"], np.asarray(d["center"], dtype=np.float64),
+                        np.asarray(d["scale"], dtype=np.float64))
+            valid = (stats.method in NORMALIZATION_METHODS
+                     and stats.center.shape == stats.scale.shape == (n_features,)
+                     and np.isfinite(stats.center).all()
+                     and (np.isfinite(stats.scale) & (stats.scale > 0)).all())
+        except (KeyError, TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ModelIntegrityError(
+                f"model file norm_stats must name a method in {NORMALIZATION_METHODS} and "
+                f"hold {n_features} finite centers and {n_features} finite positive scales")
+        return stats
 
 
 @dataclasses.dataclass
@@ -378,6 +391,8 @@ def _tensor_from_json(name: str, d: dict) -> np.ndarray:
             and arr.size == math.prod(shape)):
         raise ModelIntegrityError(
             f"tensor {name} has {arr.size} values, which do not fill shape {shape!r}")
+    if not np.isfinite(arr).all():
+        raise ModelIntegrityError(f"tensor {name} holds a non-finite value")
     return arr.reshape(shape)
 
 
@@ -439,14 +454,11 @@ def load_model(path) -> Model:
         if "encoder.0.W" not in tensors or tensors["encoder.0.W"].ndim != 2:
             raise ModelIntegrityError(
                 "model file needs a 2-D tensor encoder.0.W (width, n_features)")
-        # The model the config describes. Every tensor is filled from the
-        # file below, so none is drawn (nor numpy.random imported, ~6 MB).
-        model = init_model(TrainConfig(**body["config"]),
-                           tensors["encoder.0.W"].shape[1],
-                           rng=SimpleNamespace(normal=lambda shape, _: np.zeros(shape)),
-                           n_classes=n_classes)
-        model.norm_stats = (NormStats.from_dict(body["norm_stats"])
-                            if body.get("norm_stats") else None)
+        # The all-zero model the config describes, filled from the file below.
+        model = _allocate_model(TrainConfig(**body["config"]),
+                                tensors["encoder.0.W"].shape[1], n_classes)
+        model.norm_stats = (None if body.get("norm_stats") is None else
+                            NormStats.from_dict(body["norm_stats"], model.n_features))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelIntegrityError(
             f"model file body is incomplete: {type(exc).__name__} {exc}") from None

@@ -171,7 +171,6 @@ CATEGORY_BLOCK = {
     "prefix": "category_ratio:",
     "scope": "history",
     "kind": "continuous",
-    "position": "after user features",
 }
 
 REVIEW_FEATURES = [

@@ -22,17 +22,21 @@ is measured by the benchmark in ``perfbench/``. The forest works on stacked
 (K, rows, nodes) arrays, one chunk of trees per numpy call: every tree for a
 mini-batch, one per call for the full-set pass (``forest._tree_chunks``).
 
-Two optimizers run side by side. In ``train`` the weight set theta
-(encoder, decoder, fully connected, routing) is one float64 vector, and
-every ``Layer.W``/``.b`` and the stacked routing are views into it. After
-each mini-batch the backward's theta gradient, concatenated in the same
-layout, is checked for finiteness once and takes one accumulator-scaled
-``rmsprop_step``; that backward computes no leaf-logit gradient. The leaf
-logits take one step per epoch from the full-training-set gradient, which
-needs only one full-set forward's leaf reach mu, leaf distributions pi (the
-softmax of the logits, so always valid) and true-class probabilities. The
-step changes only pi, so the epoch's logged loss and accuracy reuse mu and
-the reconstruction and recompute only the leaf mixture mu @ pi.
+One function, ``_allocate_model``, owns the parameter layout of every model
+(``init_model``'s, ``dataio.load_model``'s and the training loop's gradient
+model): the weight set theta (encoder, decoder, fully connected, routing) is
+one float64 vector, ``Model.theta``, and every ``Layer.W``/``.b`` and the
+stacked routing are views into it; the leaf logits are a separate array.
+
+Two optimizers run side by side. After each mini-batch the backward writes
+the theta gradient into the gradient model, whose ``theta`` is checked for
+finiteness once and takes one accumulator-scaled ``rmsprop_step``; that
+backward computes no leaf-logit gradient. The leaf logits take one step per
+epoch from the full-training-set gradient, which needs only one full-set
+forward's leaf reach mu, leaf distributions pi (the softmax of the logits,
+so always valid) and true-class probabilities. The step changes only pi, so
+the epoch's logged loss and accuracy reuse mu and the reconstruction and
+recompute only the leaf mixture mu @ pi.
 
 The loop owns the model exclusively while training; per-batch gradient
 reductions are plain indexed sums, so results are reproducible for a fixed
@@ -42,7 +46,7 @@ reductions are plain indexed sums, so results are reproducible for a fixed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, prod
 
 import numpy as np
 
@@ -132,15 +136,17 @@ class TrainConfig:
 class Model:
     """All trainable tensors plus the config that shaped them.
 
-    ``norm_stats`` (a dataio.NormStats, kept untyped here to avoid the
-    import cycle), ``manifest_version`` and ``feature_names`` (the training
-    columns, in order) ride along so a serialized model can be applied to
-    raw feature files without extra sidecars.
+    ``theta`` is the flat float64 vector behind every block but the leaf
+    logits (see ``_allocate_model``). ``norm_stats`` (a dataio.NormStats,
+    kept untyped here to avoid the import cycle), ``manifest_version`` and
+    ``feature_names`` (the training columns, in order) ride along so a
+    serialized model can be applied to raw feature files without sidecars.
     """
 
     autoencoder: AutoencoderParams
     forest: ForestParams
     config: TrainConfig
+    theta: np.ndarray
     norm_stats: object = None
     manifest_version: int | None = None
     feature_names: list[str] | None = None
@@ -165,51 +171,54 @@ def _default_encoder_widths(n_features: int, n_layers: int) -> list[int]:
     return widths
 
 
+def _allocate_model(config: TrainConfig, n_features: int, n_classes: int) -> Model:
+    """The all-zero model of ``config``; the one owner of the parameter layout.
+
+    The weight set theta is one float64 vector, ``model.theta``: every
+    ``Layer.W``/``.b`` (encoder, decoder, fully connected) and the stacked
+    routing are views into it, in ``parameter_blocks`` order. The stacked
+    leaf logits are a separate array.
+    """
+    if n_features < 1:
+        raise ConfigError(f"need at least one input feature, got {n_features}")
+    enc_widths = list(config.ae_widths) if config.ae_widths is not None else \
+        _default_encoder_widths(n_features, config.ae_layer_count)
+    hidden = enc_widths[-1]
+    dec_widths = list(reversed(enc_widths))[1:] + [n_features]
+    fc_width = config.fc_width if config.fc_width is not None else hidden
+    fc_widths = [fc_width] * config.fc_layer_count
+    xt_dim = fc_width if config.fc_layer_count > 0 else hidden
+    n_dec = 2 ** config.n_depth - 1
+
+    # Layer (in, out) widths of the encoder, decoder and fully connected stacks.
+    stacks = [list(zip([n_features] + enc_widths, enc_widths)),
+              list(zip([hidden] + dec_widths, dec_widths)),
+              list(zip([hidden] + fc_widths, fc_widths))]
+    shapes = [shape for stack in stacks for n_in, n_out in stack
+              for shape in ((n_out, n_in), (n_out,))]
+    shapes.append((config.n_tree, n_dec, xt_dim))
+    sizes = [prod(shape) for shape in shapes]
+    theta = np.zeros(sum(sizes))
+    views = iter([chunk.reshape(shape) for chunk, shape in
+                  zip(np.split(theta, np.cumsum(sizes)[:-1]), shapes)])
+    encoder, decoder, fc = [[Layer(next(views), next(views)) for _ in stack]
+                            for stack in stacks]
+    forest = ForestParams(next(views), np.zeros((config.n_tree, n_dec + 1, n_classes)), fc)
+    return Model(AutoencoderParams(encoder, decoder), forest, config, theta)
+
+
 def init_model(config: TrainConfig, n_features: int, rng: Rng,
                n_classes: int = 2) -> Model:
     """Freshly initialized model; every tensor is drawn normal(0, init_scale^2).
 
-    The draw order (encoder, decoder, fully connected, then per-tree routing
-    and leaf logits) is fixed so ``rng``'s seed pins the whole initialization.
+    One draw per block in ``parameter_blocks`` order (encoder, decoder,
+    fully connected, then per tree routing and leaf logits), so ``rng``'s
+    seed pins the whole initialization.
     """
-    if n_features < 1:
-        raise ConfigError(f"need at least one input feature, got {n_features}")
-    scale = config.init_scale
-
-    enc_widths = list(config.ae_widths) if config.ae_widths is not None else \
-        _default_encoder_widths(n_features, config.ae_layer_count)
-    dec_widths = list(reversed(enc_widths))[1:] + [n_features]
-
-    def draw_layers(in_dim, widths):
-        layers = []
-        for out_dim in widths:
-            layers.append(Layer(rng.normal((out_dim, in_dim), scale),
-                                rng.normal((out_dim,), scale)))
-            in_dim = out_dim
-        return layers
-
-    encoder = draw_layers(n_features, enc_widths)
-    decoder = draw_layers(enc_widths[-1], dec_widths)
-    hidden = enc_widths[-1]
-
-    fc_width = config.fc_width if config.fc_width is not None else hidden
-    fc = draw_layers(hidden, [fc_width] * config.fc_layer_count)
-    xt_dim = fc_width if config.fc_layer_count > 0 else hidden
-
-    n_dec = 2 ** config.n_depth - 1
-    n_leaf = 2 ** config.n_depth
-    routing, leaf_logits = [], []
-    for _ in range(config.n_tree):
-        routing.append(rng.normal((n_dec, xt_dim), scale))
-        leaf_logits.append(rng.normal((n_leaf, n_classes), scale))
-    forest = ForestParams(np.stack(routing), np.stack(leaf_logits), fc)
-
-    return Model(AutoencoderParams(encoder, decoder), forest, config)
-
-
-def _layer_stacks(model: Model) -> list[tuple[str, list[Layer]]]:
-    return [("encoder", model.autoencoder.encoder),
-            ("decoder", model.autoencoder.decoder), ("fc", model.forest.fc)]
+    model = _allocate_model(config, n_features, n_classes)
+    for _, block in parameter_blocks(model):
+        block[...] = rng.normal(block.shape, config.init_scale)
+    return model
 
 
 def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
@@ -221,28 +230,15 @@ def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
     forest tensors.
     """
     blocks = []
-    for prefix, layers in _layer_stacks(model):
+    for prefix, layers in (("encoder", model.autoencoder.encoder),
+                           ("decoder", model.autoencoder.decoder),
+                           ("fc", model.forest.fc)):
         for i, layer in enumerate(layers):
             blocks += [(f"{prefix}.{i}.W", layer.W), (f"{prefix}.{i}.b", layer.b)]
     for k in range(model.forest.n_trees):
         blocks.append((f"tree.{k}.routing", model.forest.routing[k]))
         blocks.append((f"tree.{k}.leaf_logits", model.forest.leaf_logits[k]))
     return blocks
-
-
-def _flat_theta(model: Model) -> np.ndarray:
-    """Move the weight set theta (every block but the leaf logits) into one
-    float64 vector, in ``parameter_blocks`` order, and return it; every
-    ``Layer.W``/``.b`` and ``forest.routing`` becomes a view into it."""
-    layers = [layer for _, stack in _layer_stacks(model) for layer in stack]
-    arrays = [a for layer in layers for a in (layer.W, layer.b)] + [model.forest.routing]
-    theta = np.concatenate([a.ravel() for a in arrays])
-    chunks = np.split(theta, np.cumsum([a.size for a in arrays])[:-1])
-    views = iter([c.reshape(a.shape) for c, a in zip(chunks, arrays)])
-    for layer in layers:
-        layer.W, layer.b = next(views), next(views)
-    model.forest.routing = next(views)
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +309,18 @@ def _loss_terms(X: np.ndarray, y: np.ndarray, x_c: np.ndarray,
 
 
 def _backward_layers(layers: list[Layer], acts: list[np.ndarray],
-                     g_out: np.ndarray):
-    """Gradients for a sigmoid_chain stack given dL/d(output).
-
-    Returns ([(gW, gb) per layer], dL/d(input)).
-    """
-    grads = [None] * len(layers)
+                     g_out: np.ndarray, grads: list[Layer]) -> np.ndarray:
+    """Backpropagate dL/d(output) through a sigmoid_chain stack, writing each
+    layer's dL/dW and dL/db into the same layer of ``grads``; returns
+    dL/d(input)."""
     g = g_out
     for i in range(len(layers) - 1, -1, -1):
         a = acts[i + 1]
         gz = g * a * (1.0 - a)
-        grads[i] = (gz.T @ acts[i], gz.sum(axis=0))
+        np.matmul(gz.T, acts[i], out=grads[i].W)
+        gz.sum(axis=0, out=grads[i].b)
         g = gz @ layers[i].W
-    return grads, g
+    return g
 
 
 def _tree_loss_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -336,56 +331,44 @@ def _tree_loss_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(p_y > PROB_FLOOR, -1.0 / (K * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
 
 
-def _check_finite(grads: dict[str, np.ndarray]):
-    """Raise NumericError naming the first block, in ``grads`` order, with a
-    non-finite entry."""
-    for name, g in grads.items():
+def _check_finite(grad: Model):
+    """Raise NumericError naming the first block of the gradient model
+    ``grad`` with a non-finite entry, in the order the backward pass reaches
+    them: decoder, trees, fully connected, encoder."""
+    order = ("decoder", "tree", "fc", "encoder")
+    for name, g in sorted(parameter_blocks(grad),
+                          key=lambda block: order.index(block[0].split(".")[0])):
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in block {name}", context=name)
 
 
-def _backward(X: np.ndarray, y: np.ndarray, model: Model,
-              with_leaf: bool) -> dict[str, np.ndarray]:
-    """The one backward pass: dL/d every theta block, plus the leaf logits
-    when ``with_leaf``, for a validated batch.
+def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model):
+    """The one backward pass for a validated batch: writes dL/d every theta
+    block of ``model`` into the same block of the gradient model ``grad``,
+    whose leaf logits it leaves alone.
 
-    Blocks are keyed by ``parameter_blocks`` name in the order the pass
-    produces them (decoder, trees, fully connected, encoder), the order in
-    which ``_check_finite`` looks for the first non-finite one.
+    Returns the forest cache and dL/d p_k[y], from which ``leaf_gradient``
+    gives the leaf-logit gradient.
     """
-    B = X.shape[0]
     cache = _forward_cache(X, model)
-    grads: dict[str, np.ndarray] = {}
 
     # Decoder chain, seeded by d/dx_c of mean_b ||x - x_c||^2.
-    g_xc = 2.0 * (cache["x_c"] - X) / B
-    dec_grads, g_h_dec = _backward_layers(model.autoencoder.decoder,
-                                          cache["dec_acts"], g_xc)
-    for i, (gW, gb) in enumerate(dec_grads):
-        grads[f"decoder.{i}.W"], grads[f"decoder.{i}.b"] = gW, gb
+    g_xc = 2.0 * (cache["x_c"] - X) / X.shape[0]
+    g_h_dec = _backward_layers(model.autoencoder.decoder, cache["dec_acts"], g_xc,
+                               grad.autoencoder.decoder)
 
     # Trees: the forest carries d(mean_k -log p_k[y]) back to the tree input.
     g_py = _tree_loss_grad(cache["forest"]["probs"], y)
-    g_routing, g_xt = forest_backward(
+    grad.forest.routing[...], g_xt = forest_backward(
         cache["fc_acts"][-1], y, g_py, cache["forest"], model.forest)
-    if with_leaf:
-        g_leaf_logits = leaf_gradient(y, g_py, cache["forest"], model.forest)
-    for k in range(model.forest.n_trees):
-        if with_leaf:
-            grads[f"tree.{k}.leaf_logits"] = g_leaf_logits[k]
-        grads[f"tree.{k}.routing"] = g_routing[k]
 
     # Fully connected chain (identity pass-through when empty).
-    fc_grads, g_h_fc = _backward_layers(model.forest.fc, cache["fc_acts"], g_xt)
-    for i, (gW, gb) in enumerate(fc_grads):
-        grads[f"fc.{i}.W"], grads[f"fc.{i}.b"] = gW, gb
+    g_h_fc = _backward_layers(model.forest.fc, cache["fc_acts"], g_xt, grad.forest.fc)
 
     # Encoder receives gradient from both the decoder and the forest.
-    enc_grads, _ = _backward_layers(model.autoencoder.encoder,
-                                    cache["enc_acts"], g_h_dec + g_h_fc)
-    for i, (gW, gb) in enumerate(enc_grads):
-        grads[f"encoder.{i}.W"], grads[f"encoder.{i}.b"] = gW, gb
-    return grads
+    _backward_layers(model.autoencoder.encoder, cache["enc_acts"], g_h_dec + g_h_fc,
+                     grad.autoencoder.encoder)
+    return cache["forest"], g_py
 
 
 def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarray]:
@@ -397,9 +380,11 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("gradients of an empty batch are undefined")
-    grads = _backward(X, y, model, with_leaf=True)
-    _check_finite(grads)
-    return grads
+    grad = _allocate_model(model.config, model.n_features, model.n_classes)
+    forest_cache, g_py = _backward(X, y, model, grad)
+    grad.forest.leaf_logits[...] = leaf_gradient(y, g_py, forest_cache, model.forest)
+    _check_finite(grad)
+    return dict(parameter_blocks(grad))
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +409,12 @@ def rmsprop_step(theta: np.ndarray, grad: np.ndarray, accum: np.ndarray,
 # Training loop
 
 
-def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, accum: np.ndarray,
+def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, grad: Model,
+                     accum: np.ndarray,
                      config: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """The epoch's leaf-logit step from one full-set forward pass; ``accum``
-    is the leaf logits' squared-gradient accumulator.
+    """The epoch's leaf-logit step from one full-set forward pass; the leaf
+    gradient goes into the gradient model ``grad``, and ``accum`` is the
+    leaf logits' squared-gradient accumulator.
 
     Returns the joint loss and training accuracy of the stepped model, equal
     to ``joint_loss`` and ``predict`` on it, and the updated accumulator. The
@@ -437,12 +424,12 @@ def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, accum: np.ndarr
     """
     cache = _forward_cache(X, model)
     forest_cache = cache["forest"]
-    g_leaf_logits = leaf_gradient(
+    grad.forest.leaf_logits[...] = leaf_gradient(
         y, _tree_loss_grad(forest_cache["probs"], y), forest_cache, model.forest)
-    if not np.isfinite(g_leaf_logits).all():
-        _check_finite({f"tree.{k}.leaf_logits": g for k, g in enumerate(g_leaf_logits)})
+    if not np.isfinite(grad.forest.leaf_logits).all():
+        _check_finite(grad)
     model.forest.leaf_logits[...], accum = rmsprop_step(
-        model.forest.leaf_logits, g_leaf_logits, accum,
+        model.forest.leaf_logits, grad.forest.leaf_logits, accum,
         config.leaf_learning_rate, config.epsilon)
     mixture = leaf_mixture(forest_cache["reach"], model.forest)
     loss = _loss_terms(X, y, cache["x_c"], mixture["probs"])
@@ -487,10 +474,8 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
 
     rng = Rng(config.seed)
     model = init_model(config, X.shape[1], rng=rng)
-    theta = _flat_theta(model)
-    theta_names = [name for name, _ in parameter_blocks(model)
-                   if not name.endswith(".leaf_logits")]
-    theta_accum = np.zeros_like(theta)
+    grad = _allocate_model(config, X.shape[1], model.n_classes)
+    theta_accum = np.zeros_like(model.theta)
     leaf_accum = np.zeros_like(model.forest.leaf_logits)
 
     order = rng.permutation(n)
@@ -507,13 +492,14 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         try:
             for b in range(n_batches):
                 sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
-                grads = _backward(X[sl], y[sl], model, with_leaf=False)
-                g = np.concatenate([grads[name].ravel() for name in theta_names])
-                if not np.isfinite(g).all():
-                    _check_finite(grads)
-                theta[...], theta_accum = rmsprop_step(
-                    theta, g, theta_accum, config.learning_rate, config.epsilon)
-            loss, acc, leaf_accum = _leaf_epoch_step(X, y, model, leaf_accum, config)
+                _backward(X[sl], y[sl], model, grad)
+                if not np.isfinite(grad.theta).all():
+                    _check_finite(grad)
+                model.theta[...], theta_accum = rmsprop_step(
+                    model.theta, grad.theta, theta_accum, config.learning_rate,
+                    config.epsilon)
+            loss, acc, leaf_accum = _leaf_epoch_step(X, y, model, grad, leaf_accum,
+                                                     config)
         except NumericError as exc:
             raise NumericError(f"{exc} at epoch {epoch}", context=epoch) from exc
         if not np.isfinite(loss):

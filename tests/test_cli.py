@@ -1,7 +1,12 @@
+import base64
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -188,6 +193,17 @@ class TestAnalyze:
         assert row.split("\t")[1].startswith("signed-rank")
 
 
+def poison_tensor(name, index, value):
+    """A model body change that sets ``[index]`` of tensor ``name``'s flat
+    float64 data to ``value``."""
+    def change(body):
+        tensor = body["tensors"][name]
+        arr = np.frombuffer(base64.b64decode(tensor["data"]), dtype="<f8").copy()
+        arr[index] = value
+        tensor["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    return change
+
+
 @pytest.fixture(scope="module")
 def run_dir(gaussian_features, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -287,7 +303,21 @@ class TestTrainEvaluatePredict:
          "tensor fc.0.b data is not base64 of float64 values"),
         (lambda body: body.update(n_classes=-1),
          "n_classes must be a positive integer, got -1"),
-    ], ids=["not-base64", "partial-float64", "negative-classes"])
+        (poison_tensor("tree.0.leaf_logits", 0, np.nan),
+         "tensor tree.0.leaf_logits holds a non-finite value"),
+        (poison_tensor("encoder.0.W", ..., np.inf),
+         "tensor encoder.0.W holds a non-finite value"),
+        (lambda body: body["norm_stats"]["center"].__setitem__(0, "a"),
+         "norm_stats must name a method"),
+        (lambda body: body["norm_stats"]["center"].__setitem__(0, None),
+         "norm_stats must name a method"),
+        (lambda body: body["norm_stats"]["scale"].__setitem__(1, 0.0),
+         "norm_stats must name a method"),
+        (lambda body: body["norm_stats"].update(method="bogus"),
+         "norm_stats must name a method"),
+    ], ids=["not-base64", "partial-float64", "negative-classes", "nan-leaf",
+            "inf-encoder", "string-center", "null-center", "zero-scale",
+            "bogus-method"])
     def test_malformed_model_body_exits_2_naming_it(self, run_dir, tmp_path,
                                                     capsys, change, named):
         doc = json.loads((run_dir / "model.json").read_text())
@@ -302,6 +332,26 @@ class TestTrainEvaluatePredict:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
         assert not (tmp_path / "out").exists()
+
+    def test_predict_imports_no_numpy_random(self, run_dir, tmp_path):
+        # Scoring draws nothing, so it should not pay for importing
+        # numpy.random (about 6 MB of RSS). Modules loaded before the call,
+        # as numpy < 2 loads numpy.random, do not count.
+        code = (
+            "import sys\n"
+            "from spamforest.cli import main\n"
+            "before = set(sys.modules)\n"
+            f"assert main(['predict', '--features', {str(run_dir / 'heldout')!r}, "
+            f"'--model', {str(run_dir / 'model.json')!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[:2] == ['numpy', 'random']))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "predictions.tsv").exists()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     @pytest.mark.parametrize("cell", ["nan", "inf"])

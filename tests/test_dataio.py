@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 import warnings
 from datetime import date, timedelta
@@ -421,8 +422,10 @@ class TestModelSerialization:
 
     def test_norm_stats_survive_round_trip(self, trained_desk, tmp_path):
         model, _ = trained_desk
-        model.norm_stats = NormStats("zscore", np.array([0.5, -1.0]),
-                                     np.array([2.0, 3.0]))
+        # One center and one scale per feature column, as load_model checks.
+        model.norm_stats = NormStats("zscore",
+                                     np.array([0.5, -1.0, 0.0, 2.5, -3.0, 1.0]),
+                                     np.array([2.0, 3.0, 1.0, 0.5, 4.0, 1.5]))
         path = tmp_path / "model.json"
         save_model(path, model)
         loaded = load_model(path)
@@ -595,6 +598,120 @@ class TestModelSerialization:
         self.rewrite_body(path, apply)
         with pytest.raises(ModelIntegrityError, match=match):
             load_model(path)
+
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("tree.0.leaf_logits", (1, 0), np.nan),
+        ("encoder.0.W", ..., np.inf),
+        ("tree.1.routing", (2, 1), -np.inf),
+    ], ids=["nan-leaf", "inf-encoder", "neg-inf-routing"])
+    def test_non_finite_tensor_is_integrity_error(self, trained_desk, tmp_path,
+                                                  name, index, value):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        blocks = dict(parameter_blocks(model))
+
+        def poison(body):
+            arr = blocks[name].copy()
+            arr[index] = value
+            body["tensors"][name]["data"] = base64.b64encode(
+                arr.astype("<f8").tobytes()).decode("ascii")
+
+        self.rewrite_body(path, poison)
+        with pytest.raises(ModelIntegrityError,
+                           match=rf"tensor {re.escape(name)} holds a non-finite value"):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda stats: stats.update(center=["a"] * 6),
+        lambda stats: stats["center"].__setitem__(0, None),
+        lambda stats: stats["scale"].__setitem__(1, 0.0),
+        lambda stats: stats["scale"].__setitem__(2, -1.0),
+        lambda stats: stats["scale"].__setitem__(3, float("inf")),
+        lambda stats: stats.update(method="bogus"),
+        lambda stats: stats.update(center=stats["center"][:5]),
+        lambda stats: stats.update(scale=1.0),
+        lambda stats: stats.pop("scale"),
+        lambda stats: stats.clear(),
+    ], ids=["string-center", "null-center", "zero-scale", "negative-scale",
+            "inf-scale", "bogus-method", "short-center", "scalar-scale",
+            "missing-scale", "empty"])
+    def test_malformed_norm_stats_is_integrity_error(self, trained_desk,
+                                                     tmp_path, change):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, dataclasses.replace(model, norm_stats=NormStats(
+            "zscore", np.linspace(-1.0, 1.0, 6), np.linspace(0.5, 3.0, 6))))
+        self.rewrite_body(path, lambda body: change(body["norm_stats"]))
+        with pytest.raises(ModelIntegrityError,
+                           match=r"norm_stats must name a method in .* and hold "
+                                 r"6 finite centers and 6 finite positive scales"):
+            load_model(path)
+
+    @pytest.mark.parametrize("norm_stats", [[], "zscore", 0])
+    def test_norm_stats_of_wrong_type_is_integrity_error(self, trained_desk,
+                                                         tmp_path, norm_stats):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body.update(norm_stats=norm_stats))
+        with pytest.raises(ModelIntegrityError, match="norm_stats"):
+            load_model(path)
+
+
+def theta_layout_holds(model):
+    """Every theta block (all but the leaf logits) is a view of
+    ``model.theta``, and together they cover it exactly."""
+    theta = [arr for name, arr in parameter_blocks(model)
+             if not name.endswith(".leaf_logits")]
+    return (model.theta.ndim == 1
+            and all(np.shares_memory(arr, model.theta) for arr in theta)
+            and sum(arr.size for arr in theta) == model.theta.size)
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("structure", [
+        dict(fc_layer_count=0, n_tree=1, n_depth=1),
+        dict(fc_layer_count=2, n_tree=3, n_depth=3, ae_layer_count=1),
+        dict(ae_widths=(5, 3, 2), ae_layer_count=3, fc_width=4),
+    ])
+    def test_init_train_and_load_models_are_views_of_theta(self, tmp_path,
+                                                           structure):
+        cfg = TrainConfig(n_epoch=1, batch_size=5, seed=2, **structure)
+        initial = init_model(cfg, 6, Rng(cfg.seed))
+        trained = train(Rng(4).normal((10, 6)), np.array([0, 1] * 5), cfg).model
+        save_model(tmp_path / "model.json", trained)
+        loaded = load_model(tmp_path / "model.json")
+        for model in (initial, trained, loaded):
+            assert theta_layout_holds(model)
+            assert not np.shares_memory(model.forest.leaf_logits, model.theta)
+        npt.assert_array_equal(loaded.theta, trained.theta)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+class TestGoldenModelFile:
+    """A feature directory, model.json and predictions.tsv written by an
+    earlier version of the package: ``train`` (2 trees of depth 2, batch 6,
+    seed 3, both learning rates 0.5, 5 epochs) and ``predict`` on all 24
+    rows of ``two_gaussian_dataset(12, seed=5)`` plus the column x0 - x1.
+    Today's code must read and rewrite them byte for byte."""
+
+    def test_save_of_load_rewrites_the_model_file(self, tmp_path):
+        save_model(tmp_path / "model.json", load_model(GOLDEN / "model.json"))
+        assert (tmp_path / "model.json").read_bytes() == \
+            (GOLDEN / "model.json").read_bytes()
+
+    def test_predict_reproduces_predictions(self, tmp_path):
+        from spamforest.cli import main
+
+        assert main(["predict", "--features", str(GOLDEN / "features"),
+                     "--model", str(GOLDEN / "model.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "predictions.tsv").read_bytes() == \
+            (GOLDEN / "predictions.tsv").read_bytes()
 
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
