@@ -23,32 +23,18 @@ from .dataio import (LabeledDataset, apply_normalization, label_and_cap_users,
                      load_features, load_model, load_reviews,
                      load_reviews_delimited, load_spam_scores, normalize,
                      open_text, save_features, save_model, split_train_test)
-from .errors import (FeatureMismatchError, ModelIntegrityError,
+from .errors import (ConfigError, FeatureMismatchError, ModelIntegrityError,
                      ModelVersionError, ParseError)
 from .features import SCOPES, build_feature_matrix
 from .metrics import compute_metrics, confusion, write_metrics_report
 from .stats import screen_features, write_histograms, write_screening_report
-from .training import Model, TrainConfig, predict, train
+from .training import Model, TrainConfig, config_value, predict, train
 
 __all__ = ["main", "run_ablation", "load_config_file"]
 
 # perfbench/tracing.py times the train/test split by wrapping the module
 # attribute split_shuffle_batch, so the commands call the split by that name.
 split_shuffle_batch = split_train_test
-
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
-                 "yes": True, "no": False}
-
-# TrainConfig field name -> its annotation, e.g. "int" or "int | None".
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-# An annotation without " | None" -> (parser of the raw text, what it expects).
-_CONFIG_TYPES = {
-    "int": (int, "an integer"), "float": (float, "a number"), "str": (str, "text"),
-    "bool": (lambda raw: _BOOL_STRINGS[raw.lower()], "true or false"),
-    "tuple[int, ...]": (lambda raw: tuple(int(p) for p in raw.split(",") if p.strip()),
-                        "comma-separated integers"),
-}
 
 
 def load_config_file(path) -> dict:
@@ -63,25 +49,11 @@ def load_config_file(path) -> dict:
                 raise ParseError(f"expected 'key = value', got {line!r}", ln)
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in _CONFIG_FIELDS:
-                raise ParseError(f"unknown config key {key!r}", ln)
-            values[key] = _parse_config_value(key, raw, ln)
+            try:
+                values[key] = config_value(key, raw, text=True)
+            except ConfigError as exc:
+                raise ParseError(str(exc), ln) from None
     return values
-
-
-def _parse_config_value(key: str, raw: str, ln: int):
-    """``raw`` read as the type of TrainConfig field ``key``; ``none`` or an
-    empty value is None only where the annotation allows None."""
-    annotation = _CONFIG_FIELDS[key]
-    optional = annotation.endswith(" | None")
-    if optional and raw.lower() in ("none", ""):
-        return None
-    parse, expected = _CONFIG_TYPES[annotation.removesuffix(" | None")]
-    try:
-        return parse(raw)
-    except (KeyError, ValueError):
-        raise ParseError(f"{key} must be {expected}{' or none' if optional else ''}, "
-                         f"got {raw!r}", ln) from None
 
 
 def _resolve_config(args) -> TrainConfig:

@@ -39,7 +39,7 @@ from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
 from .features import FeatureMatrix, ReviewRecord
 from .numerics import Rng
 from .training import (NORMALIZATION_METHODS, Model, TrainConfig,
-                       _allocate_model, parameter_blocks)
+                       _allocate_model, config_value, parameter_blocks)
 
 __all__ = [
     "LabeledDataset",
@@ -447,6 +447,13 @@ def load_model(path) -> Model:
     if type(n_classes) is not int or n_classes < 1:
         raise ModelIntegrityError(
             f"model file n_classes must be a positive integer, got {n_classes!r}")
+    if not isinstance(body["config"], dict):
+        raise ModelIntegrityError("model file config must be an object")
+    try:
+        config = TrainConfig(**{key: config_value(key, value)
+                                for key, value in body["config"].items()})
+    except ConfigError as exc:
+        raise ModelIntegrityError(f"model file config: {exc}") from None
 
     try:
         tensors = {name: _tensor_from_json(name, t)
@@ -455,8 +462,7 @@ def load_model(path) -> Model:
             raise ModelIntegrityError(
                 "model file needs a 2-D tensor encoder.0.W (width, n_features)")
         # The all-zero model the config describes, filled from the file below.
-        model = _allocate_model(TrainConfig(**body["config"]),
-                                tensors["encoder.0.W"].shape[1], n_classes)
+        model = _allocate_model(config, tensors["encoder.0.W"].shape[1], n_classes)
         model.norm_stats = (None if body.get("norm_stats") is None else
                             NormStats.from_dict(body["norm_stats"], model.n_features))
     except (KeyError, TypeError, AttributeError) as exc:
@@ -474,6 +480,10 @@ def load_model(path) -> Model:
                 f"model its config describes needs {list(blocks[name].shape)}")
         blocks[name][...] = tensors[name]
     model.manifest_version = body.get("manifest_version")
+    if model.manifest_version is not None and type(model.manifest_version) is not int:
+        raise ModelIntegrityError(
+            f"model file manifest_version must be an integer or null, "
+            f"got {model.manifest_version!r}")
     model.feature_names = names = body["feature_names"]
     if names is not None and (
             not isinstance(names, list) or len(names) != model.n_features

@@ -15,10 +15,14 @@ matter what the optimizer does to the logits.
 The K trees are stored stacked: routing (K, 2^D - 1, xt_dim) and leaf
 logits (K, 2^D, n_classes), the layout of Deep Neural Decision Forests
 (Kontschieder et al., ICCV 2015). The depth is read off the leaf count.
-The forward pass keeps stacked decisions (K, B, 2^D - 1) and reach
-(K, B, 2^(D+1) - 1). Both passes take a chunk of trees per numpy call
-(``_tree_chunks``), with a batched matmul over the tree axis (one gemm per
-tree) and one reach step per tree level over all trees of the chunk.
+The backprop forward (``forest_forward``) keeps stacked decisions
+(K, B, 2^D - 1) and reach (K, B, 2^(D+1) - 1) for ``forest_backward``;
+``leaf_reach`` keeps only the leaf reach mu (K, B, 2^D), all that the leaf
+mixture, the leaf gradient and scoring read, and runs its sigmoid and reach
+recursion in row blocks of reused scratch. Every pass takes a chunk of
+trees per numpy call (``_tree_chunks``), with a batched matmul over the
+tree axis (one gemm per tree over all rows) and one reach step per tree
+level over all trees of the chunk, through one routing kernel (``_route``).
 
 Forest parameters are read-only during inference and safe to share across
 threads.
@@ -34,8 +38,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .numerics import Layer, sigmoid, softmax
 
-__all__ = ["ForestParams", "forest_forward", "leaf_mixture", "leaf_gradient",
-           "forest_backward"]
+__all__ = ["ForestParams", "forest_forward", "leaf_reach", "leaf_mixture",
+           "leaf_gradient", "forest_backward"]
 
 
 @dataclass
@@ -112,7 +116,8 @@ def _levels(depth: int) -> tuple:
 # A chunk holds as many trees as keep trees * rows * (2^(D+1) - 1) cells under
 # CHUNK_CELLS, and at least one: a mini-batch (default 5 * 50 * 15) takes every
 # tree, while the full-set pass and large predict batches take one tree at a
-# time, so that their temporaries stay in cache.
+# time, so that their temporaries stay in cache. leaf_reach also bounds its
+# row blocks by CHUNK_CELLS reach cells.
 CHUNK_CELLS = 2 ** 16
 
 
@@ -121,56 +126,101 @@ def _tree_chunks(forest: ForestParams, n_rows: int) -> list[slice]:
     return [slice(k, k + per_chunk) for k in range(0, forest.n_trees, per_chunk)]
 
 
-def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
-    """One batched forest pass over tree inputs ``XT`` (B, xt_dim).
-
-    Returns the stacked ``decisions`` (K, B, 2^D - 1) of left probabilities
-    and ``reach`` (K, B, 2^(D+1) - 1) of node-reach probabilities in heap
-    order (the last 2^D columns are the leaf reach mu, rows summing to one),
-    plus the ``leaf_mixture`` entries. Trees are routed in chunks of
-    ``_tree_chunks``; each tree's arithmetic is the same in any chunk.
-    """
+def _check_input(XT: np.ndarray, forest: ForestParams):
     if XT.ndim != 2 or XT.shape[1] != forest.input_dim:
         raise ShapeError(
             f"tree input shape {XT.shape} != (batch, {forest.input_dim})")
+
+
+def _route(z: np.ndarray, d: np.ndarray, r: np.ndarray, depth: int):
+    """The one routing kernel: writes the left probabilities sigmoid(z) into
+    ``d`` (trees, rows, 2^D - 1) and the reach recursion into ``r`` (trees,
+    rows, 2^(D+1) - 1), whose root column the caller sets to 1. Elementwise
+    per row, so any row block of ``z`` gives the same bits."""
+    sigmoid(z, out=d)
+    for nodes, left, right in _levels(depth):
+        r[:, :, left] = r[:, :, nodes] * d[:, :, nodes]
+        r[:, :, right] = r[:, :, nodes] * (1.0 - d[:, :, nodes])
+
+
+def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
+    """One batched forest pass over tree inputs ``XT`` (B, xt_dim), keeping
+    what ``forest_backward`` reads.
+
+    Returns the stacked ``decisions`` (K, B, 2^D - 1) of left probabilities
+    and ``reach`` (K, B, 2^(D+1) - 1) of node-reach probabilities in heap
+    order, whose last 2^D columns are the leaf reach ``mu`` (rows summing to
+    one), plus the ``leaf_mixture`` entries. Trees are routed in chunks of
+    ``_tree_chunks``; each tree's arithmetic is the same in any chunk.
+    """
+    _check_input(XT, forest)
     n_dec = forest.n_decision_nodes
     decisions = np.empty((forest.n_trees, XT.shape[0], n_dec))
     reach = np.empty((forest.n_trees, XT.shape[0], 2 * n_dec + 1))
     reach[:, :, 0] = 1.0
     for trees in _tree_chunks(forest, XT.shape[0]):
-        d = sigmoid(XT @ forest.routing[trees].transpose(0, 2, 1), out=decisions[trees])
-        r = reach[trees]
-        for nodes, left, right in _levels(forest.depth):
-            r[:, :, left] = r[:, :, nodes] * d[:, :, nodes]
-            r[:, :, right] = r[:, :, nodes] * (1.0 - d[:, :, nodes])
-    return {"decisions": decisions, "reach": reach, **leaf_mixture(reach, forest)}
+        _route(XT @ forest.routing[trees].transpose(0, 2, 1), decisions[trees],
+               reach[trees], forest.depth)
+    mu = reach[:, :, n_dec:]
+    return {"decisions": decisions, "reach": reach, "mu": mu,
+            **leaf_mixture(mu, forest)}
 
 
-def leaf_mixture(reach: np.ndarray, forest: ForestParams) -> dict:
-    """The leaf half of the forward pass, from ``forest_forward``'s reach.
+def leaf_reach(XT: np.ndarray, forest: ForestParams) -> np.ndarray:
+    """The leaf reach mu (K, B, 2^D) of ``forest_forward``, bit for bit,
+    without its decisions and reach.
+
+    The routing gemm runs per tree chunk over all B rows, as in
+    ``forest_forward``; the sigmoid and the reach recursion then run in row
+    blocks of at most ``CHUNK_CELLS`` reach cells, in scratch buffers reused
+    across blocks, and only each block's leaf columns are kept.
+    """
+    _check_input(XT, forest)
+    n_rows, n_dec = XT.shape[0], forest.n_decision_nodes
+    chunks = _tree_chunks(forest, n_rows)
+    n_chunk = min(chunks[0].stop, forest.n_trees)
+    # A chunk of several trees fits CHUNK_CELLS with all its rows, so only
+    # one-tree chunks are split into row blocks.
+    n_block = max(1, min(n_rows, CHUNK_CELLS // (n_chunk * (2 * n_dec + 1))))
+    d_buf = np.empty((n_chunk, n_block, n_dec))
+    r_buf = np.empty((n_chunk, n_block, 2 * n_dec + 1))
+    r_buf[:, :, 0] = 1.0
+    mu = np.empty((forest.n_trees, n_rows, n_dec + 1))
+    for trees in chunks:
+        z = XT @ forest.routing[trees].transpose(0, 2, 1)
+        for lo in range(0, n_rows, n_block):
+            rows = slice(lo, lo + n_block)
+            d, r = d_buf[:z.shape[0], :n_rows - lo], r_buf[:z.shape[0], :n_rows - lo]
+            _route(z[:, rows], d, r, forest.depth)
+            mu[trees, rows] = r[:, :, n_dec:]
+    return mu
+
+
+def leaf_mixture(mu: np.ndarray, forest: ForestParams) -> dict:
+    """The leaf half of the forward pass, from the leaf reach ``mu``.
 
     Returns ``leaf_dists`` (K, 2^D, C) of the forest's current leaf logits,
     per-tree class distributions ``probs`` (K, B, C) = mu[k] @ leaf_dists[k],
     and their tree average ``forest_probs``. A step on the leaf logits alone
-    leaves the reach unchanged, so calling this after one gives what a new
-    ``forest_forward`` would, bit for bit.
+    leaves mu unchanged, so calling this after one gives what a new forward
+    would, bit for bit.
     """
     leaf_dists = forest.leaf_distributions()
-    probs = reach[:, :, forest.n_decision_nodes:] @ leaf_dists
+    probs = mu @ leaf_dists
     return {"leaf_dists": leaf_dists, "probs": probs,
             "forest_probs": probs.mean(axis=0)}
 
 
-def leaf_gradient(y: np.ndarray, g_py: np.ndarray, cache: dict,
-                  forest: ForestParams) -> np.ndarray:
+def leaf_gradient(y: np.ndarray, g_py: np.ndarray, mu: np.ndarray,
+                  leaf_dists: np.ndarray) -> np.ndarray:
     """dL/d leaf logits (K, 2^D, C) for ``g_py[k, b] = dL / d probs[k, b,
-    y[b]]``, from a ``forest_forward`` cache: only the leaf reach mu and the
-    leaf distributions enter, through p = mu @ pi and the softmax behind pi.
+    y[b]]``: only the leaf reach ``mu`` and the leaf distributions pi enter,
+    through p = mu @ pi and the softmax behind pi.
     """
-    pi = cache["leaf_dists"]
-    onehot_s = np.zeros((forest.n_trees, g_py.shape[1], forest.n_classes))
+    pi = leaf_dists
+    onehot_s = np.zeros((mu.shape[0], g_py.shape[1], pi.shape[2]))
     onehot_s[:, np.arange(g_py.shape[1]), y] = g_py
-    g_pi = cache["reach"][:, :, forest.n_decision_nodes:].transpose(0, 2, 1) @ onehot_s
+    g_pi = mu.transpose(0, 2, 1) @ onehot_s
     return pi * (g_pi - (g_pi * pi).sum(axis=2, keepdims=True))
 
 

@@ -21,6 +21,11 @@ the rows and weights each epoch's forward and backward calls see; wall time
 is measured by the benchmark in ``perfbench/``. The forest works on stacked
 (K, rows, nodes) arrays, one chunk of trees per numpy call: every tree for a
 mini-batch, one per call for the full-set pass (``forest._tree_chunks``).
+Only the mini-batch backward runs ``_forward_cache`` and its
+``forest_forward``, which keeps decisions and reach for backprop;
+``predict``, ``joint_loss`` and the leaf step keep only the leaf reach mu
+(``forest.leaf_reach``), so a full-set pass holds (K, rows, 2^D) floats of
+forest state, not (K, rows, 3 * 2^D - 2).
 
 One function, ``_allocate_model``, owns the parameter layout of every model
 (``init_model``'s, ``dataio.load_model``'s and the training loop's gradient
@@ -34,9 +39,10 @@ finiteness once and takes one accumulator-scaled ``rmsprop_step``; that
 backward computes no leaf-logit gradient. The leaf logits take one step per
 epoch from the full-training-set gradient, which needs only one full-set
 forward's leaf reach mu, leaf distributions pi (the softmax of the logits,
-so always valid) and true-class probabilities. The step changes only pi, so
-the epoch's logged loss and accuracy reuse mu and the reconstruction and
-recompute only the leaf mixture mu @ pi.
+so always valid) and true-class probabilities; that forward keeps only the
+reconstruction and mu. The step changes only pi, so the epoch's logged
+loss and accuracy reuse mu and the reconstruction and recompute only the
+leaf mixture mu @ pi.
 
 The loop owns the model exclusively while training; per-batch gradient
 reductions are plain indexed sums, so results are reproducible for a fixed
@@ -45,6 +51,7 @@ reductions are plain indexed sums, so results are reproducible for a fixed
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import ceil, prod
 
@@ -53,11 +60,12 @@ import numpy as np
 from .autoencoder import AutoencoderParams
 from .errors import ConfigError, NumericError, ShapeError
 from .forest import (ForestParams, forest_backward, forest_forward,
-                     leaf_gradient, leaf_mixture)
+                     leaf_gradient, leaf_mixture, leaf_reach)
 from .numerics import Layer, Rng, sigmoid_chain
 
 __all__ = [
     "TrainConfig",
+    "config_value",
     "Model",
     "TrainResult",
     "init_model",
@@ -77,8 +85,10 @@ NORMALIZATION_METHODS = ("zscore", "minmax", "none")
 PROB_FLOOR = 1e-12
 
 # Soft routing sends every row through all 2^D - 1 decision nodes of every
-# tree, so a forward holds a (K, rows, 2^(D+1) - 1) reach array: at depth 10,
-# 16 KB per row per tree. The deepest config shipped uses 6.
+# tree, so the mini-batch forward holds a (K, rows, 2^(D+1) - 1) reach array
+# (at depth 10, 16 KB per row per tree) and the full-set leaf step and
+# predict hold the (K, rows, 2^D) leaf reach mu (8 KB). The deepest config
+# shipped uses 6.
 MAX_DEPTH = 10
 
 
@@ -130,6 +140,57 @@ class TrainConfig:
                 raise ConfigError("ae_widths entries must be >= 1")
         if self.fc_width is not None and self.fc_width < 1:
             raise ConfigError(f"fc_width must be >= 1, got {self.fc_width}")
+
+
+_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
+                 "yes": True, "no": False}
+
+
+def _exact(value, *kinds):
+    # type(), not isinstance: a JSON true must not pass as the integer 1.
+    if type(value) not in kinds:
+        raise TypeError
+    return value
+
+
+# How a TrainConfig field is read, by its annotation without " | None":
+# (what it must be, the reader of config-file text, the reader of a model
+# file's JSON value). A reader raises KeyError, TypeError or ValueError on a
+# value it refuses.
+_CONFIG_TYPES = {
+    "int": ("an integer", int, lambda v: _exact(v, int)),
+    # A whole number written without a fraction loads from JSON as int.
+    "float": ("a number", float, lambda v: float(_exact(v, int, float))),
+    "str": ("text", str, lambda v: _exact(v, str)),
+    "bool": ("true or false", lambda raw: _BOOL_STRINGS[raw.lower()],
+             lambda v: _exact(v, bool)),
+    "tuple[int, ...]": ("integers",
+                        lambda raw: tuple(int(p) for p in raw.split(",") if p.strip()),
+                        lambda v: tuple(_exact(w, int) for w in _exact(v, list))),
+}
+
+# TrainConfig field name -> its annotation, e.g. "int" or "int | None".
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+
+def config_value(key: str, value, text: bool = False):
+    """TrainConfig field ``key`` read from a model file's JSON ``value`` or,
+    with ``text``, from the raw text of a config-file line (comma-separated
+    for a tuple). None (JSON null, or the text ``none`` or nothing) is
+    accepted only where the annotation allows it. Raises ConfigError naming
+    the key and what it must be."""
+    if key not in _CONFIG_FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    annotation = _CONFIG_FIELDS[key]
+    optional = annotation.endswith(" | None")
+    if optional and (value.lower() in ("none", "") if text else value is None):
+        return None
+    expected, from_text, from_json = _CONFIG_TYPES[annotation.removesuffix(" | None")]
+    try:
+        return from_text(value) if text else from_json(value)
+    except (KeyError, TypeError, ValueError):
+        none = f" or {'none' if text else 'null'}" if optional else ""
+        raise ConfigError(f"{key} must be {expected}{none}, got {value!r}") from None
 
 
 @dataclass
@@ -253,7 +314,8 @@ def _batch(X: np.ndarray) -> np.ndarray:
 
 
 def _forward_cache(X: np.ndarray, model: Model) -> dict:
-    """One batched forward pass keeping every intermediate for backprop."""
+    """One batched forward pass keeping every intermediate for backprop;
+    only the mini-batch backward needs it."""
     enc_acts = sigmoid_chain(X, model.autoencoder.encoder)
     H = enc_acts[-1]
     dec_acts = sigmoid_chain(H, model.autoencoder.decoder)
@@ -267,6 +329,14 @@ def _forward_cache(X: np.ndarray, model: Model) -> dict:
     }
 
 
+def _leaf_forward(X: np.ndarray, model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """The reconstruction x_c and the leaf reach mu of a batch, keeping no
+    intermediate for backprop."""
+    H = sigmoid_chain(X, model.autoencoder.encoder)[-1]
+    x_c = sigmoid_chain(H, model.autoencoder.decoder)[-1]
+    return x_c, leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest)
+
+
 def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, forest probabilities) for a 2-D batch; argmax ties go low.
 
@@ -274,7 +344,7 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     H = sigmoid_chain(_batch(X), model.autoencoder.encoder)[-1]
     x_t = sigmoid_chain(H, model.forest.fc)[-1]
-    probs = forest_forward(x_t, model.forest)["forest_probs"]
+    probs = leaf_mixture(leaf_reach(x_t, model.forest), model.forest)["forest_probs"]
     return probs.argmax(axis=1), probs
 
 
@@ -290,8 +360,8 @@ def joint_loss(X: np.ndarray, y: np.ndarray, model: Model) -> float:
         raise ValueError("joint_loss of an empty batch is undefined")
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"{X.shape[0]} samples but {y.shape[0]} labels")
-    cache = _forward_cache(X, model)
-    return _loss_terms(X, y, cache["x_c"], cache["forest"]["probs"])
+    x_c, mu = _leaf_forward(X, model)
+    return _loss_terms(X, y, x_c, leaf_mixture(mu, model.forest)["probs"])
 
 
 def _loss_terms(X: np.ndarray, y: np.ndarray, x_c: np.ndarray,
@@ -382,7 +452,8 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
         raise ValueError("gradients of an empty batch are undefined")
     grad = _allocate_model(model.config, model.n_features, model.n_classes)
     forest_cache, g_py = _backward(X, y, model, grad)
-    grad.forest.leaf_logits[...] = leaf_gradient(y, g_py, forest_cache, model.forest)
+    grad.forest.leaf_logits[...] = leaf_gradient(y, g_py, forest_cache["mu"],
+                                                 forest_cache["leaf_dists"])
     _check_finite(grad)
     return dict(parameter_blocks(grad))
 
@@ -412,27 +483,27 @@ def rmsprop_step(theta: np.ndarray, grad: np.ndarray, accum: np.ndarray,
 def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, grad: Model,
                      accum: np.ndarray,
                      config: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """The epoch's leaf-logit step from one full-set forward pass; the leaf
-    gradient goes into the gradient model ``grad``, and ``accum`` is the
-    leaf logits' squared-gradient accumulator.
+    """The epoch's leaf-logit step from one full-set forward pass that keeps
+    only the reconstruction and the leaf reach mu; the leaf gradient goes
+    into the gradient model ``grad``, and ``accum`` is the leaf logits'
+    squared-gradient accumulator.
 
     Returns the joint loss and training accuracy of the stepped model, equal
     to ``joint_loss`` and ``predict`` on it, and the updated accumulator. The
-    step changes only the leaf logits, so the cached reach and reconstruction
-    still hold and only the leaf mixture is recomputed. The cache is dropped
-    on return, before the next epoch's forward.
+    step changes only the leaf logits, so mu and the reconstruction still
+    hold and only the leaf mixture is recomputed.
     """
-    cache = _forward_cache(X, model)
-    forest_cache = cache["forest"]
+    x_c, mu = _leaf_forward(X, model)
+    mixture = leaf_mixture(mu, model.forest)
     grad.forest.leaf_logits[...] = leaf_gradient(
-        y, _tree_loss_grad(forest_cache["probs"], y), forest_cache, model.forest)
+        y, _tree_loss_grad(mixture["probs"], y), mu, mixture["leaf_dists"])
     if not np.isfinite(grad.forest.leaf_logits).all():
         _check_finite(grad)
     model.forest.leaf_logits[...], accum = rmsprop_step(
         model.forest.leaf_logits, grad.forest.leaf_logits, accum,
         config.leaf_learning_rate, config.epsilon)
-    mixture = leaf_mixture(forest_cache["reach"], model.forest)
-    loss = _loss_terms(X, y, cache["x_c"], mixture["probs"])
+    mixture = leaf_mixture(mu, model.forest)
+    loss = _loss_terms(X, y, x_c, mixture["probs"])
     acc = float((mixture["forest_probs"].argmax(axis=1) == y).mean())
     return loss, acc, accum
 

@@ -4,6 +4,8 @@ follower walks the heap by hand instead of reusing the reach recursion and
 takes the leaf softmax with its own exp, and the feature reference
 recomputes every row from ``datetime.date`` objects and per-review scans."""
 
+import hashlib
+import json
 import re
 from datetime import date, timedelta
 from importlib import resources
@@ -12,6 +14,16 @@ import numpy as np
 
 from spamforest.numerics import entropy
 from spamforest.training import joint_loss, parameter_blocks
+
+
+def rewrite_model_body(path, change):
+    """Apply ``change`` to a model file's body and re-sign it with a valid
+    checksum, so that load_model checks the changed body itself."""
+    doc = json.loads(path.read_text())
+    change(doc["body"])
+    canonical = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc))
 
 
 def finite_difference_check(model, X, y, h=1e-5):

@@ -224,7 +224,7 @@ def test_09_leaf_validity_every_epoch():
 def epoch_work(monkeypatch, X, y, config):
     """``(rows, rows x weights)`` per call site over one ``train`` run.
 
-    Forest forward and backward count rows x ``forest.routing.size``
+    Forest forward, leaf reach and backward count rows x ``forest.routing.size``
     (K * (2^D - 1) * xt_dim); ``sigmoid_chain`` counts rows x the summed
     ``W.size`` of its layers (encoder, decoder and fully connected stacks).
     """
@@ -242,6 +242,7 @@ def epoch_work(monkeypatch, X, y, config):
         monkeypatch.setattr(training, name, wrapper)
 
     counted("forest_forward", lambda XT, forest: (len(XT), forest.routing.size))
+    counted("leaf_reach", lambda XT, forest: (len(XT), forest.routing.size))
     counted("forest_backward",
             lambda XT, *rest: (len(XT), rest[-1].routing.size))
     counted("sigmoid_chain",
@@ -263,14 +264,16 @@ def test_10_cost_model_counts_linear_in_trees(monkeypatch):
             for k in (5, 10) for e in (1, 3)}
     for k in (5, 10):
         one = work[k, 1]
-        # Per epoch: the mini-batches plus the leaf step's one full-set
-        # forward, and one backward over the mini-batches.
-        assert one["forest_forward"][0] == 2 * n
+        # Per epoch: the mini-batches' forward and backward, plus the leaf
+        # step's one full-set forward that keeps only the leaf reach: 2n
+        # forest-forward rows in all.
+        assert one["forest_forward"][0] == n
+        assert one["leaf_reach"][0] == n
         assert one["forest_backward"][0] == n
         assert one["sigmoid_chain"][0] == 3 * 2 * n  # encoder, decoder, fc
         for name, c in one.items():
             assert work[k, 3][name] == (3 * c[0], 3 * c[1]), name
-    for name in ("forest_forward", "forest_backward"):
+    for name in ("forest_forward", "leaf_reach", "forest_backward"):
         assert work[10, 1][name][1] == 2 * work[5, 1][name][1], name
     assert work[10, 1]["sigmoid_chain"] == work[5, 1]["sigmoid_chain"]
     report(10, "rows x weights per epoch, K=5 -> K=10: " + ", ".join(

@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import rewrite_model_body
 from spamforest.cli import load_config_file, main, run_ablation
 from spamforest.dataio import LabeledDataset, load_features, save_features
 from spamforest.errors import ParseError
@@ -284,12 +285,9 @@ class TestTrainEvaluatePredict:
         assert rc == 2
 
     def test_incomplete_model_exits_2(self, run_dir, tmp_path, capsys):
-        doc = json.loads((run_dir / "model.json").read_text())
-        del doc["body"]["config"]
-        canonical = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
-        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
+        model.write_text((run_dir / "model.json").read_text())
+        rewrite_model_body(model, lambda body: body.pop("config"))
         rc = main(["predict", "--features", str(run_dir / "heldout"),
                    "--model", str(model), "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -315,17 +313,25 @@ class TestTrainEvaluatePredict:
          "norm_stats must name a method"),
         (lambda body: body["norm_stats"].update(method="bogus"),
          "norm_stats must name a method"),
+        (lambda body: body["config"].update(n_tree=2.0),
+         "model file config: n_tree must be an integer, got 2.0"),
+        (lambda body: body["config"].update(init_scale="x"),
+         "model file config: init_scale must be a number, got 'x'"),
+        (lambda body: body["config"].update(ae_widths="30"),
+         "model file config: ae_widths must be integers or null, got '30'"),
+        (lambda body: body["config"].update(reshuffle_each_epoch="no"),
+         "model file config: reshuffle_each_epoch must be true or false, got 'no'"),
+        (lambda body: body.update(manifest_version="1"),
+         "model file manifest_version must be an integer or null, got '1'"),
     ], ids=["not-base64", "partial-float64", "negative-classes", "nan-leaf",
             "inf-encoder", "string-center", "null-center", "zero-scale",
-            "bogus-method"])
+            "bogus-method", "float-n-tree", "string-init-scale",
+            "string-ae-widths", "string-reshuffle", "string-manifest-version"])
     def test_malformed_model_body_exits_2_naming_it(self, run_dir, tmp_path,
                                                     capsys, change, named):
-        doc = json.loads((run_dir / "model.json").read_text())
-        change(doc["body"])
-        canonical = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
-        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
+        model.write_text((run_dir / "model.json").read_text())
+        rewrite_model_body(model, change)
         rc = main(["predict", "--features", str(run_dir / "heldout"),
                    "--model", str(model), "--out", str(tmp_path / "out")])
         assert rc == 2

@@ -1,6 +1,5 @@
 import base64
 import dataclasses
-import hashlib
 import json
 import re
 import tempfile
@@ -14,6 +13,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import rewrite_model_body
 from spamforest import dataio
 from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
                                NormStats, apply_normalization,
@@ -435,15 +435,7 @@ class TestModelSerialization:
         model.norm_stats = None
 
 
-    @staticmethod
-    def rewrite_body(path, change):
-        """Apply ``change`` to the body and re-sign it with a valid checksum."""
-        doc = json.loads(path.read_text())
-        change(doc["body"])
-        canonical = json.dumps(doc["body"], sort_keys=True,
-                               separators=(",", ":"))
-        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        path.write_text(json.dumps(doc))
+    rewrite_body = staticmethod(rewrite_model_body)
 
     def test_feature_names_survive_round_trip(self, trained_desk, tmp_path):
         model, _ = trained_desk
@@ -572,6 +564,50 @@ class TestModelSerialization:
         with pytest.raises(ModelIntegrityError, match=r"encoder\.0\.W"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("n_tree", 2.0, r"model file config: n_tree must be an integer, got 2\.0"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("init_scale", "x", "init_scale must be a number, got 'x'"),
+        ("learning_rate", False, "learning_rate must be a number, got False"),
+        ("ae_widths", "30", "ae_widths must be integers or null, got '30'"),
+        ("ae_widths", [3.0, 2], r"ae_widths must be integers or null, got \[3\.0, 2\]"),
+        ("reshuffle_each_epoch", "no",
+         "reshuffle_each_epoch must be true or false, got 'no'"),
+        ("normalization", 1, "normalization must be text, got 1"),
+        ("fc_width", "3", "fc_width must be an integer or null, got '3'"),
+        ("n_epoch", None, "n_epoch must be an integer, got None"),
+        ("bogus", 1, "unknown config key 'bogus'"),
+    ])
+    def test_mistyped_config_is_integrity_error_naming_key(self, trained_desk,
+                                                           tmp_path, key, value,
+                                                           match):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body["config"].update({key: value}))
+        with pytest.raises(ModelIntegrityError, match=match):
+            load_model(path)
+
+    def test_whole_number_float_config_loads_as_float(self, trained_desk, tmp_path):
+        # A hand-edited file may write a whole number without its fraction.
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body["config"].update(learning_rate=1))
+        loaded = load_model(path).config.learning_rate
+        assert loaded == 1.0 and type(loaded) is float
+
+    @pytest.mark.parametrize("value", ["1", 1.0, True, [1]])
+    def test_mistyped_manifest_version_is_integrity_error(self, trained_desk,
+                                                          tmp_path, value):
+        model, _ = trained_desk
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        self.rewrite_body(path, lambda body: body.update(manifest_version=value))
+        with pytest.raises(ModelIntegrityError,
+                           match="manifest_version must be an integer or null"):
+            load_model(path)
+
     @pytest.mark.parametrize("change, match", [
         ({"data": "abc"}, r"tensor fc\.0\.b data is not base64"),
         ({"data": "AAAA!AAAAAAAAAAA"}, r"tensor fc\.0\.b data is not base64"),
@@ -581,8 +617,9 @@ class TestModelSerialization:
         ({"n_classes": 0}, "n_classes must be a positive integer, got 0"),
         ({"n_classes": 2.0}, r"n_classes must be a positive integer, got 2\.0"),
         ({"n_classes": True}, "n_classes must be a positive integer, got True"),
+        ({"config": [5, 3]}, "model file config must be an object"),
     ], ids=["not-base64", "non-alphabet", "partial-float64", "negative-classes",
-            "zero-classes", "float-classes", "bool-classes"])
+            "zero-classes", "float-classes", "bool-classes", "list-config"])
     def test_malformed_tensor_data_or_classes_names_it(self, trained_desk,
                                                        tmp_path, change, match):
         model, _ = trained_desk

@@ -8,8 +8,10 @@ from helpers import follow_forest
 from spamforest.errors import ConfigError, ShapeError
 from spamforest.forest import (CHUNK_CELLS, ForestParams, _tree_chunks,
                                forest_backward, forest_forward, leaf_gradient)
+from spamforest.forest import leaf_reach as forest_leaf_reach
 from spamforest.numerics import Layer, Rng, sigmoid, sigmoid_chain
-from spamforest.training import TrainConfig, init_model, predict
+from spamforest.training import (TrainConfig, _forward_cache, _loss_terms,
+                                 init_model, joint_loss, predict)
 
 
 def logit(p):
@@ -202,7 +204,7 @@ class TestStackedForestPass:
         g_py = rng.normal((5, rows))
         cache = forest_forward(XT, forest)
         g_routing, _ = forest_backward(XT, y, g_py, cache, forest)
-        g_leaf = leaf_gradient(y, g_py, cache, forest)
+        g_leaf = leaf_gradient(y, g_py, cache["mu"], cache["leaf_dists"])
         for k in range(5):
             single = ForestParams(forest.routing[k:k + 1], forest.leaf_logits[k:k + 1])
             one = forest_forward(XT, single)
@@ -212,8 +214,39 @@ class TestStackedForestPass:
             one_g_routing, _ = forest_backward(XT, y, g_py[k:k + 1], one, single)
             npt.assert_array_equal(g_routing[k].view(np.int64),
                                    one_g_routing[0].view(np.int64))
-            npt.assert_array_equal(g_leaf[k].view(np.int64),
-                                   leaf_gradient(y, g_py[k:k + 1], one, single)[0].view(np.int64))
+            one_g_leaf = leaf_gradient(y, g_py[k:k + 1], one["mu"], one["leaf_dists"])
+            npt.assert_array_equal(g_leaf[k].view(np.int64), one_g_leaf[0].view(np.int64))
+
+    # leaf_reach routes with the same gemm per tree chunk and runs the
+    # elementwise sigmoid and reach recursion in row blocks, so it must give
+    # forest_forward's leaf columns bit for bit on either side of a block edge.
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_leaf_reach_equals_forward_leaf_columns(self, rng, depth):
+        forest = random_forest(rng, 5, depth, 4, scale=2.0)
+        cells = 2 ** (depth + 1) - 1
+        block = CHUNK_CELLS // cells  # rows per block of a one-tree chunk
+        chunked = [CHUNK_CELLS // (cells * trees) for trees in (5, 2, 1)]
+        assert [len(_tree_chunks(forest, rows)) for rows in chunked] == [1, 3, 5]
+        for rows in chunked + [1, block - 1, block, block + 1, 2 * block + 3]:
+            XT = rng.normal((rows, 4))
+            reach = forest_forward(XT, forest)["reach"]
+            npt.assert_array_equal(
+                forest_leaf_reach(XT, forest).view(np.int64),
+                reach[:, :, forest.n_decision_nodes:].view(np.int64))
+
+    @pytest.mark.parametrize("rows", [1, 515, 516, 517, 1035])
+    def test_predict_and_joint_loss_equal_backprop_forward(self, rng, rows):
+        # Depth 6 holds 127 reach cells per row, so 516 rows fill one block.
+        model = init_model(TrainConfig(n_tree=3, n_depth=6, seed=4), 5, Rng(4))
+        X = rng.normal((rows, 5))
+        y = (rng.normal((rows,)) > 0).astype(np.int64)
+        cache = _forward_cache(X, model)
+        _, probs = predict(model, X)
+        npt.assert_array_equal(probs.view(np.int64),
+                               cache["forest"]["forest_probs"].view(np.int64))
+        expected = _loss_terms(X, y, cache["x_c"], cache["forest"]["probs"])
+        assert np.float64(joint_loss(X, y, model)).view(np.int64) == \
+            np.float64(expected).view(np.int64)
 
 
 class TestHardRoutingEquivalence:

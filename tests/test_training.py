@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from spamforest import forest as forest_module, training
 from spamforest.errors import ConfigError, NumericError, ShapeError
 from spamforest.numerics import Rng
-from spamforest.training import (MAX_DEPTH, TrainConfig, _forward_cache,
+from spamforest.training import (MAX_DEPTH, TrainConfig, _allocate_model,
+                                 _forward_cache, _leaf_epoch_step,
                                  _loss_terms, gradients, init_model,
                                  joint_loss, parameter_blocks, predict,
                                  rmsprop_step, train)
@@ -319,6 +321,29 @@ class TestLeafUpdateStep:
         npt.assert_allclose(new_logits, expected_logits, atol=1e-15)
         npt.assert_allclose(softmax(new_logits), softmax(expected_logits),
                             atol=1e-15)
+
+
+class TestFullSetPassMemory:
+    # The leaf step and predict keep only the leaf reach mu (K, B, 2^D), so
+    # neither may hold as much as one (K, B, 2^(D+1) - 1) reach array.
+    def test_peak_below_one_reach_array(self, rng):
+        cfg = TrainConfig(n_tree=10, n_depth=6, seed=3)
+        X = rng.normal((2000, 8))
+        y = (X[:, 0] > 0).astype(np.int64)
+        model = init_model(cfg, 8, Rng(cfg.seed))
+        grad = _allocate_model(cfg, 8, model.n_classes)
+        accum = np.zeros_like(model.forest.leaf_logits)
+        reach_bytes = 10 * 2000 * (2 ** 7 - 1) * 8
+        for name, call in (
+                ("_leaf_epoch_step", lambda: _leaf_epoch_step(X, y, model, grad, accum, cfg)),
+                ("predict", lambda: predict(model, X))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < reach_bytes, (name, peak)
 
 
 class TestTrain:
