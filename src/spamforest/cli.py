@@ -89,8 +89,15 @@ def cmd_extract(args) -> int:
     loader = load_reviews_delimited if args.delimited else load_reviews
     records = loader(args.reviews)
     scores = load_spam_scores(args.scores)
-    capped, row_labels = label_and_cap_users(records, scores,
-                                             cap=args.cap, seed=args.seed)
+    if not records:
+        raise ParseError(f"{args.reviews}: holds no review records")
+    try:
+        capped, row_labels = label_and_cap_users(records, scores,
+                                                 cap=args.cap, seed=args.seed)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # authors the scores file does not cover
+        raise ValueError(f"{args.scores}: {exc}") from None
     matrix, user_ids = build_feature_matrix(capped)
     save_features(args.out, matrix, row_labels, user_ids)
     _echo_config(args.out, "extract", None,
@@ -102,6 +109,10 @@ def cmd_extract(args) -> int:
 
 def cmd_analyze(args) -> int:
     ds = load_features(args.features)
+    if ds.labels.min() == ds.labels.max():
+        raise ValueError(
+            f"{os.path.join(args.features, 'labels.tsv')}: every row has label "
+            f"{ds.labels[0]}; screening compares the two classes")
     results = screen_features(ds.features, ds.labels, paired_mode=args.paired)
     os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, "screening.tsv")

@@ -278,7 +278,9 @@ def label_and_cap_users(records: list[ReviewRecord], spam_scores: dict[str, floa
 
     missing = sorted(u for u in by_user if u not in spam_scores)
     if missing:
-        raise ValueError(f"no spam score for user(s): {missing}")
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise ValueError(
+            f"no spam score for {len(missing)} user(s): {missing[:5]}{more}")
 
     user_labels = {u: (0 if spam_scores[u] < 0.5 else 1) for u in by_user}
 
@@ -592,6 +594,9 @@ def load_features(in_dir) -> LabeledDataset:
                 raise ParseError(f"expected 'user_id<TAB>0|1', got {line!r}", ln)
             user_ids.append(parts[0])
             labels.append(int(parts[1]))
+        if len(labels) != values.shape[0]:
+            raise ParseError(f"holds {len(labels)} label rows, features.tsv "
+                             f"holds {values.shape[0]} feature rows")
 
     matrix = FeatureMatrix(values, names, scopes, kinds, version)
     return LabeledDataset(matrix, np.array(labels, dtype=np.int64), user_ids)

@@ -16,13 +16,14 @@ The K trees are stored stacked: routing (K, 2^D - 1, xt_dim) and leaf
 logits (K, 2^D, n_classes), the layout of Deep Neural Decision Forests
 (Kontschieder et al., ICCV 2015). The depth is read off the leaf count.
 The backprop forward (``forest_forward``) keeps stacked decisions
-(K, B, 2^D - 1) and reach (K, B, 2^(D+1) - 1) for ``forest_backward``;
-``leaf_reach`` keeps only the leaf reach mu (K, B, 2^D), all that the leaf
-mixture, the leaf gradient and scoring read, and runs its sigmoid and reach
-recursion in row blocks of reused scratch. Every pass takes a chunk of
-trees per numpy call (``_tree_chunks``), with a batched matmul over the
-tree axis (one gemm per tree over all rows) and one reach step per tree
-level over all trees of the chunk, through one routing kernel (``_route``).
+(K, B, 2^D - 1) and reach (K, B, 2^(D+1) - 1) for ``forest_backward``; both
+route every tree at once, with a batched matmul over the tree axis (one
+gemm per tree over all rows) and one reach step per tree level over all
+trees. ``leaf_reach`` keeps only the leaf reach mu (K, B, 2^D), all that the
+leaf mixture, the leaf gradient and scoring read: it runs one tree's gemm at
+a time into one reused buffer, and that tree's sigmoid and reach recursion
+in row blocks of reused scratch. Both passes share one routing kernel
+(``_route``).
 
 Forest parameters are read-only during inference and safe to share across
 threads.
@@ -113,17 +114,9 @@ def _levels(depth: int) -> tuple:
                   slice(2 * lo + 2, 2 * hi + 1, 2)) for lo, hi in spans)
 
 
-# A chunk holds as many trees as keep trees * rows * (2^(D+1) - 1) cells under
-# CHUNK_CELLS, and at least one: a mini-batch (default 5 * 50 * 15) takes every
-# tree, while the full-set pass and large predict batches take one tree at a
-# time, so that their temporaries stay in cache. leaf_reach also bounds its
-# row blocks by CHUNK_CELLS reach cells.
+# leaf_reach routes one tree's row block of at most CHUNK_CELLS reach cells
+# at a time, so that its temporaries stay in cache whatever the row count.
 CHUNK_CELLS = 2 ** 16
-
-
-def _tree_chunks(forest: ForestParams, n_rows: int) -> list[slice]:
-    per_chunk = max(1, CHUNK_CELLS // max(1, n_rows * (2 * forest.n_decision_nodes + 1)))
-    return [slice(k, k + per_chunk) for k in range(0, forest.n_trees, per_chunk)]
 
 
 def _check_input(XT: np.ndarray, forest: ForestParams):
@@ -150,17 +143,15 @@ def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
     Returns the stacked ``decisions`` (K, B, 2^D - 1) of left probabilities
     and ``reach`` (K, B, 2^(D+1) - 1) of node-reach probabilities in heap
     order, whose last 2^D columns are the leaf reach ``mu`` (rows summing to
-    one), plus the ``leaf_mixture`` entries. Trees are routed in chunks of
-    ``_tree_chunks``; each tree's arithmetic is the same in any chunk.
+    one), plus the ``leaf_mixture`` entries. Each tree's slice is that
+    tree's single-tree pass, bit for bit.
     """
     _check_input(XT, forest)
     n_dec = forest.n_decision_nodes
     decisions = np.empty((forest.n_trees, XT.shape[0], n_dec))
     reach = np.empty((forest.n_trees, XT.shape[0], 2 * n_dec + 1))
     reach[:, :, 0] = 1.0
-    for trees in _tree_chunks(forest, XT.shape[0]):
-        _route(XT @ forest.routing[trees].transpose(0, 2, 1), decisions[trees],
-               reach[trees], forest.depth)
+    _route(XT @ forest.routing.transpose(0, 2, 1), decisions, reach, forest.depth)
     mu = reach[:, :, n_dec:]
     return {"decisions": decisions, "reach": reach, "mu": mu,
             **leaf_mixture(mu, forest)}
@@ -170,29 +161,27 @@ def leaf_reach(XT: np.ndarray, forest: ForestParams) -> np.ndarray:
     """The leaf reach mu (K, B, 2^D) of ``forest_forward``, bit for bit,
     without its decisions and reach.
 
-    The routing gemm runs per tree chunk over all B rows, as in
-    ``forest_forward``; the sigmoid and the reach recursion then run in row
+    The routing gemm runs one tree at a time over all B rows, the same BLAS
+    call as ``forest_forward`` makes for that tree, into one buffer reused
+    for every tree; the sigmoid and the reach recursion then run in row
     blocks of at most ``CHUNK_CELLS`` reach cells, in scratch buffers reused
     across blocks, and only each block's leaf columns are kept.
     """
     _check_input(XT, forest)
     n_rows, n_dec = XT.shape[0], forest.n_decision_nodes
-    chunks = _tree_chunks(forest, n_rows)
-    n_chunk = min(chunks[0].stop, forest.n_trees)
-    # A chunk of several trees fits CHUNK_CELLS with all its rows, so only
-    # one-tree chunks are split into row blocks.
-    n_block = max(1, min(n_rows, CHUNK_CELLS // (n_chunk * (2 * n_dec + 1))))
-    d_buf = np.empty((n_chunk, n_block, n_dec))
-    r_buf = np.empty((n_chunk, n_block, 2 * n_dec + 1))
+    n_block = max(1, min(n_rows, CHUNK_CELLS // (2 * n_dec + 1)))
+    z = np.empty((1, n_rows, n_dec))
+    d_buf = np.empty((1, n_block, n_dec))
+    r_buf = np.empty((1, n_block, 2 * n_dec + 1))
     r_buf[:, :, 0] = 1.0
     mu = np.empty((forest.n_trees, n_rows, n_dec + 1))
-    for trees in chunks:
-        z = XT @ forest.routing[trees].transpose(0, 2, 1)
+    for k in range(forest.n_trees):
+        np.matmul(XT, forest.routing[k:k + 1].transpose(0, 2, 1), out=z)
         for lo in range(0, n_rows, n_block):
             rows = slice(lo, lo + n_block)
-            d, r = d_buf[:z.shape[0], :n_rows - lo], r_buf[:z.shape[0], :n_rows - lo]
+            d, r = d_buf[:, :n_rows - lo], r_buf[:, :n_rows - lo]
             _route(z[:, rows], d, r, forest.depth)
-            mu[trees, rows] = r[:, :, n_dec:]
+            mu[k, rows] = r[0, :, n_dec:]
     return mu
 
 
@@ -235,22 +224,17 @@ def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
     leaf distributions in ``cache``; their gradient is ``leaf_gradient``'s.
     """
     n_dec = forest.n_decision_nodes
-    g_routing = np.empty_like(forest.routing)
-    g_xt_terms = np.empty((forest.n_trees,) + XT.shape)
-    for trees in _tree_chunks(forest, XT.shape[0]):
-        d, reach = cache["decisions"][trees], cache["reach"][trees]
-        pi_y = cache["leaf_dists"][trees][:, :, y].transpose(0, 2, 1)
+    d, reach = cache["decisions"], cache["reach"]
+    pi_y = cache["leaf_dists"][:, :, y].transpose(0, 2, 1)
 
-        # Reach recursion, deepest decision level first: a node's reach
-        # feeds its left child through d and its right child through 1 - d.
-        g_reach = np.empty_like(reach)
-        g_reach[:, :, n_dec:] = g_py[trees, :, None] * pi_y
-        for nodes, left, right in reversed(_levels(forest.depth)):
-            g_reach[:, :, nodes] = (g_reach[:, :, left] * d[:, :, nodes]
-                                    + g_reach[:, :, right] * (1.0 - d[:, :, nodes]))
-        g_d = (g_reach[:, :, 1::2] - g_reach[:, :, 2::2]) * reach[:, :, :n_dec]
-        g_f = g_d * d * (1.0 - d)
-        g_routing[trees] = g_f.transpose(0, 2, 1) @ XT
-        np.matmul(g_f, forest.routing[trees], out=g_xt_terms[trees])
+    # Reach recursion, deepest decision level first: a node's reach feeds
+    # its left child through d and its right child through 1 - d.
+    g_reach = np.empty_like(reach)
+    g_reach[:, :, n_dec:] = g_py[:, :, None] * pi_y
+    for nodes, left, right in reversed(_levels(forest.depth)):
+        g_reach[:, :, nodes] = (g_reach[:, :, left] * d[:, :, nodes]
+                                + g_reach[:, :, right] * (1.0 - d[:, :, nodes]))
+    g_d = (g_reach[:, :, 1::2] - g_reach[:, :, 2::2]) * reach[:, :, :n_dec]
+    g_f = g_d * d * (1.0 - d)
     # cumsum adds the trees' terms in tree order, where sum may pair them up.
-    return g_routing, np.cumsum(g_xt_terms, axis=0)[-1]
+    return g_f.transpose(0, 2, 1) @ XT, np.cumsum(g_f @ forest.routing, axis=0)[-1]

@@ -18,14 +18,13 @@ sum_l n_{l-1} n_l over encoder, decoder and fully connected layers +
 xt_dim * n_trees * n_leaves)). At a fixed depth the forest term grows
 linearly in the number of trees. Acceptance test 10 checks this by counting
 the rows and weights each epoch's forward and backward calls see; wall time
-is measured by the benchmark in ``perfbench/``. The forest works on stacked
-(K, rows, nodes) arrays, one chunk of trees per numpy call: every tree for a
-mini-batch, one per call for the full-set pass (``forest._tree_chunks``).
-Only the mini-batch backward runs ``_forward_cache`` and its
-``forest_forward``, which keeps decisions and reach for backprop;
-``predict``, ``joint_loss`` and the leaf step keep only the leaf reach mu
-(``forest.leaf_reach``), so a full-set pass holds (K, rows, 2^D) floats of
-forest state, not (K, rows, 3 * 2^D - 2).
+is measured by the benchmark in ``perfbench/``. Only the mini-batch backward
+runs ``_forward_cache`` and its ``forest_forward``, which routes every tree
+of the mini-batch at once on stacked (K, rows, nodes) arrays and keeps
+decisions and reach for backprop; ``predict``, ``joint_loss`` and the leaf
+step keep only the leaf reach mu (``forest.leaf_reach``, one tree at a time
+in row blocks), so a full-set pass holds (K, rows, 2^D) floats of forest
+state, not (K, rows, 3 * 2^D - 2).
 
 One function, ``_allocate_model``, owns the parameter layout of every model
 (``init_model``'s, ``dataio.load_model``'s and the training loop's gradient
@@ -86,9 +85,9 @@ PROB_FLOOR = 1e-12
 
 # Soft routing sends every row through all 2^D - 1 decision nodes of every
 # tree, so the mini-batch forward holds a (K, rows, 2^(D+1) - 1) reach array
-# (at depth 10, 16 KB per row per tree) and the full-set leaf step and
-# predict hold the (K, rows, 2^D) leaf reach mu (8 KB). The deepest config
-# shipped uses 6.
+# (at depth 10, 16 KB per row per tree) and its backward temporaries of the
+# same size over all K trees, and the full-set leaf step and predict hold the
+# (K, rows, 2^D) leaf reach mu (8 KB). The deepest config shipped uses 6.
 MAX_DEPTH = 10
 
 

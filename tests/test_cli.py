@@ -747,8 +747,16 @@ class TestParseErrorsNameTheFile:
         ("\n", "u0\t0.1\n", True, "reviews", "line 1: file has no header row"),
         (REVIEW + REVIEW.replace('"user_id": "u0"', '"user_id": null'),
          "u0\t0.1\n", False, "reviews", "line 2: required field 'user_id' is null"),
+        ("\n", "u0\t0.1\n", False, "reviews", "holds no review records"),
+        ("user_id\tproduct_id\n", "u0\t0.1\n", True, "reviews",
+         "holds no review records"),
+        (REVIEW, "u1\t0.1\n", False, "scores", "no spam score for 1 user(s): ['u0']\n"),
+        ("".join(map(REVIEW.replace, ['"u0"'] * 7, [f'"u{i}"' for i in range(7)])),
+         "u9\t0.1\n", False, "scores",
+         "no spam score for 7 user(s): ['u0', 'u1', 'u2', 'u3', 'u4'] and 2 more\n"),
     ], ids=["scores", "reviews-jsonl", "reviews-delimited", "delimited-no-header",
-            "reviews-null-field"])
+            "reviews-null-field", "reviews-empty", "delimited-header-only",
+            "scores-miss-user", "scores-miss-users-capped"])
     def test_extract_inputs(self, tmp_path, capsys, reviews, scores, delimited,
                             bad, where):
         paths = {"reviews": tmp_path / "reviews", "scores": tmp_path / "scores"}
@@ -759,18 +767,27 @@ class TestParseErrorsNameTheFile:
         assert main(args + ["--delimited"] * delimited) == 2
         assert capsys.readouterr().err.startswith(f"error: {paths[bad]}: {where}")
 
-    @pytest.mark.parametrize("name, where", [
-        ("features.tsv", "line 3: could not convert string to float: 'x'"),
-        ("labels.tsv", "line 3: expected 'user_id<TAB>0|1'")])
+    @pytest.mark.parametrize("name, edit, where", [
+        ("features.tsv", lambda lines: lines[:2] + ["x\tx\n"] + lines[3:],
+         "line 3: could not convert string to float: 'x'"),
+        ("labels.tsv", lambda lines: lines[:2] + ["x\tx\n"] + lines[3:],
+         "line 3: expected 'user_id<TAB>0|1'"),
+        ("labels.tsv", lambda lines: lines[:-1],
+         "holds 999 label rows, features.tsv holds 1000 feature rows"),
+        ("labels.tsv",
+         lambda lines: lines[:1] + [ln.split("\t")[0] + "\t0\n" for ln in lines[1:]],
+         "every row has label 0; screening compares the two classes"),
+    ], ids=["features.tsv-line 3: could not convert string to float: 'x'",
+            "labels.tsv-line 3: expected 'user_id<TAB>0|1'",
+            "labels-row-short", "labels-one-class"])
     def test_feature_directory(self, gaussian_features, tmp_path, capsys,
-                               name, where):
+                               name, edit, where):
         feat = tmp_path / "feat"
         feat.mkdir()
         for f in ("features.tsv", "labels.tsv", "manifest.json"):
             (feat / f).write_bytes((gaussian_features / f).read_bytes())
         lines = (feat / name).read_text().splitlines(keepends=True)
-        lines[2] = "x\tx\n"
-        (feat / name).write_text("".join(lines))
+        (feat / name).write_text("".join(edit(lines)))
         assert main(["analyze", "--features", str(feat), "--out",
                      str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {feat / name}: {where}")

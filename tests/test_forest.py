@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,8 +7,8 @@ import pytest
 
 from helpers import follow_forest
 from spamforest.errors import ConfigError, ShapeError
-from spamforest.forest import (CHUNK_CELLS, ForestParams, _tree_chunks,
-                               forest_backward, forest_forward, leaf_gradient)
+from spamforest.forest import (CHUNK_CELLS, ForestParams, forest_backward,
+                               forest_forward, leaf_gradient)
 from spamforest.forest import leaf_reach as forest_leaf_reach
 from spamforest.numerics import Layer, Rng, sigmoid, sigmoid_chain
 from spamforest.training import (TrainConfig, _forward_cache, _loss_terms,
@@ -193,46 +194,67 @@ class TestForestPredict:
 
 class TestStackedForestPass:
     # Each tree's slice of the stacked pass must be the single-tree pass,
-    # bit for bit, whether the trees are routed together or one at a time.
-    @pytest.mark.parametrize("trees_per_chunk", [5, 2, 1])
-    def test_tree_slices_equal_single_tree_passes(self, rng, trees_per_chunk):
-        forest = random_forest(rng, 5, 3, 4, scale=2.0)
-        rows = CHUNK_CELLS // (15 * trees_per_chunk)  # 15 reach cells per tree at depth 3
-        assert len(_tree_chunks(forest, rows)) == math.ceil(5 / trees_per_chunk)
-        XT = rng.normal((rows, 4))
-        y = (rng.normal((rows,)) > 0).astype(np.int64)
-        g_py = rng.normal((5, rows))
-        cache = forest_forward(XT, forest)
-        g_routing, _ = forest_backward(XT, y, g_py, cache, forest)
-        g_leaf = leaf_gradient(y, g_py, cache["mu"], cache["leaf_dists"])
-        for k in range(5):
-            single = ForestParams(forest.routing[k:k + 1], forest.leaf_logits[k:k + 1])
-            one = forest_forward(XT, single)
-            for name in ("decisions", "reach", "probs"):
-                npt.assert_array_equal(cache[name][k].view(np.int64),
-                                       one[name][0].view(np.int64))
-            one_g_routing, _ = forest_backward(XT, y, g_py[k:k + 1], one, single)
-            npt.assert_array_equal(g_routing[k].view(np.int64),
-                                   one_g_routing[0].view(np.int64))
-            one_g_leaf = leaf_gradient(y, g_py[k:k + 1], one["mu"], one["leaf_dists"])
-            npt.assert_array_equal(g_leaf[k].view(np.int64), one_g_leaf[0].view(np.int64))
+    # bit for bit, however many trees are routed together.
+    @pytest.mark.parametrize("n_trees", [1, 2, 5, 10])
+    def test_tree_slices_equal_single_tree_passes(self, rng, n_trees):
+        forest = random_forest(rng, n_trees, 3, 4, scale=2.0)
+        # Rows whose 5, 2 or 1 trees fill CHUNK_CELLS (15 reach cells per
+        # tree at depth 3).
+        for rows in (CHUNK_CELLS // (15 * 5), CHUNK_CELLS // (15 * 2), CHUNK_CELLS // 15):
+            XT = rng.normal((rows, 4))
+            y = (rng.normal((rows,)) > 0).astype(np.int64)
+            g_py = rng.normal((n_trees, rows))
+            cache = forest_forward(XT, forest)
+            g_routing, _ = forest_backward(XT, y, g_py, cache, forest)
+            g_leaf = leaf_gradient(y, g_py, cache["mu"], cache["leaf_dists"])
+            for k in range(n_trees):
+                single = ForestParams(forest.routing[k:k + 1], forest.leaf_logits[k:k + 1])
+                one = forest_forward(XT, single)
+                for name in ("decisions", "reach", "probs"):
+                    npt.assert_array_equal(cache[name][k].view(np.int64),
+                                           one[name][0].view(np.int64))
+                one_g_routing, _ = forest_backward(XT, y, g_py[k:k + 1], one, single)
+                npt.assert_array_equal(g_routing[k].view(np.int64),
+                                       one_g_routing[0].view(np.int64))
+                one_g_leaf = leaf_gradient(y, g_py[k:k + 1], one["mu"], one["leaf_dists"])
+                npt.assert_array_equal(g_leaf[k].view(np.int64),
+                                       one_g_leaf[0].view(np.int64))
 
-    # leaf_reach routes with the same gemm per tree chunk and runs the
-    # elementwise sigmoid and reach recursion in row blocks, so it must give
+    # leaf_reach routes with the same gemm per tree and runs the elementwise
+    # sigmoid and reach recursion in row blocks, so it must give
     # forest_forward's leaf columns bit for bit on either side of a block edge.
     @pytest.mark.parametrize("depth", [1, 3, 6])
     def test_leaf_reach_equals_forward_leaf_columns(self, rng, depth):
         forest = random_forest(rng, 5, depth, 4, scale=2.0)
         cells = 2 ** (depth + 1) - 1
-        block = CHUNK_CELLS // cells  # rows per block of a one-tree chunk
-        chunked = [CHUNK_CELLS // (cells * trees) for trees in (5, 2, 1)]
-        assert [len(_tree_chunks(forest, rows)) for rows in chunked] == [1, 3, 5]
-        for rows in chunked + [1, block - 1, block, block + 1, 2 * block + 3]:
+        block = CHUNK_CELLS // cells  # rows per block
+        spread = [CHUNK_CELLS // (cells * trees) for trees in (5, 2, 1)]
+        for rows in spread + [1, block - 1, block, block + 1, 2 * block + 3]:
             XT = rng.normal((rows, 4))
             reach = forest_forward(XT, forest)["reach"]
             npt.assert_array_equal(
                 forest_leaf_reach(XT, forest).view(np.int64),
                 reach[:, :, forest.n_decision_nodes:].view(np.int64))
+
+    # leaf_reach reuses one routing buffer and one block of scratch for every
+    # tree, so beyond mu its peak does not grow with the tree count. The
+    # slack covers loop objects such as views and ints; one tree's routing
+    # output alone is 11 KB at depth 3 and 200 rows.
+    @pytest.mark.parametrize("depth, rows", [(3, 200), (6, 2000)])
+    def test_leaf_reach_scratch_independent_of_tree_count(self, rng, depth, rows):
+        XT = rng.normal((rows, 4))
+        overhead = []
+        for n_trees in (1, 10):
+            forest = random_forest(rng, n_trees, depth, 4)
+            forest_leaf_reach(XT, forest)  # builds the cached level slices
+            tracemalloc.start()
+            try:
+                mu = forest_leaf_reach(XT, forest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            overhead.append(peak - mu.nbytes)
+        assert abs(overhead[1] - overhead[0]) < 1024, overhead
 
     @pytest.mark.parametrize("rows", [1, 515, 516, 517, 1035])
     def test_predict_and_joint_loss_equal_backprop_forward(self, rng, rows):
