@@ -158,16 +158,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_feature_names(trained: list[str] | None, given: list[str]):
-    """Reject feature columns other than the model's training columns."""
-    if trained is None or trained == given:
-        return
-    j = next((j for j, (t, g) in enumerate(zip(trained, given)) if t != g),
-             min(len(trained), len(given)))
-    raise FeatureMismatchError(
-        f"feature column {j + 1} is {given[j] if j < len(given) else None!r}, "
-        f"but the model was trained with {trained[j] if j < len(trained) else None!r} "
-        f"there ({len(given)} columns given, {len(trained)} trained)")
+def _check_columns(features_dir, model: Model, given: list[str]):
+    """Reject columns other than the model's: by count, and by stored name."""
+    path = os.path.join(features_dir, "features.tsv")
+    if len(given) != model.n_features:
+        raise FeatureMismatchError(
+            f"{path}: holds {len(given)} feature columns, but the model was "
+            f"trained with {model.n_features}")
+    trained = model.feature_names or given
+    j = next((j for j, (t, g) in enumerate(zip(trained, given)) if t != g), None)
+    if j is not None:
+        raise FeatureMismatchError(
+            f"{path}: feature column {j + 1} is {given[j]!r}, but the model was "
+            f"trained with {trained[j]!r} there")
 
 
 def _load_and_normalize(features_dir, model: Model) -> LabeledDataset:
@@ -177,11 +180,9 @@ def _load_and_normalize(features_dir, model: Model) -> LabeledDataset:
         raise ModelVersionError(
             f"model was trained against manifest version {model.manifest_version}, "
             f"features carry {ds.features.manifest_version}")
-    _check_feature_names(model.feature_names, ds.features.names)
-    if model.norm_stats is not None:
-        matrix = apply_normalization(ds.features, model.norm_stats)
-    else:
-        matrix = ds.features
+    _check_columns(features_dir, model, ds.features.names)
+    matrix = ds.features if model.norm_stats is None else \
+        apply_normalization(ds.features, model.norm_stats)
     return LabeledDataset(matrix, ds.labels, ds.user_ids)
 
 

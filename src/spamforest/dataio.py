@@ -38,7 +38,7 @@ from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      ParseError)
 from .features import FeatureMatrix, ReviewRecord
 from .numerics import Rng
-from .training import (NORMALIZATION_METHODS, Model, TrainConfig,
+from .training import (N_CLASSES, NORMALIZATION_METHODS, Model, TrainConfig,
                        _allocate_model, config_value, parameter_blocks)
 
 __all__ = [
@@ -398,6 +398,10 @@ def _tensor_from_json(name: str, d: dict) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _is_manifest_version(value) -> bool:
+    return value is None or type(value) is int  # type(): a JSON true is no integer
+
+
 def _body_checksum(body: dict) -> str:
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -407,7 +411,7 @@ def save_model(path, model: Model):
     """Write the model as a checksummed, versioned JSON document."""
     body = {
         "config": dataclasses.asdict(model.config),
-        "n_classes": model.n_classes,
+        "n_classes": N_CLASSES,
         "manifest_version": model.manifest_version,
         "feature_names": model.feature_names,
         "norm_stats": model.norm_stats.to_dict() if model.norm_stats else None,
@@ -446,9 +450,9 @@ def load_model(path) -> Model:
     if missing:
         raise ModelIntegrityError(f"model file body lacks {', '.join(missing)}")
     n_classes = body["n_classes"]
-    if type(n_classes) is not int or n_classes < 1:
+    if type(n_classes) is not int or n_classes != N_CLASSES:
         raise ModelIntegrityError(
-            f"model file n_classes must be a positive integer, got {n_classes!r}")
+            f"model file n_classes must be {N_CLASSES}, got {n_classes!r}")
     if not isinstance(body["config"], dict):
         raise ModelIntegrityError("model file config must be an object")
     try:
@@ -464,7 +468,7 @@ def load_model(path) -> Model:
             raise ModelIntegrityError(
                 "model file needs a 2-D tensor encoder.0.W (width, n_features)")
         # The all-zero model the config describes, filled from the file below.
-        model = _allocate_model(config, tensors["encoder.0.W"].shape[1], n_classes)
+        model = _allocate_model(config, tensors["encoder.0.W"].shape[1])
         model.norm_stats = (None if body.get("norm_stats") is None else
                             NormStats.from_dict(body["norm_stats"], model.n_features))
     except (KeyError, TypeError, AttributeError) as exc:
@@ -482,7 +486,7 @@ def load_model(path) -> Model:
                 f"model its config describes needs {list(blocks[name].shape)}")
         blocks[name][...] = tensors[name]
     model.manifest_version = body.get("manifest_version")
-    if model.manifest_version is not None and type(model.manifest_version) is not int:
+    if not _is_manifest_version(model.manifest_version):
         raise ModelIntegrityError(
             f"model file manifest_version must be an integer or null, "
             f"got {model.manifest_version!r}")
@@ -567,6 +571,9 @@ def load_features(in_dir) -> LabeledDataset:
         except TypeError:
             raise ParseError("must be an object whose 'features' list holds "
                              "name/scope/kind objects") from None
+        if not _is_manifest_version(version):
+            raise ParseError(
+                f"manifest_version must be an integer or null, got {version!r}")
 
     path = os.path.join(in_dir, "features.tsv")
     with open_text(path) as fh:

@@ -25,8 +25,9 @@ a time into one reused buffer, and that tree's sigmoid and reach recursion
 in row blocks of reused scratch. Both passes share one routing kernel
 (``_route``).
 
-Forest parameters are read-only during inference and safe to share across
-threads.
+Shapes are fixed where a model is built (``training._allocate_model``) and
+not checked here. Forest parameters are read-only during inference and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
 from .numerics import Layer, sigmoid, softmax
 
 __all__ = ["ForestParams", "forest_forward", "leaf_reach", "leaf_mixture",
@@ -52,34 +52,6 @@ class ForestParams:
     leaf_logits: np.ndarray  # (K, 2^depth, n_classes)
     fc: list[Layer] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.routing = np.asarray(self.routing, dtype=np.float64)
-        self.leaf_logits = np.asarray(self.leaf_logits, dtype=np.float64)
-        if self.routing.ndim != 3 or self.leaf_logits.ndim != 3:
-            raise ShapeError(
-                f"routing {self.routing.shape} and leaf_logits "
-                f"{self.leaf_logits.shape} must both be stacked 3-D tensors")
-        if self.routing.shape[0] == 0:
-            raise ConfigError("a forest needs at least one tree")
-        n_leaf = self.leaf_logits.shape[1]
-        if n_leaf < 2 or n_leaf & (n_leaf - 1):
-            raise ShapeError(f"leaf count {n_leaf} is not 2^depth with depth >= 1")
-        if self.routing.shape[:2] != (self.leaf_logits.shape[0], n_leaf - 1):
-            raise ShapeError(
-                f"routing shape {self.routing.shape} does not match leaf_logits "
-                f"shape {self.leaf_logits.shape}: need (K, 2^depth - 1, xt_dim) "
-                f"and (K, 2^depth, n_classes)")
-        for prev, nxt in zip(self.fc, self.fc[1:]):
-            if nxt.in_dim != prev.out_dim:
-                raise ShapeError(
-                    f"fc layer shapes do not chain: {prev.W.shape} -> {nxt.W.shape}"
-                )
-        if self.fc and self.fc[-1].out_dim != self.input_dim:
-            raise ShapeError(
-                f"fc output width {self.fc[-1].out_dim} != tree input width "
-                f"{self.input_dim}"
-            )
-
     @property
     def n_trees(self) -> int:
         return self.routing.shape[0]
@@ -91,14 +63,6 @@ class ForestParams:
     @property
     def n_decision_nodes(self) -> int:
         return self.routing.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.routing.shape[2]
-
-    @property
-    def n_classes(self) -> int:
-        return self.leaf_logits.shape[2]
 
     def leaf_distributions(self) -> np.ndarray:
         """(K, n_leaves, n_classes): softmax(leaf_logits), rows stochastic."""
@@ -117,12 +81,6 @@ def _levels(depth: int) -> tuple:
 # leaf_reach routes one tree's row block of at most CHUNK_CELLS reach cells
 # at a time, so that its temporaries stay in cache whatever the row count.
 CHUNK_CELLS = 2 ** 16
-
-
-def _check_input(XT: np.ndarray, forest: ForestParams):
-    if XT.ndim != 2 or XT.shape[1] != forest.input_dim:
-        raise ShapeError(
-            f"tree input shape {XT.shape} != (batch, {forest.input_dim})")
 
 
 def _route(z: np.ndarray, d: np.ndarray, r: np.ndarray, depth: int):
@@ -146,7 +104,6 @@ def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
     one), plus the ``leaf_mixture`` entries. Each tree's slice is that
     tree's single-tree pass, bit for bit.
     """
-    _check_input(XT, forest)
     n_dec = forest.n_decision_nodes
     decisions = np.empty((forest.n_trees, XT.shape[0], n_dec))
     reach = np.empty((forest.n_trees, XT.shape[0], 2 * n_dec + 1))
@@ -167,7 +124,6 @@ def leaf_reach(XT: np.ndarray, forest: ForestParams) -> np.ndarray:
     blocks of at most ``CHUNK_CELLS`` reach cells, in scratch buffers reused
     across blocks, and only each block's leaf columns are kept.
     """
-    _check_input(XT, forest)
     n_rows, n_dec = XT.shape[0], forest.n_decision_nodes
     n_block = max(1, min(n_rows, CHUNK_CELLS // (2 * n_dec + 1)))
     z = np.empty((1, n_rows, n_dec))

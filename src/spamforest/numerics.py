@@ -4,6 +4,8 @@ All arithmetic is 64-bit floating point: the training module validates its
 backpropagation against central finite differences, which needs the
 headroom. Vectors and matrices are plain ``numpy.float64`` arrays; functions
 accept a single vector ``(n,)`` or a batch ``(b, n)`` and preserve the shape.
+They check no shapes: ``training._allocate_model`` fixes a model's, and
+``training._batch`` checks a batch's where it enters.
 
 Entropy is reported in nats (natural log) with the ``0 * log 0 := 0``
 convention. Softmax subtracts the row maximum before exponentiating.
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 __all__ = [
     "Rng",
     "Layer",
-    "affine",
     "sigmoid",
     "softmax",
     "entropy",
@@ -57,24 +58,6 @@ class Rng:
         idx = self._gen.choice(len(items), size=k, replace=False)
         idx.sort()
         return [items[i] for i in idx]
-
-
-def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + b for a vector x, or row-wise for a batch of vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if W.ndim != 2:
-        raise ShapeError(f"weight matrix must be 2-D, got shape {W.shape}")
-    if x.shape[-1] != W.shape[1]:
-        raise ShapeError(
-            f"input shape {x.shape} incompatible with weight shape {W.shape}"
-        )
-    if b.shape != (W.shape[0],):
-        raise ShapeError(
-            f"bias shape {b.shape} incompatible with weight shape {W.shape}"
-        )
-    return x @ W.T + b
 
 
 def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
@@ -137,32 +120,16 @@ class Layer:
     W: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ShapeError(
-                f"layer weight shape {self.W.shape} incompatible with bias shape {self.b.shape}"
-            )
-
-    @property
-    def in_dim(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W.shape[0]
-
 
 def sigmoid_chain(x: np.ndarray, layers: list[Layer]) -> list[np.ndarray]:
-    """Activations [x, sigma(affine(x)), ...] through a stack of layers.
+    """Activations [x, sigma(x @ W.T + b), ...] through a stack of layers.
 
     Returns the full list so backpropagation can reuse the intermediates;
     callers that only want the output take the last element.
     """
     acts = [np.asarray(x, dtype=np.float64)]
     for layer in layers:
-        acts.append(sigmoid(affine(acts[-1], layer.W, layer.b)))
+        acts.append(sigmoid(acts[-1] @ layer.W.T + layer.b))
     return acts
 
 

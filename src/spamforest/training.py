@@ -31,6 +31,8 @@ One function, ``_allocate_model``, owns the parameter layout of every model
 model): the weight set theta (encoder, decoder, fully connected, routing) is
 one float64 vector, ``Model.theta``, and every ``Layer.W``/``.b`` and the
 stacked routing are views into it; the leaf logits are a separate array.
+It fixes every shape, so the one shape check left is ``_batch``'s, on a
+batch entering ``predict``, ``joint_loss`` or ``gradients``.
 
 Two optimizers run side by side. After each mini-batch the backward writes
 the theta gradient into the gradient model, whose ``theta`` is checked for
@@ -56,7 +58,6 @@ from math import ceil, prod
 
 import numpy as np
 
-from .autoencoder import AutoencoderParams
 from .errors import ConfigError, NumericError, ShapeError
 from .forest import (ForestParams, forest_backward, forest_forward,
                      leaf_gradient, leaf_mixture, leaf_reach)
@@ -65,6 +66,7 @@ from .numerics import Layer, Rng, sigmoid_chain
 __all__ = [
     "TrainConfig",
     "config_value",
+    "AutoencoderParams",
     "Model",
     "TrainResult",
     "init_model",
@@ -78,6 +80,9 @@ __all__ = [
 ]
 
 NORMALIZATION_METHODS = ("zscore", "minmax", "none")
+
+# Labels are 0 or 1 everywhere, so every forest leaf holds two class logits.
+N_CLASSES = 2
 
 # -log is kept finite by flooring the predicted probability of the true
 # class here; the gradient is zero wherever the floor is active.
@@ -193,6 +198,14 @@ def config_value(key: str, value, text: bool = False):
 
 
 @dataclass
+class AutoencoderParams:
+    """Encoder (x -> hidden code h) and decoder (h -> x_c) layer stacks."""
+
+    encoder: list[Layer]
+    decoder: list[Layer]
+
+
+@dataclass
 class Model:
     """All trainable tensors plus the config that shaped them.
 
@@ -213,11 +226,7 @@ class Model:
 
     @property
     def n_features(self) -> int:
-        return self.autoencoder.input_dim
-
-    @property
-    def n_classes(self) -> int:
-        return self.forest.n_classes
+        return self.autoencoder.encoder[0].W.shape[1]
 
 
 def _default_encoder_widths(n_features: int, n_layers: int) -> list[int]:
@@ -231,8 +240,9 @@ def _default_encoder_widths(n_features: int, n_layers: int) -> list[int]:
     return widths
 
 
-def _allocate_model(config: TrainConfig, n_features: int, n_classes: int) -> Model:
-    """The all-zero model of ``config``; the one owner of the parameter layout.
+def _allocate_model(config: TrainConfig, n_features: int) -> Model:
+    """The all-zero model of ``config``; the one owner of the parameter layout,
+    and so of every shape: nothing downstream checks them again.
 
     The weight set theta is one float64 vector, ``model.theta``: every
     ``Layer.W``/``.b`` (encoder, decoder, fully connected) and the stacked
@@ -263,19 +273,18 @@ def _allocate_model(config: TrainConfig, n_features: int, n_classes: int) -> Mod
                   zip(np.split(theta, np.cumsum(sizes)[:-1]), shapes)])
     encoder, decoder, fc = [[Layer(next(views), next(views)) for _ in stack]
                             for stack in stacks]
-    forest = ForestParams(next(views), np.zeros((config.n_tree, n_dec + 1, n_classes)), fc)
+    forest = ForestParams(next(views), np.zeros((config.n_tree, n_dec + 1, N_CLASSES)), fc)
     return Model(AutoencoderParams(encoder, decoder), forest, config, theta)
 
 
-def init_model(config: TrainConfig, n_features: int, rng: Rng,
-               n_classes: int = 2) -> Model:
+def init_model(config: TrainConfig, n_features: int, rng: Rng) -> Model:
     """Freshly initialized model; every tensor is drawn normal(0, init_scale^2).
 
     One draw per block in ``parameter_blocks`` order (encoder, decoder,
     fully connected, then per tree routing and leaf logits), so ``rng``'s
     seed pins the whole initialization.
     """
-    model = _allocate_model(config, n_features, n_classes)
+    model = _allocate_model(config, n_features)
     for _, block in parameter_blocks(model):
         block[...] = rng.normal(block.shape, config.init_scale)
     return model
@@ -305,10 +314,12 @@ def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
 # Forward pass
 
 
-def _batch(X: np.ndarray) -> np.ndarray:
+def _batch(X: np.ndarray, model: Model) -> np.ndarray:
+    """``X`` as float64 if it is (rows, model.n_features): the one batch check."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"expected a 2-D batch (rows, features), got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ShapeError(f"expected a 2-D batch (rows, {model.n_features}), "
+                         f"got shape {X.shape}")
     return X
 
 
@@ -341,7 +352,7 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Runs encoder -> fully connected -> forest; the decoder is skipped.
     """
-    H = sigmoid_chain(_batch(X), model.autoencoder.encoder)[-1]
+    H = sigmoid_chain(_batch(X, model), model.autoencoder.encoder)[-1]
     x_t = sigmoid_chain(H, model.forest.fc)[-1]
     probs = leaf_mixture(leaf_reach(x_t, model.forest), model.forest)["forest_probs"]
     return probs.argmax(axis=1), probs
@@ -353,7 +364,7 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def joint_loss(X: np.ndarray, y: np.ndarray, model: Model) -> float:
     """Reconstruction error plus mean per-tree -log p[y], averaged over a 2-D batch."""
-    X = _batch(X)
+    X = _batch(X, model)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("joint_loss of an empty batch is undefined")
@@ -445,11 +456,11 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
 
     Keys match ``parameter_blocks`` names; shapes match the parameters.
     """
-    X = _batch(X)
+    X = _batch(X, model)
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if X.shape[0] == 0:
         raise ValueError("gradients of an empty batch are undefined")
-    grad = _allocate_model(model.config, model.n_features, model.n_classes)
+    grad = _allocate_model(model.config, model.n_features)
     forest_cache, g_py = _backward(X, y, model, grad)
     grad.forest.leaf_logits[...] = leaf_gradient(y, g_py, forest_cache["mu"],
                                                  forest_cache["leaf_dists"])
@@ -544,7 +555,7 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
 
     rng = Rng(config.seed)
     model = init_model(config, X.shape[1], rng=rng)
-    grad = _allocate_model(config, X.shape[1], model.n_classes)
+    grad = _allocate_model(config, X.shape[1])
     theta_accum = np.zeros_like(model.theta)
     leaf_accum = np.zeros_like(model.forest.leaf_logits)
 

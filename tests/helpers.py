@@ -4,6 +4,7 @@ follower walks the heap by hand instead of reusing the reach recursion and
 takes the leaf softmax with its own exp, and the feature reference
 recomputes every row from ``datetime.date`` objects and per-review scans."""
 
+import base64
 import hashlib
 import json
 import re
@@ -24,6 +25,24 @@ def rewrite_model_body(path, change):
     canonical = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
     doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     path.write_text(json.dumps(doc))
+
+
+def zeros_tensor(shape):
+    """A model file's tensor entry holding zeros of ``shape``."""
+    data = np.zeros(shape, dtype="<f8").tobytes()
+    return {"shape": list(shape), "data": base64.b64encode(data).decode("ascii")}
+
+
+def load_with_tensor_shape(tmp_path, model, name, shape):
+    """``load_model`` of ``model`` saved with tensor ``name`` replaced by
+    zeros of ``shape`` and re-signed, so that load_model checks that shape."""
+    from spamforest.dataio import load_model, save_model
+
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    rewrite_model_body(path, lambda body: body["tensors"].update(
+        {name: zeros_tensor(shape)}))
+    return load_model(path)
 
 
 def finite_difference_check(model, X, y, h=1e-5):

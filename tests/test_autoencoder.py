@@ -5,10 +5,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from spamforest.autoencoder import AutoencoderParams
-from spamforest.errors import ShapeError
+from helpers import load_with_tensor_shape
+from spamforest.errors import ModelIntegrityError, ShapeError
 from spamforest.numerics import Layer, Rng, sigmoid_chain
-from spamforest.training import TrainConfig, _loss_terms, init_model, joint_loss
+from spamforest.training import (AutoencoderParams, TrainConfig, _loss_terms,
+                                 init_model, joint_loss, predict)
 
 
 def _sigma(z):
@@ -74,10 +75,10 @@ class TestEncode:
         assert np.all((h > 0) & (h < 1))
 
     def test_shape_mismatch(self):
-        params = single_layer_params(np.eye(2), np.zeros(2),
-                                     np.eye(2), np.zeros(2))
-        with pytest.raises(ShapeError):
-            encode([1.0, 2.0, 3.0], params)
+        # A batch of another width is refused where it enters the model.
+        model = init_model(TrainConfig(n_tree=1, n_depth=1, seed=0), 2, Rng(0))
+        with pytest.raises(ShapeError, match=r"\(rows, 2\), got shape \(1, 3\)"):
+            predict(model, [[1.0, 2.0, 3.0]])
 
 
 class TestDecode:
@@ -139,19 +140,21 @@ class TestReconstructionLoss:
 
 
 class TestParamsValidation:
-    def test_mismatched_chain_rejected(self):
-        with pytest.raises(ShapeError, match="chain"):
-            AutoencoderParams(
-                [Layer(np.zeros((3, 4)), np.zeros(3))],
-                [Layer(np.zeros((4, 2)), np.zeros(4))],
-            )
+    # The encoder and decoder shapes a model file supplies must be the ones
+    # its config describes; load_model refuses any other.
+    MODEL = init_model(TrainConfig(ae_widths=(3, 2), n_tree=1, n_depth=1), 4,
+                       Rng(0))
 
-    def test_decoder_must_return_to_input_width(self):
-        with pytest.raises(ShapeError, match="width"):
-            AutoencoderParams(
-                [Layer(np.zeros((2, 4)), np.zeros(2))],
-                [Layer(np.zeros((3, 2)), np.zeros(3))],
-            )
+    def test_mismatched_chain_rejected(self, tmp_path):
+        # encoder.1 reads 4 inputs where encoder.0 writes 3.
+        with pytest.raises(ModelIntegrityError,
+                           match=r"encoder\.1\.W has shape \[2, 4\]; .* needs \[2, 3\]"):
+            load_with_tensor_shape(tmp_path, self.MODEL, "encoder.1.W", (2, 4))
+
+    def test_decoder_must_return_to_input_width(self, tmp_path):
+        with pytest.raises(ModelIntegrityError,
+                           match=r"decoder\.1\.W has shape \[3, 3\]; .* needs \[4, 3\]"):
+            load_with_tensor_shape(tmp_path, self.MODEL, "decoder.1.W", (3, 3))
 
     def test_deterministic_inference(self, rng):
         params = AutoencoderParams(

@@ -12,13 +12,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import rewrite_model_body
+from helpers import rewrite_model_body, zeros_tensor
 from spamforest.cli import load_config_file, main, run_ablation
 from spamforest.dataio import LabeledDataset, load_features, save_features
 from spamforest.errors import ParseError
 from spamforest.features import FeatureMatrix, ReviewRecord
 from spamforest.numerics import Rng
 from spamforest.training import TrainConfig
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def record_json(r: ReviewRecord) -> str:
@@ -205,6 +207,17 @@ def poison_tensor(name, index, value):
     return change
 
 
+def with_classes(n_classes):
+    """A model body change to ``n_classes`` classes, with every leaf-logit
+    tensor re-shaped to match."""
+    def change(body):
+        body["n_classes"] = n_classes
+        for name, tensor in body["tensors"].items():
+            if name.endswith(".leaf_logits"):
+                body["tensors"][name] = zeros_tensor([tensor["shape"][0], n_classes])
+    return change
+
+
 @pytest.fixture(scope="module")
 def run_dir(gaussian_features, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -300,7 +313,7 @@ class TestTrainEvaluatePredict:
         (lambda body: body["tensors"]["fc.0.b"].update(data="AAAAAAAAAAAAAAAA"),
          "tensor fc.0.b data is not base64 of float64 values"),
         (lambda body: body.update(n_classes=-1),
-         "n_classes must be a positive integer, got -1"),
+         "n_classes must be 2, got -1"),
         (poison_tensor("tree.0.leaf_logits", 0, np.nan),
          "tensor tree.0.leaf_logits holds a non-finite value"),
         (poison_tensor("encoder.0.W", ..., np.inf),
@@ -323,10 +336,13 @@ class TestTrainEvaluatePredict:
          "model file config: reshuffle_each_epoch must be true or false, got 'no'"),
         (lambda body: body.update(manifest_version="1"),
          "model file manifest_version must be an integer or null, got '1'"),
+        (with_classes(1), "n_classes must be 2, got 1"),
+        (with_classes(3), "n_classes must be 2, got 3"),
     ], ids=["not-base64", "partial-float64", "negative-classes", "nan-leaf",
             "inf-encoder", "string-center", "null-center", "zero-scale",
             "bogus-method", "float-n-tree", "string-init-scale",
-            "string-ae-widths", "string-reshuffle", "string-manifest-version"])
+            "string-ae-widths", "string-reshuffle", "string-manifest-version",
+            "one-class", "three-classes"])
     def test_malformed_model_body_exits_2_naming_it(self, run_dir, tmp_path,
                                                     capsys, change, named):
         model = tmp_path / "model.json"
@@ -337,6 +353,36 @@ class TestTrainEvaluatePredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("edit, n_given", [
+        (lambda cells: cells[:-1], 2),
+        (lambda cells: cells + cells[:1], 4),
+    ], ids=["column-dropped", "column-added"])
+    def test_feature_width_differs_from_unnamed_model_exits_2(
+            self, tmp_path, capsys, command, edit, n_given):
+        # A model file without feature_names and norm_stats has only its
+        # tensor shapes to check the feature columns against.
+        model = tmp_path / "model.json"
+        model.write_text((GOLDEN / "model.json").read_text())
+        rewrite_model_body(model, lambda body: body.update(feature_names=None,
+                                                           norm_stats=None))
+        golden, feat = GOLDEN / "features", tmp_path / "feat"
+        feat.mkdir()
+        (feat / "labels.tsv").write_bytes((golden / "labels.tsv").read_bytes())
+        manifest = json.loads((golden / "manifest.json").read_text())
+        manifest["features"] = edit(manifest["features"])
+        (feat / "manifest.json").write_text(json.dumps(manifest))
+        lines = (golden / "features.tsv").read_text().splitlines()
+        (feat / "features.tsv").write_text("".join(
+            "\t".join(edit(line.split("\t"))) + "\n" for line in lines))
+        rc = main([command, "--features", str(feat), "--model", str(model),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {feat / 'features.tsv'}: holds {n_given} feature columns, "
+            f"but the model was trained with 3\n")
         assert not (tmp_path / "out").exists()
 
     def test_predict_imports_no_numpy_random(self, run_dir, tmp_path):
@@ -777,9 +823,13 @@ class TestParseErrorsNameTheFile:
         ("labels.tsv",
          lambda lines: lines[:1] + [ln.split("\t")[0] + "\t0\n" for ln in lines[1:]],
          "every row has label 0; screening compares the two classes"),
+        ("manifest.json",
+         lambda lines: [ln.replace('"manifest_version": 1', '"manifest_version": "1"')
+                        for ln in lines],
+         "manifest_version must be an integer or null, got '1'"),
     ], ids=["features.tsv-line 3: could not convert string to float: 'x'",
             "labels.tsv-line 3: expected 'user_id<TAB>0|1'",
-            "labels-row-short", "labels-one-class"])
+            "labels-row-short", "labels-one-class", "manifest-version-string"])
     def test_feature_directory(self, gaussian_features, tmp_path, capsys,
                                name, edit, where):
         feat = tmp_path / "feat"

@@ -471,7 +471,7 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         save_model(path, model)
         forest = load_model(path).forest
-        assert forest.routing.shape == (2, 3, model.forest.input_dim)
+        assert forest.routing.shape == (2, 3, model.forest.routing.shape[2])
         assert forest.leaf_logits.shape == (2, 4, 2)
         npt.assert_array_equal(forest.routing, model.forest.routing)
         npt.assert_array_equal(forest.leaf_logits, model.forest.leaf_logits)
@@ -613,13 +613,16 @@ class TestModelSerialization:
         ({"data": "AAAA!AAAAAAAAAAA"}, r"tensor fc\.0\.b data is not base64"),
         ({"data": base64.b64encode(b"\0" * 12).decode("ascii")},
          r"tensor fc\.0\.b data is not base64 of float64 values"),
-        ({"n_classes": -1}, "n_classes must be a positive integer, got -1"),
-        ({"n_classes": 0}, "n_classes must be a positive integer, got 0"),
-        ({"n_classes": 2.0}, r"n_classes must be a positive integer, got 2\.0"),
-        ({"n_classes": True}, "n_classes must be a positive integer, got True"),
+        ({"n_classes": -1}, "n_classes must be 2, got -1"),
+        ({"n_classes": 0}, "n_classes must be 2, got 0"),
+        ({"n_classes": 2.0}, r"n_classes must be 2, got 2\.0"),
+        ({"n_classes": True}, "n_classes must be 2, got True"),
         ({"config": [5, 3]}, "model file config must be an object"),
+        ({"n_classes": 1}, "n_classes must be 2, got 1"),
+        ({"n_classes": 3}, "n_classes must be 2, got 3"),
     ], ids=["not-base64", "non-alphabet", "partial-float64", "negative-classes",
-            "zero-classes", "float-classes", "bool-classes", "list-config"])
+            "zero-classes", "float-classes", "bool-classes", "list-config",
+            "one-class", "three-classes"])
     def test_malformed_tensor_data_or_classes_names_it(self, trained_desk,
                                                        tmp_path, change, match):
         model, _ = trained_desk
@@ -750,6 +753,20 @@ class TestGoldenModelFile:
         assert (tmp_path / "predictions.tsv").read_bytes() == \
             (GOLDEN / "predictions.tsv").read_bytes()
 
+    def test_train_reproduces_the_model_file(self, tmp_path):
+        # The config stored in the golden model file, as config-file lines.
+        from spamforest.cli import main
+
+        config = json.loads((GOLDEN / "model.json").read_text())["body"]["config"]
+        (tmp_path / "config.txt").write_text("".join(
+            f"{key} = {'none' if value is None else value}\n"
+            for key, value in config.items()))
+        assert main(["train", "--features", str(GOLDEN / "features"),
+                     "--config", str(tmp_path / "config.txt"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "model.json").read_bytes() == \
+            (GOLDEN / "model.json").read_bytes()
+
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e308,
@@ -824,8 +841,14 @@ class TestFeatureFiles:
          "manifest.json: must be an object"),
         ("[]", "manifest.json: must be an object"),
         ('{"features": [', "manifest.json: line 1: not valid JSON"),
+        *((f'{{"manifest_version": {version}, "features": [{{"name": "a", '
+           f'"scope": "rating", "kind": "continuous"}}]}}',
+           re.escape(f"manifest.json: manifest_version must be an integer or "
+                     f"null, got {json.loads(version)!r}"))
+          for version in ('"1"', "1.5", "true", "[1]")),
     ], ids=["no-features", "no-version", "no-name", "no-scope", "no-kind",
-            "features-string", "top-level-list", "invalid-json"])
+            "features-string", "top-level-list", "invalid-json",
+            "version-string", "version-float", "version-bool", "version-list"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, rng, text,
                                                 message):
         matrix = FeatureMatrix(rng.normal((2, 1)), ["a"], ["rating"],

@@ -5,8 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import follow_forest
-from spamforest.errors import ConfigError, ShapeError
+from helpers import follow_forest, load_with_tensor_shape, rewrite_model_body
+from spamforest.dataio import load_model, save_model
+from spamforest.errors import ConfigError, ModelIntegrityError
 from spamforest.forest import (CHUNK_CELLS, ForestParams, forest_backward,
                                forest_forward, leaf_gradient)
 from spamforest.forest import leaf_reach as forest_leaf_reach
@@ -76,10 +77,6 @@ class TestDecisionProbability:
     def test_closed_form(self):
         assert self.decision([1.0], [math.log(3)]) == pytest.approx(
             0.75, abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            self.decision([1.0, 2.0], [1.0])
 
 
 class TestLeafReach:
@@ -170,9 +167,16 @@ class TestForestPredict:
         result = run(rng.normal((4,)), forest)
         npt.assert_array_equal(result["forest_probs"], result["probs"][0])
 
-    def test_empty_forest_rejected(self):
-        with pytest.raises(ConfigError):
-            ForestParams(np.zeros((0, 3, 2)), np.zeros((0, 4, 2)))
+    def test_empty_forest_rejected(self, tmp_path):
+        # A forest of zero trees is refused with its config, in a model
+        # file too.
+        with pytest.raises(ConfigError, match="n_tree must be >= 1"):
+            TrainConfig(n_tree=0)
+        path = tmp_path / "model.json"
+        save_model(path, init_model(TrainConfig(n_tree=1, n_depth=2), 3, Rng(0)))
+        rewrite_model_body(path, lambda body: body["config"].update(n_tree=0))
+        with pytest.raises(ModelIntegrityError, match="n_tree must be >= 1"):
+            load_model(path)
 
     def test_ensemble_bound(self, rng):
         forest = random_forest(rng, 5, 2, 3, scale=2.0)
@@ -183,13 +187,17 @@ class TestForestPredict:
             assert np.all(out >= per_tree.min(axis=0) - 1e-12)
             assert np.all(out <= per_tree.max(axis=0) + 1e-12)
 
-    def test_mismatched_trees_rejected(self, rng):
-        # Routing for depth 2 with leaves for depth 3, and a tree count
-        # that differs between the two tensors.
-        with pytest.raises(ShapeError):
-            ForestParams(rng.normal((2, 3, 3)), rng.normal((2, 8, 2)))
-        with pytest.raises(ShapeError):
-            ForestParams(rng.normal((2, 3, 3)), rng.normal((3, 4, 2)))
+    def test_mismatched_trees_rejected(self, tmp_path):
+        # Leaves for depth 3 behind depth-2 routing, and a third tree's
+        # leaves in a two-tree model file.
+        model = init_model(TrainConfig(n_tree=2, n_depth=2), 3, Rng(0))
+        with pytest.raises(ModelIntegrityError,
+                           match=r"tree\.1\.leaf_logits has shape \[8, 2\]; "
+                                 r".* needs \[4, 2\]"):
+            load_with_tensor_shape(tmp_path, model, "tree.1.leaf_logits", (8, 2))
+        with pytest.raises(ModelIntegrityError,
+                           match=r"holds an extra tensor tree\.2\.leaf_logits"):
+            load_with_tensor_shape(tmp_path, model, "tree.2.leaf_logits", (4, 2))
 
 
 class TestStackedForestPass:
@@ -306,14 +314,21 @@ class TestPredictLabel:
 
 
 class TestTreeParamsValidation:
-    # Per-tree tensor shapes inside the stacked forest.
-    def test_wrong_node_count_rejected(self):
-        with pytest.raises(ShapeError):
-            ForestParams(np.zeros((1, 2, 4)), np.zeros((1, 4, 2)))
+    # Per-tree tensor shapes of a model file: (2^D - 1, xt_dim) routing and
+    # (2^D, 2) leaf logits for the config's depth D, or load_model refuses.
+    MODEL = init_model(TrainConfig(n_tree=1, n_depth=2, fc_width=4), 3, Rng(0))
 
-    def test_wrong_leaf_count_rejected(self):
-        with pytest.raises(ShapeError):
-            ForestParams(np.zeros((1, 3, 4)), np.zeros((1, 3, 2)))
+    def test_wrong_node_count_rejected(self, tmp_path):
+        with pytest.raises(ModelIntegrityError,
+                           match=r"tree\.0\.routing has shape \[2, 4\]; "
+                                 r".* needs \[3, 4\]"):
+            load_with_tensor_shape(tmp_path, self.MODEL, "tree.0.routing", (2, 4))
+
+    def test_wrong_leaf_count_rejected(self, tmp_path):
+        with pytest.raises(ModelIntegrityError,
+                           match=r"tree\.0\.leaf_logits has shape \[3, 2\]; "
+                                 r".* needs \[4, 2\]"):
+            load_with_tensor_shape(tmp_path, self.MODEL, "tree.0.leaf_logits", (3, 2))
 
     def test_leaf_distributions_are_stochastic(self, rng):
         forest = random_forest(rng, 2, 3, 4, scale=5.0)
@@ -328,9 +343,13 @@ class TestForestShape:
         for depth in (1, 2, 5):
             forest = random_forest(rng, 3, depth, 4)
             assert forest.depth == depth
-            assert (forest.n_trees, forest.input_dim, forest.n_classes) == (3, 4, 2)
+            assert (forest.n_trees, *forest.leaf_logits.shape[1:]) == (3, 2 ** depth, 2)
+            assert forest.routing.shape[2] == 4
 
-    def test_fc_output_must_match_tree_input(self, rng):
-        with pytest.raises(ShapeError):
-            ForestParams(np.zeros((1, 1, 3)), np.zeros((1, 2, 2)),
-                         [Layer(np.zeros((2, 4)), np.zeros(2))])
+    def test_fc_output_must_match_tree_input(self, tmp_path):
+        # The routing reads 3 tree-input columns; a file whose fc layer
+        # writes 2 is refused.
+        model = init_model(TrainConfig(n_tree=1, n_depth=1, fc_width=3), 4, Rng(0))
+        with pytest.raises(ModelIntegrityError,
+                           match=r"fc\.0\.W has shape \[2, 2\]; .* needs \[3, 2\]"):
+            load_with_tensor_shape(tmp_path, model, "fc.0.W", (2, 2))

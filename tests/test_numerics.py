@@ -5,42 +5,47 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from spamforest.errors import ShapeError
-from spamforest.numerics import (Rng, affine, chi2_sf, entropy, norm_sf,
-                                 sigmoid, softmax)
+from spamforest.numerics import (Layer, Rng, chi2_sf, entropy, norm_sf,
+                                 sigmoid, sigmoid_chain, softmax)
 
 
 class TestAffine:
+    # The affine step of a layer, x @ W.T + b, as sigmoid_chain takes it
+    # before the sigmoid.
+    @staticmethod
+    def layer(x, W, b):
+        W, b = np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        return sigmoid_chain(x, [Layer(W, b)])[-1]
+
     def test_identity(self):
-        npt.assert_array_equal(affine([3, 4], np.eye(2), [0, 0]), [3.0, 4.0])
+        npt.assert_array_equal(self.layer([3, 4], np.eye(2), [0, 0]),
+                               sigmoid(np.array([3.0, 4.0])))
 
     def test_zero_weights(self):
-        npt.assert_array_equal(affine([9, -3, 2], np.zeros((2, 3)), [7, -1]),
-                               [7.0, -1.0])
+        npt.assert_array_equal(self.layer([9, -3, 2], np.zeros((2, 3)), [7, -1]),
+                               sigmoid(np.array([7.0, -1.0])))
 
     def test_hand_case(self):
         # [[1,2],[3,4]] @ [1,1] + [1,1] = [1+2+1, 3+4+1]
-        npt.assert_array_equal(affine([1, 1], [[1, 2], [3, 4]], [1, 1]),
-                               [4.0, 8.0])
+        npt.assert_array_equal(self.layer([1, 1], [[1, 2], [3, 4]], [1, 1]),
+                               sigmoid(np.array([4.0, 8.0])))
 
     def test_batch_rows(self):
-        out = affine(np.array([[1.0, 1.0], [2.0, 0.0]]), [[1, 2], [3, 4]], [1, 1])
-        npt.assert_array_equal(out, [[4.0, 8.0], [3.0, 7.0]])
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 2\)"):
-            affine([1, 2, 3], np.eye(2), [0, 0])
-        with pytest.raises(ShapeError, match="bias"):
-            affine([1, 2], np.eye(2), [0, 0, 0])
+        out = self.layer(np.array([[1.0, 1.0], [2.0, 0.0]]), [[1, 2], [3, 4]], [1, 1])
+        npt.assert_array_equal(out, sigmoid(np.array([[4.0, 8.0], [3.0, 7.0]])))
 
     def test_linearity(self, rng):
+        # The log-odds of a layer's output are its affine step.
+        def log_odds(a):
+            return np.log(a) - np.log1p(-a)
+
         W = rng.normal((3, 4))
         b = rng.normal((3,))
         for _ in range(20):
             x, y = rng.normal((4,)), rng.normal((4,))
-            lhs = affine(x + y, W, b)
-            rhs = affine(x, W, b) + affine(y, W, b) - b
-            npt.assert_allclose(lhs, rhs, atol=1e-12)
+            lhs = log_odds(self.layer(x + y, W, b))
+            rhs = log_odds(self.layer(x, W, b)) + log_odds(self.layer(y, W, b)) - b
+            npt.assert_allclose(lhs, rhs, atol=1e-9)
 
 
 class TestSigmoid:

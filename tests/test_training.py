@@ -99,7 +99,56 @@ class TestInitModel:
     def test_no_fc_layers_use_hidden_as_tree_input(self):
         cfg = TrainConfig(fc_layer_count=0, n_depth=2, n_tree=1)
         model = init_model(cfg, 8, Rng(cfg.seed))
-        assert model.forest.input_dim == model.autoencoder.encoder[-1].out_dim
+        assert model.forest.routing.shape[2] == model.autoencoder.encoder[-1].W.shape[0]
+
+
+def chained_widths(layers, n_in):
+    """The output width of a layer stack fed ``n_in`` columns, asserting
+    that each layer reads what the one before it writes."""
+    for layer in layers:
+        assert layer.W.shape[1] == n_in and layer.b.shape == (layer.W.shape[0],)
+        n_in = layer.W.shape[0]
+    return n_in
+
+
+class TestAllocateModel:
+    # _allocate_model builds every model, so the shapes it fixes are the
+    # ones no later stage checks again.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2), st.integers(1, 12))
+    def test_shapes_chain_and_theta_tiles(self, data, n_depth, n_tree, n_ae,
+                                          n_fc, n_features):
+        ae_widths = data.draw(st.none() | st.lists(
+            st.integers(1, 6), min_size=n_ae, max_size=n_ae).map(tuple))
+        fc_width = data.draw(st.none() | st.integers(1, 6))
+        cfg = TrainConfig(n_depth=n_depth, n_tree=n_tree, ae_layer_count=n_ae,
+                          fc_layer_count=n_fc, ae_widths=ae_widths,
+                          fc_width=fc_width)
+        model = _allocate_model(cfg, n_features)
+        ae, forest = model.autoencoder, model.forest
+
+        hidden = chained_widths(ae.encoder, n_features)
+        assert len(ae.encoder) == len(ae.decoder) == n_ae
+        assert chained_widths(ae.decoder, hidden) == n_features
+        assert len(forest.fc) == n_fc
+        xt_dim = chained_widths(forest.fc, hidden)
+        assert forest.routing.shape == (n_tree, 2 ** n_depth - 1, xt_dim)
+        assert forest.leaf_logits.shape == (n_tree, 2 ** n_depth, 2)
+        assert model.n_features == n_features
+
+        # The theta blocks, in parameter_blocks order, are contiguous views
+        # that tile model.theta from its start to its end.
+        offset = 0
+        base = model.theta.__array_interface__["data"][0]
+        for name, block in parameter_blocks(model):
+            if name.endswith(".leaf_logits"):
+                assert not np.shares_memory(block, model.theta)
+                continue
+            assert block.flags.c_contiguous and np.shares_memory(block, model.theta)
+            assert block.__array_interface__["data"][0] == base + 8 * offset, name
+            offset += block.size
+        assert offset == model.theta.size
 
 
 class TestForward:
@@ -154,15 +203,26 @@ class TestForward:
 
 
 class TestBatchShape:
-    @pytest.mark.parametrize("call", [
+    # Each entry point takes a batch through _batch, the one shape check.
+    each_entry_point = pytest.mark.parametrize("call", [
         lambda X, model: predict(model, X),
         lambda X, model: joint_loss(X, [0], model),
         lambda X, model: gradients(X, [0], model),
     ], ids=["predict", "joint_loss", "gradients"])
+
+    @each_entry_point
     @pytest.mark.parametrize("shape", [(8,), (1, 1, 8)])
     def test_non_2d_input_is_shape_error_naming_it(self, desk_model, call, shape):
         with pytest.raises(ShapeError, match=rf"2-D batch.*{re.escape(str(shape))}"):
             call(np.zeros(shape), desk_model)
+
+    @each_entry_point
+    @pytest.mark.parametrize("width", [7, 9])
+    def test_wrong_width_is_shape_error_naming_it(self, desk_model, call, width):
+        # desk_model reads 8 feature columns.
+        with pytest.raises(ShapeError,
+                           match=rf"\(rows, 8\), got shape \(1, {width}\)"):
+            call(np.zeros((1, width)), desk_model)
 
 
 class TestTreeLoss:
@@ -331,7 +391,7 @@ class TestFullSetPassMemory:
         X = rng.normal((2000, 8))
         y = (X[:, 0] > 0).astype(np.int64)
         model = init_model(cfg, 8, Rng(cfg.seed))
-        grad = _allocate_model(cfg, 8, model.n_classes)
+        grad = _allocate_model(cfg, 8)
         accum = np.zeros_like(model.forest.leaf_logits)
         reach_bytes = 10 * 2000 * (2 ** 7 - 1) * 8
         for name, call in (
