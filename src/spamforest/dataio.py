@@ -30,6 +30,7 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -234,8 +235,10 @@ def load_reviews_delimited(path) -> list[ReviewRecord]:
 
 
 def load_spam_scores(path) -> dict[str, float]:
-    """Parse ``user_id<TAB>average_score`` lines into a dict."""
+    """Parse ``user_id<TAB>average_score`` lines into a dict. A user scored
+    on two lines raises ParseError naming the second."""
     scores = {}
+    scored_on: dict[str, int] = {}
     with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
@@ -252,7 +255,11 @@ def load_spam_scores(path) -> dict[str, float]:
                                  ln) from None
             if not 0.0 <= score <= 1.0:
                 raise ParseError(f"score must be in [0, 1], got {score}", ln)
+            if parts[0] in scores:
+                raise ParseError(f"user {parts[0]!r} was already scored on line "
+                                 f"{scored_on[parts[0]]}", ln)
             scores[parts[0]] = score
+            scored_on[parts[0]] = ln
     return scores
 
 
@@ -503,14 +510,37 @@ def load_model(path) -> Model:
 # Feature files
 
 
+# Rows of features.tsv formatted and written at a time: the writer's
+# memory is bounded by one block, however many distinct values a matrix has.
+_WRITE_BLOCK_ROWS = 256
+
+
+def _write_cells(fh, values: np.ndarray):
+    """Write ``values`` one tab-separated line per row, each cell as the
+    ``repr`` of its float. In each block of rows, ``repr`` runs once per
+    distinct float64 bit pattern (so -0.0 and 0.0 stay distinct), and the
+    lines are joined from those strings."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    for start in range(0, len(bits), _WRITE_BLOCK_ROWS):
+        block = bits[start:start + _WRITE_BLOCK_ROWS]
+        # np.unique(block), which numpy 2.x computes several times slower.
+        distinct = np.sort(block, axis=None)
+        first = np.ones(distinct.shape, dtype=bool)
+        first[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[first]
+        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()],
+                        dtype=object)
+        fh.writelines(["\t".join(row) + "\n"
+                       for row in text[np.searchsorted(distinct, block)].tolist()])
+
+
 def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
     """Write features.tsv, labels.tsv and manifest.json into ``out_dir``."""
     labels = np.asarray(labels, dtype=np.int64)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "features.tsv"), "w", encoding="utf-8") as fh:
         fh.write("\t".join(matrix.names) + "\n")
-        for row in matrix.values:
-            fh.write("\t".join(map(repr, row.tolist())) + "\n")
+        _write_cells(fh, matrix.values)
     with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
         fh.write("user_id\tlabel\n")
         for uid, lab in zip(user_ids, labels):
@@ -564,6 +594,7 @@ def load_features(in_dir) -> LabeledDataset:
             version = manifest["manifest_version"]
             names, scopes, kinds = ([f[key] for f in manifest["features"]]
                                     for key in ("name", "scope", "kind"))
+            repeated = [(n, k) for n, k in Counter(names).items() if k > 1]
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON ({exc.msg})", exc.lineno) from None
         except KeyError as exc:
@@ -574,6 +605,9 @@ def load_features(in_dir) -> LabeledDataset:
         if not _is_manifest_version(version):
             raise ParseError(
                 f"manifest_version must be an integer or null, got {version!r}")
+        if repeated:
+            raise ParseError(f"feature name {repeated[0][0]!r} appears "
+                             f"{repeated[0][1]} times")
 
     path = os.path.join(in_dir, "features.tsv")
     with open_text(path) as fh:

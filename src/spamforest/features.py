@@ -8,9 +8,18 @@ registry names the columns: ``USER_FEATURES``, the ``CATEGORY_BLOCK`` rule
 ``REVIEW_FEATURES`` list every column with its scope tag (one of history,
 rating, feedback, time, product, review) and its kind (continuous or
 categorical), and ``feature_columns`` expands them in matrix order. The
-extraction functions return bare value rows in that order and write no
+extraction functions return bare value blocks in that order and write no
 names. ``dataio.save_features`` writes the expanded columns, with
 ``MANIFEST_VERSION``, to a feature directory's ``manifest.json``.
+
+Extraction reads the whole record list as column arrays (``Columns``):
+integer user, product and category codes, ratings, votes and days.
+``extract_user_features`` builds every user's profile in one
+``(n_users, width)`` block, from ``bincount``s over the user codes and from
+rows sorted by user; ``extract_review_features`` builds every row's
+product block and review part the same way, grouped by product, with one
+sort of (product, day) keys for the ranks. Past reading the records into
+columns, Python loops only over strings: names, memos and texts.
 
 Conventions that apply throughout:
 
@@ -24,21 +33,22 @@ Conventions that apply throughout:
   contingency-table test.
 
 All functions here are pure: the same records always produce the same
-vector, and extraction may safely run user- or product-parallel.
+values, bit for bit those of computing each user's and each product's
+statistics on its own arrays with ``numerics.entropy``, ``np.median`` and
+``mean``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
 from importlib import resources
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
-
-from .numerics import entropy
 
 __all__ = [
     "ReviewRecord",
@@ -49,7 +59,9 @@ __all__ = [
     "REVIEW_FEATURES",
     "SCOPES",
     "feature_columns",
+    "Columns",
     "extract_user_features",
+    "extract_review_features",
     "sentiment_score",
     "build_feature_matrix",
 ]
@@ -209,115 +221,205 @@ def _read_wordlist(filename: str) -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
+@lru_cache(maxsize=None)
+def _lexicon() -> dict[str, int]:
+    """Word -> its polarity: 1 positive, -1 negative, 0 if listed as both."""
+    polarity = dict.fromkeys(_read_wordlist("positive_words.txt"), 1)
+    for word in _read_wordlist("negative_words.txt"):
+        polarity[word] = polarity.get(word, 0) - 1
+    return polarity
+
+
 def sentiment_score(text: str) -> int:
     """Sign of (positive hits - negative hits) against the bundled lexicon:
     1 positive, -1 negative, 0 on ties or empty text."""
-    positive = _read_wordlist("positive_words.txt")
-    negative = _read_wordlist("negative_words.txt")
-    words = _WORD_RE.findall(text.lower())
-    score = sum(w in positive for w in words) - sum(w in negative for w in words)
+    lexicon = _lexicon()
+    score = sum(lexicon.get(w, 0) for w in _WORD_RE.findall(text.lower()))
     return (score > 0) - (score < 0)
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+class Columns(NamedTuple):
+    """A record list as int64 arrays, one entry per record. ``user`` and
+    ``product`` number each distinct id 0, 1, ... in order of first
+    appearance; ``category`` is the index in the sorted catalog."""
+
+    user: np.ndarray
+    product: np.ndarray
+    category: np.ndarray
+    rating: np.ndarray
+    helps: np.ndarray
+    unhelps: np.ndarray
+    day: np.ndarray
+
+    @classmethod
+    def of(cls, records: list[ReviewRecord], categories: list[str]) -> "Columns":
+        n = len(records)
+
+        def coded(field):
+            index: dict[str, int] = {}
+            return np.fromiter((index.setdefault(key, len(index))
+                                for key in map(attrgetter(field), records)), np.int64, n)
+
+        catalog = {c: i for i, c in enumerate(categories)}
+        return cls(
+            coded("user_id"), coded("product_id"),
+            np.fromiter((catalog[r.category] for r in records), np.int64, n),
+            *(np.fromiter(map(attrgetter(field), records), np.int64, n)
+              for field in ("rating", "helpful_votes", "unhelpful_votes", "timestamp")))
 
 
-def extract_user_features(reviews: list[ReviewRecord], categories) -> np.ndarray:
-    """Behavioral profile of one user over all their reviews.
+def _segments(codes: np.ndarray, n_groups: int):
+    """Size of each group 0 .. n_groups - 1, and its first position in
+    ``codes`` sorted."""
+    sizes = np.bincount(codes, minlength=n_groups)
+    return sizes, np.cumsum(sizes) - sizes
 
-    Returns one float64 row: the ``USER_FEATURES`` values in registry
-    order, then the share of the user's reviews in each of ``categories``
-    (the ``CATEGORY_BLOCK``), the corpus-wide catalog.
+
+def _bins(codes: np.ndarray, values: np.ndarray):
+    """Group code and count of every distinct (code, value) pair, ordered
+    by code, then value."""
+    low = values.min()
+    span = values.max() - low + 1
+    keys, counts = np.unique(codes * span + (values - low), return_counts=True)
+    return keys // span, counts
+
+
+def _grouped_entropy(group: np.ndarray, counts: np.ndarray,
+                     totals: np.ndarray) -> np.ndarray:
+    """``numerics.entropy(bins / total)`` of every group at once.
+
+    ``group`` and ``counts`` list the nonzero bins, at least one per group;
+    ``totals`` holds each group's count total. ``entropy`` sums a group's
+    sorted terms as one array, and numpy sums 8 or more terms pairwise, so
+    the rounding depends on how many terms there are; a segmented
+    ``reduceat`` would add them in sequence. Each group is therefore summed
+    as a row of a matrix exactly as wide as its term count, one matrix per
+    distinct count, which rounds as the one-array sum does.
     """
-    if not reviews:
-        raise ValueError("cannot extract features from an empty review list")
-    users = {r.user_id for r in reviews}
-    if len(users) != 1:
-        raise ValueError(f"reviews must belong to one user, got {sorted(users)}")
+    p = counts / totals[group]
+    terms = p * np.log(p)
+    terms = terms[np.lexsort((terms, group))]
+    sizes, starts = _segments(group, len(totals))
+    sums = np.empty(len(totals))
+    for size in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == size)
+        sums[rows] = terms[starts[rows, None] + np.arange(size)].sum(axis=1)
+    return -sums + 0.0
+
+
+def _vote_stats(votes: np.ndarray, user: np.ndarray, sizes: np.ndarray,
+                starts: np.ndarray):
+    """Sum, mean, median, min and max of each user's votes, as float64."""
+    votes = votes.astype(np.float64)
+    total = np.bincount(user, weights=votes, minlength=len(sizes))
+    ranked = votes[np.lexsort((votes, user))]
+    low, high = starts + (sizes - 1) // 2, starts + sizes // 2
+    median = ranked[low]
+    even = low < high
+    median[even] = (ranked[low[even]] + ranked[high[even]]) / 2
+    return total, total / sizes, median, ranked[starts], ranked[starts + sizes - 1]
+
+
+def extract_user_features(cols: Columns, records: list[ReviewRecord],
+                          n_categories: int) -> np.ndarray:
+    """Behavioral profile of every user, one float64 row per user code.
+
+    A row holds the ``USER_FEATURES`` values in registry order, then the
+    share of the user's reviews in each of the ``n_categories`` catalog
+    categories (the ``CATEGORY_BLOCK``). Name and memo come from the user's
+    first record. Counts, sums and ratios are ``bincount``s over the user
+    codes; minima, maxima and medians are read from rows sorted by user.
+    """
+    user = cols.user
+    n_users = int(user.max()) + 1
+    sizes, starts = _segments(user, n_users)
+    order = np.argsort(user, kind="stable")
 
     common_names = _read_wordlist("common_names.txt")
+    history = []
+    for i in order[starts].tolist():
+        first = records[i]
+        name = first.user_name if first.user_name else first.user_id
+        name_token = name.lower().split()[0] if name.split() else ""
+        history.append((len(name), name_token not in common_names,
+                        bool(first.user_memo), len(first.user_memo)))
 
-    first = reviews[0]
-    name = first.user_name if first.user_name else first.user_id
-    name_token = name.lower().split()[0] if name.split() else ""
+    def extremes(values):
+        ranked = values[order]
+        return np.minimum.reduceat(ranked, starts), np.maximum.reduceat(ranked, starts)
 
-    ratings = np.array([r.rating for r in reviews])
-    helps = np.array([r.helpful_votes for r in reviews], dtype=np.float64)
-    unhelps = np.array([r.unhelpful_votes for r in reviews], dtype=np.float64)
-    days = np.array([r.timestamp for r in reviews])
-    n = len(reviews)
-
-    score_counts = np.bincount(ratings, minlength=6)[1:].astype(np.float64)
-    score_ratios = score_counts / n
-    total_votes = helps.sum() + unhelps.sum()
-    years = days.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
-    year_counts = np.bincount(years - years.min())
-    category_counts = Counter(r.category for r in reviews)
-
-    row = [
-        # history
-        len({r.product_id for r in reviews}), len(name),
-        0 if name_token in common_names else 1,
-        1 if first.user_memo else 0, len(first.user_memo),
-        # rating. High rates are scores 4 and 5; low rates are 1 and 2.
-        # Score 3 counts toward neither, so the two ratios sum to at most 1.
-        ratings.min(), ratings.max(), *score_ratios, *score_counts,
-        (ratings >= 4).mean(), (ratings <= 2).mean(), entropy(score_ratios),
-        ratings.mean(),
-        # feedback
-        helps.sum(), unhelps.sum(), helps.mean(), unhelps.mean(),
-        _ratio(helps.sum(), total_votes), _ratio(unhelps.sum(), total_votes),
-        np.median(helps), helps.min(), helps.max(),
-        np.median(unhelps), unhelps.min(), unhelps.max(),
-        # time
-        days.max() - days.min(), entropy(year_counts / n),
-        1 if days.max() == days.min() else 0,
-        (year_counts > 0).sum() / len(year_counts),
-        # category block
-        *(category_counts[c] / n for c in categories),
-    ]
-    return np.array(row, dtype=np.float64)
-
-
-def _product_context(days: np.ndarray, ratings: np.ndarray):
-    """The product block of one product, and the product's sorted days.
-
-    ``days`` and ``ratings`` hold every review of the product, in any
-    order. The block follows ``REVIEW_FEATURES``: mean rating, review
-    count, score entropy, time gap, comment-time entropy over calendar
-    months (binned through ``datetime64``) and the first-day review count.
-    It is the same for every review of the product, so it is computed once.
-    """
-    n = len(days)
-    sorted_days = np.sort(days)
-    months = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
-    block = [ratings.mean(), n, entropy(np.bincount(ratings, minlength=6)[1:] / n),
-             sorted_days[-1] - sorted_days[0],
-             entropy(np.bincount(months - months.min()) / n),
-             (days == sorted_days[0]).sum()]
-    return np.array(block, dtype=np.float64), sorted_days
-
-
-def _review_part(reviews: list[ReviewRecord], sorted_days: np.ndarray) -> np.ndarray:
-    """The review-scope features of some reviews of one product, one row each.
-
-    ``sorted_days`` is the product's sorted days from ``_product_context``.
-    A review's rank is one plus the number of the product's reviews posted
-    on an earlier day, one ``searchsorted``; reviews of the same day share
-    the earliest rank.
-    """
-    own = np.array([(r.timestamp, r.rating, r.helpful_votes, r.unhelpful_votes,
-                     len(r.summary_text.split()), len(r.review_text.split()),
-                     sentiment_score(r.summary_text), sentiment_score(r.review_text))
-                    for r in reviews], dtype=np.int64)
-    first_day, gap = sorted_days[0], sorted_days[-1] - sorted_days[0]
-    since_first = own[:, 0] - first_day
-    rank = 1 + np.searchsorted(sorted_days, own[:, 0], "left")
+    # High rates are scores 4 and 5; low rates are 1 and 2. Score 3 counts
+    # toward neither, so the two ratios sum to at most 1.
+    score_counts = np.bincount(user * 5 + cols.rating - 1,
+                               minlength=5 * n_users).reshape(n_users, 5)
+    rated = score_counts > 0
+    help_stats = _vote_stats(cols.helps, user, sizes, starts)
+    unhelp_stats = _vote_stats(cols.unhelps, user, sizes, starts)
+    total_votes = help_stats[0] + unhelp_stats[0]
+    first_day, last_day = extremes(cols.day)
+    years = cols.day.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
+    year_group, year_counts = _bins(user, years)
+    first_year, last_year = extremes(years)
+    category_counts = np.bincount(user * n_categories + cols.category,
+                                  minlength=n_users * n_categories)
     return np.column_stack([
-        own[:, 1:4], since_first,
-        since_first / gap if gap > 0 else np.zeros(len(own)),
-        rank, rank / len(sorted_days), own[:, 4:]]).astype(np.float64)
+        # history
+        np.bincount(_bins(user, cols.product)[0], minlength=n_users),
+        np.array(history, dtype=np.int64),
+        # rating
+        *extremes(cols.rating), score_counts / sizes[:, None], score_counts,
+        (score_counts[:, 3] + score_counts[:, 4]) / sizes,
+        (score_counts[:, 0] + score_counts[:, 1]) / sizes,
+        _grouped_entropy(np.nonzero(rated)[0], score_counts[rated], sizes),
+        np.bincount(user, weights=cols.rating, minlength=n_users) / sizes,
+        # feedback
+        help_stats[0], unhelp_stats[0], help_stats[1], unhelp_stats[1],
+        *(np.divide(s[0], total_votes, out=np.zeros(n_users), where=total_votes > 0)
+          for s in (help_stats, unhelp_stats)),
+        *help_stats[2:], *unhelp_stats[2:],
+        # time
+        last_day - first_day, _grouped_entropy(year_group, year_counts, sizes),
+        first_day == last_day,
+        np.bincount(year_group, minlength=n_users) / (last_year - first_year + 1),
+        # category block
+        category_counts.reshape(n_users, n_categories) / sizes[:, None],
+    ])
+
+
+def extract_review_features(cols: Columns, records: list[ReviewRecord]) -> np.ndarray:
+    """The ``REVIEW_FEATURES`` values of every record, one float64 row each.
+
+    The product block (mean rating, review count, score entropy, time gap,
+    comment-time entropy over calendar months, first-day count) is computed
+    once per product and repeated on its rows. Each record's (product, day)
+    key is sorted once: a review's rank is one plus the number of its
+    product's reviews posted on an earlier day, one ``searchsorted`` of its
+    key, so reviews of the same day share the earliest rank.
+    """
+    product, day = cols.product, cols.day
+    n_products = int(product.max()) + 1
+    sizes, starts = _segments(product, n_products)
+    keys = product * (day.max() - day.min() + 1) + (day - day.min())
+    ranked = np.sort(keys)
+    first_key = ranked[starts]
+    gap = ranked[starts + sizes - 1] - first_key
+    months = day.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+    context = np.column_stack([
+        np.bincount(product, weights=cols.rating, minlength=n_products) / sizes,
+        sizes, _grouped_entropy(*_bins(product, cols.rating), sizes), gap,
+        _grouped_entropy(*_bins(product, months), sizes),
+        np.searchsorted(ranked, first_key, "right") - starts])
+
+    since_first = keys - first_key[product]
+    row_gap = gap[product]
+    rank = 1 + np.searchsorted(ranked, keys, "left") - starts[product]
+    texts = np.array([(len(r.summary_text.split()), len(r.review_text.split()),
+                       sentiment_score(r.summary_text), sentiment_score(r.review_text))
+                      for r in records], dtype=np.int64)
+    return np.column_stack([
+        context[product], cols.rating, cols.helps, cols.unhelps, since_first,
+        np.divide(since_first, row_gap, out=np.zeros(len(keys)), where=row_gap > 0),
+        rank, rank / sizes[product], texts])
 
 
 def build_feature_matrix(records: list[ReviewRecord]):
@@ -325,35 +427,17 @@ def build_feature_matrix(records: list[ReviewRecord]):
 
     Returns ``(FeatureMatrix, user_ids)`` with ``user_ids[i]`` naming the
     author of row i. The category catalog is every category seen in
-    ``records``, sorted. Each user's profile and each product's block
-    are computed once, so the cost is linear in the number of records.
+    ``records``, sorted. Every block is computed from column arrays of all
+    records at once, so the cost is linear in the number of records, up to
+    the sorts.
     """
     if not records:
         raise ValueError("cannot build a feature matrix from zero records")
     categories = sorted({r.category for r in records})
-
-    by_user: dict[str, list[ReviewRecord]] = {}
-    by_product: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        by_user.setdefault(r.user_id, []).append(r)
-        by_product.setdefault(r.product_id, []).append(i)
-
-    user_rows = np.array([extract_user_features(revs, categories=categories)
-                          for revs in by_user.values()])
-    user_row = {uid: k for k, uid in enumerate(by_user)}
-    user_ids = [r.user_id for r in records]
-    columns = feature_columns(categories)
-    width = len(columns) - len(REVIEW_FEATURES)
-    values = np.empty((len(records), len(columns)))
-    values[:, :width] = user_rows[[user_row[uid] for uid in user_ids]]
-
-    days = np.array([r.timestamp for r in records])
-    ratings = np.array([r.rating for r in records])
-    for rows in by_product.values():
-        block, sorted_days = _product_context(days[rows], ratings[rows])
-        values[rows, width:width + len(block)] = block
-        values[rows, width + len(block):] = _review_part(
-            [records[i] for i in rows], sorted_days)
-
-    names, scopes, kinds = (list(c) for c in zip(*columns))
-    return FeatureMatrix(values, names, scopes, kinds), user_ids
+    cols = Columns.of(records, categories)
+    names, scopes, kinds = (list(c) for c in zip(*feature_columns(categories)))
+    values = np.empty((len(records), len(names)))
+    width = len(names) - len(REVIEW_FEATURES)
+    values[:, :width] = extract_user_features(cols, records, len(categories))[cols.user]
+    values[:, width:] = extract_review_features(cols, records)
+    return FeatureMatrix(values, names, scopes, kinds), [r.user_id for r in records]

@@ -137,6 +137,18 @@ class TestExtract:
         assert (out_a / "features.tsv").read_bytes() == \
             (out_b / "features.tsv").read_bytes()
 
+    def test_reproduces_the_golden_feature_directory(self, tmp_path):
+        # golden/extract holds the corpus make_corpus.py writes and the
+        # feature directory an earlier version of the package extracted from
+        # it, with the default cap and seed; 4 of its 40 users are capped.
+        golden = GOLDEN / "extract"
+        assert main(["extract", "--reviews", str(golden / "reviews.jsonl"),
+                     "--scores", str(golden / "scores.tsv"),
+                     "--out", str(tmp_path)]) == 0
+        for name in ("features.tsv", "labels.tsv", "manifest.json"):
+            assert (tmp_path / name).read_bytes() == \
+                (golden / name).read_bytes(), name
+
 
 class TestAnalyze:
     def test_report_rows_equal_feature_count(self, corpus_files, tmp_path):
@@ -356,9 +368,10 @@ class TestTrainEvaluatePredict:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    # The added column copies the first one's values under a new name.
     @pytest.mark.parametrize("edit, n_given", [
-        (lambda cells: cells[:-1], 2),
-        (lambda cells: cells + cells[:1], 4),
+        (lambda cells, added: cells[:-1], 2),
+        (lambda cells, added: cells + [added], 4),
     ], ids=["column-dropped", "column-added"])
     def test_feature_width_differs_from_unnamed_model_exits_2(
             self, tmp_path, capsys, command, edit, n_given):
@@ -372,11 +385,14 @@ class TestTrainEvaluatePredict:
         feat.mkdir()
         (feat / "labels.tsv").write_bytes((golden / "labels.tsv").read_bytes())
         manifest = json.loads((golden / "manifest.json").read_text())
-        manifest["features"] = edit(manifest["features"])
+        features = manifest["features"]
+        manifest["features"] = edit(features, dict(features[0], name="added"))
         (feat / "manifest.json").write_text(json.dumps(manifest))
-        lines = (golden / "features.tsv").read_text().splitlines()
+        header, *rows = [line.split("\t") for line in
+                         (golden / "features.tsv").read_text().splitlines()]
         (feat / "features.tsv").write_text("".join(
-            "\t".join(edit(line.split("\t"))) + "\n" for line in lines))
+            "\t".join(edit(cells, "added" if cells is header else cells[0])) + "\n"
+            for cells in [header] + rows))
         rc = main([command, "--features", str(feat), "--model", str(model),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -800,9 +816,11 @@ class TestParseErrorsNameTheFile:
         ("".join(map(REVIEW.replace, ['"u0"'] * 7, [f'"u{i}"' for i in range(7)])),
          "u9\t0.1\n", False, "scores",
          "no spam score for 7 user(s): ['u0', 'u1', 'u2', 'u3', 'u4'] and 2 more\n"),
+        (REVIEW, "u0\t0.1\nu1\t0.9\nu0\t0.8\n", False, "scores",
+         "line 3: user 'u0' was already scored on line 1\n"),
     ], ids=["scores", "reviews-jsonl", "reviews-delimited", "delimited-no-header",
             "reviews-null-field", "reviews-empty", "delimited-header-only",
-            "scores-miss-user", "scores-miss-users-capped"])
+            "scores-miss-user", "scores-miss-users-capped", "scores-user-twice"])
     def test_extract_inputs(self, tmp_path, capsys, reviews, scores, delimited,
                             bad, where):
         paths = {"reviews": tmp_path / "reviews", "scores": tmp_path / "scores"}
@@ -827,9 +845,13 @@ class TestParseErrorsNameTheFile:
          lambda lines: [ln.replace('"manifest_version": 1', '"manifest_version": "1"')
                         for ln in lines],
          "manifest_version must be an integer or null, got '1'"),
+        ("manifest.json",
+         lambda lines: [ln.replace('"name": "x1"', '"name": "x0"') for ln in lines],
+         "feature name 'x0' appears 2 times\n"),
     ], ids=["features.tsv-line 3: could not convert string to float: 'x'",
             "labels.tsv-line 3: expected 'user_id<TAB>0|1'",
-            "labels-row-short", "labels-one-class", "manifest-version-string"])
+            "labels-row-short", "labels-one-class", "manifest-version-string",
+            "manifest-repeated-name"])
     def test_feature_directory(self, gaussian_features, tmp_path, capsys,
                                name, edit, where):
         feat = tmp_path / "feat"

@@ -208,6 +208,15 @@ class TestSpamScores:
         with pytest.raises(ParseError, match="line 1"):
             load_spam_scores(path)
 
+    def test_user_scored_twice_names_the_second_line(self, tmp_path):
+        # Before this was refused, the last line won: {'a': 0.8, 'b': 0.9}.
+        path = tmp_path / "scores.tsv"
+        path.write_text("a\t0.1\nb\t0.9\na\t0.8\n")
+        with pytest.raises(ParseError, match=re.escape(
+                "line 3: user 'a' was already scored on line 1")) as err:
+            load_spam_scores(path)
+        assert err.value.line_number == 3
+
 
 class TestLabelAndCap:
     def test_threshold_boundary(self):
@@ -793,6 +802,26 @@ def feature_dir(base, rows):
 
 
 class TestFeatureFiles:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(FINITE_FLOATS, max_size=30), st.integers(1, 4))
+    def test_cells_are_repr_and_load_back_bit_for_bit(self, cells, width):
+        # -0.0 and 0.0 share a matrix, so their distinct bit patterns must
+        # keep distinct strings.
+        cells = cells + [-0.0, 0.0, 5e-324, 1e16, 2.0 ** 53 + 2]
+        cells += [0.0] * (-len(cells) % width)
+        values = np.array(cells).reshape(-1, width)
+        names = [f"c{j}" for j in range(width)]
+        matrix = FeatureMatrix(values, names, ["rating"] * width,
+                               ["continuous"] * width)
+        with tempfile.TemporaryDirectory() as out:
+            save_features(out, matrix, np.zeros(len(values), dtype=int),
+                          [f"u{i}" for i in range(len(values))])
+            lines = Path(out, "features.tsv").read_text().splitlines()
+            loaded = load_features(out).features.values
+        assert [line.split("\t") for line in lines[1:]] == \
+            [[repr(float(x)) for x in row] for row in values]
+        npt.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
+
     def test_round_trip(self, tmp_path, rng):
         matrix = FeatureMatrix(rng.normal((6, 3)), ["a", "b", "c"],
                                ["rating", "time", "review"],
@@ -846,9 +875,14 @@ class TestFeatureFiles:
            re.escape(f"manifest.json: manifest_version must be an integer or "
                      f"null, got {json.loads(version)!r}"))
           for version in ('"1"', "1.5", "true", "[1]")),
+        ('{"manifest_version": 1, "features": [' + ", ".join(
+            f'{{"name": "{name}", "scope": "rating", "kind": "continuous"}}'
+            for name in ("x0", "x1", "x0")) + "]}",
+         "manifest.json: feature name 'x0' appears 2 times"),
     ], ids=["no-features", "no-version", "no-name", "no-scope", "no-kind",
             "features-string", "top-level-list", "invalid-json",
-            "version-string", "version-float", "version-bool", "version-list"])
+            "version-string", "version-float", "version-bool", "version-list",
+            "repeated-name"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, rng, text,
                                                 message):
         matrix = FeatureMatrix(rng.normal((2, 1)), ["a"], ["rating"],

@@ -1,6 +1,6 @@
 import json
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from helpers import reference_feature_rows
 from spamforest import features
 from spamforest.dataio import save_features
 from spamforest.features import (MANIFEST_VERSION, REVIEW_FEATURES,
-                                 USER_FEATURES, ReviewRecord,
+                                 USER_FEATURES, Columns, ReviewRecord,
                                  build_feature_matrix, extract_user_features,
                                  feature_columns, sentiment_score)
 
@@ -21,16 +21,18 @@ def rec(user="u1", product="p1", rating=5, help_=0, unhelp=0, day=0,
                         summary, text, user_name=name, user_memo=memo)
 
 
-def user_features(revs, categories=None):
-    """One user's extracted row as a name -> value dict, named by the
-    registry; the catalog defaults to the user's own categories."""
-    if categories is None:
-        categories = sorted({r.category for r in revs})
-    row = extract_user_features(revs, categories)
-    names = [n for n, _, _ in feature_columns(categories)]
-    assert row.dtype == np.float64
-    assert row.shape == (len(USER_FEATURES) + len(categories),)
-    return dict(zip(names, row.tolist()))
+def user_features(revs, categories=()):
+    """The first author's profile in ``build_feature_matrix(revs)``, as a
+    name -> value dict of the user and category columns. Each of
+    ``categories`` that ``revs`` lack joins the catalog through one review
+    by another user."""
+    present = {r.category for r in revs}
+    others = [rec(user="~other", product="~other", category=c)
+              for c in categories if c not in present]
+    matrix, _ = build_feature_matrix(revs + others)
+    width = matrix.n_features - len(REVIEW_FEATURES)
+    assert width == len(USER_FEATURES) + len(present | set(categories))
+    return dict(zip(matrix.names[:width], matrix.values[0, :width].tolist()))
 
 
 def matrix_row(records, i):
@@ -124,18 +126,26 @@ class TestUserFeatures:
         assert d["has_memo"] == 0.0 and d["memo_length"] == 0.0
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            extract_user_features([], ["books"])
-
-    def test_mixed_users_rejected(self):
-        with pytest.raises(ValueError, match="one user"):
-            extract_user_features([rec(user="a"), rec(user="b")], ["books"])
+        with pytest.raises(ValueError, match="zero records"):
+            build_feature_matrix([])
 
     def test_purity(self):
         revs = [rec(product=f"p{i}", rating=(i % 5) + 1, day=i * 40)
                 for i in range(6)]
-        assert extract_user_features(revs, ["books"]).tolist() == \
-            extract_user_features(revs, ["books"]).tolist()
+        assert build_feature_matrix(revs)[0].values.tolist() == \
+            build_feature_matrix(revs)[0].values.tolist()
+
+    def test_block_has_one_row_per_user_in_order_of_appearance(self):
+        revs = [rec(user="b", product="p1", rating=2, help_=3, day=5),
+                rec(user="a", product="p2", rating=5, day=900, category="toys"),
+                rec(user="b", product="p2", rating=4, unhelp=1, day=400),
+                rec(user="c", name="Alice Smith", memo="hi", day=-30)]
+        categories = ["books", "toys"]
+        block = extract_user_features(Columns.of(revs, categories), revs, 2)
+        width = len(USER_FEATURES) + len(categories)
+        reference = reference_feature_rows(revs, categories)[:, :width]
+        assert block.dtype == np.float64
+        assert_bitwise_equal(block, reference[[0, 1, 3]])
 
 
 class TestReviewFeatures:
@@ -341,19 +351,48 @@ class TestExtractionOracle:
         matrix, _ = build_feature_matrix(records)
         assert_bitwise_equal(matrix.values, reference_feature_rows(records))
 
-    def test_product_context_runs_once_per_product(self, monkeypatch,
-                                                   review_corpus):
+    def test_user_block_is_one_call(self, monkeypatch, review_corpus):
         records, _ = review_corpus
-        calls = []
-        original = features._product_context
+        blocks = []
+        original = features.extract_user_features
 
-        def counting(days, ratings):
-            calls.append(sorted(days.tolist()))
-            return original(days, ratings)
+        def recording(*args):
+            blocks.append(original(*args))
+            return blocks[-1]
 
-        monkeypatch.setattr(features, "_product_context", counting)
-        build_feature_matrix(records)
-        by_product = {}
-        for r in records:
-            by_product.setdefault(r.product_id, []).append(r.timestamp)
-        assert sorted(calls) == sorted(sorted(d) for d in by_product.values())
+        monkeypatch.setattr(features, "extract_user_features", recording)
+        matrix, _ = build_feature_matrix(records)
+        n_users = len({r.user_id for r in records})
+        assert [b.shape for b in blocks] == \
+            [(n_users, matrix.n_features - len(REVIEW_FEATURES))]
+
+    # numpy sums 8 or more terms pairwise, and a segmented sum would add
+    # them in sequence, so entropies over 8 or more bins are rounded by
+    # their term count; these corpora reach that regime on purpose.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_user_over_eight_years_matches_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(9, 30))
+        days = rng.choice(np.arange(-3000, 9000, 365), n) + rng.integers(0, 300, n)
+        records = [rec(user="u", product=f"p{k % 4}", rating=int(rng.integers(1, 6)),
+                       help_=int(rng.integers(0, 9)), day=int(d))
+                   for k, d in enumerate(days)]
+        records += [rec(user=f"v{k}", product=f"p{k}", day=k) for k in range(3)]
+        years = {(date(1970, 1, 1) + timedelta(days=int(d))).year for d in days}
+        assert len(years) >= 8
+        matrix, _ = build_feature_matrix(records)
+        assert_bitwise_equal(matrix.values, reference_feature_rows(records))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_over_eight_months_matches_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(9, 40))
+        days = rng.integers(0, 900, n)
+        records = [rec(user=f"u{int(rng.integers(0, 6))}", product="p",
+                       rating=int(rng.integers(1, 6)), day=int(d))
+                   for d in days]
+        records += [rec(user="u0", product="q", day=3)]
+        months = {(date(1970, 1, 1) + timedelta(days=int(d))).month for d in days}
+        assert len(months) >= 8
+        matrix, _ = build_feature_matrix(records)
+        assert_bitwise_equal(matrix.values, reference_feature_rows(records))
