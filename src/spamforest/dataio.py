@@ -157,10 +157,16 @@ def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
     for name, kind in _REVIEW_FIELDS.items():
         value = fields.get(name)
         if kind == "str":
-            if value is not None:
+            if isinstance(value, str):
+                clean[name] = value
+            elif value is None:
+                if name in REQUIRED_FIELDS:
+                    raise ParseError(f"required field {name!r} is null", line_number)
+            elif isinstance(value, (bool, list, dict)):
+                raise ParseError(f"field {name!r} must be a string, got "
+                                 f"{json.dumps(value)}", line_number)
+            else:  # a JSON number, as numeric ids are
                 clean[name] = str(value)
-            elif name in REQUIRED_FIELDS:
-                raise ParseError(f"required field {name!r} is null", line_number)
             continue
         try:
             # A JSON number may be written 4.0, but not 4.7, inf or true.

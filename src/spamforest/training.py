@@ -1,5 +1,5 @@
-"""Joint loss, exact backpropagation, RMSProp-style updates and the
-epoch/batch training loop.
+"""Joint loss, exact backpropagation, AdaGrad updates and the epoch/batch
+training loop.
 
 The model chains three stages: a sigmoid autoencoder (input x -> hidden
 code h -> reconstruction x_c), an optional fully connected stack
@@ -20,10 +20,10 @@ linearly in the number of trees. Acceptance test 10 checks this by counting
 the rows and weights each epoch's forward and backward calls see; wall time
 is measured by the benchmark in ``perfbench/``. Only the mini-batch backward
 runs ``_forward_cache`` and its ``forest_forward``, which routes every tree
-of the mini-batch at once on stacked (K, rows, nodes) arrays and keeps
-decisions and reach for backprop; ``predict``, ``joint_loss`` and the leaf
-step keep only the leaf reach mu (``forest.leaf_reach``, one tree at a time
-in row blocks), so a full-set pass holds (K, rows, 2^D) floats of forest
+of the mini-batch at once on stacked node-major (K, nodes, rows) arrays and
+keeps decisions and reach for backprop; ``predict``, ``joint_loss`` and the
+leaf step keep only the leaf reach mu (``forest.leaf_reach``, one tree at a
+time in row blocks), so a full-set pass holds (K, rows, 2^D) floats of forest
 state, not (K, rows, 3 * 2^D - 2).
 
 One function, ``_allocate_model``, owns the parameter layout of every model
@@ -36,7 +36,7 @@ batch entering ``predict``, ``joint_loss`` or ``gradients``.
 
 Two optimizers run side by side. After each mini-batch the backward writes
 the theta gradient into the gradient model, whose ``theta`` is checked for
-finiteness once and takes one accumulator-scaled ``rmsprop_step``; that
+finiteness once and takes one AdaGrad ``rmsprop_step``; that
 backward computes no leaf-logit gradient. The leaf logits take one step per
 epoch from the full-training-set gradient, which needs only one full-set
 forward's leaf reach mu, leaf distributions pi (the softmax of the logits,
@@ -474,9 +474,11 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
 
 def rmsprop_step(theta: np.ndarray, grad: np.ndarray, accum: np.ndarray,
                  learning_rate: float, epsilon: float):
-    """One accumulator-scaled step.
+    """One AdaGrad step (Duchi, Hazan & Singer, JMLR 2011).
 
-    G <- G + g*g ; theta <- theta - (lr / sqrt(G + eps)) * g, elementwise.
+    G <- G + g*g ; theta <- theta - (lr / sqrt(G + eps)) * g, elementwise:
+    G is a running sum, not RMSProp's decaying average; the name is older
+    than that reading, and ``perfbench/tracing.py`` hooks it by this name.
     Pure: returns (new_theta, new_accumulator). The per-epoch leaf step uses
     it too; leaf distributions are softmax(logits), so they stay normalized
     exactly no matter the step.

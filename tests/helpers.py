@@ -13,7 +13,8 @@ from importlib import resources
 
 import numpy as np
 
-from spamforest.numerics import entropy
+from spamforest.forest import leaf_mixture
+from spamforest.numerics import entropy, sigmoid
 from spamforest.training import joint_loss, parameter_blocks
 
 
@@ -98,6 +99,54 @@ def follow_forest(x_t, forest):
     dists = [follow_tree(x_t, forest.routing[k], forest.leaf_logits[k])
              for k in range(forest.n_trees)]
     return np.mean(dists, axis=0)
+
+
+# The row-major forest kernels, (K, rows, nodes), that the node-major
+# kernels in spamforest.forest replaced without changing a bit: the
+# reference that tests/test_forest.py holds them to.
+
+
+def _reference_levels(depth):
+    spans = [(2 ** level - 1, 2 ** (level + 1) - 1) for level in range(depth)]
+    return tuple((slice(lo, hi), slice(2 * lo + 1, 2 * hi, 2),
+                  slice(2 * lo + 2, 2 * hi + 1, 2)) for lo, hi in spans)
+
+
+def _reference_route(z, d, r, depth):
+    sigmoid(z, out=d)
+    for nodes, left, right in _reference_levels(depth):
+        r[:, :, left] = r[:, :, nodes] * d[:, :, nodes]
+        r[:, :, right] = r[:, :, nodes] * (1.0 - d[:, :, nodes])
+
+
+def reference_forest_forward(XT, forest):
+    """``forest.forest_forward`` with decisions and reach stored row-major."""
+    n_dec = forest.n_decision_nodes
+    decisions = np.empty((forest.n_trees, XT.shape[0], n_dec))
+    reach = np.empty((forest.n_trees, XT.shape[0], 2 * n_dec + 1))
+    reach[:, :, 0] = 1.0
+    _reference_route(XT @ forest.routing.transpose(0, 2, 1), decisions, reach,
+                     forest.depth)
+    mu = reach[:, :, n_dec:]
+    return {"decisions": decisions, "reach": reach, "mu": mu,
+            **leaf_mixture(mu, forest)}
+
+
+def reference_forest_backward(XT, y, g_py, cache, forest):
+    """``forest.forest_backward`` on a ``reference_forest_forward`` cache,
+    with the reach gradient stored row-major."""
+    n_dec = forest.n_decision_nodes
+    d, reach = cache["decisions"], cache["reach"]
+    pi_y = cache["leaf_dists"][:, :, y].transpose(0, 2, 1)
+
+    g_reach = np.empty_like(reach)
+    g_reach[:, :, n_dec:] = g_py[:, :, None] * pi_y
+    for nodes, left, right in reversed(_reference_levels(forest.depth)):
+        g_reach[:, :, nodes] = (g_reach[:, :, left] * d[:, :, nodes]
+                                + g_reach[:, :, right] * (1.0 - d[:, :, nodes]))
+    g_d = (g_reach[:, :, 1::2] - g_reach[:, :, 2::2]) * reach[:, :, :n_dec]
+    g_f = g_d * d * (1.0 - d)
+    return g_f.transpose(0, 2, 1) @ XT, np.cumsum(g_f @ forest.routing, axis=0)[-1]
 
 
 def rank_sum_brute_force(group_a, group_b):

@@ -809,6 +809,9 @@ class TestParseErrorsNameTheFile:
         ("\n", "u0\t0.1\n", True, "reviews", "line 1: file has no header row"),
         (REVIEW + REVIEW.replace('"user_id": "u0"', '"user_id": null'),
          "u0\t0.1\n", False, "reviews", "line 2: required field 'user_id' is null"),
+        (REVIEW + REVIEW.replace('"user_id": "u0"', '"user_id": true'),
+         "u0\t0.1\n", False, "reviews",
+         "line 2: field 'user_id' must be a string, got true\n"),
         ("\n", "u0\t0.1\n", False, "reviews", "holds no review records"),
         ("user_id\tproduct_id\n", "u0\t0.1\n", True, "reviews",
          "holds no review records"),
@@ -819,8 +822,9 @@ class TestParseErrorsNameTheFile:
         (REVIEW, "u0\t0.1\nu1\t0.9\nu0\t0.8\n", False, "scores",
          "line 3: user 'u0' was already scored on line 1\n"),
     ], ids=["scores", "reviews-jsonl", "reviews-delimited", "delimited-no-header",
-            "reviews-null-field", "reviews-empty", "delimited-header-only",
-            "scores-miss-user", "scores-miss-users-capped", "scores-user-twice"])
+            "reviews-null-field", "reviews-bool-field", "reviews-empty",
+            "delimited-header-only", "scores-miss-user", "scores-miss-users-capped",
+            "scores-user-twice"])
     def test_extract_inputs(self, tmp_path, capsys, reviews, scores, delimited,
                             bad, where):
         paths = {"reviews": tmp_path / "reviews", "scores": tmp_path / "scores"}

@@ -113,18 +113,37 @@ class TestLoadReviews:
             load_reviews(path)
         assert err.value.line_number == 2
 
-    @pytest.mark.parametrize("field", ["user_id", "product_id", "category",
-                                       "summary_text", "review_text"])
-    def test_null_required_text_names_line_and_field(self, tmp_path, field):
+    # A null required text field, and a JSON boolean, array or object in any
+    # text field, is a ParseError naming the line and field.
+    @pytest.mark.parametrize("field, value, reason", [
+        pytest.param(field, None, f"required field '{field}' is null", id=field)
+        for field in ("user_id", "product_id", "category", "summary_text",
+                      "review_text")] + [
+        pytest.param(field, value, f"field '{field}' must be a string, got {shown}",
+                     id=f"{field}-{type(value).__name__}")
+        for field, value, shown in [
+            ("user_id", True, "true"), ("product_id", False, "false"),
+            ("category", {"a": 1}, '{"a": 1}'), ("summary_text", [], "[]"),
+            ("review_text", ["x", 2], '["x", 2]'), ("user_name", True, "true"),
+            ("user_memo", {}, "{}")]])
+    def test_null_required_text_names_line_and_field(self, tmp_path, field,
+                                                     value, reason):
         good = record_json(rec())
-        bad = json.dumps(dict(json.loads(good), **{field: None}))
+        bad = json.dumps(dict(json.loads(good), **{field: value}))
         path = tmp_path / "reviews.jsonl"
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(ParseError,
-                           match=f"line 2: required field '{field}' is null"
+                           match=re.escape(f"line 2: {reason}")
                            ) as err:
             load_reviews(path)
         assert err.value.line_number == 2
+
+    def test_json_number_in_text_field_kept_as_string(self, tmp_path):
+        obj = dict(json.loads(record_json(rec())), user_id=17, product_id=2.5)
+        path = tmp_path / "reviews.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        assert load_reviews(path) == [dataclasses.replace(rec(), user_id="17",
+                                                          product_id="2.5")]
 
     def test_null_optional_text_keeps_default(self, tmp_path):
         obj = dict(json.loads(record_json(rec())), user_name=None, user_memo=None)

@@ -5,7 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import follow_forest, load_with_tensor_shape, rewrite_model_body
+from helpers import (follow_forest, load_with_tensor_shape,
+                     reference_forest_backward, reference_forest_forward,
+                     rewrite_model_body)
 from spamforest.dataio import load_model, save_model
 from spamforest.errors import ConfigError, ModelIntegrityError
 from spamforest.forest import (CHUNK_CELLS, ForestParams, forest_backward,
@@ -277,6 +279,42 @@ class TestStackedForestPass:
         expected = _loss_terms(X, y, cache["x_c"], cache["forest"]["probs"])
         assert np.float64(joint_loss(X, y, model)).view(np.int64) == \
             np.float64(expected).view(np.int64)
+
+
+class TestRowMajorOracle:
+    """The node-major kernels against the row-major ones they replaced
+    (``helpers.reference_forest_forward`` and ``reference_forest_backward``),
+    bit for bit."""
+
+    @staticmethod
+    def assert_bits_equal(actual, expected):
+        assert actual.shape == expected.shape
+        npt.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+    def check(self, rng, n_trees, depth, rows):
+        forest = random_forest(rng, n_trees, depth, 4, scale=2.0)
+        XT = rng.normal((rows, 4))
+        y = (rng.normal((rows,)) > 0).astype(np.int64)
+        g_py = rng.normal((n_trees, rows))
+        cache = forest_forward(XT, forest)
+        expected = reference_forest_forward(XT, forest)
+        for name in ("decisions", "reach", "mu", "probs"):
+            self.assert_bits_equal(cache[name], expected[name])
+        self.assert_bits_equal(forest_leaf_reach(XT, forest), expected["mu"])
+        for got, want in zip(forest_backward(XT, y, g_py, cache, forest),
+                             reference_forest_backward(XT, y, g_py, expected, forest)):
+            self.assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("n_trees", [1, 2, 5, 10])
+    def test_kernels_equal_row_major_reference(self, rng, n_trees, depth):
+        for rows in (1, 7, 150):
+            self.check(rng, n_trees, depth, rows)
+
+    def test_leaf_reach_blocks_equal_row_major_reference(self, rng):
+        # Depth 6 holds 127 reach cells per row, so 516 rows fill one block
+        # and 1100 rows take three.
+        self.check(rng, 10, 6, 1100)
 
 
 class TestHardRoutingEquivalence:
