@@ -212,8 +212,11 @@ def cmd_predict(args) -> int:
     path = os.path.join(args.out, "predictions.tsv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("row\tuser_id\tlabel\tp_spam\n")
-        for i, (uid, lab) in enumerate(zip(ds.user_ids, labels)):
-            fh.write(f"{i}\t{uid}\t{int(lab)}\t{float(probs[i, 1])!r}\n")
+        # Python ints and floats format as numpy scalars do, but faster; a
+        # generator, so no list of every line is held at once.
+        fh.writelines(f"{i}\t{uid}\t{lab}\t{p!r}\n" for i, (uid, lab, p) in
+                      enumerate(zip(ds.user_ids, labels.tolist(),
+                                    probs[:, 1].tolist())))
     _echo_config(args.out, "predict", None,
                  {"features": args.features, "model": args.model})
     print(f"wrote {len(labels)} predictions to {path}")

@@ -12,7 +12,13 @@ Spam scores: one ``user_id<TAB>average_score`` line per user, score in [0, 1].
 
 Feature directory: ``features.tsv`` (numeric matrix, header row of feature
 names), ``labels.tsv`` (user_id and label per row), ``manifest.json``
-(column names, scopes, kinds, manifest version).
+(column names, scopes, kinds, manifest version), and ``features.bin``, the
+same matrix in binary so that a reader can skip the text parse: an 8-byte
+tag, a sha256 digest over the bytes of ``features.tsv`` followed by the
+companion's shape and payload, the shape as two ``<i8``, and the matrix as
+row-major ``<f8``. ``features.tsv`` is authoritative: the companion is read
+only when its digest matches the ``features.tsv`` beside it, and a missing,
+stale or corrupt companion is ignored.
 
 Model file: a single JSON document (format_version, sha256 checksum, config,
 normalization stats, manifest version, training feature names, and every
@@ -540,13 +546,63 @@ def _write_cells(fh, values: np.ndarray):
                        for row in text[np.searchsorted(distinct, block)].tolist()])
 
 
+# features.bin: tag, digest, shape, payload (see the module docstring).
+_COMPANION_TAG = b"SFFEAT\x00\x01"
+_COMPANION_HEADER_BYTES = len(_COMPANION_TAG) + 32 + 16
+
+
+def _companion_digest(tsv_path, shape: bytes, payload) -> bytes:
+    """sha256 over the bytes of ``tsv_path``, then ``shape`` and ``payload``
+    (any buffer, hashed in place)."""
+    h = hashlib.sha256()
+    with open(tsv_path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    h.update(shape)
+    h.update(payload)
+    return h.digest()
+
+
+def _read_companion(tsv_path, n_cols: int):
+    """The matrix ``features.bin`` holds, or None unless it has at least one
+    row, ``n_cols`` columns, exactly its size and a digest that matches
+    ``tsv_path`` as it is now."""
+    try:
+        bin_path = os.path.join(os.path.dirname(tsv_path), "features.bin")
+        with open(bin_path, "rb") as fh:
+            header = fh.read(_COMPANION_HEADER_BYTES)
+            if (len(header) != _COMPANION_HEADER_BYTES
+                    or not header.startswith(_COMPANION_TAG)):
+                return None
+            shape = header[-16:]
+            rows, cols = (int(n) for n in np.frombuffer(shape, "<i8"))
+            if (rows < 1 or cols != n_cols or os.fstat(fh.fileno()).st_size
+                    != _COMPANION_HEADER_BYTES + 8 * rows * cols):
+                return None
+            values = np.fromfile(fh, "<f8", rows * cols)
+    except OSError:
+        return None
+    digest = header[len(_COMPANION_TAG):-16]
+    if _companion_digest(tsv_path, shape, values.data) != digest:
+        return None
+    return values.reshape(rows, cols)
+
+
 def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
-    """Write features.tsv, labels.tsv and manifest.json into ``out_dir``."""
+    """Write features.tsv, features.bin, labels.tsv and manifest.json into
+    ``out_dir``."""
     labels = np.asarray(labels, dtype=np.int64)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "features.tsv"), "w", encoding="utf-8") as fh:
+    tsv_path = os.path.join(out_dir, "features.tsv")
+    with open(tsv_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(matrix.names) + "\n")
         _write_cells(fh, matrix.values)
+    values = np.ascontiguousarray(matrix.values, "<f8")
+    shape = np.array(values.shape, "<i8").tobytes()
+    with open(os.path.join(out_dir, "features.bin"), "wb") as fh:
+        fh.write(_COMPANION_TAG + _companion_digest(tsv_path, shape, values.data)
+                 + shape)
+        fh.write(values.data)
     with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
         fh.write("user_id\tlabel\n")
         for uid, lab in zip(user_ids, labels):
@@ -593,7 +649,10 @@ def _parse_feature_rows(path, names: list[str]) -> np.ndarray:
 
 
 def load_features(in_dir) -> LabeledDataset:
-    """Read a feature directory written by save_features."""
+    """Read a feature directory written by save_features. The matrix comes
+    from features.bin when its digest matches features.tsv, else from
+    parsing features.tsv; non-finite values fall to the line-numbered
+    parse either way."""
     with open_text(os.path.join(in_dir, "manifest.json")) as fh:
         try:
             manifest = json.load(fh)
@@ -619,12 +678,14 @@ def load_features(in_dir) -> LabeledDataset:
     with open_text(path) as fh:
         if fh.readline().rstrip("\n").split("\t") != names:
             raise ParseError("header does not match manifest.json", 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # an empty body only warns
-            try:  # np.loadtxt rounds as float() does
-                values = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
-            except (ValueError, UserWarning):
-                values = None
+        values = _read_companion(path, len(names))
+        if values is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # an empty body only warns
+                try:  # np.loadtxt rounds as float() does
+                    values = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
+                except (ValueError, UserWarning):
+                    values = None
     if values is None or values.shape[1] != len(names) or not np.isfinite(values).all():
         values = _parse_feature_rows(path, names)
 

@@ -141,11 +141,13 @@ class TestExtract:
         # golden/extract holds the corpus make_corpus.py writes and the
         # feature directory an earlier version of the package extracted from
         # it, with the default cap and seed; 4 of its 40 users are capped.
+        # features.bin pins the binary companion's format as well.
         golden = GOLDEN / "extract"
         assert main(["extract", "--reviews", str(golden / "reviews.jsonl"),
                      "--scores", str(golden / "scores.tsv"),
                      "--out", str(tmp_path)]) == 0
-        for name in ("features.tsv", "labels.tsv", "manifest.json"):
+        for name in ("features.tsv", "features.bin", "labels.tsv",
+                     "manifest.json"):
             assert (tmp_path / name).read_bytes() == \
                 (golden / name).read_bytes(), name
 

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import re
 import tempfile
@@ -781,6 +782,21 @@ class TestGoldenModelFile:
         assert (tmp_path / "predictions.tsv").read_bytes() == \
             (GOLDEN / "predictions.tsv").read_bytes()
 
+    def test_predict_reproduces_predictions_through_features_bin(self,
+                                                                 tmp_path):
+        # golden/features has no features.bin, so the test above parses
+        # features.tsv; a copy re-saved by save_features reads its companion.
+        from spamforest.cli import main
+
+        ds = load_features(GOLDEN / "features")
+        save_features(tmp_path / "feat", ds.features, ds.labels, ds.user_ids)
+        assert (tmp_path / "feat" / "features.bin").is_file()
+        assert main(["predict", "--features", str(tmp_path / "feat"),
+                     "--model", str(GOLDEN / "model.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "predictions.tsv").read_bytes() == \
+            (GOLDEN / "predictions.tsv").read_bytes()
+
     def test_train_reproduces_the_model_file(self, tmp_path):
         # The config stored in the golden model file, as config-file lines.
         from spamforest.cli import main
@@ -832,14 +848,22 @@ class TestFeatureFiles:
         names = [f"c{j}" for j in range(width)]
         matrix = FeatureMatrix(values, names, ["rating"] * width,
                                ["continuous"] * width)
+        # Loaded twice: from features.bin, with the text parsers patched
+        # out, and from features.tsv alone once the companion is deleted.
         with tempfile.TemporaryDirectory() as out:
             save_features(out, matrix, np.zeros(len(values), dtype=int),
                           [f"u{i}" for i in range(len(values))])
             lines = Path(out, "features.tsv").read_text().splitlines()
-            loaded = load_features(out).features.values
+            with mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
+                    mock.patch.object(dataio, "_parse_feature_rows",
+                                      side_effect=AssertionError):
+                from_companion = load_features(out).features.values
+            Path(out, "features.bin").unlink()
+            from_text = load_features(out).features.values
         assert [line.split("\t") for line in lines[1:]] == \
             [[repr(float(x)) for x in row] for row in values]
-        npt.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
+        for loaded in (from_companion, from_text):
+            npt.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
 
     def test_round_trip(self, tmp_path, rng):
         matrix = FeatureMatrix(rng.normal((6, 3)), ["a", "b", "c"],
@@ -998,3 +1022,139 @@ class TestFeatureFiles:
             LabeledDataset(matrix, np.array([0, 1]), ["u1", "u2", "u3"])
         with pytest.raises(ValueError, match="0 or 1"):
             LabeledDataset(matrix, np.array([0, 1, 2]), ["u1", "u2", "u3"])
+
+
+COMPANION_TAG = b"SFFEAT\x00\x01"
+
+
+def companion_bytes(tsv_path, values) -> bytes:
+    """features.bin for ``values`` beside ``tsv_path``, laid out as the
+    dataio docstring says: tag, sha256 over the features.tsv bytes, the
+    shape and the payload, then the shape as two <i8 and the <f8 payload."""
+    shape = np.array(np.shape(values), "<i8").tobytes()
+    payload = np.ascontiguousarray(values, "<f8").tobytes()
+    digest = hashlib.sha256(Path(tsv_path).read_bytes() + shape + payload)
+    return COMPANION_TAG + digest.digest() + shape + payload
+
+
+def _replace_cell(feat, line, column, text):
+    path = feat / "features.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[line - 1].rstrip("\n").split("\t")
+    cells[column] = text
+    lines[line - 1] = "\t".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+def _rewrite_bytes(path, edit):
+    data = bytearray(path.read_bytes())
+    edit(data)
+    path.write_bytes(bytes(data))
+
+
+def _append_row(feat, values):
+    with open(feat / "features.tsv", "a", encoding="utf-8") as fh:
+        fh.write("1.5\t-2.5\t3.5\n")
+    with open(feat / "labels.tsv", "a", encoding="utf-8") as fh:
+        fh.write("u9\t1\n")
+
+
+def _delete_row(feat, values):
+    path = feat / "features.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]))
+
+
+def _truncate_byte(data):
+    del data[-1]
+
+
+def _flip_payload_byte(data):
+    data[len(COMPANION_TAG) + 48 + 11] ^= 0x10
+
+
+def _corrupt_tag(data):
+    data[0] ^= 0xFF
+
+
+def _header_only(feat, values):
+    save_features(feat, small_matrix(np.zeros((0, values.shape[1]))),
+                  np.zeros(0, dtype=int), [])
+
+
+# Each edit of a directory save_features wrote; the companion must never
+# change what load_features returns or raises.
+COMPANION_EDITS = {
+    "edit-cell": lambda feat, values: _replace_cell(feat, 3, 1, "0.125"),
+    "append-row": _append_row,
+    "delete-row": _delete_row,
+    "nan-cell": lambda feat, values: _replace_cell(feat, 4, 2, "nan"),
+    "truncated-companion": lambda feat, values: _rewrite_bytes(
+        feat / "features.bin", _truncate_byte),
+    "flipped-payload-byte": lambda feat, values: _rewrite_bytes(
+        feat / "features.bin", _flip_payload_byte),
+    "corrupt-tag": lambda feat, values: _rewrite_bytes(
+        feat / "features.bin", _corrupt_tag),
+    "wrong-column-count": lambda feat, values: (feat / "features.bin").write_bytes(
+        companion_bytes(feat / "features.tsv", values[:, :-1])),
+    "no-companion": lambda feat, values: (feat / "features.bin").unlink(),
+    "header-only-tsv": _header_only,
+}
+
+
+def load_outcome(feat):
+    """What load_features returns for ``feat``, or the ParseError it raises."""
+    try:
+        ds = load_features(feat)
+    except ParseError as exc:
+        return "error", str(exc), exc.line_number
+    return ("loaded", ds.features.values.shape, ds.features.values.tobytes(),
+            ds.labels.tolist(), ds.user_ids)
+
+
+class TestFeatureCompanion:
+    def test_save_writes_the_documented_layout(self, tmp_path, rng):
+        values = rng.normal((4, 3))
+        save_features(tmp_path, small_matrix(values), np.array([0, 1, 0, 1]),
+                      ["u0", "u1", "u2", "u3"])
+        assert (tmp_path / "features.bin").read_bytes() == \
+            companion_bytes(tmp_path / "features.tsv", values)
+
+    @pytest.mark.parametrize("edit", COMPANION_EDITS.values(),
+                             ids=COMPANION_EDITS.keys())
+    def test_features_tsv_wins(self, tmp_path, rng, edit):
+        # The outcome with the companion in place must be the outcome of
+        # parsing features.tsv alone, the same error and line included.
+        values = rng.normal((5, 3))
+        save_features(tmp_path, small_matrix(values), np.array([0, 1, 0, 1, 1]),
+                      [f"u{i}" for i in range(5)])
+        edit(tmp_path, values)
+        with_companion = load_outcome(tmp_path)
+        (tmp_path / "features.bin").unlink(missing_ok=True)
+        assert with_companion == load_outcome(tmp_path)
+
+    def test_non_finite_matrix_raises_the_line_numbered_error(self, tmp_path):
+        # The companion's digest matches, but its values pass the same
+        # finiteness gate as the text parse.
+        values = np.array([[1.0, 2.0], [3.0, np.inf], [5.0, 6.0]])
+        save_features(tmp_path, small_matrix(values), np.zeros(3, dtype=int),
+                      ["u0", "u1", "u2"])
+        with pytest.raises(ParseError) as err:
+            load_features(tmp_path)
+        assert str(err.value) == \
+            f"{tmp_path / 'features.tsv'}: line 3: column 2 ('f1') is not finite: inf"
+        assert err.value.line_number == 3
+
+    def test_fresh_directory_loads_without_a_text_parse(self, tmp_path, rng,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("features.tsv was parsed")
+
+        values = rng.normal((6, 4))
+        save_features(tmp_path, small_matrix(values), np.zeros(6, dtype=int),
+                      [f"u{i}" for i in range(6)])
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(dataio, "_parse_feature_rows", refuse)
+        loaded = load_features(tmp_path).features.values
+        npt.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
+        assert loaded.flags.writeable
