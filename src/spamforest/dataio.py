@@ -18,7 +18,11 @@ tag, a sha256 digest over the bytes of ``features.tsv`` followed by the
 companion's shape and payload, the shape as two ``<i8``, and the matrix as
 row-major ``<f8``. ``features.tsv`` is authoritative: the companion is read
 only when its digest matches the ``features.tsv`` beside it, and a missing,
-stale or corrupt companion is ignored.
+stale or corrupt companion is ignored. ``labels.tsv`` is read in one pass
+when it is exactly as ``save_features`` writes it (the header, then one
+``user_id<TAB>0|1`` line per row, each ending in a newline); a body with a
+blank or malformed line, CRLF line ends or no final newline is read line
+by line, which skips blank lines and names the line of a malformed one.
 
 Model file: a single JSON document (format_version, sha256 checksum, config,
 normalization stats, manifest version, training feature names, and every
@@ -359,7 +363,10 @@ def apply_normalization(features: FeatureMatrix, stats: NormStats) -> FeatureMat
             f"matrix has {features.n_features}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        values = (features.values - stats.center) / stats.scale
+        # In place after the subtraction: the same bits as the out-of-place
+        # quotient, with one full-size temporary fewer.
+        values = features.values - stats.center
+        values /= stats.scale
         # A column sum is finite only if every cell is, so the scan needs no
         # full-size mask; only columns whose sum is not finite are checked.
         suspects = np.flatnonzero(~np.isfinite(values.sum(axis=0)))
@@ -648,11 +655,68 @@ def _parse_feature_rows(path, names: list[str]) -> np.ndarray:
     return values
 
 
+_LABELS_HEADER = b"user_id\tlabel\n"
+
+
+def _read_labels(path):
+    """``(user_ids, labels)`` from a labels.tsv, labels as int64.
+
+    The file is read once. When the header is exactly ``user_id<TAB>label``
+    and the body is lines of ``<user_id><TAB>0`` or ``<user_id><TAB>1``,
+    each ending in a newline and holding no carriage return, the body is
+    taken whole: the user ids from one split, the labels from the bytes
+    before the newlines. Any other file (a blank or malformed line, CRLF
+    line ends, no final newline, bytes that are not UTF-8) goes to
+    ``_read_label_lines``, which alone raises.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    body = data[len(_LABELS_HEADER):]
+    rows = body.count(b"\n")
+    # One tab per line, and every newline preceded by a label preceded by
+    # that tab. A carriage return would end a line in text mode.
+    if (data.startswith(_LABELS_HEADER) and body.endswith(b"\n")
+            and b"\r" not in body and body.count(b"\t") == rows
+            and body.count(b"\t0\n") + body.count(b"\t1\n") == rows):
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            codes = np.frombuffer(body, np.uint8)
+            labels = codes[np.flatnonzero(codes == ord("\n")) - 1] - ord("0")
+            return (text.replace("\t", "\n").split("\n")[:-1:2],
+                    labels.astype(np.int64))
+    return _read_label_lines(path)
+
+
+def _read_label_lines(path):
+    """``_read_labels`` line by line, naming the line of a malformed row;
+    blank and whitespace-only lines are skipped."""
+    user_ids, labels = [], []
+    with open_text(path) as fh:
+        header_line = fh.readline()
+        if header_line.strip() != "user_id\tlabel":
+            raise ParseError("header must be 'user_id\\tlabel'", 1)
+        for ln, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2 or parts[1] not in ("0", "1"):
+                raise ParseError(f"expected 'user_id<TAB>0|1', got {line!r}", ln)
+            user_ids.append(parts[0])
+            labels.append(int(parts[1]))
+    return user_ids, np.array(labels, dtype=np.int64)
+
+
 def load_features(in_dir) -> LabeledDataset:
     """Read a feature directory written by save_features. The matrix comes
     from features.bin when its digest matches features.tsv, else from
     parsing features.tsv; non-finite values fall to the line-numbered
-    parse either way."""
+    parse either way. labels.tsv is taken whole when its body is the
+    ``user_id<TAB>0|1`` lines save_features writes, and a blank or
+    malformed body is read line by line, which raises the line-numbered
+    ParseError."""
     with open_text(os.path.join(in_dir, "manifest.json")) as fh:
         try:
             manifest = json.load(fh)
@@ -689,22 +753,11 @@ def load_features(in_dir) -> LabeledDataset:
     if values is None or values.shape[1] != len(names) or not np.isfinite(values).all():
         values = _parse_feature_rows(path, names)
 
-    user_ids, labels = [], []
-    with open_text(os.path.join(in_dir, "labels.tsv")) as fh:
-        header_line = fh.readline()
-        if header_line.strip() != "user_id\tlabel":
-            raise ParseError("header must be 'user_id\\tlabel'", 1)
-        for ln, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or parts[1] not in ("0", "1"):
-                raise ParseError(f"expected 'user_id<TAB>0|1', got {line!r}", ln)
-            user_ids.append(parts[0])
-            labels.append(int(parts[1]))
-        if len(labels) != values.shape[0]:
-            raise ParseError(f"holds {len(labels)} label rows, features.tsv "
-                             f"holds {values.shape[0]} feature rows")
+    labels_path = os.path.join(in_dir, "labels.tsv")
+    user_ids, labels = _read_labels(labels_path)
+    if len(labels) != values.shape[0]:
+        raise ParseError(f"{labels_path}: holds {len(labels)} label rows, "
+                         f"features.tsv holds {values.shape[0]} feature rows")
 
     matrix = FeatureMatrix(values, names, scopes, kinds, version)
-    return LabeledDataset(matrix, np.array(labels, dtype=np.int64), user_ids)
+    return LabeledDataset(matrix, labels, user_ids)

@@ -69,7 +69,11 @@ def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e)
     otherwise, the same operations on the same values as evaluating each
-    branch on its own, so the result is bit-identical to that form.
+    branch on its own, so the result is bit-identical to that form. The
+    numerator is max(e, x >= 0), which takes no branch per element: since
+    e <= 1, the maximum is exactly 1 where x >= 0 (-0.0 and +inf included)
+    and exactly e elsewhere, and a NaN passes through it, so the bits are
+    the two-branch form's.
     """
     arr = np.asarray(x, dtype=np.float64)
     # min(x, -x) is -|x| but passes a NaN through with its sign, as the
@@ -78,7 +82,7 @@ def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
     np.minimum(arr, out, out=out)
     np.exp(out, out=out)
     den = out + 1.0
-    out[arr >= 0] = 1.0
+    np.maximum(out, arr >= 0, out=out)
     out /= den
     return out
 

@@ -1,8 +1,9 @@
 """Shared test oracles, deliberately independent of the library code paths
 they check: the gradient checker evaluates only the public loss, the tree
 follower walks the heap by hand instead of reusing the reach recursion and
-takes the leaf softmax with its own exp, and the feature reference
-recomputes every row from ``datetime.date`` objects and per-review scans."""
+takes the leaf softmax with its own exp, the feature reference
+recomputes every row from ``datetime.date`` objects and per-review scans,
+and the labels reference reads ``labels.tsv`` line by line."""
 
 import base64
 import hashlib
@@ -13,6 +14,8 @@ from importlib import resources
 
 import numpy as np
 
+from spamforest.dataio import open_text
+from spamforest.errors import ParseError
 from spamforest.forest import leaf_mixture
 from spamforest.numerics import entropy, sigmoid
 from spamforest.training import joint_loss, parameter_blocks
@@ -306,3 +309,23 @@ def reference_feature_rows(records, categories=None):
     return np.array([user_rows[r.user_id] + _reference_review_row(
         r, by_product[r.product_id], positive, negative) for r in records],
         dtype=np.float64)
+
+
+def reference_read_labels(path):
+    """``(user_ids, labels)`` of a labels.tsv by the per-line loop that
+    ``load_features`` ran before it read the body in one pass; it raises
+    the ParseError, with its line number, that the loader must raise."""
+    user_ids, labels = [], []
+    with open_text(path) as fh:
+        header_line = fh.readline()
+        if header_line.strip() != "user_id\tlabel":
+            raise ParseError("header must be 'user_id\\tlabel'", 1)
+        for ln, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2 or parts[1] not in ("0", "1"):
+                raise ParseError(f"expected 'user_id<TAB>0|1', got {line!r}", ln)
+            user_ids.append(parts[0])
+            labels.append(int(parts[1]))
+    return user_ids, labels

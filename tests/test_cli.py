@@ -1,18 +1,22 @@
 import base64
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import rewrite_model_body, zeros_tensor
+from helpers import reference_read_labels, rewrite_model_body, zeros_tensor
 from spamforest.cli import load_config_file, main, run_ablation
 from spamforest.dataio import LabeledDataset, load_features, save_features
 from spamforest.errors import ParseError
@@ -869,6 +873,73 @@ class TestParseErrorsNameTheFile:
         assert main(["analyze", "--features", str(feat), "--out",
                      str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {feat / name}: {where}")
+
+
+# Text a mutated labels.tsv line is made of: ids, labels valid and not,
+# both line ends and characters only str.strip treats as whitespace.
+LABEL_TEXT = st.lists(st.sampled_from(["u", "7", "0", "1", "2", "\t", " ", "\n",
+                                       "\r", "\u00e9", "\x85", "\u2028"]),
+                      max_size=6).map("".join)
+LABEL_EDITS = st.lists(st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "crlf", "swap-label"]),
+    st.integers(0, 30), LABEL_TEXT), max_size=3)
+
+
+def edit_lines(lines, edits, final_newline):
+    """``lines`` (with their ends) after each (op, index, text) edit."""
+    lines = list(lines)
+    for op, i, text in edits:
+        if not lines:
+            lines = [text]
+            continue
+        i %= len(lines)
+        if op == "replace":
+            lines[i] = text
+        elif op == "insert":
+            lines.insert(i, text)
+        elif op == "delete":
+            del lines[i]
+        elif op == "crlf":
+            lines[i] = lines[i].replace("\n", "\r\n")
+        else:
+            lines[i] = lines[i].translate(str.maketrans("01", "10"))
+    body = "".join(lines)
+    return body if final_newline else body.rstrip("\n")
+
+
+class TestLabelsFuzz:
+    """Mutated golden labels.tsv files through ``evaluate``: every run exits
+    0 or 2 without a traceback, a malformed line is named with its file and
+    line, and a row-count mismatch names both counts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(LABEL_EDITS, st.booleans())
+    def test_evaluate_exits_0_or_2_naming_the_fault(self, edits, final_newline):
+        golden = GOLDEN / "features"
+        lines = (golden / "labels.tsv").read_text().splitlines(keepends=True)
+        n_rows = len(lines) - 1
+        with tempfile.TemporaryDirectory() as tmp:
+            feat = Path(tmp, "feat")
+            feat.mkdir()
+            for name in ("features.tsv", "manifest.json"):
+                (feat / name).write_bytes((golden / name).read_bytes())
+            path = feat / "labels.tsv"
+            path.write_bytes(edit_lines(lines, edits, final_newline).encode())
+            try:
+                labels = reference_read_labels(path)[1]
+            except ParseError as exc:
+                expected = (2, f"error: {exc}\n")
+                assert f"{path}: line {exc.line_number}: " in str(exc)
+            else:
+                expected = (0, "") if len(labels) == n_rows else (
+                    2, f"error: {path}: holds {len(labels)} label rows, "
+                       f"features.tsv holds {n_rows} feature rows\n")
+            err, out = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                rc = main(["evaluate", "--features", str(feat), "--model",
+                           str(GOLDEN / "model.json"), "--out", str(Path(tmp, "out"))])
+        assert (rc, err.getvalue()) == expected
+        assert "Traceback" not in err.getvalue() + out.getvalue()
 
 
 def scoped_dataset(seed=4, n=240):

@@ -14,7 +14,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rewrite_model_body
+from helpers import reference_read_labels, rewrite_model_body
 from spamforest import dataio
 from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
                                NormStats, apply_normalization,
@@ -308,11 +308,56 @@ class TestNormalize:
     def test_train_stats_reapply_to_test_rows(self, rng):
         train_m = small_matrix(rng.normal((80, 2), 2.0) + 1.0)
         test_m = small_matrix(rng.normal((20, 2), 2.0) + 1.0)
+        before = test_m.values.copy()
         _, stats = normalize(train_m, "zscore")
         test_normed = apply_normalization(test_m, stats)
         manual = (test_m.values - train_m.values.mean(axis=0)) / \
             train_m.values.std(axis=0)
         npt.assert_allclose(test_normed.values, manual, atol=1e-12)
+        quotient = (before - stats.center) / stats.scale
+        npt.assert_array_equal(test_normed.values.view(np.int64),
+                               quotient.view(np.int64))
+        npt.assert_array_equal(test_m.values.view(np.int64), before.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_equals_out_of_place_quotient_bit_for_bit(self, n_rows, n_cols, seed):
+        # Magnitudes from 1e-300 to 1e300, signed, so that the subtraction
+        # and the division round, cancel and approach overflow.
+        r = np.random.default_rng(seed)
+        def draw(shape):
+            return (r.choice([-1.0, 1.0], shape) * r.uniform(1, 10, shape)
+                    * 10.0 ** r.integers(-300, 300, shape).astype(float))
+        values = draw((n_rows, n_cols))
+        center = draw(n_cols)
+        scale = np.abs(draw(n_cols))
+        matrix = small_matrix(values)
+        before = matrix.values.copy()
+        stats = NormStats("zscore", center, scale)
+        with np.errstate(over="ignore"):
+            quotient = (values - center) / scale
+        if not np.isfinite(quotient).all():
+            with pytest.raises(ValueError, match="is not finite after zscore"):
+                apply_normalization(matrix, stats)
+        else:
+            got = apply_normalization(matrix, stats).values
+            npt.assert_array_equal(got.view(np.int64), quotient.view(np.int64))
+        npt.assert_array_equal(matrix.values.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("cell, center", [(1e300, 0.0), (-1e308, 1e308)],
+                             ids=["quotient-overflows", "difference-overflows"])
+    def test_overflowing_cell_rejected_naming_column(self, cell, center):
+        values = np.array([[1.0, 2.0, 3.0], [4.0, cell, 6.0]])
+        stats = NormStats("zscore", np.array([0.0, center, 0.0]),
+                          np.array([1.0, 1e-300 if cell == 1e300 else 1.0, 1.0]))
+        matrix = small_matrix(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape(
+                    "feature column 2 ('f1') is not finite after zscore "
+                    "normalization")):
+                apply_normalization(matrix, stats)
+        npt.assert_array_equal(matrix.values, values)
 
     def test_unknown_method_rejected(self, rng):
         with pytest.raises(ConfigError):
@@ -1158,3 +1203,103 @@ class TestFeatureCompanion:
         loaded = load_features(tmp_path).features.values
         npt.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
         assert loaded.flags.writeable
+
+
+# The characters a labels.tsv body is built from: both line ends text mode
+# knows, the separators str.strip and str.splitlines know but it does not
+# (\x0b, \x85, \u2028), labels valid and not, and id characters.
+LABEL_CHARS = ["\t", "\n", "\r", " ", "0", "1", "2", "a", "\u00e9", "\x0b",
+               "\x85", "\u2028"]
+LABEL_IDS = st.lists(st.sampled_from([c for c in LABEL_CHARS if c not in "\t\n"]),
+                     max_size=4).map("".join)
+# A body is either well-formed lines with any ids, or lines that are each
+# well formed or any string of LABEL_CHARS.
+WELL_FORMED_LINES = st.tuples(LABEL_IDS, st.sampled_from("01")).map("\t".join)
+LABEL_BODIES = st.lists(WELL_FORMED_LINES, max_size=8) | st.lists(
+    WELL_FORMED_LINES | st.lists(st.sampled_from(LABEL_CHARS), max_size=6).map("".join),
+    max_size=8)
+LABELS_HEADER = "user_id\tlabel\n"
+
+
+def labels_outcome(read, path):
+    """``(user_ids, labels)`` as lists, or the ParseError text and line."""
+    try:
+        user_ids, labels = read(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line_number
+    return "read", list(user_ids), [int(v) for v in labels]
+
+
+class TestLabelsReader:
+    """dataio._read_labels against the per-line loop it replaced
+    (helpers.reference_read_labels): the same ids and labels, or the same
+    ParseError text and line number."""
+
+    @staticmethod
+    def check(path, data: bytes):
+        path.write_bytes(data)
+        got = labels_outcome(dataio._read_labels, path)
+        assert got == labels_outcome(reference_read_labels, path)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(LABEL_BODIES, st.booleans(),
+           st.sampled_from([LABELS_HEADER, "user_id\tlabel\r\n", " user_id\tlabel\n",
+                            "user_id\tlabel", "user_id label\n"]))
+    def test_matches_per_line_reference(self, lines, final_newline, header):
+        body = "\n".join(lines) + ("\n" if final_newline and lines else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(Path(tmp, "labels.tsv"), (header + body).encode())
+
+    @pytest.mark.parametrize("body, outcome", [
+        ("u0\t1\r\nu1\t0\r\n", ("read", ["u0", "u1"], [1, 0])),
+        ("\nu0\t1\nu1\t0\n", ("read", ["u0", "u1"], [1, 0])),
+        ("u0\t1\n \t \nu1\t0\n", ("read", ["u0", "u1"], [1, 0])),
+        ("u0\t1\n\x85\u2028\nu1\t0\n", ("read", ["u0", "u1"], [1, 0])),
+        ("\t1\nu1\t0\n", ("read", ["", "u1"], [1, 0])),
+        ("a b\t1\n\u00e9 \u00fc\x0b\t0\nx\u2028y\x85\t1\n",
+         ("read", ["a b", "\u00e9 \u00fc\x0b", "x\u2028y\x85"], [1, 0, 1])),
+        ("u0\t1\nu1\t0", ("read", ["u0", "u1"], [1, 0])),
+        ("", ("read", [], [])),
+        ("u0\t1\nu1\t0\t1\n", ("error", "line 3: expected 'user_id<TAB>0|1', "
+                                  "got 'u1\\t0\\t1\\n'", 3)),
+        ("u0\t2\n", ("error", "line 2: expected 'user_id<TAB>0|1', got "
+                      "'u0\\t2\\n'", 2)),
+        ("u0\t1 \n", ("error", "line 2: expected 'user_id<TAB>0|1', got "
+                       "'u0\\t1 \\n'", 2)),
+        ("u0\ra\t1\n", ("error", "line 2: expected 'user_id<TAB>0|1', got "
+                         "'u0\\n'", 2)),
+        ("u0\t1\nu1\n", ("error", "line 3: expected 'user_id<TAB>0|1', got "
+                          "'u1\\n'", 3)),
+    ], ids=["crlf", "blank-first-line", "whitespace-only-line",
+            "unicode-space-line", "empty-user-id", "spaces-and-non-ascii-ids",
+            "no-final-newline", "header-only", "third-column", "label-2",
+            "label-trailing-space", "carriage-return-in-id", "no-label"])
+    def test_fixed_cases(self, tmp_path, body, outcome):
+        path = tmp_path / "labels.tsv"
+        got = self.check(path, (LABELS_HEADER + body).encode())
+        if outcome[0] == "error":
+            outcome = ("error", f"{path}: {outcome[1]}", outcome[2])
+        assert got == outcome
+
+    @pytest.mark.parametrize("data, line", [
+        (b"user_id\tlabel\nu0\t1\n\xffu1\t0\n", 3),
+        (b"user_id\tlabel\r\nu0\t1\n", None),
+        (b"\xef\xbb\xbfuser_id\tlabel\nu0\t1\n", 1),
+    ], ids=["not-utf-8", "crlf-header", "bom"])
+    def test_bytes_cases(self, tmp_path, data, line):
+        got = self.check(tmp_path / "labels.tsv", data)
+        assert (got[2] if got[0] == "error" else None) == line
+
+    def test_save_features_output_read_in_one_pass(self, tmp_path, monkeypatch):
+        # Every id save_features can write without a tab, newline or
+        # carriage return takes the one-pass read.
+        uids = ["u0", "", "a b", "\u00e9", "x\x0by", "\x85", "p\u2028q", "1", "0 "]
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+        save_features(tmp_path, small_matrix(np.zeros((len(uids), 1))), labels, uids)
+        monkeypatch.setattr(dataio, "_read_label_lines",
+                            lambda path: pytest.fail("read line by line"))
+        ds = load_features(tmp_path)
+        assert ds.user_ids == uids
+        assert ds.labels.dtype == np.int64
+        npt.assert_array_equal(ds.labels, labels)
