@@ -87,12 +87,12 @@ def _rows(matrix, idx):
 
 def cmd_extract(args) -> int:
     loader = load_reviews_delimited if args.delimited else load_reviews
-    records = loader(args.reviews)
+    reviews = loader(args.reviews)
     scores = load_spam_scores(args.scores)
-    if not records:
+    if len(reviews) == 0:
         raise ParseError(f"{args.reviews}: holds no review records")
     try:
-        capped, row_labels = label_and_cap_users(records, scores,
+        capped, row_labels = label_and_cap_users(reviews, scores,
                                                  cap=args.cap, seed=args.seed)
     except ConfigError:
         raise

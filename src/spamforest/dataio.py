@@ -6,7 +6,14 @@ File formats
 Reviews: one JSON object per line with fields user_id, product_id, rating
 (1-5), helpful_votes, unhelpful_votes, timestamp (days since 1970-01-01),
 category, summary_text, review_text, and optional user_name / user_memo.
-A tab-delimited text reader accepts the same fields as named header columns.
+A tab-delimited text reader accepts the same fields as named header columns,
+each named once. Both readers return a ``ReviewTable``, the reviews as
+columns in file order. The JSON reader decodes each line into a tuple of
+its field values and checks types once per column and ranges with numpy;
+a file with any line that needs more (a JSON error, a non-object, a missing,
+unknown or null field, a number where text is due, an integer written as a
+float, a value out of range) is read again by the per-line check, which
+alone converts, warns and raises, naming the earliest bad line.
 
 Spam scores: one ``user_id<TAB>average_score`` line per user, score in [0, 1].
 
@@ -38,6 +45,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import warnings
 from collections import Counter
@@ -47,7 +55,7 @@ import numpy as np
 
 from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      ParseError)
-from .features import FeatureMatrix, ReviewRecord
+from .features import FeatureMatrix, ReviewRecord, ReviewTable
 from .numerics import Rng
 from .training import (N_CLASSES, NORMALIZATION_METHODS, Model, TrainConfig,
                        _allocate_model, config_value, parameter_blocks)
@@ -78,6 +86,10 @@ MODEL_FORMAT_VERSION = 2
 _REVIEW_FIELDS = {f.name: f.type for f in dataclasses.fields(ReviewRecord)}
 REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(ReviewRecord)
                         if f.default is dataclasses.MISSING)
+_KNOWN_FIELDS = frozenset(_REVIEW_FIELDS)
+_field_values = operator.itemgetter(*_REVIEW_FIELDS)
+# The one Python type each column's values must have to skip the per-line check.
+_COLUMN_TYPES = tuple({"str": str, "int": int}[kind] for kind in _REVIEW_FIELDS.values())
 
 
 @dataclasses.dataclass
@@ -201,12 +213,43 @@ def _warn_unknown(fields: dict, seen_unknown: set, line_number: int):
             warnings.warn(f"line {line_number}: ignoring unknown field {name!r}")
 
 
-def load_reviews(path) -> list[ReviewRecord]:
-    """Parse newline-delimited JSON review records.
+def _decoded_rows(fh):
+    """The field values of every nonblank line of ``fh``, one tuple per line
+    in ``_REVIEW_FIELDS`` order; None as soon as a line is not one JSON
+    object naming every field and no other, or the text is not UTF-8."""
+    decode = json.JSONDecoder().raw_decode
+    rows = []
+    try:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            fields, end = decode(line)
+            if (end != len(line) or type(fields) is not dict
+                    or fields.keys() != _KNOWN_FIELDS):
+                return None
+            rows.append(_field_values(fields))
+    except ValueError:  # json.JSONDecodeError and UnicodeDecodeError
+        return None
+    return rows
 
-    Empty lines are skipped; any malformed line raises ParseError with its
-    line number.
-    """
+
+def _checked_table(rows) -> ReviewTable | None:
+    """``rows`` as a table, or None unless every value has its column's type
+    (a bool is no int, a null no str) and every review is in range."""
+    columns = list(zip(*rows)) if rows else [()] * len(_REVIEW_FIELDS)
+    if any(not set(map(type, col)) <= {kind} for col, kind in zip(columns, _COLUMN_TYPES)):
+        return None
+    try:
+        table = ReviewTable.from_columns(columns)
+    except OverflowError:
+        return None
+    return table if table.in_range() else None
+
+
+def _load_review_lines(path) -> ReviewTable:
+    """``load_reviews`` line by line: each line is converted and checked on
+    its own, unknown fields warn once each, and the first bad line raises."""
     records = []
     seen_unknown: set[str] = set()
     with open_text(path) as fh:
@@ -222,11 +265,25 @@ def load_reviews(path) -> list[ReviewRecord]:
                 raise ParseError("expected a JSON object", ln)
             _warn_unknown(fields, seen_unknown, ln)
             records.append(_record_from_fields(fields, ln))
-    return records
+    return ReviewTable.from_records(records)
 
 
-def load_reviews_delimited(path) -> list[ReviewRecord]:
-    """Parse a tab-delimited text export whose header row names the fields."""
+def load_reviews(path) -> ReviewTable:
+    """Parse newline-delimited JSON review records into a ``ReviewTable``.
+
+    Empty lines are skipped; any malformed line raises ParseError with its
+    line number. A file of plain records is decoded in one pass and checked
+    per column; any other goes to ``_load_review_lines``.
+    """
+    with open_text(path) as fh:
+        rows = _decoded_rows(fh)
+    table = None if rows is None else _checked_table(rows)
+    return _load_review_lines(path) if table is None else table
+
+
+def load_reviews_delimited(path) -> ReviewTable:
+    """Parse a tab-delimited text export whose header row names each field
+    once."""
     records = []
     seen_unknown: set[str] = set()
     with open_text(path) as fh:
@@ -238,6 +295,10 @@ def load_reviews_delimited(path) -> list[ReviewRecord]:
             cells = line.split("\t")
             if header is None:
                 header = cells
+                repeated = [(c, k) for c, k in Counter(header).items() if k > 1]
+                if repeated:
+                    raise ParseError(f"header names field {repeated[0][0]!r} "
+                                     f"{repeated[0][1]} times", ln)
                 continue
             if len(cells) != len(header):
                 raise ParseError(
@@ -247,7 +308,7 @@ def load_reviews_delimited(path) -> list[ReviewRecord]:
             records.append(_record_from_fields(fields, ln))
         if header is None:
             raise ParseError("file has no header row", 1)
-    return records
+    return ReviewTable.from_records(records)
 
 
 def load_spam_scores(path) -> dict[str, float]:
@@ -283,39 +344,45 @@ def load_spam_scores(path) -> dict[str, float]:
 # Labeling and capping
 
 
-def label_and_cap_users(records: list[ReviewRecord], spam_scores: dict[str, float],
+def label_and_cap_users(table: ReviewTable, spam_scores: dict[str, float],
                         cap: int = 20, seed: int = 0):
     """Label users by averaged spam score and cap their review counts.
 
     A user with average score below 0.5 is genuine (0); 0.5 or above is a
     spammer (1). Users with more than ``cap`` reviews keep a seeded uniform
-    subsample of exactly ``cap``, in original order. Returns
-    ``(capped_records, row_labels)`` with ``row_labels[i]`` the label of
-    ``capped_records[i]``'s author.
+    subsample of exactly ``cap``, in original order: one ``Rng.subsample``
+    draw per such user, in sorted user order. Returns
+    ``(capped_table, row_labels)`` with ``row_labels[i]`` the label of
+    review i's author in ``capped_table``.
     """
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
-    by_user: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        by_user.setdefault(r.user_id, []).append(i)
+    ids = table.user_id.tolist()
+    users = sorted(dict.fromkeys(ids))  # sorted so the draw order is reproducible
 
-    missing = sorted(u for u in by_user if u not in spam_scores)
+    missing = [u for u in users if u not in spam_scores]
     if missing:
         more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
         raise ValueError(
             f"no spam score for {len(missing)} user(s): {missing[:5]}{more}")
 
-    user_labels = {u: (0 if spam_scores[u] < 0.5 else 1) for u in by_user}
-
+    rank = {u: i for i, u in enumerate(users)}
+    codes = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    sizes = np.bincount(codes, minlength=len(users))
+    # order[start:start + size] are one user's rows, in original order.
+    order = np.argsort(codes, kind="stable")
+    drawn = []
     rng = Rng(seed)
-    keep: set[int] = set()
-    for user in sorted(by_user):  # sorted so the draw order is reproducible
-        idx = by_user[user]
-        keep.update(rng.subsample(idx, cap) if len(idx) > cap else idx)
+    for start, size in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()):
+        if size > cap:
+            drawn += rng.subsample(range(start, start + size), cap)
+    keep = sizes[codes] <= cap
+    keep[order[np.array(drawn, dtype=np.int64)]] = True
 
-    capped = [r for i, r in enumerate(records) if i in keep]
-    row_labels = np.array([user_labels[r.user_id] for r in capped], dtype=np.int64)
-    return capped, row_labels
+    kept = np.flatnonzero(keep)
+    user_labels = np.array([0 if spam_scores[u] < 0.5 else 1 for u in users],
+                           dtype=np.int64)
+    return table.take(kept), user_labels[codes[kept]]
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +679,8 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
         fh.write(values.data)
     with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
         fh.write("user_id\tlabel\n")
-        for uid, lab in zip(user_ids, labels):
-            fh.write(f"{uid}\t{int(lab)}\n")
+        # A generator, so no list of every line is held at once.
+        fh.writelines(f"{uid}\t{lab}\n" for uid, lab in zip(user_ids, labels.tolist()))
     manifest = {
         "manifest_version": matrix.manifest_version,
         "features": [

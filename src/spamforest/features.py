@@ -12,14 +12,18 @@ extraction functions return bare value blocks in that order and write no
 names. ``dataio.save_features`` writes the expanded columns, with
 ``MANIFEST_VERSION``, to a feature directory's ``manifest.json``.
 
-Extraction reads the whole record list as column arrays (``Columns``):
-integer user, product and category codes, ratings, votes and days.
-``extract_user_features`` builds every user's profile in one
-``(n_users, width)`` block, from ``bincount``s over the user codes and from
-rows sorted by user; ``extract_review_features`` builds every row's
-product block and review part the same way, grouped by product, with one
-sort of (product, day) keys for the ranks. Past reading the records into
-columns, Python loops only over strings: names, memos and texts.
+Reviews arrive as a ``ReviewTable``: one column per ``ReviewRecord``
+field, text fields as object arrays of str and integer fields as int64
+arrays. ``Columns`` adds integer user, product and category codes to the
+table's ratings, votes and days. ``extract_user_features`` builds every
+user's profile in one ``(n_users, width)`` block, from ``bincount``s over
+the user codes and from rows sorted by user; ``extract_review_features``
+builds every row's product block and review part the same way, grouped by
+product, with one sort of (product, day) keys for the ranks. Word counts
+and sentiment scores are computed over whole text columns
+(``sentiment_scores``). No per-review Python object is made: Python loops
+run only over the strings of a column (ids, names, memos, texts), mostly
+inside ``map``.
 
 Conventions that apply throughout:
 
@@ -32,7 +36,7 @@ Conventions that apply throughout:
   ``categorical`` so the screening module routes them to the
   contingency-table test.
 
-All functions here are pure: the same records always produce the same
+All functions here are pure: the same reviews always produce the same
 values, bit for bit those of computing each user's and each product's
 statistics on its own arrays with ``numerics.entropy``, ``np.median`` and
 ``mean``.
@@ -40,11 +44,11 @@ statistics on its own arrays with ``numerics.entropy``, ``np.median`` and
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from functools import lru_cache
 from importlib import resources
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -52,6 +56,7 @@ import numpy as np
 
 __all__ = [
     "ReviewRecord",
+    "ReviewTable",
     "FeatureMatrix",
     "MANIFEST_VERSION",
     "USER_FEATURES",
@@ -62,7 +67,7 @@ __all__ = [
     "Columns",
     "extract_user_features",
     "extract_review_features",
-    "sentiment_score",
+    "sentiment_scores",
     "build_feature_matrix",
 ]
 
@@ -74,8 +79,8 @@ _EPOCH = date(1970, 1, 1)
 # Timestamps must name a representable date: date.min .. date.max.
 _MIN_DAY = (date.min - _EPOCH).days
 _MAX_DAY = (date.max - _EPOCH).days
-
-_WORD_RE = re.compile(r"[a-z']+")
+# Vote counts must fit the int64 columns of a ReviewTable.
+_MAX_VOTES = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,66 @@ class ReviewRecord:
     def __post_init__(self):
         if not 1 <= self.rating <= 5:
             raise ValueError(f"rating must be in 1..5, got {self.rating}")
-        if self.helpful_votes < 0 or self.unhelpful_votes < 0:
-            raise ValueError("vote counts must be nonnegative")
+        if not (0 <= self.helpful_votes <= _MAX_VOTES
+                and 0 <= self.unhelpful_votes <= _MAX_VOTES):
+            raise ValueError(f"vote counts must be in 0..{_MAX_VOTES}")
         if not _MIN_DAY <= self.timestamp <= _MAX_DAY:
             raise ValueError(
                 f"timestamp must be in {_MIN_DAY}..{_MAX_DAY} days since "
                 f"1970-01-01, got {self.timestamp}")
+
+
+# Each ReviewRecord field's column dtype in a ReviewTable, in field order.
+_COLUMN_DTYPES = tuple(object if f.type == "str" else np.int64
+                       for f in fields(ReviewRecord))
+
+
+@dataclass(eq=False)
+class ReviewTable:
+    """Reviews as columns: entry i of every column belongs to review i.
+
+    There is one column per ``ReviewRecord`` field, of the same name and in
+    the same order: a text field as a 1-D object array of str, an integer
+    field as an int64 array. ``len`` is the number of reviews.
+    """
+
+    user_id: np.ndarray
+    product_id: np.ndarray
+    rating: np.ndarray
+    helpful_votes: np.ndarray
+    unhelpful_votes: np.ndarray
+    timestamp: np.ndarray
+    category: np.ndarray
+    summary_text: np.ndarray
+    review_text: np.ndarray
+    user_name: np.ndarray
+    user_memo: np.ndarray
+
+    @classmethod
+    def from_columns(cls, columns) -> "ReviewTable":
+        """The table of one sequence of values per field, in field order.
+        An integer beyond int64 raises OverflowError."""
+        return cls(*(np.array(col, dtype) for col, dtype in zip(columns, _COLUMN_DTYPES)))
+
+    @classmethod
+    def from_records(cls, records) -> "ReviewTable":
+        """The table of a list of ``ReviewRecord``s."""
+        return cls.from_columns([list(map(attrgetter(f.name), records))
+                                 for f in fields(ReviewRecord)])
+
+    def in_range(self) -> bool:
+        """Whether every review passes ``ReviewRecord``'s range checks."""
+        return bool(((self.rating >= 1) & (self.rating <= 5)).all()
+                    and (self.helpful_votes >= 0).all()
+                    and (self.unhelpful_votes >= 0).all()
+                    and ((self.timestamp >= _MIN_DAY) & (self.timestamp <= _MAX_DAY)).all())
+
+    def take(self, rows) -> "ReviewTable":
+        """The reviews at the index array ``rows``, in its order."""
+        return ReviewTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def __len__(self) -> int:
+        return len(self.user_id)
 
 
 @dataclass
@@ -230,18 +289,65 @@ def _lexicon() -> dict[str, int]:
     return polarity
 
 
-def sentiment_score(text: str) -> int:
-    """Sign of (positive hits - negative hits) against the bundled lexicon:
-    1 positive, -1 negative, 0 on ties or empty text."""
-    lexicon = _lexicon()
-    score = sum(lexicon.get(w, 0) for w in _WORD_RE.findall(text.lower()))
-    return (score > 0) - (score < 0)
+# The words of a text are the [a-z']+ runs of its lowered str. Those are the
+# runs of bytes a-z and ' in its UTF-8 encoding, since every non-ASCII
+# character encodes to bytes >= 0x80. _WORD_BYTES maps every other byte to
+# a space, except 0xFF, which UTF-8 never holds: it separates the texts.
+_SEPARATOR = b"\xff"
+_WORD_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz'" + _SEPARATOR
+                    else ord(" ") for b in range(256))
+# The lexicon value that marks a separator token; polarities are -1, 0, 1.
+_SEPARATOR_MARK = 2
+
+
+@lru_cache(maxsize=None)
+def _token_polarity() -> dict[bytes, int]:
+    polarity = {w.encode(): p for w, p in _lexicon().items()}
+    polarity[_SEPARATOR] = _SEPARATOR_MARK
+    return polarity
+
+
+# Texts scanned at a time: bounds the memory the token list takes.
+_SENTIMENT_BLOCK = 256
+
+
+def sentiment_scores(texts: list[str]) -> np.ndarray:
+    """Sign of (positive hits - negative hits) of each text against the
+    bundled lexicon, as int64: 1 positive, -1 negative, 0 on ties or no
+    words. A word is a run of ``[a-z']`` in the lowered text.
+
+    A block of texts is scanned at once: lowered, UTF-8 encoded (a lone
+    surrogate as its 3 bytes), joined by separator tokens, every byte that
+    is no word byte mapped to a space by one ``translate`` and split once.
+    Each token's polarity is looked up in one pass and each text's sum read
+    off a cumulative sum at the separators.
+    """
+    polarity = _token_polarity()
+    scores = np.zeros(len(texts), np.int64)
+    for start in range(0, len(texts), _SENTIMENT_BLOCK):
+        block = texts[start:start + _SENTIMENT_BLOCK]
+        encoded = map(str.encode, map(str.lower, block), repeat("utf-8"),
+                      repeat("surrogatepass"))
+        tokens = (b" " + _SEPARATOR + b" ").join(encoded).translate(_WORD_BYTES).split()
+        values = np.fromiter(map(polarity.get, tokens, repeat(0)), np.int64, len(tokens))
+        ends = np.flatnonzero(values == _SEPARATOR_MARK)
+        values[ends] = 0
+        # The sum through each text's last token, then the differences.
+        through = np.concatenate(([0], np.cumsum(values)))[np.append(ends, len(tokens))]
+        scores[start:start + len(block)] = np.sign(np.diff(through, prepend=0))
+        del tokens  # before the next block's split
+    return scores
+
+
+def _word_counts(texts: list[str]) -> np.ndarray:
+    return np.fromiter(map(len, map(str.split, texts)), np.int64, len(texts))
 
 
 class Columns(NamedTuple):
-    """A record list as int64 arrays, one entry per record. ``user`` and
+    """A table's integer columns, one entry per review. ``user`` and
     ``product`` number each distinct id 0, 1, ... in order of first
-    appearance; ``category`` is the index in the sorted catalog."""
+    appearance; ``category`` is the index in the sorted catalog. The other
+    four are the table's own arrays."""
 
     user: np.ndarray
     product: np.ndarray
@@ -252,20 +358,17 @@ class Columns(NamedTuple):
     day: np.ndarray
 
     @classmethod
-    def of(cls, records: list[ReviewRecord], categories: list[str]) -> "Columns":
-        n = len(records)
+    def of(cls, table: ReviewTable, categories: list[str]) -> "Columns":
+        def coded(keys, index=None):
+            keys = keys.tolist()
+            if index is None:  # each distinct key in order of first appearance
+                index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+            return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
-        def coded(field):
-            index: dict[str, int] = {}
-            return np.fromiter((index.setdefault(key, len(index))
-                                for key in map(attrgetter(field), records)), np.int64, n)
-
-        catalog = {c: i for i, c in enumerate(categories)}
-        return cls(
-            coded("user_id"), coded("product_id"),
-            np.fromiter((catalog[r.category] for r in records), np.int64, n),
-            *(np.fromiter(map(attrgetter(field), records), np.int64, n)
-              for field in ("rating", "helpful_votes", "unhelpful_votes", "timestamp")))
+        return cls(coded(table.user_id), coded(table.product_id),
+                   coded(table.category, {c: i for i, c in enumerate(categories)}),
+                   table.rating, table.helpful_votes, table.unhelpful_votes,
+                   table.timestamp)
 
 
 def _segments(codes: np.ndarray, n_groups: int):
@@ -320,14 +423,14 @@ def _vote_stats(votes: np.ndarray, user: np.ndarray, sizes: np.ndarray,
     return total, total / sizes, median, ranked[starts], ranked[starts + sizes - 1]
 
 
-def extract_user_features(cols: Columns, records: list[ReviewRecord],
+def extract_user_features(cols: Columns, table: ReviewTable,
                           n_categories: int) -> np.ndarray:
     """Behavioral profile of every user, one float64 row per user code.
 
     A row holds the ``USER_FEATURES`` values in registry order, then the
     share of the user's reviews in each of the ``n_categories`` catalog
     categories (the ``CATEGORY_BLOCK``). Name and memo come from the user's
-    first record. Counts, sums and ratios are ``bincount``s over the user
+    first review. Counts, sums and ratios are ``bincount``s over the user
     codes; minima, maxima and medians are read from rows sorted by user.
     """
     user = cols.user
@@ -336,13 +439,14 @@ def extract_user_features(cols: Columns, records: list[ReviewRecord],
     order = np.argsort(user, kind="stable")
 
     common_names = _read_wordlist("common_names.txt")
+    first = order[starts]
     history = []
-    for i in order[starts].tolist():
-        first = records[i]
-        name = first.user_name if first.user_name else first.user_id
+    for uid, name, memo in zip(*(col[first].tolist() for col in
+                                 (table.user_id, table.user_name, table.user_memo))):
+        name = name if name else uid
         name_token = name.lower().split()[0] if name.split() else ""
         history.append((len(name), name_token not in common_names,
-                        bool(first.user_memo), len(first.user_memo)))
+                        bool(memo), len(memo)))
 
     def extremes(values):
         ranked = values[order]
@@ -386,12 +490,12 @@ def extract_user_features(cols: Columns, records: list[ReviewRecord],
     ])
 
 
-def extract_review_features(cols: Columns, records: list[ReviewRecord]) -> np.ndarray:
-    """The ``REVIEW_FEATURES`` values of every record, one float64 row each.
+def extract_review_features(cols: Columns, table: ReviewTable) -> np.ndarray:
+    """The ``REVIEW_FEATURES`` values of every review, one float64 row each.
 
     The product block (mean rating, review count, score entropy, time gap,
     comment-time entropy over calendar months, first-day count) is computed
-    once per product and repeated on its rows. Each record's (product, day)
+    once per product and repeated on its rows. Each review's (product, day)
     key is sorted once: a review's rank is one plus the number of its
     product's reviews posted on an earlier day, one ``searchsorted`` of its
     key, so reviews of the same day share the earliest rank.
@@ -413,31 +517,30 @@ def extract_review_features(cols: Columns, records: list[ReviewRecord]) -> np.nd
     since_first = keys - first_key[product]
     row_gap = gap[product]
     rank = 1 + np.searchsorted(ranked, keys, "left") - starts[product]
-    texts = np.array([(len(r.summary_text.split()), len(r.review_text.split()),
-                       sentiment_score(r.summary_text), sentiment_score(r.review_text))
-                      for r in records], dtype=np.int64)
+    summaries, reviews = table.summary_text.tolist(), table.review_text.tolist()
     return np.column_stack([
         context[product], cols.rating, cols.helps, cols.unhelps, since_first,
         np.divide(since_first, row_gap, out=np.zeros(len(keys)), where=row_gap > 0),
-        rank, rank / sizes[product], texts])
+        rank, rank / sizes[product], _word_counts(summaries), _word_counts(reviews),
+        sentiment_scores(summaries + reviews).reshape(2, -1).T])
 
 
-def build_feature_matrix(records: list[ReviewRecord]):
-    """One feature row per record: user profile + category block + review part.
+def build_feature_matrix(table: ReviewTable):
+    """One feature row per review: user profile + category block + review part.
 
     Returns ``(FeatureMatrix, user_ids)`` with ``user_ids[i]`` naming the
     author of row i. The category catalog is every category seen in
-    ``records``, sorted. Every block is computed from column arrays of all
-    records at once, so the cost is linear in the number of records, up to
+    ``table``, sorted. Every block is computed from the columns of all
+    reviews at once, so the cost is linear in the number of reviews, up to
     the sorts.
     """
-    if not records:
+    if not len(table):
         raise ValueError("cannot build a feature matrix from zero records")
-    categories = sorted({r.category for r in records})
-    cols = Columns.of(records, categories)
+    categories = sorted(set(table.category.tolist()))
+    cols = Columns.of(table, categories)
     names, scopes, kinds = (list(c) for c in zip(*feature_columns(categories)))
-    values = np.empty((len(records), len(names)))
+    values = np.empty((len(table), len(names)))
     width = len(names) - len(REVIEW_FEATURES)
-    values[:, :width] = extract_user_features(cols, records, len(categories))[cols.user]
-    values[:, width:] = extract_review_features(cols, records)
-    return FeatureMatrix(values, names, scopes, kinds), [r.user_id for r in records]
+    values[:, :width] = extract_user_features(cols, table, len(categories))[cols.user]
+    values[:, width:] = extract_review_features(cols, table)
+    return FeatureMatrix(values, names, scopes, kinds), table.user_id.tolist()

@@ -3,19 +3,25 @@ they check: the gradient checker evaluates only the public loss, the tree
 follower walks the heap by hand instead of reusing the reach recursion and
 takes the leaf softmax with its own exp, the feature reference
 recomputes every row from ``datetime.date`` objects and per-review scans,
-and the labels reference reads ``labels.tsv`` line by line."""
+the sentiment reference runs a regex over each text, the review reference
+reads ``reviews.jsonl`` line by line into ``ReviewRecord``s, and the labels
+reference reads ``labels.tsv`` line by line."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import re
+import warnings
 from datetime import date, timedelta
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from spamforest.dataio import open_text
 from spamforest.errors import ParseError
+from spamforest.features import ReviewRecord
 from spamforest.forest import leaf_mixture
 from spamforest.numerics import entropy, sigmoid
 from spamforest.training import joint_loss, parameter_blocks
@@ -219,6 +225,17 @@ def _reference_sentiment(text, positive, negative):
     return (score > 0) - (score < 0)
 
 
+@lru_cache(maxsize=None)
+def lexicon_words():
+    """The bundled (positive, negative) word sets."""
+    return _wordlist("positive_words.txt"), _wordlist("negative_words.txt")
+
+
+def reference_sentiment(text):
+    """The sentiment of one text by a regex over its lowered str."""
+    return _reference_sentiment(text, *lexicon_words())
+
+
 def _review_date(r):
     return date(1970, 1, 1) + timedelta(days=int(r.timestamp))
 
@@ -329,3 +346,100 @@ def reference_read_labels(path):
             user_ids.append(parts[0])
             labels.append(int(parts[1]))
     return user_ids, labels
+
+
+# The per-line review reader that load_reviews ran before it read files as
+# columns, kept verbatim; it builds ReviewRecords, whose __post_init__ is the
+# range check the package still uses.
+_REVIEW_FIELDS = {f.name: f.type for f in dataclasses.fields(ReviewRecord)}
+_REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(ReviewRecord)
+                         if f.default is dataclasses.MISSING)
+
+
+def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
+    missing = [f for f in _REQUIRED_FIELDS if f not in fields]
+    if missing:
+        raise ParseError(f"missing required field(s) {missing}", line_number)
+    clean = {}
+    for name, kind in _REVIEW_FIELDS.items():
+        value = fields.get(name)
+        if kind == "str":
+            if isinstance(value, str):
+                clean[name] = value
+            elif value is None:
+                if name in _REQUIRED_FIELDS:
+                    raise ParseError(f"required field {name!r} is null", line_number)
+            elif isinstance(value, (bool, list, dict)):
+                raise ParseError(f"field {name!r} must be a string, got "
+                                 f"{json.dumps(value)}", line_number)
+            else:  # a JSON number, as numeric ids are
+                clean[name] = str(value)
+            continue
+        try:
+            # A JSON number may be written 4.0, but not 4.7, inf or true.
+            if isinstance(value, bool) or (
+                    isinstance(value, float) and not value.is_integer()):
+                raise ValueError
+            clean[name] = int(value)
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"field {name!r} must be an integer, got {value!r}",
+                line_number) from None
+    try:
+        return ReviewRecord(**clean)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_number) from None
+
+
+def _warn_unknown(fields: dict, seen_unknown: set, line_number: int):
+    for name in fields:
+        if name not in _REVIEW_FIELDS and name not in seen_unknown:
+            seen_unknown.add(name)
+            warnings.warn(f"line {line_number}: ignoring unknown field {name!r}")
+
+
+def reference_load_reviews(path) -> list[ReviewRecord]:
+    """Parse newline-delimited JSON review records.
+
+    Empty lines are skipped; any malformed line raises ParseError with its
+    line number.
+    """
+    records = []
+    seen_unknown: set[str] = set()
+    with open_text(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                fields = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", ln) from None
+            if not isinstance(fields, dict):
+                raise ParseError("expected a JSON object", ln)
+            _warn_unknown(fields, seen_unknown, ln)
+            records.append(_record_from_fields(fields, ln))
+    return records
+
+
+def records_of(table) -> list[ReviewRecord]:
+    """The ReviewRecords a ReviewTable holds, in order."""
+    columns = [getattr(table, name).tolist() for name in _REVIEW_FIELDS]
+    return [ReviewRecord(*values) for values in zip(*columns)]
+
+
+def write_delimited_reviews(jsonl_path, tsv_path):
+    """Write a JSON-lines review file as the tab-delimited export
+    ``extract --delimited`` reads: a header naming every ReviewRecord
+    field, then each record's values in that order."""
+    names = list(_REVIEW_FIELDS)
+    lines = ["\t".join(names)]
+    with open(jsonl_path, encoding="utf-8") as fh:
+        for line in filter(str.strip, fh):
+            fields = json.loads(line)
+            cells = [str(fields.get(name, "")) for name in names]
+            if any("\t" in c or "\n" in c or "\r" in c for c in cells):
+                raise ValueError(f"a value of {line!r} does not fit one cell")
+            lines.append("\t".join(cells))
+    with open(tsv_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ from helpers import (finite_difference_check, follow_forest,
                      rank_sum_brute_force, signed_rank_brute_force)
 from spamforest import training
 from spamforest.dataio import load_model, save_model
-from spamforest.features import ReviewRecord, build_feature_matrix
+from spamforest.features import ReviewRecord, ReviewTable, build_feature_matrix
 from spamforest.forest import ForestParams, forest_forward
 from spamforest.metrics import compute_metrics
 from spamforest.numerics import Rng, entropy
@@ -185,13 +185,13 @@ def test_08_feature_formulas_and_ratio_bounds():
     # Uniform five-way rating proportions reach the entropy ceiling.
     revs = [ReviewRecord("u", f"p{i}", i + 1, 0, 0, i, "books", "", "")
             for i in range(5)]
-    matrix, _ = build_feature_matrix(revs)
+    matrix, _ = build_feature_matrix(ReviewTable.from_records(revs))
     col = matrix.names.index("rating_entropy")
     assert abs(matrix.values[0, col] - math.log(5)) < 1e-12
     assert abs(entropy([0.2] * 5) - math.log(5)) < 1e-12
 
     records = _random_corpus(10_000, seed=117)
-    fuzz_matrix, _ = build_feature_matrix(records)
+    fuzz_matrix, _ = build_feature_matrix(ReviewTable.from_records(records))
     ratio_cols = [j for j, name in enumerate(fuzz_matrix.names)
                   if "ratio" in name]
     assert ratio_cols

@@ -16,9 +16,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_read_labels, rewrite_model_body, zeros_tensor
+from helpers import (reference_load_reviews, reference_read_labels,
+                     rewrite_model_body, write_delimited_reviews, zeros_tensor)
 from spamforest.cli import load_config_file, main, run_ablation
-from spamforest.dataio import LabeledDataset, load_features, save_features
+from spamforest.dataio import (LabeledDataset, load_features, load_spam_scores,
+                               save_features)
 from spamforest.errors import ParseError
 from spamforest.features import FeatureMatrix, ReviewRecord
 from spamforest.numerics import Rng
@@ -153,6 +155,18 @@ class TestExtract:
         for name in ("features.tsv", "features.bin", "labels.tsv",
                      "manifest.json"):
             assert (tmp_path / name).read_bytes() == \
+                (golden / name).read_bytes(), name
+
+    def test_delimited_export_reproduces_the_golden_feature_directory(self, tmp_path):
+        golden = GOLDEN / "extract"
+        reviews = tmp_path / "reviews.tsv"
+        write_delimited_reviews(golden / "reviews.jsonl", reviews)
+        assert main(["extract", "--delimited", "--reviews", str(reviews),
+                     "--scores", str(golden / "scores.tsv"),
+                     "--out", str(tmp_path / "out")]) == 0
+        for name in ("features.tsv", "features.bin", "labels.tsv",
+                     "manifest.json"):
+            assert (tmp_path / "out" / name).read_bytes() == \
                 (golden / name).read_bytes(), name
 
 
@@ -827,10 +841,15 @@ class TestParseErrorsNameTheFile:
          "no spam score for 7 user(s): ['u0', 'u1', 'u2', 'u3', 'u4'] and 2 more\n"),
         (REVIEW, "u0\t0.1\nu1\t0.9\nu0\t0.8\n", False, "scores",
          "line 3: user 'u0' was already scored on line 1\n"),
+        ("user_id\tproduct_id\tuser_id\nu0\tp0\tu1\n", "u0\t0.1\n", True,
+         "reviews", "line 1: header names field 'user_id' 2 times\n"),
+        (REVIEW + REVIEW.replace('"helpful_votes": 1', f'"helpful_votes": {2 ** 63}'),
+         "u0\t0.1\n", False, "reviews",
+         "line 2: vote counts must be in 0..9223372036854775807\n"),
     ], ids=["scores", "reviews-jsonl", "reviews-delimited", "delimited-no-header",
             "reviews-null-field", "reviews-bool-field", "reviews-empty",
             "delimited-header-only", "scores-miss-user", "scores-miss-users-capped",
-            "scores-user-twice"])
+            "scores-user-twice", "delimited-field-twice", "reviews-votes-beyond-int64"])
     def test_extract_inputs(self, tmp_path, capsys, reviews, scores, delimited,
                             bad, where):
         paths = {"reviews": tmp_path / "reviews", "scores": tmp_path / "scores"}
@@ -939,6 +958,92 @@ class TestLabelsFuzz:
                 rc = main(["evaluate", "--features", str(feat), "--model",
                            str(GOLDEN / "model.json"), "--out", str(Path(tmp, "out"))])
         assert (rc, err.getvalue()) == expected
+        assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+# Values a mutated review field takes: ones the reader converts (numeric
+# ids, 4.0, "4") and ones it rejects (null, 4.5, true, out of range,
+# beyond int64, containers).
+REVIEW_VALUES = [None, 17, 4.0, 4.5, True, "4", 2 ** 63, -1, 6, 10 ** 9, "",
+                 "x", [1]]
+REVIEW_EDITS = st.lists(st.tuples(
+    st.sampled_from(["set", "drop", "unknown", "truncate", "blank", "crlf",
+                     "cr", "delete", "array"]),
+    st.integers(0, 400),
+    st.sampled_from([f.name for f in dataclasses.fields(ReviewRecord)]),
+    st.sampled_from(REVIEW_VALUES)), max_size=3)
+
+
+def edit_reviews(lines, edits):
+    """JSON-lines ``lines`` (with their ends) after each (op, index, field,
+    value) edit; a field edit of a line that is no JSON object does nothing."""
+    lines = list(lines)
+    for op, i, name, value in edits:
+        i %= len(lines)
+        try:
+            fields = json.loads(lines[i])
+        except ValueError:
+            fields = None
+        if op in ("set", "drop", "unknown") and isinstance(fields, dict):
+            if op == "set":
+                fields[name] = value
+            elif op == "drop":
+                fields.pop(name, None)
+            else:
+                fields["color"] = value
+            lines[i] = json.dumps(fields) + "\n"
+        elif op == "truncate":
+            lines[i] = lines[i][:len(lines[i]) // 2] + "\n"
+        elif op == "blank":
+            lines.insert(i, " \t\n")
+        elif op == "crlf":
+            lines[i] = lines[i].replace("\n", "\r\n")
+        elif op == "cr":
+            lines[i] = lines[i].replace("\n", "\r")
+        elif op == "delete":
+            del lines[i]
+        else:
+            lines[i] = "[" + lines[i].rstrip("\n") + "]\n"
+        if not lines:
+            lines = ["\n"]
+    return "".join(lines)
+
+
+class TestReviewsFuzz:
+    """Mutated golden reviews.jsonl files through ``extract``: every run
+    exits 0, or exits 2 naming the file and line exactly as the per-line
+    reader raises; no run prints a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(REVIEW_EDITS)
+    def test_extract_exits_0_or_2_naming_the_fault(self, edits):
+        golden = GOLDEN / "extract"
+        lines = (golden / "reviews.jsonl").read_text().splitlines(keepends=True)
+        scores = golden / "scores.tsv"
+        scored = set(load_spam_scores(scores))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "reviews.jsonl")
+            path.write_text(edit_reviews(lines, edits), newline="")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unknown fields warn
+                try:
+                    records = reference_load_reviews(path)
+                except ParseError as exc:
+                    assert f"{path}: line {exc.line_number}: " in str(exc)
+                    expected = (2, f"error: {exc}\n")
+                else:
+                    unscored = {r.user_id for r in records} - scored
+                    expected = ((2, f"error: {path}: holds no review records\n")
+                                if not records else
+                                (2, f"error: {scores}: no spam score for "
+                                    f"{len(unscored)} user(s)") if unscored else
+                                (0, ""))
+                err, out = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                    rc = main(["extract", "--reviews", str(path), "--scores",
+                               str(scores), "--out", str(Path(tmp, "out"))])
+        assert (rc, err.getvalue()[:len(expected[1])]) == expected
+        assert rc == 0 or err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue() + out.getvalue()
 
 

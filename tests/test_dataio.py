@@ -14,7 +14,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_read_labels, rewrite_model_body
+from helpers import (records_of, reference_load_reviews,
+                     reference_read_labels, rewrite_model_body)
 from spamforest import dataio
 from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
                                NormStats, apply_normalization,
@@ -24,7 +25,7 @@ from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
                                save_model, split_train_test)
 from spamforest.errors import (ConfigError, ModelIntegrityError,
                                ModelVersionError, ParseError)
-from spamforest.features import FeatureMatrix, ReviewRecord
+from spamforest.features import FeatureMatrix, ReviewRecord, ReviewTable
 from spamforest.numerics import Rng
 from spamforest.training import (TrainConfig, init_model, parameter_blocks,
                                  predict, train)
@@ -33,6 +34,10 @@ from spamforest.training import (TrainConfig, init_model, parameter_blocks,
 def rec(user="u1", product="p1", rating=4, day=10, category="books"):
     return ReviewRecord(user, product, rating, 2, 1, day, category,
                         "fine", "quite fine overall", user_name="alice")
+
+
+def table(records) -> ReviewTable:
+    return ReviewTable.from_records(records)
 
 
 def record_json(r: ReviewRecord) -> str:
@@ -49,13 +54,13 @@ class TestLoadReviews:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
         path.write_text("")
-        assert load_reviews(path) == []
+        assert records_of(load_reviews(path)) == []
 
     def test_write_then_read_round_trip(self, tmp_path):
         originals = [rec(user=f"u{i}", product=f"p{i}", day=i) for i in range(3)]
         path = tmp_path / "reviews.jsonl"
         path.write_text("\n".join(record_json(r) for r in originals) + "\n")
-        assert load_reviews(path) == originals
+        assert records_of(load_reviews(path)) == originals
 
     def test_rating_out_of_range_names_constraint_and_line(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
@@ -95,7 +100,7 @@ class TestLoadReviews:
                 for r in records] == ["0001-01-01", "9999-12-31"]
         path = tmp_path / "reviews.jsonl"
         path.write_text("\n".join(record_json(r) for r in records) + "\n")
-        assert load_reviews(path) == records
+        assert records_of(load_reviews(path)) == records
 
     @pytest.mark.parametrize("field, raw", [
         ("rating", "4.7"), ("timestamp", "100.9"), ("rating", "true"),
@@ -143,21 +148,21 @@ class TestLoadReviews:
         obj = dict(json.loads(record_json(rec())), user_id=17, product_id=2.5)
         path = tmp_path / "reviews.jsonl"
         path.write_text(json.dumps(obj) + "\n")
-        assert load_reviews(path) == [dataclasses.replace(rec(), user_id="17",
-                                                          product_id="2.5")]
+        assert records_of(load_reviews(path)) == [dataclasses.replace(
+            rec(), user_id="17", product_id="2.5")]
 
     def test_null_optional_text_keeps_default(self, tmp_path):
         obj = dict(json.loads(record_json(rec())), user_name=None, user_memo=None)
         path = tmp_path / "reviews.jsonl"
         path.write_text(json.dumps(obj) + "\n")
-        assert load_reviews(path) == [dataclasses.replace(rec(), user_name="")]
+        assert records_of(load_reviews(path)) == [dataclasses.replace(rec(), user_name="")]
 
     @pytest.mark.parametrize("raw", ["4", "4.0", '"4"'])
     def test_integral_json_rating_accepted(self, tmp_path, raw):
         path = tmp_path / "reviews.jsonl"
         path.write_text(record_json(rec()).replace('"rating": 4',
                                                    f'"rating": {raw}') + "\n")
-        assert load_reviews(path) == [rec()]
+        assert records_of(load_reviews(path)) == [rec()]
 
     def test_unknown_field_warns_but_parses(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
@@ -167,6 +172,103 @@ class TestLoadReviews:
         with pytest.warns(UserWarning, match="color"):
             records = load_reviews(path)
         assert len(records) == 1
+
+
+def review_outcome(load, path):
+    """What ``load(path)`` gives: its columns as lists and their dtypes, or
+    its ParseError's text and line; with the warnings it issued, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path)
+        except ParseError as exc:
+            result = ("ParseError", str(exc), exc.line_number)
+        else:
+            if isinstance(result, ReviewTable):
+                result = {f.name: (getattr(result, f.name).dtype.kind,
+                                   getattr(result, f.name).tolist())
+                          for f in dataclasses.fields(ReviewRecord)}
+            else:  # the reference's list of ReviewRecords
+                result = {f.name: ("O" if f.type == "str" else "i",
+                                   [getattr(r, f.name) for r in result])
+                          for f in dataclasses.fields(ReviewRecord)}
+    return result, [str(w.message) for w in caught]
+
+
+REVIEW_FIELD_NAMES = [f.name for f in dataclasses.fields(ReviewRecord)]
+# Values a mutated field takes: each kind the per-line check converts or
+# rejects (null, numeric ids, integral and fractional floats, bools,
+# numeric strings, values beyond int64 and out of range, non-ASCII text
+# with a lone surrogate, containers).
+FIELD_VALUES = [None, 17, 2.5, 4.0, 4.5, True, "4", 2 ** 63, -2 ** 63 - 1, -1, 0,
+                6, 10 ** 9, -719163, 2932896, "x", "zo\u00eb \ud800 great", [1], {}]
+GOOD_LINE = record_json(rec())
+# Lines that are no plain record: blank and whitespace-only, invalid JSON,
+# JSON that is no object, extra data, and an array split over two lines.
+RAW_LINES = ["", "   ", "\t \x0c", "{not json", "[1, 2]", "null", '"text"',
+             GOOD_LINE + " x", GOOD_LINE + GOOD_LINE,
+             '{"review_text": [1\n2]}, ' + GOOD_LINE]
+
+
+@st.composite
+def review_line(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(RAW_LINES))
+    fields = json.loads(record_json(rec(
+        user=draw(st.sampled_from(["u1", "u2", "é"])),
+        product=draw(st.sampled_from(["p1", "p2"])),
+        rating=draw(st.integers(1, 5)), day=draw(st.integers(-800, 5000)))))
+    for op, name, value in draw(st.lists(st.tuples(
+            st.sampled_from(["set", "drop", "unknown"]),
+            st.sampled_from(REVIEW_FIELD_NAMES), st.sampled_from(FIELD_VALUES)),
+            max_size=2)):
+        if op == "set":
+            fields[name] = value
+        elif op == "drop":
+            fields.pop(name, None)
+        else:
+            fields["extra_" + name[:4]] = value
+    return json.dumps(fields, ensure_ascii=draw(st.booleans()))
+
+
+review_bodies = st.lists(st.tuples(review_line(), st.sampled_from(["\n", "\r\n", "\r"])),
+                         max_size=8).map(lambda lines: "".join(a + b for a, b in lines))
+
+
+class TestLoadReviewsMatchesLineReader:
+    """load_reviews against the per-line reader it replaced: the same
+    columns, or the same ParseError text and line, and the same warnings in
+    the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(review_bodies)
+    def test_same_columns_or_error_and_warnings(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "reviews.jsonl")
+            # A raw lone surrogate makes bytes that are not UTF-8.
+            path.write_bytes(body.encode("utf-8", "surrogatepass"))
+            assert review_outcome(load_reviews, path) == \
+                review_outcome(reference_load_reviews, path)
+
+    @pytest.mark.parametrize("bad", [
+        GOOD_LINE.replace('"rating": 4', '"rating": 9'),
+        GOOD_LINE.replace('"helpful_votes": 2', f'"helpful_votes": {2 ** 63}'),
+        GOOD_LINE.replace('"rating": 4', f'"rating": {2 ** 63}'),
+        GOOD_LINE.replace('"timestamp": 10', '"timestamp": 4.0') + "\n" + GOOD_LINE[:-1]],
+        ids=["rating-9", "votes-2**63", "rating-2**63", "float-day-then-cut-line"])
+    def test_earliest_bad_line_wins_over_a_later_json_error(self, tmp_path, bad):
+        path = tmp_path / "reviews.jsonl"
+        path.write_text("\n".join([GOOD_LINE, bad, GOOD_LINE, "{not json", GOOD_LINE]))
+        ref = review_outcome(reference_load_reviews, path)
+        assert ref[0][0] == "ParseError" and ref[0][2] in (2, 3)
+        assert review_outcome(load_reviews, path) == ref
+
+    def test_plain_file_reads_in_one_pass(self, tmp_path, monkeypatch):
+        # The per-line reader runs only for a file that needs it.
+        path = tmp_path / "reviews.jsonl"
+        path.write_text("\n".join([GOOD_LINE] * 3) + "\n\n")
+        monkeypatch.setattr(dataio, "_load_review_lines", None)
+        assert records_of(load_reviews(path)) == [rec()] * 3
 
 
 class TestLoadReviewsDelimited:
@@ -180,7 +282,7 @@ class TestLoadReviewsDelimited:
             lines.append("\t".join(str(getattr(r, c)) for c in cols))
         path = tmp_path / "reviews.tsv"
         path.write_text("\n".join(lines) + "\n")
-        assert load_reviews_delimited(path) == originals
+        assert records_of(load_reviews_delimited(path)) == originals
 
     def test_column_count_mismatch(self, tmp_path):
         path = tmp_path / "reviews.tsv"
@@ -208,6 +310,19 @@ class TestLoadReviewsDelimited:
         path.write_text("")
         with pytest.raises(ParseError, match="header"):
             load_reviews_delimited(path)
+
+    def test_field_named_twice_in_header_rejected(self, tmp_path):
+        # Before this was refused, the last rating column won silently.
+        cols = ["user_id", "product_id", "rating", "helpful_votes",
+                "unhelpful_votes", "timestamp", "category", "summary_text",
+                "review_text", "rating"]
+        path = tmp_path / "reviews.tsv"
+        path.write_text("\n\n" + "\t".join(cols) + "\n"
+                        + "u\tp\t4\t0\t0\t1\tbooks\ts\tr\t2\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 3: header names field 'rating' 2 times")) as err:
+            load_reviews_delimited(path)
+        assert err.value.line_number == 3
 
 
 class TestSpamScores:
@@ -240,33 +355,33 @@ class TestSpamScores:
 
 class TestLabelAndCap:
     def test_threshold_boundary(self):
-        records = [rec(user="low"), rec(user="high")]
+        records = table([rec(user="low"), rec(user="high")])
         _, labels = label_and_cap_users(records, {"low": 0.49, "high": 0.5})
         npt.assert_array_equal(labels, [0, 1])
 
     def test_cap_downsamples_deterministically(self):
-        records = [rec(user="u", product=f"p{i}", day=i) for i in range(30)]
+        records = table([rec(user="u", product=f"p{i}", day=i) for i in range(30)])
         scores = {"u": 0.9}
         capped1, labels1 = label_and_cap_users(records, scores, cap=20, seed=5)
         capped2, _ = label_and_cap_users(records, scores, cap=20, seed=5)
         capped3, _ = label_and_cap_users(records, scores, cap=20, seed=6)
         assert len(capped1) == 20
-        assert capped1 == capped2
-        assert capped1 != capped3
+        assert records_of(capped1) == records_of(capped2)
+        assert records_of(capped1) != records_of(capped3)
         assert np.all(labels1 == 1)
 
     def test_under_cap_kept_in_full(self):
-        records = [rec(user="u", product=f"p{i}") for i in range(5)]
+        records = table([rec(user="u", product=f"p{i}") for i in range(5)])
         capped, _ = label_and_cap_users(records, {"u": 0.1})
-        assert capped == records
+        assert records_of(capped) == records_of(records)
 
     def test_missing_score_lists_users(self):
-        records = [rec(user="known"), rec(user="ghost1"), rec(user="ghost2")]
+        records = table([rec(user="known"), rec(user="ghost1"), rec(user="ghost2")])
         with pytest.raises(ValueError, match="ghost1.*ghost2"):
             label_and_cap_users(records, {"known": 0.2})
 
     def test_all_zero_scores(self):
-        records = [rec(user=f"u{i}") for i in range(4)]
+        records = table([rec(user=f"u{i}") for i in range(4)])
         _, labels = label_and_cap_users(records,
                                         {f"u{i}": 0.0 for i in range(4)})
         assert np.all(labels == 0)

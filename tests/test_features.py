@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from datetime import date, timedelta
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_feature_rows
+from helpers import (lexicon_words, records_of, reference_feature_rows,
+                     reference_sentiment)
 from spamforest import features
 from spamforest.dataio import save_features
 from spamforest.features import (MANIFEST_VERSION, REVIEW_FEATURES,
                                  USER_FEATURES, Columns, ReviewRecord,
-                                 build_feature_matrix, extract_user_features,
-                                 feature_columns, sentiment_score)
+                                 ReviewTable, build_feature_matrix,
+                                 extract_user_features, feature_columns,
+                                 sentiment_scores)
 
 
 def rec(user="u1", product="p1", rating=5, help_=0, unhelp=0, day=0,
@@ -21,23 +24,28 @@ def rec(user="u1", product="p1", rating=5, help_=0, unhelp=0, day=0,
                         summary, text, user_name=name, user_memo=memo)
 
 
+def matrix_of(records):
+    """``build_feature_matrix`` of the table holding ``records``."""
+    return build_feature_matrix(ReviewTable.from_records(records))
+
+
 def user_features(revs, categories=()):
-    """The first author's profile in ``build_feature_matrix(revs)``, as a
+    """The first author's profile in ``matrix_of(revs)``, as a
     name -> value dict of the user and category columns. Each of
     ``categories`` that ``revs`` lack joins the catalog through one review
     by another user."""
     present = {r.category for r in revs}
     others = [rec(user="~other", product="~other", category=c)
               for c in categories if c not in present]
-    matrix, _ = build_feature_matrix(revs + others)
+    matrix, _ = matrix_of(revs + others)
     width = matrix.n_features - len(REVIEW_FEATURES)
     assert width == len(USER_FEATURES) + len(present | set(categories))
     return dict(zip(matrix.names[:width], matrix.values[0, :width].tolist()))
 
 
 def matrix_row(records, i):
-    """Row ``i`` of ``build_feature_matrix(records)`` as a name -> value dict."""
-    matrix, _ = build_feature_matrix(records)
+    """Row ``i`` of ``matrix_of(records)`` as a name -> value dict."""
+    matrix, _ = matrix_of(records)
     return dict(zip(matrix.names, matrix.values[i].tolist()))
 
 
@@ -51,6 +59,29 @@ class TestReviewRecord:
     def test_negative_votes_rejected(self):
         with pytest.raises(ValueError):
             rec(help_=-1)
+
+    def test_votes_beyond_int64_rejected(self):
+        # A ReviewTable holds votes as int64.
+        assert rec(unhelp=2 ** 63 - 1).unhelpful_votes == 2 ** 63 - 1
+        with pytest.raises(ValueError, match="in 0..9223372036854775807"):
+            rec(unhelp=2 ** 63)
+
+
+class TestReviewTable:
+    def test_one_column_per_record_field(self):
+        assert [f.name for f in dataclasses.fields(ReviewTable)] == \
+            [f.name for f in dataclasses.fields(ReviewRecord)]
+
+    def test_from_records_columns_and_take(self):
+        revs = [rec(user="a", help_=3, day=-5, name="Al"), rec(user="b", rating=1)]
+        table = ReviewTable.from_records(revs)
+        assert len(table) == 2
+        assert table.user_id.dtype == object and table.user_id.tolist() == ["a", "b"]
+        assert table.rating.dtype == np.int64 and table.rating.tolist() == [5, 1]
+        assert records_of(table) == revs
+        assert records_of(table.take(np.array([1, 0, 1]))) == [revs[1], revs[0], revs[1]]
+        empty = ReviewTable.from_records([])
+        assert len(empty) == 0 and empty.timestamp.dtype == np.int64
 
 
 class TestUserFeatures:
@@ -127,13 +158,13 @@ class TestUserFeatures:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="zero records"):
-            build_feature_matrix([])
+            matrix_of([])
 
     def test_purity(self):
         revs = [rec(product=f"p{i}", rating=(i % 5) + 1, day=i * 40)
                 for i in range(6)]
-        assert build_feature_matrix(revs)[0].values.tolist() == \
-            build_feature_matrix(revs)[0].values.tolist()
+        assert matrix_of(revs)[0].values.tolist() == \
+            matrix_of(revs)[0].values.tolist()
 
     def test_block_has_one_row_per_user_in_order_of_appearance(self):
         revs = [rec(user="b", product="p1", rating=2, help_=3, day=5),
@@ -141,7 +172,8 @@ class TestUserFeatures:
                 rec(user="b", product="p2", rating=4, unhelp=1, day=400),
                 rec(user="c", name="Alice Smith", memo="hi", day=-30)]
         categories = ["books", "toys"]
-        block = extract_user_features(Columns.of(revs, categories), revs, 2)
+        table = ReviewTable.from_records(revs)
+        block = extract_user_features(Columns.of(table, categories), table, 2)
         width = len(USER_FEATURES) + len(categories)
         reference = reference_feature_rows(revs, categories)[:, :width]
         assert block.dtype == np.float64
@@ -195,6 +227,10 @@ class TestReviewFeatures:
         assert d["review_length"] == 5.0
 
 
+def sentiment_score(text):
+    return int(sentiment_scores([text])[0])
+
+
 class TestSentiment:
     def test_empty_is_neutral(self):
         assert sentiment_score("") == 0
@@ -212,11 +248,46 @@ class TestSentiment:
         assert sentiment_score("GREAT, really great!") == 1
 
 
+def _lexicon_sample():
+    positive, negative = lexicon_words()
+    both = sorted(positive & negative)
+    return sorted(positive)[:40] + sorted(negative)[:40] + both[:5]
+
+
+# Pieces of text: lexicon words, an apostrophe, characters that lower to
+# ASCII letters (U+0130, the Kelvin sign), one whose lowering depends on its
+# context (capital sigma), a non-ASCII letter, a NUL, a lone surrogate,
+# whitespace, punctuation and the empty string.
+TEXT_PIECES = st.sampled_from(
+    _lexicon_sample() + ["'", "\u0130", "\u212a", "\u03a3", "\u00ff", "\x00",
+                         "\ud800", "\t", "\n", " ", ",", "GREAT", "Bad", "", "s"])
+TEXTS = st.lists(st.lists(TEXT_PIECES, max_size=10).map("".join), max_size=40)
+
+
+class TestSentimentScoresMatchRegex:
+    """sentiment_scores against a regex over each lowered text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXTS)
+    def test_matches_the_per_text_regex(self, texts):
+        scores = sentiment_scores(texts)
+        assert scores.dtype == np.int64
+        assert scores.tolist() == [reference_sentiment(t) for t in texts]
+
+    def test_many_blocks_match_the_per_text_regex(self):
+        rng = np.random.default_rng(3)
+        pieces = _lexicon_sample() + [" ", "'", "\u0130", "\u212a", ""]
+        texts = ["".join(rng.choice(pieces, size=int(rng.integers(0, 12))))
+                 for _ in range(1500)]
+        assert sentiment_scores(texts).tolist() == \
+            [reference_sentiment(t) for t in texts]
+
+
 class TestManifest:
     def test_packaged_manifest_matches_registry(self, review_corpus, tmp_path):
         # The manifest save_features writes is the registry's expansion.
         records, _ = review_corpus
-        matrix, user_ids = build_feature_matrix(records[:80])
+        matrix, user_ids = matrix_of(records[:80])
         save_features(tmp_path, matrix, [0] * matrix.n_rows, user_ids)
         manifest = json.loads((tmp_path / "manifest.json").read_text("utf-8"))
         categories = sorted({r.category for r in records[:80]})
@@ -227,7 +298,7 @@ class TestManifest:
 
     def test_matrix_columns_follow_manifest_order(self, review_corpus):
         records, _ = review_corpus
-        matrix, _ = build_feature_matrix(records[:80])
+        matrix, _ = matrix_of(records[:80])
         fixed_user = [n for n, _, _ in USER_FEATURES]
         n_cat = matrix.n_features - len(USER_FEATURES) - len(REVIEW_FEATURES)
         assert matrix.names[:len(fixed_user)] == fixed_user
@@ -243,7 +314,7 @@ class TestManifest:
 
     def test_scope_and_kind_tags_cover_all_columns(self, review_corpus):
         records, _ = review_corpus
-        matrix, _ = build_feature_matrix(records[:80])
+        matrix, _ = matrix_of(records[:80])
         assert set(matrix.scopes) <= {"history", "rating", "feedback", "time",
                                       "product", "review"}
         assert set(matrix.kinds) <= {"continuous", "categorical"}
@@ -283,7 +354,7 @@ class TestInvariants:
         cats = [v for k, v in d.items() if k.startswith("category_ratio:")]
         assert sum(cats) == pytest.approx(1.0, abs=1e-9)
 
-        matrix, _ = build_feature_matrix(revs)
+        matrix, _ = matrix_of(revs)
         review = slice(matrix.n_features - len(REVIEW_FEATURES), None)
         for j, name in enumerate(matrix.names[review], start=review.start):
             if "ratio" in name:
@@ -295,7 +366,7 @@ class TestInvariants:
     @settings(max_examples=30, deadline=None)
     @given(records_strategy)
     def test_all_values_finite(self, revs):
-        matrix, _ = build_feature_matrix(revs)
+        matrix, _ = matrix_of(revs)
         assert np.all(np.isfinite(matrix.values))
 
 
@@ -338,7 +409,7 @@ class TestExtractionOracle:
     @settings(max_examples=200, deadline=None)
     @given(corpus_strategy)
     def test_matrix_matches_reference_bitwise(self, records):
-        matrix, user_ids = build_feature_matrix(records)
+        matrix, user_ids = matrix_of(records)
         assert_bitwise_equal(matrix.values, reference_feature_rows(records))
         assert user_ids == [r.user_id for r in records]
 
@@ -348,7 +419,7 @@ class TestExtractionOracle:
         records, _ = synthetic_review_corpus(n_genuine=60, n_spammers=60,
                                              n_products=15, seed=5)
         assert len(records) / 15 > 50
-        matrix, _ = build_feature_matrix(records)
+        matrix, _ = matrix_of(records)
         assert_bitwise_equal(matrix.values, reference_feature_rows(records))
 
     def test_user_block_is_one_call(self, monkeypatch, review_corpus):
@@ -361,7 +432,7 @@ class TestExtractionOracle:
             return blocks[-1]
 
         monkeypatch.setattr(features, "extract_user_features", recording)
-        matrix, _ = build_feature_matrix(records)
+        matrix, _ = matrix_of(records)
         n_users = len({r.user_id for r in records})
         assert [b.shape for b in blocks] == \
             [(n_users, matrix.n_features - len(REVIEW_FEATURES))]
@@ -380,7 +451,7 @@ class TestExtractionOracle:
         records += [rec(user=f"v{k}", product=f"p{k}", day=k) for k in range(3)]
         years = {(date(1970, 1, 1) + timedelta(days=int(d))).year for d in days}
         assert len(years) >= 8
-        matrix, _ = build_feature_matrix(records)
+        matrix, _ = matrix_of(records)
         assert_bitwise_equal(matrix.values, reference_feature_rows(records))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -394,5 +465,5 @@ class TestExtractionOracle:
         records += [rec(user="u0", product="q", day=3)]
         months = {(date(1970, 1, 1) + timedelta(days=int(d))).month for d in days}
         assert len(months) >= 8
-        matrix, _ = build_feature_matrix(records)
+        matrix, _ = matrix_of(records)
         assert_bitwise_equal(matrix.values, reference_feature_rows(records))
