@@ -38,8 +38,10 @@ split_shuffle_batch = split_train_test
 
 
 def load_config_file(path) -> dict:
-    """Parse ``key = value`` lines (# comments allowed) into config kwargs."""
-    values: dict = {}
+    """Parse ``key = value`` lines (# comments allowed) into config kwargs,
+    each key given once, that TrainConfig accepts. An error names the line
+    of the key it is about."""
+    values, lines = {}, {}
     with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -53,6 +55,15 @@ def load_config_file(path) -> dict:
                 values[key] = config_value(key, raw, text=True)
             except ConfigError as exc:
                 raise ParseError(str(exc), ln) from None
+            if key in lines:
+                raise ParseError(f"key {key!r} was already given on line "
+                                 f"{lines[key]}", ln)
+            lines[key] = ln
+        try:
+            TrainConfig(**values)
+        except ConfigError as exc:
+            # Every TrainConfig message begins with the key it is about.
+            raise ParseError(str(exc), lines.get(str(exc).split(" ", 1)[0])) from None
     return values
 
 

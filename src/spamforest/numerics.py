@@ -143,56 +143,21 @@ def norm_sf(z: float) -> float:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-squared survival function via the regularized upper gamma Q(df/2, x/2)."""
+    """Chi-squared survival function Q(df/2, x/2) for integer ``df``.
+
+    For integer df this regularized upper gamma is a finite sum (Abramowitz
+    & Stegun, Handbook of Mathematical Functions, 26.4): with y = x/2 it
+    starts from Q(1, y) = e^-y for even df, or Q(1/2, y) = erfc(sqrt(y)) for
+    odd df, and Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1). Every term
+    is positive, so the sum cancels nothing.
+    """
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if x <= 0:
         return 1.0
-    return _gammainc_upper(df / 2.0, x / 2.0)
-
-
-def _gammainc_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x).
-
-    Series expansion for x < a + 1, Lentz continued fraction otherwise;
-    both converge to ~1e-15 for the half-integer a used here.
-    """
-    if x < a + 1.0:
-        return 1.0 - _gser(a, x)
-    return _gcf(a, x)
-
-
-def _gser(a: float, x: float, itmax: int = 500, eps: float = 3e-16) -> float:
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(itmax):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * eps:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gcf(a: float, x: float, itmax: int = 500, eps: float = 3e-16) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, itmax + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    y = x / 2.0
+    a, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    while a < df / 2.0:
+        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return q

@@ -119,6 +119,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_epoch < 0:
             raise ConfigError(f"n_epoch must be >= 0, got {self.n_epoch}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("n_tree", "n_depth", "batch_size", "ae_layer_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -184,6 +184,15 @@ class TestAnalyze:
         assert len(lines) - 1 == ds.features.n_features
         assert (out / "histograms").is_dir()
 
+    def test_reproduces_the_golden_screening_report(self, tmp_path):
+        # golden/screening.tsv is the report an earlier version of the
+        # package wrote for golden/extract: rank-sum rows and chi-squared
+        # rows with df 1 to 4.
+        assert main(["analyze", "--features", str(GOLDEN / "extract"),
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "screening.tsv").read_bytes() == \
+            (GOLDEN / "screening.tsv").read_bytes()
+
     def test_label_equal_feature_flagged_significant(self, tmp_path):
         labels = np.array([0] * 20 + [1] * 20)
         matrix = FeatureMatrix(
@@ -859,6 +868,27 @@ class TestParseErrorsNameTheFile:
                 str(paths["scores"]), "--out", str(tmp_path / "out")]
         assert main(args + ["--delimited"] * delimited) == 2
         assert capsys.readouterr().err.startswith(f"error: {paths[bad]}: {where}")
+
+    @pytest.mark.parametrize("config, where", [
+        ("n_epoch = fast\n", "line 1: n_epoch must be an integer, got 'fast'\n"),
+        ("n_epoch = 1\nn_tree = 0\n", "line 2: n_tree must be >= 1, got 0\n"),
+        ("# structure\nnormalization = zz\nn_epoch = 1\n",
+         "line 2: normalization must be one of "),
+        ("n_epoch = 1\nseed = -1\n",
+         "line 2: seed must be a non-negative integer, got -1\n"),
+        ("n_epoch = 3\nn_tree = 2\nn_epoch = 5\n",
+         "line 3: key 'n_epoch' was already given on line 1\n"),
+        ("ae_widths = 4,2,1\nn_epoch = 1\nae_layer_count = 2\n",
+         "line 1: ae_widths has 3 entries for 2 encoder layers\n"),
+    ], ids=["config-not-an-integer", "config-n-tree-zero", "config-normalization",
+            "config-negative-seed", "config-key-twice", "config-ae-widths-count"])
+    def test_config_file(self, gaussian_features, tmp_path, capsys, config, where):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        assert main(["train", "--features", str(gaussian_features), "--out",
+                     str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {where}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, edit, where", [
         ("features.tsv", lambda lines: lines[:2] + ["x\tx\n"] + lines[3:],

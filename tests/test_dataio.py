@@ -1408,13 +1408,27 @@ class TestLabelsReader:
 
     def test_save_features_output_read_in_one_pass(self, tmp_path, monkeypatch):
         # Every id save_features can write without a tab, newline or
-        # carriage return takes the one-pass read.
+        # carriage return comes back as written from a single open of
+        # labels.tsv and one split of its body, with the LF line ends
+        # written and with CRLF ones. Only the line-by-line check uses io.
         uids = ["u0", "", "a b", "\u00e9", "x\x0by", "\x85", "p\u2028q", "1", "0 "]
         labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
         save_features(tmp_path, small_matrix(np.zeros((len(uids), 1))), labels, uids)
-        monkeypatch.setattr(dataio, "_read_label_lines",
-                            lambda path: pytest.fail("read line by line"))
-        ds = load_features(tmp_path)
-        assert ds.user_ids == uids
-        assert ds.labels.dtype == np.int64
-        npt.assert_array_equal(ds.labels, labels)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+        monkeypatch.setattr(dataio, "io", None)
+        path = tmp_path / "labels.tsv"
+        lf = path.read_bytes()
+        for data in (lf, lf.replace(b"\n", b"\r\n")):
+            path.write_bytes(data)
+            opened.clear()
+            ds = load_features(tmp_path)
+            assert opened.count("labels.tsv") == 1
+            assert ds.user_ids == uids
+            assert ds.labels.dtype == np.int64
+            npt.assert_array_equal(ds.labels, labels)

@@ -244,6 +244,38 @@ class TestSpecialFunctions:
             assert chi2_sf(x, 4) == pytest.approx(
                 math.exp(-x / 2) * (1 + x / 2), rel=1e-12)
 
+    def test_chi2_sf_closed_form_df3(self):
+        # df=3: survival = erfc(sqrt(y)) + 2 sqrt(y/pi) e^-y, y = x/2
+        for x in (0.1, 1.0, 7.0, 40.0, 200.0):
+            y = x / 2
+            assert chi2_sf(x, 3) == pytest.approx(
+                math.erfc(math.sqrt(y)) + 2 * math.sqrt(y / math.pi) * math.exp(-y),
+                rel=1e-12)
+
+    def test_chi2_sf_closed_form_df5(self):
+        # df=5: the df=3 form plus (4/3) y^(3/2) e^-y / sqrt(pi)
+        for x in (0.1, 1.0, 7.0, 40.0, 200.0):
+            y = x / 2
+            assert chi2_sf(x, 5) == pytest.approx(
+                math.erfc(math.sqrt(y)) + 2 * math.sqrt(y / math.pi) * math.exp(-y)
+                + 4 / 3 * y ** 1.5 * math.exp(-y) / math.sqrt(math.pi),
+                rel=1e-12)
+
+    @pytest.mark.parametrize("x, df, expected", [
+        # scipy.stats.chi2.sf(x, df), scipy 1.17.1, computed once; scipy is
+        # not a dependency of the package or its tests.
+        (5.0, 30, 0.9999999308468613),
+        (30.0, 30, 0.4656537089440098),
+        (60.0, 30, 0.0009206823961486636),
+        (150.0, 30, 6.706952523937869e-18),
+        (50.0, 101, 0.9999951615276641),
+        (101.0, 101, 0.48128504536921946),
+        (160.0, 101, 0.00016827733297128617),
+        (400.0, 101, 3.4052257139217733e-37),
+    ])
+    def test_chi2_sf_large_df_matches_reference(self, x, df, expected):
+        assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-11)
+
     def test_chi2_sf_edges(self):
         assert chi2_sf(0.0, 3) == 1.0
         assert 0.0 <= chi2_sf(1000.0, 3) < 1e-100
