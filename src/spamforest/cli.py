@@ -102,6 +102,11 @@ def cmd_extract(args) -> int:
     scores = load_spam_scores(args.scores)
     if len(reviews) == 0:
         raise ParseError(f"{args.reviews}: holds no review records")
+    # Each category names a features.tsv column, so it must encode as UTF-8.
+    unwritable = sorted(c for c in set(reviews.category.tolist())
+                        if c.encode(errors="replace").decode() != c)
+    if unwritable:
+        raise ParseError(f"{args.reviews}: category {unwritable[0]!r} is not UTF-8 text")
     try:
         capped, row_labels = label_and_cap_users(reviews, scores,
                                                  cap=args.cap, seed=args.seed)

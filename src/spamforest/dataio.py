@@ -7,13 +7,13 @@ Reviews: one JSON object per line with fields user_id, product_id, rating
 (1-5), helpful_votes, unhelpful_votes, timestamp (days since 1970-01-01),
 category, summary_text, review_text, and optional user_name / user_memo.
 A tab-delimited text reader accepts the same fields as named header columns,
-each named once. Both readers return a ``ReviewTable``, the reviews as
-columns in file order. The JSON reader decodes each line into a tuple of
-its field values and checks types once per column and ranges with numpy;
-a file with any line that needs more (a JSON error, a non-object, a missing,
-unknown or null field, a number where text is due, an integer written as a
-float, a value out of range) is read again by the per-line check, which
-alone converts, warns and raises, naming the earliest bad line.
+each named once. Both readers open their file once and return a
+``ReviewTable``, the reviews as columns in file order. The JSON reader
+checks types once per column and ranges with numpy; a file with any line
+that needs more (a JSON or UTF-8 error, a non-object, a missing, unknown or
+null field, a number where text is due, an integer written as a float, a
+value out of range) is re-read from the same handle by the per-line check
+the delimited reader always uses, which alone converts, warns and raises.
 
 Spam scores: one ``user_id<TAB>average_score`` line per user, score in [0, 1].
 
@@ -50,7 +50,7 @@ import operator
 import os
 import warnings
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -207,66 +207,35 @@ def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
         raise ParseError(str(exc), line_number) from None
 
 
-def _warn_unknown(fields: dict, seen_unknown: set, line_number: int):
-    for name in fields:
-        if name not in _REVIEW_FIELDS and name not in seen_unknown:
-            seen_unknown.add(name)
-            warnings.warn(f"line {line_number}: ignoring unknown field {name!r}")
-
-
-def _decoded_rows(fh):
-    """The field values of every nonblank line of ``fh``, one tuple per line
-    in ``_REVIEW_FIELDS`` order; None as soon as a line is not one JSON
-    object naming every field and no other, or the text is not UTF-8."""
-    decode = json.JSONDecoder().raw_decode
-    rows = []
-    try:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields, end = decode(line)
-            if (end != len(line) or type(fields) is not dict
-                    or fields.keys() != _KNOWN_FIELDS):
-                return None
-            rows.append(_field_values(fields))
-    except ValueError:  # json.JSONDecodeError and UnicodeDecodeError
-        return None
-    return rows
-
-
-def _checked_table(rows) -> ReviewTable | None:
-    """``rows`` as a table, or None unless every value has its column's type
-    (a bool is no int, a null no str) and every review is in range."""
-    columns = list(zip(*rows)) if rows else [()] * len(_REVIEW_FIELDS)
-    if any(not set(map(type, col)) <= {kind} for col, kind in zip(columns, _COLUMN_TYPES)):
-        return None
-    try:
-        table = ReviewTable.from_columns(columns)
-    except OverflowError:
-        return None
-    return table if table.in_range() else None
-
-
-def _load_review_lines(path) -> ReviewTable:
-    """``load_reviews`` line by line: each line is converted and checked on
-    its own, unknown fields warn once each, and the first bad line raises."""
+def _load_review_lines(rows) -> ReviewTable:
+    """The per-line check of both review readers. ``rows`` yields
+    ``(line_number, fields)`` pairs; each row is converted and checked on its
+    own, unknown fields warn once each, and the first bad row raises."""
     records = []
     seen_unknown: set[str] = set()
-    with open_text(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                fields = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", ln) from None
-            if not isinstance(fields, dict):
-                raise ParseError("expected a JSON object", ln)
-            _warn_unknown(fields, seen_unknown, ln)
-            records.append(_record_from_fields(fields, ln))
+    for ln, fields in rows:
+        for name in fields:
+            if name not in _KNOWN_FIELDS and name not in seen_unknown:
+                seen_unknown.add(name)
+                warnings.warn(f"line {ln}: ignoring unknown field {name!r}")
+        records.append(_record_from_fields(fields, ln))
     return ReviewTable.from_records(records)
+
+
+def _json_objects(fh):
+    """``(line_number, fields)`` for each nonblank line of ``fh``, which
+    must hold one JSON object."""
+    for ln, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            fields = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON ({exc.msg})", ln) from None
+        if not isinstance(fields, dict):
+            raise ParseError("expected a JSON object", ln)
+        yield ln, fields
 
 
 def load_reviews(path) -> ReviewTable:
@@ -274,42 +243,61 @@ def load_reviews(path) -> ReviewTable:
 
     Empty lines are skipped; any malformed line raises ParseError with its
     line number. A file of plain records is decoded in one pass and checked
-    per column; any other goes to ``_load_review_lines``.
+    per column; any other is read again from the same handle by
+    ``_load_review_lines``.
     """
+    decode = json.JSONDecoder().raw_decode
     with open_text(path) as fh:
-        rows = _decoded_rows(fh)
-    table = None if rows is None else _checked_table(rows)
-    return _load_review_lines(path) if table is None else table
+        # A JSON or UTF-8 error, or an integer beyond int64, ends the one pass.
+        with suppress(ValueError, OverflowError):
+            rows = []
+            for line in filter(None, map(str.strip, fh)):
+                fields, end = decode(line)
+                if (end != len(line) or type(fields) is not dict
+                        or fields.keys() != _KNOWN_FIELDS):
+                    break
+                rows.append(_field_values(fields))
+            else:
+                columns = list(zip(*rows)) or [()] * len(_REVIEW_FIELDS)
+                # A bool is no int and a null no str: each column holds one type.
+                if all(set(map(type, col)) <= {kind}
+                       for col, kind in zip(columns, _COLUMN_TYPES)):
+                    table = ReviewTable.from_columns(columns)
+                    if table.in_range():
+                        return table
+        fh.seek(0)
+        return _load_review_lines(_json_objects(fh))
+
+
+def _delimited_rows(fh):
+    """``(line_number, fields)`` for each nonblank line after the header row
+    of the tab-delimited ``fh``, the cells keyed by the header's names."""
+    header = None
+    for ln, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if header is None:
+            header = cells
+            repeated = [(c, k) for c, k in Counter(header).items() if k > 1]
+            if repeated:
+                raise ParseError(f"header names field {repeated[0][0]!r} "
+                                 f"{repeated[0][1]} times", ln)
+            continue
+        if len(cells) != len(header):
+            raise ParseError(
+                f"expected {len(header)} columns, got {len(cells)}", ln)
+        yield ln, dict(zip(header, cells))
+    if header is None:
+        raise ParseError("file has no header row", 1)
 
 
 def load_reviews_delimited(path) -> ReviewTable:
     """Parse a tab-delimited text export whose header row names each field
     once."""
-    records = []
-    seen_unknown: set[str] = set()
     with open_text(path) as fh:
-        header = None
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cells = line.split("\t")
-            if header is None:
-                header = cells
-                repeated = [(c, k) for c, k in Counter(header).items() if k > 1]
-                if repeated:
-                    raise ParseError(f"header names field {repeated[0][0]!r} "
-                                     f"{repeated[0][1]} times", ln)
-                continue
-            if len(cells) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} columns, got {len(cells)}", ln)
-            fields = dict(zip(header, cells))
-            _warn_unknown(fields, seen_unknown, ln)
-            records.append(_record_from_fields(fields, ln))
-        if header is None:
-            raise ParseError("file has no header row", 1)
-    return ReviewTable.from_records(records)
+        return _load_review_lines(_delimited_rows(fh))
 
 
 def load_spam_scores(path) -> dict[str, float]:

@@ -325,6 +325,20 @@ def _batch(X: np.ndarray, model: Model) -> np.ndarray:
     return X
 
 
+def _labeled_batch(X: np.ndarray, y, model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as ``_batch`` checks it, with one row or more, and ``y`` as int64
+    labels, one 0 or 1 per row: the check of ``joint_loss`` and ``gradients``."""
+    X = _batch(X, model)
+    y = np.atleast_1d(np.asarray(y))
+    if X.shape[0] == 0:
+        raise ValueError("the joint loss of an empty batch is undefined")
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"{X.shape[0]} samples but label shape {y.shape}")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return X, y.astype(np.int64)
+
+
 def _forward_cache(X: np.ndarray, model: Model) -> dict:
     """One batched forward pass keeping every intermediate for backprop;
     only the mini-batch backward needs it."""
@@ -366,12 +380,7 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def joint_loss(X: np.ndarray, y: np.ndarray, model: Model) -> float:
     """Reconstruction error plus mean per-tree -log p[y], averaged over a 2-D batch."""
-    X = _batch(X, model)
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if X.shape[0] == 0:
-        raise ValueError("joint_loss of an empty batch is undefined")
-    if y.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} samples but {y.shape[0]} labels")
+    X, y = _labeled_batch(X, y, model)
     x_c, mu = _leaf_forward(X, model)
     return _loss_terms(X, y, x_c, leaf_mixture(mu, model.forest)["probs"])
 
@@ -458,10 +467,7 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
 
     Keys match ``parameter_blocks`` names; shapes match the parameters.
     """
-    X = _batch(X, model)
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if X.shape[0] == 0:
-        raise ValueError("gradients of an empty batch are undefined")
+    X, y = _labeled_batch(X, y, model)
     grad = _allocate_model(model.config, model.n_features)
     forest_cache, g_py = _backward(X, y, model, grad)
     grad.forest.leaf_logits[...] = leaf_gradient(y, g_py, forest_cache["mu"],

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -110,6 +111,23 @@ class TestExtract:
         assert rc == 2
         assert f"line 2: field '{field}' must be an integer" in \
             capsys.readouterr().err
+
+    def test_lone_surrogate_category_exits_2_before_any_output(self, tmp_path, capsys):
+        # JSON may escape a lone surrogate, which no UTF-8 file can hold;
+        # the category names a features.tsv column.
+        recs = [ReviewRecord(f"u{i}", "p0", 4, 1, 2, 100, category, "fine",
+                             "good product")
+                for i, category in enumerate(["books\ud800", "books"])]
+        reviews = tmp_path / "r.jsonl"
+        reviews.write_text("\n".join(record_json(r) for r in recs) + "\n")
+        scores = tmp_path / "s.tsv"
+        scores.write_text("u0\t0.1\nu1\t0.9\n")
+        out = tmp_path / "out"
+        rc = main(["extract", "--reviews", str(reviews), "--scores",
+                   str(scores), "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: {reviews}: category 'books\\ud800' is not UTF-8 text\n")
+        assert not (out / "features.tsv").exists()
 
     def test_rerun_byte_identical(self, corpus_files, tmp_path):
         reviews, scores = corpus_files
@@ -1075,6 +1093,79 @@ class TestReviewsFuzz:
         assert (rc, err.getvalue()[:len(expected[1])]) == expected
         assert rc == 0 or err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+# Cells a delimited edit writes: ones the reader converts (" 5", "+3") and
+# ones it refuses ("4.5", "", out of range, beyond int64).
+DELIMITED_VALUES = ["4", " 5", "+3", "4.5", "", "x", "-1", "9", str(2 ** 63), "zoë"]
+DELIMITED_EDITS = st.lists(st.tuples(
+    st.sampled_from(["cell", "drop", "extra", "blank", "rename", "crlf"]),
+    st.integers(0, 400), st.integers(0, 20), st.sampled_from(DELIMITED_VALUES)),
+    max_size=3)
+
+
+def edit_delimited(lines, edits):
+    """Tab-delimited ``lines`` (header first, with their ends) after each
+    (op, line, cell, value) edit. "rename" gives header cell j the name of
+    the next column, so that field is named twice."""
+    lines = list(lines)
+    for op, i, j, value in edits:
+        i %= len(lines)
+        cells = lines[i].rstrip("\r\n").split("\t")
+        j %= len(cells)
+        if op == "cell":
+            cells[j] = value
+        elif op == "drop":
+            del cells[j]
+        elif op == "extra":
+            cells.insert(j, value)
+        elif op == "rename":
+            i, cells = 0, lines[0].rstrip("\r\n").split("\t")
+            cells[j % len(cells)] = cells[(j + 1) % len(cells)]
+        if op == "blank":
+            lines.insert(i, " \t\n")
+        elif op == "crlf":
+            lines[i] = lines[i].rstrip("\r\n") + "\r\n"
+        else:
+            lines[i] = "\t".join(cells) + "\n"
+    return "".join(lines)
+
+
+class TestDelimitedReviewsFuzz:
+    """Mutated delimited exports of the golden reviews through ``extract
+    --delimited``: every run exits 0, or exits 2 with one error line naming
+    the file and the line, or saying the file holds no records or a user
+    has no score; no run prints a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(DELIMITED_EDITS)
+    def test_extract_exits_0_or_2_naming_the_fault(self, edits):
+        golden = GOLDEN / "extract"
+        scores = golden / "scores.tsv"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "reviews.tsv")
+            write_delimited_reviews(golden / "reviews.jsonl", path)
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text(edit_delimited(lines, edits), newline="")
+            n_lines = len(path.read_text().split("\n"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unknown fields warn
+                err, out = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                    rc = main(["extract", "--delimited", "--reviews", str(path),
+                               "--scores", str(scores), "--out", str(Path(tmp, "out"))])
+        message = err.getvalue()
+        assert "Traceback" not in message + out.getvalue()
+        if rc == 0:
+            assert message == ""
+            return
+        assert rc == 2 and message.count("\n") == 1, message
+        named = re.fullmatch(rf"error: {re.escape(str(path))}: line (\d+): .+\n", message)
+        if named:
+            assert 1 <= int(named.group(1)) <= n_lines
+        else:
+            assert message == f"error: {path}: holds no review records\n" or \
+                message.startswith(f"error: {scores}: no spam score for "), message
 
 
 def scoped_dataset(seed=4, n=240):

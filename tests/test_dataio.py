@@ -235,6 +235,18 @@ review_bodies = st.lists(st.tuples(review_line(), st.sampled_from(["\n", "\r\n",
                          max_size=8).map(lambda lines: "".join(a + b for a, b in lines))
 
 
+def count_opens(monkeypatch) -> list[str]:
+    """The names of the files ``dataio`` opens from now on, in order."""
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+    return opened
+
+
 class TestLoadReviewsMatchesLineReader:
     """load_reviews against the per-line reader it replaced: the same
     columns, or the same ParseError text and line, and the same warnings in
@@ -269,6 +281,20 @@ class TestLoadReviewsMatchesLineReader:
         path.write_text("\n".join([GOOD_LINE] * 3) + "\n\n")
         monkeypatch.setattr(dataio, "_load_review_lines", None)
         assert records_of(load_reviews(path)) == [rec()] * 3
+
+    @pytest.mark.parametrize("lines", [
+        [GOOD_LINE] * 3,
+        [GOOD_LINE, GOOD_LINE.replace('"user_id": "u1"', '"user_id": 17'), GOOD_LINE],
+        [GOOD_LINE, GOOD_LINE.replace('"rating": 4', '"rating": 9'), "{not json"],
+    ], ids=["plain", "numeric-user-id", "rating-9-then-json-error"])
+    def test_reviews_file_opened_once(self, tmp_path, monkeypatch, lines):
+        # A file the column check refuses is read again from the same handle.
+        path = tmp_path / "reviews.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        opened = count_opens(monkeypatch)
+        got = review_outcome(load_reviews, path)
+        assert opened == ["reviews.jsonl"]
+        assert got == review_outcome(reference_load_reviews, path)
 
 
 class TestLoadReviewsDelimited:
@@ -323,6 +349,28 @@ class TestLoadReviewsDelimited:
                 f"{path}: line 3: header names field 'rating' 2 times")) as err:
             load_reviews_delimited(path)
         assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("rating", ["4", " 5", "+3", "\u0664", "4.5", "", "9"])
+    def test_converts_and_warns_as_the_json_per_line_check(self, tmp_path, monkeypatch,
+                                                           rating):
+        # The same fields as JSON strings, after a blank first line so the
+        # line numbers agree: the same columns, or the same error, and the
+        # unknown column warns once, naming the line of its first row.
+        rows = [dict(json.loads(GOOD_LINE), user_id=f"u{i}", color="red")
+                for i in range(2)]
+        rows[1]["rating"] = rating
+        names = list(rows[0])
+        path = tmp_path / "reviews.txt"
+        path.write_text("\n" + "".join(
+            json.dumps({n: str(row[n]) for n in names}) + "\n" for row in rows))
+        want = review_outcome(load_reviews, path)
+        path.write_text("".join("\t".join(map(str, cells)) + "\n" for cells in
+                                [names] + [[row[n] for n in names] for row in rows]))
+        opened = count_opens(monkeypatch)
+        got = review_outcome(load_reviews_delimited, path)
+        assert opened == ["reviews.txt"]
+        assert got == want
+        assert got[1] == ["line 2: ignoring unknown field 'color'"]
 
 
 class TestSpamScores:

@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 from urllib.parse import quote
 
 import numpy as np
@@ -338,7 +339,7 @@ class TestReports:
         write_histograms(matrix, labels, tmp_path / "hists")
         written = list((tmp_path / "hists").iterdir())
         assert len(written) == 1  # constant column skipped
-        content = open(written[0]).read().splitlines()
+        content = written[0].read_text().splitlines()
         assert content[0] == "bin_start,bin_end,density_genuine,density_spam"
         assert len(content) == 21
 
@@ -358,5 +359,5 @@ class TestReports:
             sorted(os.path.basename(p) for p in written)
         for j, path in enumerate(written):
             col = matrix.values[:, j]
-            first = open(path).read().splitlines()[1].split(",")
+            first = Path(path).read_text().splitlines()[1].split(",")
             assert float(first[0]) == col.min()

@@ -287,6 +287,20 @@ class TestJointLoss:
         with pytest.raises(ValueError):
             joint_loss(np.empty((0, 8)), np.empty((0,)), desk_model)
 
+    @pytest.mark.parametrize("fn", [joint_loss, gradients])
+    @pytest.mark.parametrize("y, match", [
+        ([-1, -1], "labels must be 0 or 1"),
+        ([2, 0], "labels must be 0 or 1"),
+        ([0.5, 1.0], "labels must be 0 or 1"),
+        ([0, 1, 1], r"2 samples but label shape \(3,\)"),
+        ([1], r"2 samples but label shape \(1,\)"),
+        ([[0], [1]], r"2 samples but label shape \(2, 1\)"),
+    ], ids=["minus-one", "two", "half", "too-many", "too-few", "column"])
+    def test_labels_checked(self, desk_model, fn, y, match):
+        X = Rng(0).normal((2, 8))
+        with pytest.raises(ValueError, match=match):
+            fn(X, y, desk_model)
+
 
 class TestGradientToyCases:
     def test_stationary_at_saturated_leaves(self, rng):
