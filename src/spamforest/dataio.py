@@ -21,11 +21,16 @@ Feature directory: ``features.tsv`` (numeric matrix, header row of feature
 names), ``labels.tsv`` (user_id and label per row), ``manifest.json``
 (column names, scopes, kinds, manifest version), and ``features.bin``, the
 same matrix in binary so that a reader can skip the text parse: an 8-byte
-tag, a sha256 digest over the bytes of ``features.tsv`` followed by the
-companion's shape and payload, the shape as two ``<i8``, and the matrix as
-row-major ``<f8``. ``features.tsv`` is authoritative: the companion is read
+tag (``SFFEAT\x00\x02``), a 32-byte digest, the shape as two ``<i8``, and
+the matrix as row-major ``<f8``. The digest is ``sha256(sha256(features.tsv
+bytes) + shape + sha256(payload))``, a digest of digests, so the two inner
+hashes run at the same time: the payload's on a worker thread, the file's on
+the calling thread. ``features.tsv`` is authoritative: the companion is read
 only when its digest matches the ``features.tsv`` beside it, and a missing,
-stale or corrupt companion is ignored. ``labels.tsv`` is opened once as
+stale or corrupt companion is ignored, as is one of format 1 (tag
+``SFFEAT\x00\x01``, one sha256 chain); running ``extract`` again rewrites
+it. Each file of the directory is written under a temporary name and moved
+into place only when complete. ``labels.tsv`` is opened once as
 UTF-8 text with universal newlines; a body of ``user_id<TAB>0|1`` lines,
 each ending in a newline (LF or CRLF), is taken whole, and any other body
 is checked line by line, which skips blank lines and names the line of a
@@ -50,6 +55,7 @@ import operator
 import os
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -57,7 +63,7 @@ import numpy as np
 from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      ParseError)
 from .features import FeatureMatrix, ReviewRecord, ReviewTable
-from .numerics import Rng
+from .numerics import Rng, binary_labels
 from .training import (N_CLASSES, NORMALIZATION_METHODS, Model, TrainConfig,
                        _allocate_model, config_value, parameter_blocks)
 
@@ -133,15 +139,14 @@ class LabeledDataset:
     user_ids: list[str]
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
         n = self.features.n_rows
         if self.labels.shape != (n,) or len(self.user_ids) != n:
             raise ValueError(
                 f"row counts differ: {n} feature rows, {self.labels.shape[0]} "
                 f"labels, {len(self.user_ids)} user ids"
             )
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValueError("labels must be 0 or 1")
+        self.labels = binary_labels(self.labels)
 
     @property
     def n_rows(self) -> int:
@@ -610,20 +615,25 @@ def _write_cells(fh, values: np.ndarray):
 
 
 # features.bin: tag, digest, shape, payload (see the module docstring).
-_COMPANION_TAG = b"SFFEAT\x00\x01"
+_COMPANION_TAG = b"SFFEAT\x00\x02"
 _COMPANION_HEADER_BYTES = len(_COMPANION_TAG) + 32 + 16
 
 
-def _companion_digest(tsv_path, shape: bytes, payload) -> bytes:
-    """sha256 over the bytes of ``tsv_path``, then ``shape`` and ``payload``
-    (any buffer, hashed in place)."""
+def _sha256(data) -> bytes:
+    """The sha256 digest of ``data``, any buffer, hashed in place."""
+    return hashlib.sha256(data).digest()
+
+
+def _companion_digest(tsv_path, shape: bytes, payload_digest) -> bytes:
+    """``sha256(sha256(bytes of tsv_path) + shape + payload digest)``. The
+    file is read and hashed on this thread while ``payload_digest``, the
+    future of the payload's digest, is computed on a worker; an exception
+    raised there is raised here."""
     h = hashlib.sha256()
     with open(tsv_path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
-    h.update(shape)
-    h.update(payload)
-    return h.digest()
+    return _sha256(h.digest() + shape + payload_digest.result())
 
 
 def _read_companion(tsv_path, n_cols: int):
@@ -645,28 +655,50 @@ def _read_companion(tsv_path, n_cols: int):
             values = np.fromfile(fh, "<f8", rows * cols)
     except OSError:
         return None
-    digest = header[len(_COMPANION_TAG):-16]
-    if _companion_digest(tsv_path, shape, values.data) != digest:
+    # The worker ends with the block, so no thread outlives the call.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        digest = _companion_digest(tsv_path, shape, pool.submit(_sha256, values.data))
+    if digest != header[len(_COMPANION_TAG):-16]:
         return None
     return values.reshape(rows, cols)
 
 
+@contextmanager
+def _replace_when_written(path, mode="w"):
+    """``path`` opened for writing under a temporary name in its directory
+    and moved to ``path`` when the block completes. On any error the
+    temporary file is removed and ``path`` is left as it was."""
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
     """Write features.tsv, features.bin, labels.tsv and manifest.json into
-    ``out_dir``."""
+    ``out_dir``, each moved into place only when complete. The payload's
+    digest is computed on a worker while features.tsv is formatted."""
     labels = np.asarray(labels, dtype=np.int64)
     os.makedirs(out_dir, exist_ok=True)
     tsv_path = os.path.join(out_dir, "features.tsv")
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(matrix.names) + "\n")
-        _write_cells(fh, matrix.values)
     values = np.ascontiguousarray(matrix.values, "<f8")
     shape = np.array(values.shape, "<i8").tobytes()
-    with open(os.path.join(out_dir, "features.bin"), "wb") as fh:
-        fh.write(_COMPANION_TAG + _companion_digest(tsv_path, shape, values.data)
-                 + shape)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        payload_digest = pool.submit(_sha256, values.data)
+        with _replace_when_written(tsv_path) as fh:
+            fh.write("\t".join(matrix.names) + "\n")
+            _write_cells(fh, values)
+        digest = _companion_digest(tsv_path, shape, payload_digest)
+    with _replace_when_written(os.path.join(out_dir, "features.bin"), "wb") as fh:
+        fh.write(_COMPANION_TAG + digest + shape)
         fh.write(values.data)
-    with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
+    with _replace_when_written(os.path.join(out_dir, "labels.tsv")) as fh:
         fh.write("user_id\tlabel\n")
         # A generator, so no list of every line is held at once.
         fh.writelines(f"{uid}\t{lab}\n" for uid, lab in zip(user_ids, labels.tolist()))
@@ -677,7 +709,7 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
             for n, s, k in zip(matrix.names, matrix.scopes, matrix.kinds)
         ],
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with _replace_when_written(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

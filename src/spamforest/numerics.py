@@ -27,6 +27,7 @@ __all__ = [
     "softmax",
     "entropy",
     "sigmoid_chain",
+    "binary_labels",
 ]
 
 
@@ -135,6 +136,16 @@ def sigmoid_chain(x: np.ndarray, layers: list[Layer]) -> list[np.ndarray]:
     for layer in layers:
         acts.append(sigmoid(acts[-1] @ layer.W.T + layer.b))
     return acts
+
+
+def binary_labels(y, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``y`` as int64 labels if every raw value is 0 or 1, else raises
+    ``error("labels must be 0 or 1")``. The check runs before the
+    conversion, so 0.5, 1.7 or NaN is refused, not truncated."""
+    y = np.asarray(y)
+    if not ((y == 0) | (y == 1)).all():
+        raise error("labels must be 0 or 1")
+    return y.astype(np.int64)
 
 
 def norm_sf(z: float) -> float:

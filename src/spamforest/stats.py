@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .features import FeatureMatrix
-from .numerics import chi2_sf, norm_sf
+from .numerics import binary_labels, chi2_sf, norm_sf
 
 __all__ = [
     "TestResult",
@@ -227,8 +227,7 @@ def screen_features(features: FeatureMatrix, labels,
         raise ValueError(
             f"{features.n_rows} rows but label shape {labels.shape}"
         )
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be 0 or 1")
+    labels = binary_labels(labels)
 
     spam = features.values[labels == 1]
     genuine = features.values[labels == 0]

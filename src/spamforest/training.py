@@ -61,7 +61,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .forest import (ForestParams, forest_backward, forest_forward,
                      leaf_gradient, leaf_mixture, leaf_reach)
-from .numerics import Layer, Rng, sigmoid_chain
+from .numerics import Layer, Rng, binary_labels, sigmoid_chain
 
 __all__ = [
     "TrainConfig",
@@ -334,9 +334,7 @@ def _labeled_batch(X: np.ndarray, y, model: Model) -> tuple[np.ndarray, np.ndarr
         raise ValueError("the joint loss of an empty batch is undefined")
     if y.shape != (X.shape[0],):
         raise ValueError(f"{X.shape[0]} samples but label shape {y.shape}")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return X, y.astype(np.int64)
+    return X, binary_labels(y)
 
 
 def _forward_cache(X: np.ndarray, model: Model) -> dict:
@@ -552,13 +550,12 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
     model)``, when given, runs after each epoch's updates (read-only hook).
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if X.ndim != 2:
         raise ConfigError(f"training features must be 2-D, got shape {X.shape}")
     if y.shape != (X.shape[0],):
         raise ConfigError(f"{X.shape[0]} rows but label shape {y.shape}")
-    if not np.all((y == 0) | (y == 1)):
-        raise ConfigError("labels must be 0 or 1")
+    y = binary_labels(y, ConfigError)
     n = X.shape[0]
     if config.batch_size > n:
         raise ConfigError(f"batch_size {config.batch_size} exceeds dataset size {n}")

@@ -1,9 +1,13 @@
 import base64
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import re
 import tempfile
+import threading
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
@@ -1232,17 +1236,28 @@ class TestFeatureFiles:
             LabeledDataset(matrix, np.array([0, 1, 2]), ["u1", "u2", "u3"])
 
 
-COMPANION_TAG = b"SFFEAT\x00\x01"
+COMPANION_TAG = b"SFFEAT\x00\x02"
 
 
 def companion_bytes(tsv_path, values) -> bytes:
     """features.bin for ``values`` beside ``tsv_path``, laid out as the
-    dataio docstring says: tag, sha256 over the features.tsv bytes, the
-    shape and the payload, then the shape as two <i8 and the <f8 payload."""
+    dataio docstring says: tag, sha256 over the sha256 of the features.tsv
+    bytes, the shape and the sha256 of the payload, then the shape as two
+    <i8 and the <f8 payload."""
+    shape = np.array(np.shape(values), "<i8").tobytes()
+    payload = np.ascontiguousarray(values, "<f8").tobytes()
+    digest = hashlib.sha256(hashlib.sha256(Path(tsv_path).read_bytes()).digest()
+                            + shape + hashlib.sha256(payload).digest())
+    return COMPANION_TAG + digest.digest() + shape + payload
+
+
+def companion_v1_bytes(tsv_path, values) -> bytes:
+    """features.bin as format 1 laid it out: tag SFFEAT\\x00\\x01 and one
+    sha256 over the features.tsv bytes, the shape and the payload."""
     shape = np.array(np.shape(values), "<i8").tobytes()
     payload = np.ascontiguousarray(values, "<f8").tobytes()
     digest = hashlib.sha256(Path(tsv_path).read_bytes() + shape + payload)
-    return COMPANION_TAG + digest.digest() + shape + payload
+    return b"SFFEAT\x00\x01" + digest.digest() + shape + payload
 
 
 def _replace_cell(feat, line, column, text):
@@ -1306,6 +1321,8 @@ COMPANION_EDITS = {
     "wrong-column-count": lambda feat, values: (feat / "features.bin").write_bytes(
         companion_bytes(feat / "features.tsv", values[:, :-1])),
     "no-companion": lambda feat, values: (feat / "features.bin").unlink(),
+    "format-1-companion": lambda feat, values: (feat / "features.bin").write_bytes(
+        companion_v1_bytes(feat / "features.tsv", values)),
     "header-only-tsv": _header_only,
 }
 
@@ -1366,6 +1383,169 @@ class TestFeatureCompanion:
         loaded = load_features(tmp_path).features.values
         npt.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
         assert loaded.flags.writeable
+
+
+# The regions of a features.bin, as [start, end) byte offsets; None is its end.
+COMPANION_REGIONS = {"tag": (0, 8), "digest": (8, 40), "shape": (40, 56),
+                     "payload": (56, None)}
+# One mutation of a saved features.bin: a byte of a region xor a nonzero
+# mask, truncation to a length, bytes appended, or the format-1 companion
+# of the same matrix with its correct format-1 digest.
+COMPANION_MUTATIONS = (
+    st.tuples(st.just("flip"), st.sampled_from(sorted(COMPANION_REGIONS)),
+              st.integers(0, 1 << 20), st.integers(1, 255))
+    | st.tuples(st.just("truncate"), st.integers(0, 1 << 20))
+    | st.tuples(st.just("append"), st.binary(min_size=1, max_size=24))
+    | st.just(("format-1",)))
+
+
+def mutate_companion(feat, values, mutation):
+    path = feat / "features.bin"
+    data = bytearray(path.read_bytes())
+    if mutation[0] == "flip":
+        _, region, offset, mask = mutation
+        start, end = COMPANION_REGIONS[region]
+        end = len(data) if end is None else end
+        data[start + offset % (end - start)] ^= mask
+    elif mutation[0] == "truncate":
+        del data[mutation[1] % len(data):]
+    elif mutation[0] == "append":
+        data += mutation[1]
+    else:
+        data = companion_v1_bytes(feat / "features.tsv", values)
+    path.write_bytes(bytes(data))
+
+
+class TestCompanionFuzz:
+    """A mutated features.bin is ignored: load_features, and predict through
+    the CLI, give what they give with no companion at all."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(COMPANION_MUTATIONS, st.integers(1, 6), st.integers(1, 4))
+    def test_load_outcome_is_the_text_parse(self, mutation, rows, cols):
+        values = Rng(rows * 10 + cols).normal((rows, cols))
+        with tempfile.TemporaryDirectory() as tmp:
+            feat = Path(tmp)
+            save_features(feat, small_matrix(values), np.zeros(rows, dtype=int),
+                          [f"u{i}" for i in range(rows)])
+            mutate_companion(feat, values, mutation)
+            with_companion = load_outcome(feat)
+            (feat / "features.bin").unlink()
+            assert with_companion == load_outcome(feat)
+
+    @staticmethod
+    def predict(feat, out):
+        from spamforest.cli import main
+
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            rc = main(["predict", "--features", str(feat),
+                       "--model", str(GOLDEN / "model.json"), "--out", str(out)])
+        return rc, err.getvalue(), stdout.getvalue(), (out / "predictions.tsv").read_bytes()
+
+    @pytest.mark.parametrize("mutation", [
+        ("flip", "tag", 7, 0x03), ("flip", "digest", 31, 0x80),
+        ("flip", "shape", 0, 0x01), ("flip", "payload", 500, 0x10),
+        ("truncate", 100), ("append", b"\x00" * 8), ("format-1",)],
+        ids=["tag", "digest", "shape", "payload", "truncated", "appended",
+             "format-1"])
+    def test_predict_writes_the_same_bytes(self, tmp_path, mutation):
+        ds = load_features(GOLDEN / "features")
+        feat = tmp_path / "feat"
+        save_features(feat, ds.features, ds.labels, ds.user_ids)
+        mutate_companion(feat, ds.features.values, mutation)
+        with_companion = self.predict(feat, tmp_path / "out")
+        (feat / "features.bin").unlink()
+        assert with_companion == self.predict(feat, tmp_path / "out")
+        assert with_companion[0] == 0
+
+
+class DigestFailed(Exception):
+    pass
+
+
+class TestCompanionThreads:
+    """The payload digest runs on a worker that ends with each call, and
+    what it raises reaches the caller."""
+
+    def test_no_thread_outlives_a_save_or_load(self, tmp_path, rng):
+        values = rng.normal((50, 7))
+        before = threading.active_count()
+        save_features(tmp_path, small_matrix(values), np.zeros(50, dtype=int),
+                      [f"u{i}" for i in range(50)])
+        assert threading.active_count() == before
+        loaded = load_features(tmp_path).features.values
+        assert threading.active_count() == before
+        npt.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
+
+    @staticmethod
+    def fail_payload_digest(monkeypatch):
+        """Make every digest computed off the calling thread raise."""
+        caller, sha256 = threading.current_thread(), dataio._sha256
+
+        def digest(data):
+            if threading.current_thread() is not caller:
+                raise DigestFailed("payload digest failed")
+            return sha256(data)
+
+        monkeypatch.setattr(dataio, "_sha256", digest)
+
+    def test_save_raises_the_payload_digest_error(self, tmp_path, rng,
+                                                  monkeypatch):
+        self.fail_payload_digest(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(DigestFailed, match="payload digest failed"):
+            save_features(tmp_path, small_matrix(rng.normal((5, 3))),
+                          np.zeros(5, dtype=int), [f"u{i}" for i in range(5)])
+        assert threading.active_count() == before
+        assert sorted(os.listdir(tmp_path)) == ["features.tsv"]
+
+    def test_load_raises_the_payload_digest_error(self, tmp_path, rng,
+                                                  monkeypatch):
+        save_features(tmp_path, small_matrix(rng.normal((5, 3))),
+                      np.zeros(5, dtype=int), [f"u{i}" for i in range(5)])
+        self.fail_payload_digest(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(DigestFailed, match="payload digest failed"):
+            load_features(tmp_path)
+        assert threading.active_count() == before
+
+
+class TestWholeFilesOnly:
+    """save_features moves each file into place only when it is complete."""
+
+    @staticmethod
+    def fail_partway(monkeypatch):
+        write_cells = dataio._write_cells
+
+        def write_two_rows_then_fail(fh, values):
+            write_cells(fh, values[:2])
+            fh.flush()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(dataio, "_write_cells", write_two_rows_then_fail)
+
+    def test_failed_first_save_leaves_no_file(self, tmp_path, rng, monkeypatch):
+        self.fail_partway(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            save_features(tmp_path / "feat", small_matrix(rng.normal((9, 3))),
+                          np.zeros(9, dtype=int), [f"u{i}" for i in range(9)])
+        assert os.listdir(tmp_path / "feat") == []
+
+    def test_failed_save_keeps_the_previous_directory(self, tmp_path, rng,
+                                                      monkeypatch):
+        save_features(tmp_path, small_matrix(rng.normal((9, 3))),
+                      np.zeros(9, dtype=int), [f"u{i}" for i in range(9)])
+        before = {name: (tmp_path / name).read_bytes()
+                  for name in os.listdir(tmp_path)}
+        self.fail_partway(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            save_features(tmp_path, small_matrix(rng.normal((12, 3))),
+                          np.ones(12, dtype=int), [f"v{i}" for i in range(12)])
+        assert {name: (tmp_path / name).read_bytes()
+                for name in os.listdir(tmp_path)} == before
+        assert sorted(before) == ["features.bin", "features.tsv", "labels.tsv",
+                                  "manifest.json"]
 
 
 # The characters a labels.tsv body is built from: both line ends text mode

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spamforest import forest as forest_module, training
+from spamforest.dataio import LabeledDataset
 from spamforest.errors import ConfigError, NumericError, ShapeError
+from spamforest.features import FeatureMatrix
 from spamforest.numerics import Rng
+from spamforest.stats import screen_features
 from spamforest.training import (MAX_DEPTH, TrainConfig, _allocate_model,
                                  _forward_cache, _leaf_epoch_step,
                                  _loss_terms, gradients, init_model,
@@ -300,6 +303,58 @@ class TestJointLoss:
         X = Rng(0).normal((2, 8))
         with pytest.raises(ValueError, match=match):
             fn(X, y, desk_model)
+
+
+def _check_train(X, y, model):
+    train(X, y, TrainConfig(n_epoch=1, batch_size=2))
+
+
+def _matrix(X):
+    d = X.shape[1]
+    return FeatureMatrix(X, [f"f{i}" for i in range(d)], ["rating"] * d,
+                         ["continuous"] * d)
+
+
+def _check_screen(X, y, model):
+    screen_features(_matrix(X), y)
+
+
+def _check_dataset(X, y, model):
+    LabeledDataset(_matrix(X), y, [f"u{i}" for i in range(len(y))])
+
+
+def _check_batch(X, y, model):
+    training._labeled_batch(X, y, model)
+
+
+class TestLabelValues:
+    """Every entry point that takes labels checks their raw values with
+    ``numerics.binary_labels``: a value other than 0 or 1 raises the
+    entry point's own exception type, never truncated to 0 or 1."""
+
+    @pytest.mark.parametrize("check, error", [
+        (_check_train, ConfigError), (_check_screen, ValueError),
+        (_check_dataset, ValueError), (_check_batch, ValueError),
+    ], ids=["train", "screen_features", "LabeledDataset", "_labeled_batch"])
+    @pytest.mark.parametrize("bad", [0.5, 1.7, 2, -1, math.nan],
+                             ids=["half", "1.7", "two", "minus-one", "nan"])
+    def test_refused_with_the_entry_points_error(self, desk_model, check,
+                                                 error, bad):
+        X = Rng(0).normal((4, 8))
+        with pytest.raises(ValueError) as err:
+            check(X, [0, 1, bad, 0], desk_model)
+        assert type(err.value) is error
+        assert str(err.value) == "labels must be 0 or 1"
+
+    @pytest.mark.parametrize("check", [_check_train, _check_screen,
+                                       _check_dataset, _check_batch])
+    def test_float_zeros_and_ones_pass(self, desk_model, check):
+        check(Rng(0).normal((4, 8)), [0.0, 1.0, True, 0], desk_model)
+
+    def test_fractional_labels_do_not_train(self):
+        with pytest.raises(ConfigError, match="labels must be 0 or 1"):
+            train(Rng(0).normal((20, 4)), [0.5, 1.7] * 10,
+                  TrainConfig(n_epoch=1, batch_size=10))
 
 
 class TestGradientToyCases:
