@@ -19,8 +19,8 @@ import os
 import sys
 import warnings
 
-from .dataio import (LabeledDataset, apply_normalization, label_and_cap_users,
-                     load_features, load_model, load_reviews,
+from .dataio import (LabeledDataset, _replace_when_written, apply_normalization,
+                     label_and_cap_users, load_features, load_model, load_reviews,
                      load_reviews_delimited, load_spam_scores, normalize,
                      open_text, save_features, save_model, split_train_test)
 from .errors import (ConfigError, FeatureMismatchError, ModelIntegrityError,
@@ -226,7 +226,7 @@ def cmd_predict(args) -> int:
     labels, probs = predict(model, ds.features.values)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "predictions.tsv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_when_written(path) as fh:
         fh.write("row\tuser_id\tlabel\tp_spam\n")
         # Python ints and floats format as numpy scalars do, but faster; a
         # generator, so no list of every line is held at once.

@@ -55,7 +55,6 @@ import operator
 import os
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -63,7 +62,7 @@ import numpy as np
 from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
                      ParseError)
 from .features import FeatureMatrix, ReviewRecord, ReviewTable
-from .numerics import Rng, binary_labels
+from .numerics import Rng, beside, binary_labels
 from .training import (N_CLASSES, NORMALIZATION_METHODS, Model, TrainConfig,
                        _allocate_model, config_value, parameter_blocks)
 
@@ -624,16 +623,22 @@ def _sha256(data) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _companion_digest(tsv_path, shape: bytes, payload_digest) -> bytes:
-    """``sha256(sha256(bytes of tsv_path) + shape + payload digest)``. The
-    file is read and hashed on this thread while ``payload_digest``, the
-    future of the payload's digest, is computed on a worker; an exception
-    raised there is raised here."""
-    h = hashlib.sha256()
-    with open(tsv_path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return _sha256(h.digest() + shape + payload_digest.result())
+def _companion_digest(tsv_path, shape: bytes, payload, write_tsv=None) -> bytes:
+    """``sha256(sha256(bytes of tsv_path) + shape + sha256(payload))``. The
+    payload is hashed on a worker while this thread runs ``write_tsv``, when
+    given, and then reads and hashes the file; an exception raised on the
+    worker is raised here, after ``write_tsv`` has run."""
+    def hash_tsv():
+        if write_tsv is not None:
+            write_tsv()
+        h = hashlib.sha256()
+        with open(tsv_path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                h.update(block)
+        return h.digest()
+
+    payload_digest, tsv_digest = beside(lambda: _sha256(payload), hash_tsv)
+    return _sha256(tsv_digest + shape + payload_digest)
 
 
 def _read_companion(tsv_path, n_cols: int):
@@ -655,9 +660,7 @@ def _read_companion(tsv_path, n_cols: int):
             values = np.fromfile(fh, "<f8", rows * cols)
     except OSError:
         return None
-    # The worker ends with the block, so no thread outlives the call.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        digest = _companion_digest(tsv_path, shape, pool.submit(_sha256, values.data))
+    digest = _companion_digest(tsv_path, shape, values.data)
     if digest != header[len(_COMPANION_TAG):-16]:
         return None
     return values.reshape(rows, cols)
@@ -689,12 +692,13 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
     tsv_path = os.path.join(out_dir, "features.tsv")
     values = np.ascontiguousarray(matrix.values, "<f8")
     shape = np.array(values.shape, "<i8").tobytes()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        payload_digest = pool.submit(_sha256, values.data)
+
+    def write_tsv():
         with _replace_when_written(tsv_path) as fh:
             fh.write("\t".join(matrix.names) + "\n")
             _write_cells(fh, values)
-        digest = _companion_digest(tsv_path, shape, payload_digest)
+
+    digest = _companion_digest(tsv_path, shape, values.data, write_tsv)
     with _replace_when_written(os.path.join(out_dir, "features.bin"), "wb") as fh:
         fh.write(_COMPANION_TAG + digest + shape)
         fh.write(values.data)

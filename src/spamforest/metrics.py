@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import _replace_when_written
+
 __all__ = ["EvalMetrics", "confusion", "compute_metrics", "write_metrics_report"]
 
 
@@ -76,8 +78,9 @@ def compute_metrics(counts) -> EvalMetrics:
 
 
 def write_metrics_report(metrics: EvalMetrics, path):
-    """Counts plus the four metrics as percentages at two decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Counts plus the four metrics as percentages at two decimals, moved
+    to ``path`` only when complete."""
+    with _replace_when_written(path) as fh:
         for name in ("tp", "fp", "tn", "fn"):
             fh.write(f"{name}\t{getattr(metrics, name)}\n")
         for name in ("accuracy", "precision", "recall", "f1"):

@@ -9,11 +9,16 @@ They check no shapes: ``training._allocate_model`` fixes a model's, and
 
 Entropy is reported in nats (natural log) with the ``0 * log 0 := 0``
 convention. Softmax subtracts the row maximum before exponentiating.
+
+``beside`` is the package's one way to use a second thread: a plain
+``threading.Thread`` that ends before the call returns. It needs no
+``concurrent.futures``, whose import pulls in ``logging``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,7 @@ __all__ = [
     "entropy",
     "sigmoid_chain",
     "binary_labels",
+    "beside",
 ]
 
 
@@ -146,6 +152,33 @@ def binary_labels(y, error: type[ValueError] = ValueError) -> np.ndarray:
     if not ((y == 0) | (y == 1)).all():
         raise error("labels must be 0 or 1")
     return y.astype(np.int64)
+
+
+def beside(worker, caller):
+    """``(worker(), caller())``, with ``worker`` run on a second thread
+    while this thread runs ``caller``.
+
+    The worker is joined before this returns, also when ``caller`` raises,
+    so no thread outlives the call. An exception raised by ``worker`` is
+    raised here once it has ended; one raised by ``caller`` wins over it.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = worker()
+        except BaseException as exc:  # handed to the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, name="spamforest-worker")
+    thread.start()
+    try:
+        mine = caller()
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"], mine
 
 
 def norm_sf(z: float) -> float:

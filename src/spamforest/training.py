@@ -24,7 +24,9 @@ of the mini-batch at once on stacked node-major (K, nodes, rows) arrays and
 keeps decisions and reach for backprop; ``predict``, ``joint_loss`` and the
 leaf step keep only the leaf reach mu (``forest.leaf_reach``, one tree at a
 time in row blocks), so a full-set pass holds (K, rows, 2^D) floats of forest
-state, not (K, rows, 3 * 2^D - 2).
+state, not (K, rows, 3 * 2^D - 2). Those three run their forward in blocks
+of rows aligned to ``ROW_BLOCK`` (``_by_row_blocks``), on two threads from
+two blocks on, with every row's bits those of one pass over all rows.
 
 One function, ``_allocate_model``, owns the parameter layout of every model
 (``init_model``'s, ``dataio.load_model``'s and the training loop's gradient
@@ -61,7 +63,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .forest import (ForestParams, forest_backward, forest_forward,
                      leaf_gradient, leaf_mixture, leaf_reach)
-from .numerics import Layer, Rng, binary_labels, sigmoid_chain
+from .numerics import Layer, Rng, beside, binary_labels, sigmoid_chain
 
 __all__ = [
     "TrainConfig",
@@ -353,22 +355,83 @@ def _forward_cache(X: np.ndarray, model: Model) -> dict:
     }
 
 
+# A full-set forward runs in row blocks that start at multiples of ROW_BLOCK
+# rows; the last block takes the remainder, so it holds ROW_BLOCK to
+# 2 * ROW_BLOCK - 1 rows, and fewer than 2 * ROW_BLOCK rows make one block.
+# Every step of the forward is row by row, but a gemm's result for one row
+# can depend on where the row sits in its operand: a gemv takes a tail path
+# for the last rows, and a small product takes another kernel. Aligned,
+# large blocks keep every row's bits those of one call over all rows.
+ROW_BLOCK = 4096
+
+
+def _by_row_blocks(n_rows: int, body, shapes: list[tuple]) -> tuple:
+    """``body(slice(0, n_rows))``, computed in row blocks.
+
+    ``body(rows)`` returns a tuple of arrays, one per shape in ``shapes``,
+    each with the rows on its second-to-last axis. One block is that call
+    itself, on this thread. Two or more are taken in turn, last block first,
+    from one shared iterator by this thread and one worker (numpy releases
+    the interpreter lock inside each gemm and ufunc), and each block's
+    arrays are copied into its rows of outputs of ``shapes``. A block that
+    raises drains the iterator, so the other thread takes no new block, and
+    the exception reaches the caller once both threads are done.
+    """
+    n_blocks = max(1, n_rows // ROW_BLOCK)
+    if n_blocks == 1:
+        return body(slice(0, n_rows))
+    outs = tuple(np.empty(shape) for shape in shapes)
+    bounds = [b * ROW_BLOCK for b in range(n_blocks)] + [n_rows]
+    # The last block, the largest, is handed out first: the two threads then
+    # end closer together, and later blocks' temporaries fit in the memory
+    # its temporaries freed, where the other order grew each thread's heap.
+    # A list iterator hands each item out once, also to two threads.
+    blocks = iter([slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])][::-1])
+
+    def take():
+        try:
+            for rows in blocks:
+                for out, part in zip(outs, body(rows)):
+                    out[..., rows, :] = part
+        except BaseException:
+            for _ in blocks:
+                pass
+            raise
+
+    beside(take, take)
+    return outs
+
+
+def _mu_shape(model: Model, n_rows: int) -> tuple:
+    """The shape (K, n_rows, 2^D) of the leaf reach of ``n_rows`` rows."""
+    return model.forest.n_trees, n_rows, model.forest.leaf_logits.shape[1]
+
+
 def _leaf_forward(X: np.ndarray, model: Model) -> tuple[np.ndarray, np.ndarray]:
     """The reconstruction x_c and the leaf reach mu of a batch, keeping no
-    intermediate for backprop."""
-    H = sigmoid_chain(X, model.autoencoder.encoder)[-1]
-    x_c = sigmoid_chain(H, model.autoencoder.decoder)[-1]
-    return x_c, leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest)
+    intermediate for backprop; computed in row blocks."""
+    def block(rows):
+        H = sigmoid_chain(X[rows], model.autoencoder.encoder)[-1]
+        return (sigmoid_chain(H, model.autoencoder.decoder)[-1],
+                leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest))
+
+    return _by_row_blocks(len(X), block, [X.shape, _mu_shape(model, len(X))])
 
 
 def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, forest probabilities) for a 2-D batch; argmax ties go low.
 
-    Runs encoder -> fully connected -> forest; the decoder is skipped.
+    Runs encoder -> fully connected -> forest; the decoder is skipped. The
+    leaf reach is computed in row blocks, the leaf mixture over all rows.
     """
-    H = sigmoid_chain(_batch(X, model), model.autoencoder.encoder)[-1]
-    x_t = sigmoid_chain(H, model.forest.fc)[-1]
-    probs = leaf_mixture(leaf_reach(x_t, model.forest), model.forest)["forest_probs"]
+    X = _batch(X, model)
+
+    def block(rows):
+        H = sigmoid_chain(X[rows], model.autoencoder.encoder)[-1]
+        return (leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest),)
+
+    (mu,) = _by_row_blocks(len(X), block, [_mu_shape(model, len(X))])
+    probs = leaf_mixture(mu, model.forest)["forest_probs"]
     return probs.argmax(axis=1), probs
 
 

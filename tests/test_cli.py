@@ -19,13 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (reference_load_reviews, reference_read_labels,
                      rewrite_model_body, write_delimited_reviews, zeros_tensor)
+from spamforest import dataio
 from spamforest.cli import load_config_file, main, run_ablation
 from spamforest.dataio import (LabeledDataset, load_features, load_spam_scores,
                                save_features)
 from spamforest.errors import ParseError
 from spamforest.features import FeatureMatrix, ReviewRecord
 from spamforest.numerics import Rng
-from spamforest.training import TrainConfig
+from spamforest.training import ROW_BLOCK, TrainConfig
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -637,6 +638,92 @@ class TestOSErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert path in err and "Traceback" not in err
+
+
+class FailingWriter:
+    """A text file that raises ENOSPC once ``limit`` characters have been
+    written, after writing the part that fits."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.room = fh, limit
+
+    def write(self, text):
+        if len(text) > self.room:
+            self.fh.write(text[:self.room])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestWholeScoreFiles:
+    """predictions.tsv and metrics.txt are moved into place only when
+    complete: a write that fails midway leaves neither a partial file nor a
+    temporary one."""
+
+    @pytest.mark.parametrize("command, name, limit", [
+        ("predict", "predictions.tsv", 100), ("evaluate", "metrics.txt", 20)])
+    def test_failed_write_leaves_no_partial_file(self, run_dir, tmp_path, capsys,
+                                                 monkeypatch, command, name, limit):
+        out = tmp_path / "out"
+        args = [command, "--features", str(run_dir / "heldout"), "--model",
+                str(run_dir / "model.json"), "--out", str(out)]
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return FailingWriter(fh, limit) if "w" in mode else fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "open", failing_open, raising=False)
+            assert main(args) == 2
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert os.listdir(out) == []
+
+        assert main(args) == 0
+        complete = (out / name).read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "open", failing_open, raising=False)
+            assert main(args) == 2
+        assert (out / name).read_bytes() == complete
+        assert sorted(os.listdir(out)) == ["config.txt", name]
+
+
+class TestRowBlockPredict:
+    def test_rows_score_alike_in_one_block_or_several(self, tmp_path):
+        # 2 * ROW_BLOCK + 1000 rows run as two blocks on two threads; their
+        # first ROW_BLOCK + 1 rows alone make one block on one thread.
+        n = 2 * ROW_BLOCK + 1000
+        names = [f"c{j}" for j in range(7)]
+        matrix = FeatureMatrix(Rng(9).normal((n, 7)), names, ["rating"] * 7,
+                               ["continuous"] * 7)
+        labels, users = np.arange(n) % 2, [f"u{i}" for i in range(n)]
+        head = ROW_BLOCK + 1
+        for name, rows in (("all", n), ("head", head), ("train", 300)):
+            save_features(tmp_path / name, dataclasses.replace(
+                matrix, values=matrix.values[:rows]), labels[:rows], users[:rows])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 2\nbatch_size = 50\nseed = 3\n")
+        assert main(["train", "--features", str(tmp_path / "train"), "--out",
+                     str(tmp_path / "model"), "--config", str(cfg)]) == 0
+        lines = {}
+        for name in ("all", "head"):
+            assert main(["predict", "--features", str(tmp_path / name), "--model",
+                         str(tmp_path / "model" / "model.json"), "--out",
+                         str(tmp_path / f"scored-{name}")]) == 0
+            lines[name] = (tmp_path / f"scored-{name}" / "predictions.tsv"
+                           ).read_text().splitlines()
+        assert len(lines["all"]) == n + 1 and len(lines["head"]) == head + 1
+        assert lines["all"][:head + 1] == lines["head"]
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from spamforest.numerics import (Layer, Rng, chi2_sf, entropy, norm_sf,
-                                 sigmoid, sigmoid_chain, softmax)
+from spamforest.numerics import (Layer, Rng, beside, chi2_sf, entropy,
+                                 norm_sf, sigmoid, sigmoid_chain, softmax)
 
 
 class TestAffine:
@@ -279,3 +280,57 @@ class TestSpecialFunctions:
     def test_chi2_sf_edges(self):
         assert chi2_sf(0.0, 3) == 1.0
         assert 0.0 <= chi2_sf(1000.0, 3) < 1e-100
+
+
+class Failed(Exception):
+    pass
+
+
+class TestBeside:
+    """beside runs one function on a worker thread and one on the caller's,
+    and no thread outlives it."""
+
+    def test_returns_both_results_from_two_threads(self):
+        caller, before = threading.current_thread(), threading.active_count()
+        worker_thread, mine = beside(threading.current_thread,
+                                     threading.current_thread)
+        assert mine is caller and worker_thread is not caller
+        assert not worker_thread.is_alive()
+        assert threading.active_count() == before
+
+    def test_worker_exception_raised_on_the_caller_after_the_caller_ran(self):
+        ran, before = [], threading.active_count()
+
+        def fail():
+            raise Failed("worker")
+
+        with pytest.raises(Failed, match="worker"):
+            beside(fail, lambda: ran.append("caller"))
+        assert ran == ["caller"]
+        assert threading.active_count() == before
+
+    def test_caller_exception_waits_for_the_worker(self):
+        done, release = [], threading.Event()
+
+        def work():
+            assert release.wait(timeout=60)
+            done.append("worker")
+
+        def fail():
+            release.set()
+            raise Failed("caller")
+
+        before = threading.active_count()
+        with pytest.raises(Failed, match="caller"):
+            beside(work, fail)
+        assert done == ["worker"]
+        assert threading.active_count() == before
+
+    def test_caller_exception_wins_over_the_worker_exception(self):
+        def fail(where):
+            def raise_it():
+                raise Failed(where)
+            return raise_it
+
+        with pytest.raises(Failed, match="caller"):
+            beside(fail("worker"), fail("caller"))

@@ -1,7 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,10 +17,12 @@ from spamforest import forest as forest_module, training
 from spamforest.dataio import LabeledDataset
 from spamforest.errors import ConfigError, NumericError, ShapeError
 from spamforest.features import FeatureMatrix
-from spamforest.numerics import Rng
+from spamforest.forest import leaf_mixture, leaf_reach
+from spamforest.numerics import Rng, sigmoid_chain
 from spamforest.stats import screen_features
-from spamforest.training import (MAX_DEPTH, TrainConfig, _allocate_model,
-                                 _forward_cache, _leaf_epoch_step,
+from spamforest.training import (MAX_DEPTH, ROW_BLOCK, TrainConfig,
+                                 _allocate_model, _by_row_blocks,
+                                 _forward_cache, _leaf_epoch_step, _leaf_forward,
                                  _loss_terms, gradients, init_model,
                                  joint_loss, parameter_blocks, predict,
                                  rmsprop_step, train)
@@ -473,6 +479,150 @@ class TestFullSetPassMemory:
             finally:
                 tracemalloc.stop()
             assert peak < reach_bytes, (name, peak)
+
+
+# Row counts on either side of the one-block limit (2 * ROW_BLOCK) and of
+# later block edges, up to ten blocks' worth of rows.
+ROW_BLOCK_COUNTS = [8191, 8192, 8193, 12287, 16385, 24001, 40001]
+ROW_BLOCK_CONFIGS = {
+    "default": {},
+    "10x6": dict(n_tree=10, n_depth=6),
+    "1x1": dict(n_tree=1, n_depth=1),
+    "3x1-no-fc": dict(n_tree=3, n_depth=1, fc_layer_count=0),
+    "1-ae-layer": dict(ae_layer_count=1),
+}
+
+
+def digest(a):
+    """sha256 of an array's bits, so a large oracle need not be kept."""
+    return hashlib.sha256(np.ascontiguousarray(a).data).hexdigest()
+
+
+class TestRowBlockOracle:
+    """predict and the leaf step's forward run in aligned row blocks, on two
+    threads from two blocks on; every row's bits must be those of one call
+    of each stage over all rows."""
+
+    @pytest.mark.parametrize("n_features", [59, 7])
+    @pytest.mark.parametrize("config", ROW_BLOCK_CONFIGS)
+    def test_blocks_equal_one_pass_over_all_rows(self, config, n_features):
+        cfg = TrainConfig(seed=5, **ROW_BLOCK_CONFIGS[config])
+        model = init_model(cfg, n_features, Rng(cfg.seed))
+        X_all = Rng(n_features).normal((max(ROW_BLOCK_COUNTS), n_features))
+        for rows in ROW_BLOCK_COUNTS:
+            X = X_all[:rows]
+            H = sigmoid_chain(X, model.autoencoder.encoder)[-1]
+            x_c = sigmoid_chain(H, model.autoencoder.decoder)[-1]
+            mu = leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest)
+            probs = leaf_mixture(mu, model.forest)["forest_probs"]
+            mu_digest = digest(mu)
+            del H, mu  # at 10 trees of depth 6, mu is 205 MB at 40001 rows
+            labels, got = predict(model, X)
+            npt.assert_array_equal(got.view(np.int64), probs.view(np.int64),
+                                   err_msg=str(rows))
+            npt.assert_array_equal(labels, probs.argmax(axis=1))
+            got_xc, got_mu = _leaf_forward(X, model)
+            npt.assert_array_equal(got_xc.view(np.int64), x_c.view(np.int64),
+                                   err_msg=str(rows))
+            assert digest(got_mu) == mu_digest, rows
+
+
+class TestRowBlockPartition:
+    @staticmethod
+    def run(n_rows):
+        """The row slices ``_by_row_blocks`` hands out, the threads that ran
+        them and the thread counts seen inside, and its output."""
+        seen, lock = [], threading.Lock()
+
+        def body(rows):
+            with lock:
+                seen.append((rows, threading.current_thread(), threading.active_count()))
+            return (np.arange(rows.start, rows.stop, dtype=float)[:, None],)
+
+        (out,) = _by_row_blocks(n_rows, body, [(n_rows, 1)])
+        npt.assert_array_equal(out[:, 0], np.arange(n_rows))
+        return seen
+
+    @pytest.mark.parametrize("n_rows", [0, 1, ROW_BLOCK, 2 * ROW_BLOCK - 1])
+    def test_one_block_runs_on_the_calling_thread(self, n_rows):
+        before = threading.active_count()
+        assert self.run(n_rows) == [(slice(0, n_rows), threading.current_thread(),
+                                     before)]
+
+    @pytest.mark.parametrize("n_rows", [8192, 8193, 12287, 12288, 16385, 40001])
+    def test_blocks_start_at_multiples_of_the_block(self, n_rows):
+        before = threading.active_count()
+        starts = sorted(rows.start for rows, _, _ in self.run(n_rows))
+        assert starts == list(range(0, n_rows - ROW_BLOCK + 1, ROW_BLOCK))
+        assert threading.active_count() == before
+
+    def test_each_block_taken_once_under_frequent_thread_switches(self):
+        # Both threads take blocks from one iterator; with a switch interval
+        # of a microsecond they interleave often, and still no block may be
+        # run twice or skipped.
+        n_rows = 10 * ROW_BLOCK + 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                starts = sorted(rows.start for rows, _, _ in self.run(n_rows))
+                assert starts == list(range(0, 10 * ROW_BLOCK, ROW_BLOCK))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class RowBlockFailed(Exception):
+    pass
+
+
+class TestRowBlockErrors:
+    """A block that raises on either thread: the exception reaches the
+    caller, and no thread outlives the call."""
+
+    @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
+    @pytest.mark.parametrize("call", ["predict", "leaf_forward"])
+    def test_exception_reaches_the_caller(self, monkeypatch, on_worker, call):
+        model = init_model(TrainConfig(seed=2), 7, Rng(2))
+        X = Rng(3).normal((3 * ROW_BLOCK, 7))
+        caller, original = threading.current_thread(), training.leaf_reach
+        barrier, started = threading.Barrier(2, timeout=60), set()
+        failing = "worker" if on_worker else "caller"
+
+        def reach(XT, forest):
+            # Each thread's first block waits for the other's, so that both
+            # threads run one.
+            me = threading.current_thread()
+            if me not in started:
+                started.add(me)
+                barrier.wait()
+            if (me is not caller) == on_worker:
+                raise RowBlockFailed(f"{failing} block failed")
+            return original(XT, forest)
+
+        monkeypatch.setattr(training, "leaf_reach", reach)
+        before = threading.active_count()
+        with pytest.raises(RowBlockFailed, match=failing):
+            predict(model, X) if call == "predict" else _leaf_forward(X, model)
+        assert threading.active_count() == before
+
+    def test_no_block_starts_after_one_has_raised(self):
+        # The caller's first block raises while the worker runs its first,
+        # slowly; the worker then finds no block left to take.
+        n_blocks, ran = 10, []
+        caller, barrier = threading.current_thread(), threading.Barrier(2, timeout=60)
+
+        def body(rows):
+            ran.append(rows.start)
+            if len(ran) <= 2:
+                barrier.wait()
+            if threading.current_thread() is caller:
+                raise RowBlockFailed("caller block failed")
+            time.sleep(0.1)
+            return (np.zeros((rows.stop - rows.start, 1)),)
+
+        with pytest.raises(RowBlockFailed):
+            _by_row_blocks(n_blocks * ROW_BLOCK, body, [(n_blocks * ROW_BLOCK, 1)])
+        assert len(ran) < n_blocks
 
 
 class TestTrain:
