@@ -75,7 +75,6 @@ def _resolve_config(args) -> TrainConfig:
 
 
 def _echo_config(out_dir, command: str, config: TrainConfig | None, extras: dict):
-    os.makedirs(out_dir, exist_ok=True)
     lines = [f"command = {command}"]
     if config is not None:
         for key, val in sorted(dataclasses.asdict(config).items()):
@@ -84,7 +83,7 @@ def _echo_config(out_dir, command: str, config: TrainConfig | None, extras: dict
             lines.append(f"{key} = {val}")
     for key, val in sorted(extras.items()):
         lines.append(f"{key} = {val}")
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
+    with _replace_when_written(os.path.join(out_dir, "config.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -130,7 +129,6 @@ def cmd_analyze(args) -> int:
             f"{os.path.join(args.features, 'labels.tsv')}: every row has label "
             f"{ds.labels[0]}; screening compares the two classes")
     results = screen_features(ds.features, ds.labels, paired_mode=args.paired)
-    os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, "screening.tsv")
     write_screening_report(results, report)
     if args.histograms:
@@ -153,9 +151,10 @@ def cmd_train(args) -> int:
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
     normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
 
-    os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "training_log.tsv")
-    result = train(normed.values, ds.labels[train_idx], config, log_path=log_path)
+    result = train(normed.values, ds.labels[train_idx], config)
+    with _replace_when_written(os.path.join(args.out, "training_log.tsv")) as fh:
+        fh.writelines(f"{e}\t{loss!r}\t{acc!r}\n" for e, (loss, acc) in
+                      enumerate(zip(result.losses, result.accuracies)))
     result.model.norm_stats = stats
     result.model.manifest_version = ds.features.manifest_version
     result.model.feature_names = list(ds.features.names)
@@ -194,8 +193,9 @@ def _load_and_normalize(features_dir, model: Model) -> LabeledDataset:
     if (model.manifest_version is not None
             and model.manifest_version != ds.features.manifest_version):
         raise ModelVersionError(
-            f"model was trained against manifest version {model.manifest_version}, "
-            f"features carry {ds.features.manifest_version}")
+            f"{os.path.join(features_dir, 'manifest.json')}: model was trained "
+            f"against manifest version {model.manifest_version}, features carry "
+            f"{ds.features.manifest_version}")
     _check_columns(features_dir, model, ds.features.names)
     matrix = ds.features if model.norm_stats is None else \
         apply_normalization(ds.features, model.norm_stats)
@@ -208,7 +208,6 @@ def cmd_evaluate(args) -> int:
     labels, _ = predict(model, ds.features.values)
     counts = confusion(labels, ds.labels, positive_class=args.positive_class)
     metrics = compute_metrics(counts)
-    os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, "metrics.txt")
     write_metrics_report(metrics, report)
     _echo_config(args.out, "evaluate", None,
@@ -224,7 +223,6 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _load_and_normalize(args.features, model)
     labels, probs = predict(model, ds.features.values)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "predictions.tsv")
     with _replace_when_written(path) as fh:
         fh.write("row\tuser_id\tlabel\tp_spam\n")
@@ -277,9 +275,7 @@ def cmd_ablate(args) -> int:
     # the split checks the range
     train_count = ds.n_rows if args.train_count is None else args.train_count
     rows = run_ablation(ds, config, train_count)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "ablation.tsv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_when_written(os.path.join(args.out, "ablation.tsv")) as fh:
         fh.write("scope\tn_features\taccuracy\treference\n")
         for scope, n_feat, acc, ref in rows:
             fh.write(f"{scope}\t{n_feat}\t{float(acc)!r}\t{'yes' if ref else 'no'}\n")

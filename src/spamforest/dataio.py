@@ -29,12 +29,13 @@ the calling thread. ``features.tsv`` is authoritative: the companion is read
 only when its digest matches the ``features.tsv`` beside it, and a missing,
 stale or corrupt companion is ignored, as is one of format 1 (tag
 ``SFFEAT\x00\x01``, one sha256 chain); running ``extract`` again rewrites
-it. Each file of the directory is written under a temporary name and moved
-into place only when complete. ``labels.tsv`` is opened once as
-UTF-8 text with universal newlines; a body of ``user_id<TAB>0|1`` lines,
-each ending in a newline (LF or CRLF), is taken whole, and any other body
-is checked line by line, which skips blank lines and names the line of a
-malformed one.
+it. ``labels.tsv`` is opened once as UTF-8 text with universal newlines; a
+body of ``user_id<TAB>0|1`` lines, each ending in a newline (LF or CRLF), is
+taken whole, and any other body is checked line by line, which skips blank
+lines and names the line of a malformed one.
+
+Outputs: every file a command writes, in these formats or not, goes through
+``_replace_when_written``, so it appears under its name only when complete.
 
 Model file: a single JSON document (format_version, sha256 checksum, config,
 normalization stats, manifest version, training feature names, and every
@@ -510,7 +511,7 @@ def save_model(path, model: Model):
         "body": body,
     }
     text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_when_written(path) as fh:
         fh.write(text + "\n")
 
 
@@ -668,18 +669,22 @@ def _read_companion(tsv_path, n_cols: int):
 
 @contextmanager
 def _replace_when_written(path, mode="w"):
-    """``path`` opened for writing under a temporary name in its directory
-    and moved to ``path`` when the block completes. On any error the
-    temporary file is removed and ``path`` is left as it was."""
-    tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    """``path`` opened for writing under a temporary name in its directory,
+    made if missing, and moved to ``path`` when the block completes. On any
+    error the temporary file is removed, ``path`` is left as it was, and an
+    OSError about the temporary file names ``path`` instead."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
+        os.makedirs(directory or os.curdir, exist_ok=True)
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename, exc.filename2 = os.fspath(path), None
         raise
 
 
@@ -688,7 +693,6 @@ def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
     ``out_dir``, each moved into place only when complete. The payload's
     digest is computed on a worker while features.tsv is formatted."""
     labels = np.asarray(labels, dtype=np.int64)
-    os.makedirs(out_dir, exist_ok=True)
     tsv_path = os.path.join(out_dir, "features.tsv")
     values = np.ascontiguousarray(matrix.values, "<f8")
     shape = np.array(values.shape, "<i8").tobytes()
@@ -788,7 +792,8 @@ def load_features(in_dir) -> LabeledDataset:
     parsing features.tsv; non-finite values fall to the line-numbered
     parse either way. labels.tsv is read by ``_read_labels``, which raises
     the line-numbered ParseError of a malformed row."""
-    with open_text(os.path.join(in_dir, "manifest.json")) as fh:
+    manifest_path = os.path.join(in_dir, "manifest.json")
+    with open_text(manifest_path) as fh:
         try:
             manifest = json.load(fh)
             version = manifest["manifest_version"]
@@ -812,7 +817,7 @@ def load_features(in_dir) -> LabeledDataset:
     path = os.path.join(in_dir, "features.tsv")
     with open_text(path) as fh:
         if fh.readline().rstrip("\n").split("\t") != names:
-            raise ParseError("header does not match manifest.json", 1)
+            raise ParseError(f"header does not match {manifest_path}", 1)
         values = _read_companion(path, len(names))
         if values is None:
             with warnings.catch_warnings():

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import _replace_when_written
 from .errors import DegenerateInputError
 from .features import FeatureMatrix
 from .numerics import binary_labels, chi2_sf, norm_sf
@@ -269,7 +270,7 @@ def write_screening_report(results: list[TestResult], path):
 
     Chi-squared p-values are floored at 2.2e-16 for display.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_when_written(path) as fh:
         fh.write("feature\tmethod\tstatistic\tp_two_sided\tp_less\tp_greater"
                  "\tsignificant_at_05\tnote\n")
         for r in results:
@@ -297,7 +298,6 @@ def write_histograms(features: FeatureMatrix, labels, out_dir):
     from urllib.parse import quote
 
     labels = np.asarray(labels)
-    os.makedirs(out_dir, exist_ok=True)
     for j, name in enumerate(features.names):
         col = features.values[:, j]
         lo, hi = col.min(), col.max()
@@ -307,7 +307,7 @@ def write_histograms(features: FeatureMatrix, labels, out_dir):
         dens0, _ = np.histogram(col[labels == 0], bins=edges, density=True)
         dens1, _ = np.histogram(col[labels == 1], bins=edges, density=True)
         path = os.path.join(out_dir, f"hist_{quote(name, safe='')}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with _replace_when_written(path) as fh:
             fh.write("bin_start,bin_end,density_genuine,density_spam\n")
             for cells in zip(edges[:-1], edges[1:], dens0, dens1):
                 fh.write(",".join(repr(float(c)) for c in cells) + "\n")

@@ -49,7 +49,8 @@ leaf mixture mu @ pi.
 
 The loop owns the model exclusively while training; per-batch gradient
 reductions are plain indexed sums, so results are reproducible for a fixed
-(seed, config, dataset) triple.
+(seed, config, dataset) triple. The module does no file I/O: the CLI writes
+the loss and accuracy traces ``train`` returns as ``training_log.tsv``.
 """
 
 from __future__ import annotations
@@ -597,7 +598,7 @@ class TrainResult:
 
 
 def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
-          log_path=None, epoch_callback=None) -> TrainResult:
+          epoch_callback=None) -> TrainResult:
     """Mini-batch training.
 
     The data is shuffled once up front (seeded); each epoch then walks the
@@ -608,9 +609,8 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
     bit-identical to ``joint_loss`` and ``predict`` on the rows in the
     loop's order.
 
-    ``log_path``, when given, receives one tab-separated line per epoch:
-    epoch index, joint loss, training accuracy. ``epoch_callback(epoch,
-    model)``, when given, runs after each epoch's updates (read-only hook).
+    ``epoch_callback(epoch, model)``, when given, runs after each epoch's
+    updates (read-only hook).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -659,11 +659,6 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
         accuracies.append(acc)
         if epoch_callback is not None:
             epoch_callback(epoch, model)
-
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for e, (loss, acc) in enumerate(zip(losses, accuracies)):
-                fh.write(f"{e}\t{loss!r}\t{acc!r}\n")
 
     return TrainResult(model, losses, accuracies)
 

@@ -5,10 +5,12 @@ takes the leaf softmax with its own exp, the feature reference
 recomputes every row from ``datetime.date`` objects and per-review scans,
 the sentiment reference runs a regex over each text, the review reference
 reads ``reviews.jsonl`` line by line into ``ReviewRecord``s, and the labels
-reference reads ``labels.tsv`` line by line."""
+reference reads ``labels.tsv`` line by line. ``FullDisk`` stands in for a disk
+that fills up."""
 
 import base64
 import dataclasses
+import errno
 import hashlib
 import json
 import re
@@ -443,3 +445,45 @@ def write_delimited_reviews(jsonl_path, tsv_path):
             lines.append("\t".join(cells))
     with open(tsv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+class FullDisk:
+    """A disk with room for ``room`` more characters (bytes in binary mode).
+    Its ``open``, patched in as ``dataio.open``, opens a file for writing as
+    a ``FailingWriter`` on this disk."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def open(self, path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return FailingWriter(fh, self) if "w" in mode else fh
+
+
+class FailingWriter:
+    """A file on a ``FullDisk``: a write that does not fit writes the part
+    that does, then raises ENOSPC."""
+
+    def __init__(self, fh, disk):
+        self.fh, self.disk = fh, disk
+
+    def write(self, data):
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
+        if len(data) > self.disk.room:
+            self.fh.write(data[:self.disk.room])
+            self.fh.flush()
+            self.disk.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.disk.room -= len(data)
+        return self.fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()

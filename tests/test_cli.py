@@ -17,7 +17,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (reference_load_reviews, reference_read_labels,
+from helpers import (FullDisk, reference_load_reviews, reference_read_labels,
                      rewrite_model_body, write_delimited_reviews, zeros_tensor)
 from spamforest import dataio
 from spamforest.cli import load_config_file, main, run_ablation
@@ -639,37 +639,28 @@ class TestOSErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert path in err and "Traceback" not in err
 
-
-class FailingWriter:
-    """A text file that raises ENOSPC once ``limit`` characters have been
-    written, after writing the part that fits."""
-
-    def __init__(self, fh, limit):
-        self.fh, self.room = fh, limit
-
-    def write(self, text):
-        if len(text) > self.room:
-            self.fh.write(text[:self.room])
-            self.fh.flush()
-            raise OSError(28, "No space left on device")
-        self.room -= len(text)
-        return self.fh.write(text)
-
-    def writelines(self, lines):
-        for line in lines:
-            self.write(line)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
+    @pytest.mark.parametrize("name", ["predictions.tsv", "model.json"])
+    def test_output_that_is_a_directory_is_named(self, run_dir, tmp_path, capsys,
+                                                 name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        heldout = str(run_dir / "heldout")
+        if name == "model.json":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("n_epoch = 1\n")
+            args = ["train", "--features", heldout, "--config", str(cfg)]
+        else:
+            args = ["predict", "--features", heldout, "--model",
+                    str(run_dir / "model.json")]
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: Is a directory: {out / name}\n"
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestWholeScoreFiles:
-    """predictions.tsv and metrics.txt are moved into place only when
-    complete: a write that fails midway leaves neither a partial file nor a
-    temporary one."""
+    """Every file a command writes is moved into place only when complete:
+    a write that fails midway leaves neither a partial file nor a temporary
+    one."""
 
     @pytest.mark.parametrize("command, name, limit", [
         ("predict", "predictions.tsv", 100), ("evaluate", "metrics.txt", 20)])
@@ -679,12 +670,8 @@ class TestWholeScoreFiles:
         args = [command, "--features", str(run_dir / "heldout"), "--model",
                 str(run_dir / "model.json"), "--out", str(out)]
 
-        def failing_open(path, mode="r", **kwargs):
-            fh = open(path, mode, **kwargs)
-            return FailingWriter(fh, limit) if "w" in mode else fh
-
         with monkeypatch.context() as patch:
-            patch.setattr(dataio, "open", failing_open, raising=False)
+            patch.setattr(dataio, "open", FullDisk(limit).open, raising=False)
             assert main(args) == 2
         assert capsys.readouterr().err == "error: No space left on device\n"
         assert os.listdir(out) == []
@@ -692,10 +679,52 @@ class TestWholeScoreFiles:
         assert main(args) == 0
         complete = (out / name).read_bytes()
         with monkeypatch.context() as patch:
-            patch.setattr(dataio, "open", failing_open, raising=False)
+            patch.setattr(dataio, "open", FullDisk(limit).open, raising=False)
             assert main(args) == 2
         assert (out / name).read_bytes() == complete
         assert sorted(os.listdir(out)) == ["config.txt", name]
+
+    @pytest.mark.parametrize("limit", ["small", "large"])
+    @pytest.mark.parametrize("command", ["extract", "analyze", "train", "evaluate",
+                                         "predict", "ablate"])
+    def test_every_output_is_whole_or_absent(self, corpus_files, corpus_run,
+                                             tmp_path, capsys, monkeypatch,
+                                             command, limit):
+        # The files a command writes share the disk's room. A small room
+        # fails its first file; a large one, one character short of a
+        # complete run, fails only its last, so every other file is written.
+        feat, cfg = str(corpus_run / "feat"), str(corpus_run / "train.cfg")
+        model = str(corpus_run / "run" / "model.json")
+        args = {
+            "extract": ["--reviews", str(corpus_files[0]), "--scores",
+                        str(corpus_files[1])],
+            "analyze": ["--histograms", "--features", feat],
+            "train": ["--features", feat, "--config", cfg, "--train-count", "200"],
+            "evaluate": ["--features", feat, "--model", model],
+            "predict": ["--features", feat, "--model", model],
+            "ablate": ["--features", feat, "--config", cfg, "--train-count", "200"],
+        }[command]
+        disk = FullDisk(1 << 40)
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "open", disk.open, raising=False)
+            assert main([command, "--out", str(tmp_path / "whole")] + args) == 0
+        whole = tree_bytes(tmp_path / "whole")
+        room = 10 if limit == "small" else (1 << 40) - disk.room - 1
+        for out in (tmp_path / "out", tmp_path / "whole"):
+            with monkeypatch.context() as patch:
+                patch.setattr(dataio, "open", FullDisk(room).open, raising=False)
+                assert main([command, "--out", str(out)] + args) == 2
+            assert capsys.readouterr().err == "error: No space left on device\n"
+        left = tree_bytes(tmp_path / "out")
+        assert left == {name: whole[name] for name in left}
+        assert tree_bytes(tmp_path / "whole") == whole
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+def tree_bytes(root) -> dict:
+    """Every file under ``root``: its bytes by its path relative to ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in Path(root).rglob("*") if p.is_file()}
 
 
 class TestRowBlockPredict:
@@ -1253,6 +1282,91 @@ class TestDelimitedReviewsFuzz:
         else:
             assert message == f"error: {path}: holds no review records\n" or \
                 message.startswith(f"error: {scores}: no spam score for "), message
+
+
+# Characters a fuzz edit writes: digits, signs and exponents that still
+# parse, separators of each format, JSON punctuation, words float() takes,
+# a NUL and a non-ASCII letter.
+FUZZ_CHARS = list("0179-+.eE x#=\t\n\r\"{}[],:\x00é") + ["nan", "inf", "1e999"]
+CHAR_EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                st.integers(0, 10 ** 6), st.sampled_from(FUZZ_CHARS)),
+                      min_size=1, max_size=3)
+
+
+def edit_chars(text, edits):
+    """``text`` after each (op, position, characters) edit."""
+    for op, i, chars in edits:
+        i %= len(text) + 1
+        kept = text[i:] if op == "insert" else text[i + 1:]
+        text = text[:i] + ("" if op == "delete" else chars) + kept
+    return text
+
+
+def run_fuzzed(args, path):
+    """Run the CLI on ``args``; assert that it exits 0, or exits 2 with one
+    ``error:`` line naming ``path``, the mutated file, and never prints a
+    traceback. Returns the exit code."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        rc = main(args)
+    message = err.getvalue()
+    assert "Traceback" not in message + out.getvalue()
+    assert rc == 0 or (rc == 2 and message.startswith("error: ")
+                       and message.count("\n") == 1
+                       and str(path) in message), (rc, message)
+    return rc
+
+
+class TestScoresFuzz:
+    """Character edits of the golden scores.tsv through ``extract``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(CHAR_EDITS)
+    def test_extract_exits_0_or_2_naming_the_file(self, edits):
+        golden = GOLDEN / "extract"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "scores.tsv")
+            path.write_text(edit_chars((golden / "scores.tsv").read_text(), edits),
+                            newline="")
+            run_fuzzed(["extract", "--reviews", str(golden / "reviews.jsonl"),
+                        "--scores", str(path), "--out", str(Path(tmp, "out"))], path)
+
+
+class TestConfigFileFuzz:
+    """Character edits of a one-line ``--config`` file through ``train``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(CHAR_EDITS)
+    def test_train_exits_0_or_2_naming_the_file(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "train.cfg")
+            path.write_text(edit_chars("n_epoch = 1\n", edits), newline="")
+            run_fuzzed(["train", "--features", str(GOLDEN / "extract"), "--config",
+                        str(path), "--out", str(Path(tmp, "out"))], path)
+
+
+class TestFeatureDirFuzz:
+    """Character edits of manifest.json or features.tsv in a copy of the
+    golden feature directory, which has no features.bin, through
+    ``predict``; a run that exits 0 scores every row in [0, 1]."""
+
+    @pytest.mark.parametrize("name", ["manifest.json", "features.tsv"])
+    @settings(max_examples=120, deadline=None)
+    @given(edits=CHAR_EDITS)
+    def test_predict_exits_0_or_2_naming_the_file(self, name, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            feat = Path(tmp, "feat")
+            feat.mkdir()
+            for other in ("features.tsv", "labels.tsv", "manifest.json"):
+                (feat / other).write_bytes((GOLDEN / "features" / other).read_bytes())
+            path = feat / name
+            path.write_text(edit_chars(path.read_text(), edits), newline="")
+            out = Path(tmp, "out")
+            if run_fuzzed(["predict", "--features", str(feat), "--model",
+                           str(GOLDEN / "model.json"), "--out", str(out)], path) == 0:
+                p_spam = np.loadtxt(out / "predictions.tsv", delimiter="\t",
+                                    skiprows=1, usecols=3, ndmin=1)
+                assert np.all((p_spam >= 0) & (p_spam <= 1))
 
 
 def scoped_dataset(seed=4, n=240):

@@ -13,8 +13,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spamforest import forest as forest_module, training
-from spamforest.dataio import LabeledDataset
+from spamforest import cli, forest as forest_module, training
+from spamforest.dataio import LabeledDataset, save_features
 from spamforest.errors import ConfigError, NumericError, ShapeError
 from spamforest.features import FeatureMatrix
 from spamforest.forest import leaf_mixture, leaf_reach
@@ -675,13 +675,24 @@ class TestTrain:
                 pytest.raises(NumericError, match="epoch 0"):
             train(X, y, cfg)
 
-    def test_log_file_format(self, tmp_path):
-        cfg = TrainConfig(n_epoch=4, batch_size=6, seed=8, n_tree=2, n_depth=2)
+    def test_log_file_format(self, tmp_path, monkeypatch):
+        # `spamforest train` writes training_log.tsv from the traces that
+        # train returns.
         X = Rng(5).normal((18, 3))
         y = np.array([0, 1, 0] * 6)
-        log = tmp_path / "trace.tsv"
-        result = train(X, y, cfg, log_path=log)
-        lines = log.read_text().splitlines()
+        save_features(tmp_path / "feat", FeatureMatrix(
+            X, ["a", "b", "c"], ["rating"] * 3, ["continuous"] * 3), y,
+            [f"u{i}" for i in range(18)])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 4\nbatch_size = 6\nseed = 8\nn_tree = 2\n"
+                       "n_depth = 2\n")
+        results = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: results.append(
+            train(*args, **kwargs)) or results[-1])
+        assert cli.main(["train", "--features", str(tmp_path / "feat"), "--out",
+                         str(tmp_path / "out"), "--config", str(cfg)]) == 0
+        [result] = results
+        lines = (tmp_path / "out" / "training_log.tsv").read_text().splitlines()
         assert len(lines) == 4
         for e, line in enumerate(lines):
             epoch, loss, acc = line.split("\t")
