@@ -173,38 +173,42 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_columns(features_dir, model: Model, given: list[str]):
-    """Reject columns other than the model's: by count, and by stored name."""
+def _check_columns(features_dir, model_path, model: Model, given: list[str]):
+    """Reject columns other than the model's: by count, and by stored name.
+    The error names both files."""
     path = os.path.join(features_dir, "features.tsv")
     if len(given) != model.n_features:
         raise FeatureMismatchError(
-            f"{path}: holds {len(given)} feature columns, but the model was "
-            f"trained with {model.n_features}")
+            f"{path}: holds {len(given)} feature columns, but the model "
+            f"{model_path} was trained with {model.n_features}")
     trained = model.feature_names or given
     j = next((j for j, (t, g) in enumerate(zip(trained, given)) if t != g), None)
     if j is not None:
         raise FeatureMismatchError(
-            f"{path}: feature column {j + 1} is {given[j]!r}, but the model was "
-            f"trained with {trained[j]!r} there")
+            f"{path}: feature column {j + 1} is {given[j]!r}, but the model "
+            f"{model_path} was trained with {trained[j]!r} there")
 
 
-def _load_and_normalize(features_dir, model: Model) -> LabeledDataset:
+def _load_and_normalize(features_dir, model_path) -> tuple[Model, LabeledDataset]:
+    """The model at ``model_path`` and the feature directory checked against
+    it and normalized with its stats."""
+    model = load_model(model_path)
     ds = load_features(features_dir)
     if (model.manifest_version is not None
             and model.manifest_version != ds.features.manifest_version):
         raise ModelVersionError(
-            f"{os.path.join(features_dir, 'manifest.json')}: model was trained "
-            f"against manifest version {model.manifest_version}, features carry "
+            f"{os.path.join(features_dir, 'manifest.json')}: the model "
+            f"{model_path} was trained against manifest version "
+            f"{model.manifest_version}, features carry "
             f"{ds.features.manifest_version}")
-    _check_columns(features_dir, model, ds.features.names)
+    _check_columns(features_dir, model_path, model, ds.features.names)
     matrix = ds.features if model.norm_stats is None else \
         apply_normalization(ds.features, model.norm_stats)
-    return LabeledDataset(matrix, ds.labels, ds.user_ids)
+    return model, LabeledDataset(matrix, ds.labels, ds.user_ids)
 
 
 def cmd_evaluate(args) -> int:
-    model = load_model(args.model)
-    ds = _load_and_normalize(args.features, model)
+    model, ds = _load_and_normalize(args.features, args.model)
     labels, _ = predict(model, ds.features.values)
     counts = confusion(labels, ds.labels, positive_class=args.positive_class)
     metrics = compute_metrics(counts)
@@ -220,8 +224,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
-    ds = _load_and_normalize(args.features, model)
+    model, ds = _load_and_normalize(args.features, args.model)
     labels, probs = predict(model, ds.features.values)
     path = os.path.join(args.out, "predictions.tsv")
     with _replace_when_written(path) as fh:

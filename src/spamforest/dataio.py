@@ -50,6 +50,7 @@ import base64
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import operator
@@ -65,7 +66,8 @@ from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
 from .features import FeatureMatrix, ReviewRecord, ReviewTable
 from .numerics import Rng, beside, binary_labels
 from .training import (N_CLASSES, NORMALIZATION_METHODS, Model, TrainConfig,
-                       _allocate_model, config_value, parameter_blocks)
+                       _allocate_model, _block_names, config_value,
+                       parameter_blocks)
 
 __all__ = [
     "LabeledDataset",
@@ -516,12 +518,27 @@ def save_model(path, model: Model):
 
 
 def load_model(path) -> Model:
-    """Load a model file; bit-exact inverse of save_model."""
+    """Load a model file; bit-exact inverse of save_model. A file this
+    version cannot load raises ModelIntegrityError or ModelVersionError
+    reading ``<path>: <reason>``."""
     try:
         with open_text(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelIntegrityError(f"model file is not valid JSON: {exc.msg}") from None
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ModelIntegrityError(
+                    f"model file is not valid JSON: {exc.msg}") from None
+            except RecursionError:
+                raise ModelIntegrityError(
+                    "model file is not a model: JSON nested too deeply") from None
+        return _model_from_doc(doc)
+    except (ModelIntegrityError, ModelVersionError) as exc:
+        exc.args = (f"{os.fspath(path)}: {exc}",)
+        raise exc from None
+
+
+def _model_from_doc(doc) -> Model:
+    """The model a model file's parsed JSON ``doc`` holds."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelIntegrityError("model file lacks a format_version")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
@@ -554,6 +571,13 @@ def load_model(path) -> Model:
         if "encoder.0.W" not in tensors or tensors["encoder.0.W"].ndim != 2:
             raise ModelIntegrityError(
                 "model file needs a 2-D tensor encoder.0.W (width, n_features)")
+        # A config of more blocks than the file holds tensors is refused
+        # before a model of its size is built.
+        names = list(itertools.islice(_block_names(config), len(tensors) + 1))
+        if len(names) > len(tensors):
+            lacking = next(name for name in names if name not in tensors)
+            raise ModelIntegrityError(
+                f"model file lacks tensor {lacking} for the model its config describes")
         # The all-zero model the config describes, filled from the file below.
         model = _allocate_model(config, tensors["encoder.0.W"].shape[1])
         model.norm_stats = (None if body.get("norm_stats") is None else
@@ -561,6 +585,9 @@ def load_model(path) -> Model:
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelIntegrityError(
             f"model file body is incomplete: {type(exc).__name__} {exc}") from None
+    except MemoryError:
+        raise ModelIntegrityError(
+            "model file config describes a model too large to allocate") from None
     blocks = dict(parameter_blocks(model))
     for name in sorted(blocks.keys() | tensors.keys()):
         if name not in blocks or name not in tensors:
@@ -672,7 +699,8 @@ def _replace_when_written(path, mode="w"):
     """``path`` opened for writing under a temporary name in its directory,
     made if missing, and moved to ``path`` when the block completes. On any
     error the temporary file is removed, ``path`` is left as it was, and an
-    OSError about the temporary file names ``path`` instead."""
+    OSError about the temporary file, or about no file (a full disk, a file
+    too large), names ``path``."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
@@ -683,7 +711,7 @@ def _replace_when_written(path, mode="w"):
     except BaseException as exc:
         with suppress(OSError):
             os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
+        if isinstance(exc, OSError) and exc.filename in (tmp, None):
             exc.filename, exc.filename2 = os.fspath(path), None
         raise
 

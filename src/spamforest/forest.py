@@ -16,14 +16,23 @@ The K trees are stored stacked: routing (K, 2^D - 1, xt_dim) and leaf
 logits (K, 2^D, n_classes), the layout of Deep Neural Decision Forests
 (Kontschieder et al., ICCV 2015). The depth is read off the leaf count.
 
-The backprop forward (``forest_forward``) keeps the decisions and the reach
-for ``forest_backward``; both route every tree at once, with a batched
-matmul over the tree axis (one gemm per tree over all rows) and one reach
-step per tree level over all trees. ``leaf_reach`` keeps only the leaf
-reach mu (K, B, 2^D), all that the leaf mixture, the leaf gradient and
-scoring read: it runs one tree's gemm at a time into one reused buffer, and
-that tree's sigmoid and reach recursion in row blocks of reused scratch.
-Both passes share one routing kernel (``_route``).
+The backprop forward (``forest_forward``) keeps the decisions, their
+complements and the reach for ``forest_backward``; both route every tree
+they are given at once, with a batched matmul over the tree axis (one gemm
+per tree over all rows) and one reach step per tree level over all trees.
+``leaf_reach`` keeps only the leaf reach mu (K, B, 2^D), all that the leaf
+mixture, the leaf gradient and scoring read: it runs one tree's gemm at a
+time into one reused buffer, and that tree's sigmoid and reach recursion in
+row blocks of reused scratch. Both passes share one routing kernel
+(``_route``).
+
+Given the tree input, a tree's routing, reach and gradients depend on no
+other tree; only the sum of the trees' gradients into the tree input joins
+them. So a large pass splits its trees in two halves on two threads
+(``by_tree_halves``): ``leaf_reach`` does, and the training loop's
+mini-batch pass (``training._forest_pass``) runs ``forest_forward`` and
+``forest_backward`` once per half, with the trees' input-gradient terms
+added in tree order by the caller.
 
 The decisions, the reach and the reach gradient are stored node-major,
 (K, nodes, B), so that each level step of the recursion and of its backward
@@ -53,10 +62,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Layer, sigmoid, softmax
+from .numerics import Layer, beside, sigmoid, softmax
 
-__all__ = ["ForestParams", "forest_forward", "leaf_reach", "leaf_mixture",
-           "leaf_gradient", "forest_backward"]
+__all__ = ["ForestParams", "by_tree_halves", "forest_forward", "leaf_reach",
+           "leaf_mixture", "leaf_gradient", "forest_backward"]
 
 
 @dataclass
@@ -99,42 +108,70 @@ def _levels(depth: int) -> tuple:
 CHUNK_CELLS = 2 ** 16
 
 
-def _route(z: np.ndarray, d: np.ndarray, r: np.ndarray, depth: int):
+def by_tree_halves(forest: ForestParams, n_rows: int, body) -> list:
+    """``[body(trees), ...]`` over tree slices that cover the forest in tree
+    order, for a pass over ``n_rows`` rows.
+
+    With two trees or more and at least 2 * ``CHUNK_CELLS`` reach cells
+    (K * n_rows * (2^(D+1) - 1)), the trees split in two halves: trees
+    [0, ceil(K/2)) on this thread and [ceil(K/2), K) beside it
+    (``numerics.beside``), one handoff for the whole pass. Otherwise
+    ``body`` runs once over all K trees on this thread: on smaller passes
+    numpy's per-call cost, paid under the interpreter lock, outweighs what
+    a second thread runs. Given the tree input, a tree's routing, reach and
+    gradients depend on no other tree, so the halves share no state; each
+    writes its own trees' slices.
+    """
+    n_trees = forest.n_trees
+    cells = n_trees * n_rows * (2 * forest.n_decision_nodes + 1)
+    if n_trees < 2 or cells < 2 * CHUNK_CELLS:
+        return [body(slice(0, n_trees))]
+    mid = (n_trees + 1) // 2
+    second, first = beside(lambda: body(slice(mid, n_trees)),
+                           lambda: body(slice(0, mid)))
+    return [first, second]
+
+
+def _route(z: np.ndarray, d: np.ndarray, r: np.ndarray, depth: int) -> np.ndarray:
     """The one routing kernel. From the routing gemm's output ``z`` (trees,
     rows, 2^D - 1), writes the left probabilities sigmoid(z) into ``d``
     (trees, 2^D - 1, rows) and the reach recursion, root included, into
     ``r`` (trees, 2^(D+1) - 1, rows): node-major, so every level step runs
-    over contiguous rows. Elementwise per row, so any row block of ``z``
-    gives the same bits."""
+    over contiguous rows. Returns the right probabilities 1 - d, computed
+    once for the recursion and the backward. Elementwise per row, so any
+    row block of ``z`` gives the same bits."""
     # z is staged node-major in the leaf rows of r, which the last level
     # overwrites, so that the sigmoid reads contiguous memory.
     staged = r[:, d.shape[1] + 1:]
     np.copyto(staged, z.transpose(0, 2, 1))
     sigmoid(staged, out=d)
+    right_d = 1.0 - d
     r[:, 0] = 1.0
     for nodes, left, right in _levels(depth):
         np.multiply(r[:, nodes], d[:, nodes], out=r[:, left])
-        np.multiply(r[:, nodes], 1.0 - d[:, nodes], out=r[:, right])
+        np.multiply(r[:, nodes], right_d[:, nodes], out=r[:, right])
+    return right_d
 
 
 def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
     """One batched forest pass over tree inputs ``XT`` (B, xt_dim), keeping
     what ``forest_backward`` reads.
 
-    Returns the stacked ``decisions`` (K, B, 2^D - 1) of left probabilities
-    and ``reach`` (K, B, 2^(D+1) - 1) of node-reach probabilities in heap
-    order, both transposed views of node-major arrays, plus the leaf reach
-    ``mu`` (K, B, 2^D), rows summing to one, as a contiguous copy of the
-    reach's last 2^D nodes, and the ``leaf_mixture`` entries. Each tree's
-    slice is that tree's single-tree pass, bit for bit.
+    Returns the stacked ``decisions`` (K, B, 2^D - 1) of left probabilities,
+    their complements ``right`` = 1 - decisions, and ``reach``
+    (K, B, 2^(D+1) - 1) of node-reach probabilities in heap order, all
+    transposed views of node-major arrays, plus the leaf reach ``mu``
+    (K, B, 2^D), rows summing to one, as a contiguous copy of the reach's
+    last 2^D nodes, and the ``leaf_mixture`` entries. Each tree's slice is
+    that tree's single-tree pass, bit for bit.
     """
     n_dec = forest.n_decision_nodes
     d = np.empty((forest.n_trees, n_dec, XT.shape[0]))
     r = np.empty((forest.n_trees, 2 * n_dec + 1, XT.shape[0]))
-    _route(XT @ forest.routing.transpose(0, 2, 1), d, r, forest.depth)
+    right_d = _route(XT @ forest.routing.transpose(0, 2, 1), d, r, forest.depth)
     mu = np.ascontiguousarray(r[:, n_dec:].transpose(0, 2, 1))
-    return {"decisions": d.transpose(0, 2, 1), "reach": r.transpose(0, 2, 1),
-            "mu": mu, **leaf_mixture(mu, forest)}
+    return {"decisions": d.transpose(0, 2, 1), "right": right_d.transpose(0, 2, 1),
+            "reach": r.transpose(0, 2, 1), "mu": mu, **leaf_mixture(mu, forest)}
 
 
 def leaf_reach(XT: np.ndarray, forest: ForestParams) -> np.ndarray:
@@ -145,23 +182,29 @@ def leaf_reach(XT: np.ndarray, forest: ForestParams) -> np.ndarray:
     call as ``forest_forward`` makes for that tree, into one buffer reused
     for every tree; the sigmoid and the reach recursion then run node-major
     in row blocks of at most ``CHUNK_CELLS`` reach cells, in scratch buffers
-    reused across blocks, and only each block's leaf nodes are kept.
+    reused across blocks, and only each block's leaf nodes are kept. The
+    trees split in halves as ``by_tree_halves`` rules, each half with its
+    own routing buffer and scratch.
     """
     n_rows, n_dec = XT.shape[0], forest.n_decision_nodes
     n_block = max(1, min(n_rows, CHUNK_CELLS // (2 * n_dec + 1)))
-    z = np.empty((1, n_rows, n_dec))
-    d_buf = np.empty(n_dec * n_block)
-    r_buf = np.empty((2 * n_dec + 1) * n_block)
     mu = np.empty((forest.n_trees, n_rows, n_dec + 1))
-    for k in range(forest.n_trees):
-        np.matmul(XT, forest.routing[k:k + 1].transpose(0, 2, 1), out=z)
-        for lo in range(0, n_rows, n_block):
-            m = min(n_block, n_rows - lo)
-            # A block's scratch is the contiguous head of each buffer.
-            d = d_buf[:n_dec * m].reshape(1, n_dec, m)
-            r = r_buf[:(2 * n_dec + 1) * m].reshape(1, 2 * n_dec + 1, m)
-            _route(z[:, lo:lo + m], d, r, forest.depth)
-            mu[k, lo:lo + m] = r[0, n_dec:].T
+
+    def route(trees):
+        z = np.empty((1, n_rows, n_dec))
+        d_buf = np.empty(n_dec * n_block)
+        r_buf = np.empty((2 * n_dec + 1) * n_block)
+        for k in range(trees.start, trees.stop):
+            np.matmul(XT, forest.routing[k:k + 1].transpose(0, 2, 1), out=z)
+            for lo in range(0, n_rows, n_block):
+                m = min(n_block, n_rows - lo)
+                # A block's scratch is the contiguous head of each buffer.
+                d = d_buf[:n_dec * m].reshape(1, n_dec, m)
+                r = r_buf[:(2 * n_dec + 1) * m].reshape(1, 2 * n_dec + 1, m)
+                _route(z[:, lo:lo + m], d, r, forest.depth)
+                mu[k, lo:lo + m] = r[0, n_dec:].T
+
+    by_tree_halves(forest, n_rows, route)
     return mu
 
 
@@ -194,20 +237,22 @@ def leaf_gradient(y: np.ndarray, g_py: np.ndarray, mu: np.ndarray,
 
 
 def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
-                    cache: dict, forest: ForestParams):
+                    cache: dict, forest: ForestParams, out=None):
     """Backpropagate a loss that depends on each tree's probability of the
     true class, ``g_py[k, b] = dL / d probs[k, b, y[b]]`` (K, B).
 
     ``cache`` is the ``forest_forward`` result for the same ``XT``. Returns
     ``(g_routing, g_xt)``: the gradient shaped like the stacked routing, and
-    dL/dXT summed over the trees. The leaf logits enter only through the
-    leaf distributions in ``cache``; their gradient is ``leaf_gradient``'s.
-    The reach gradient is built node-major, like the forward's reach, and
-    the routing-logit gradient is copied back to (K, B, 2^D - 1) rows for
-    the two gemms.
+    each tree's term of dL/dXT (K, B, xt_dim), which the caller adds in tree
+    order; ``out``, when given, is the pair of arrays to write them into.
+    The leaf logits enter only through the leaf distributions in ``cache``;
+    their gradient is ``leaf_gradient``'s. The reach gradient is built
+    node-major, like the forward's reach, and the routing-logit gradient is
+    copied back to (K, B, 2^D - 1) rows for the two gemms.
     """
     n_dec = forest.n_decision_nodes
     d = cache["decisions"].transpose(0, 2, 1)
+    right_d = cache["right"].transpose(0, 2, 1)
     reach = cache["reach"].transpose(0, 2, 1)
 
     # Reach recursion, deepest decision level first: a node's reach feeds
@@ -218,13 +263,14 @@ def forest_backward(XT: np.ndarray, y: np.ndarray, g_py: np.ndarray,
                 out=g_reach[:, n_dec:])
     for nodes, left, right in reversed(_levels(forest.depth)[1:]):
         np.multiply(g_reach[:, left], d[:, nodes], out=g_reach[:, nodes])
-        g_reach[:, nodes] += g_reach[:, right] * (1.0 - d[:, nodes])
+        g_reach[:, nodes] += g_reach[:, right] * right_d[:, nodes]
     # g_f = (g_left - g_right) * reach * d * (1 - d), in that order.
     g_f = g_reach[:, 1::2] - g_reach[:, 2::2]
     g_f *= reach[:, :n_dec]
     g_f *= d
-    g_f *= 1.0 - d
+    g_f *= right_d
     # The gemms below read g_f in the row-major layout they always have.
     g_f = np.ascontiguousarray(g_f.transpose(0, 2, 1))
-    # cumsum adds the trees' terms in tree order, where sum may pair them up.
-    return g_f.transpose(0, 2, 1) @ XT, np.cumsum(g_f @ forest.routing, axis=0)[-1]
+    g_routing, g_xt = (None, None) if out is None else out
+    return (np.matmul(g_f.transpose(0, 2, 1), XT, out=g_routing),
+            np.matmul(g_f, forest.routing, out=g_xt))

@@ -154,6 +154,10 @@ def binary_labels(y, error: type[ValueError] = ValueError) -> np.ndarray:
     return y.astype(np.int64)
 
 
+# Whether this thread is running a function ``beside`` was handed.
+_inside_beside = threading.local()
+
+
 def beside(worker, caller):
     """``(worker(), caller())``, with ``worker`` run on a second thread
     while this thread runs ``caller``.
@@ -161,21 +165,34 @@ def beside(worker, caller):
     The worker is joined before this returns, also when ``caller`` raises,
     so no thread outlives the call. An exception raised by ``worker`` is
     raised here once it has ended; one raised by ``caller`` wins over it.
+
+    A call made inside another (from a function handed to ``beside``, on
+    either thread) runs ``worker`` and then ``caller`` on its own thread,
+    so nested calls never start a third thread: ``predict``'s row blocks
+    on two threads each route their trees on one.
     """
     outcome = {}
+    nested = getattr(_inside_beside, "active", False)
 
     def run():
+        _inside_beside.active = True
         try:
             outcome["value"] = worker()
         except BaseException as exc:  # handed to the calling thread
             outcome["error"] = exc
 
-    thread = threading.Thread(target=run, name="spamforest-worker")
-    thread.start()
+    thread = None if nested else threading.Thread(target=run, name="spamforest-worker")
+    if thread is None:
+        run()
+    else:
+        thread.start()
+    _inside_beside.active = True
     try:
         mine = caller()
     finally:
-        thread.join()
+        _inside_beside.active = nested
+        if thread is not None:
+            thread.join()
     if "error" in outcome:
         raise outcome["error"]
     return outcome["value"], mine

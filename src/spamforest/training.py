@@ -10,7 +10,8 @@ x_c enters only the loss. The scalar objective is
     mean over samples [ ||x - x_c||^2 + mean over trees( -log p_tree[y] ) ]
 
 and every gradient is derived by hand, layer by layer, in one backward
-pass whose forest part is ``forest.forest_backward``. The finite
+pass whose forest part is ``forest.forest_backward``, run per tree half
+(``_forest_pass``). The finite
 difference harness in the test suite is the arbiter of correctness.
 
 Per-epoch cost model: one epoch costs O(n_batches * batch_size * (
@@ -19,14 +20,19 @@ xt_dim * n_trees * n_leaves)). At a fixed depth the forest term grows
 linearly in the number of trees. Acceptance test 10 checks this by counting
 the rows and weights each epoch's forward and backward calls see; wall time
 is measured by the benchmark in ``perfbench/``. Only the mini-batch backward
-runs ``_forward_cache`` and its ``forest_forward``, which routes every tree
-of the mini-batch at once on stacked node-major (K, nodes, rows) arrays and
-keeps decisions and reach for backprop; ``predict``, ``joint_loss`` and the
-leaf step keep only the leaf reach mu (``forest.leaf_reach``, one tree at a
-time in row blocks), so a full-set pass holds (K, rows, 2^D) floats of forest
-state, not (K, rows, 3 * 2^D - 2). Those three run their forward in blocks
-of rows aligned to ``ROW_BLOCK`` (``_by_row_blocks``), on two threads from
-two blocks on, with every row's bits those of one pass over all rows.
+keeps the forest's decisions and reach for backprop: ``_forest_pass`` runs
+``forest_forward`` and ``forest_backward`` over stacked node-major
+(K, nodes, rows) arrays, once per tree half of ``forest.by_tree_halves``
+(two threads from 2 * ``forest.CHUNK_CELLS`` reach cells on), after
+``_forward_cache`` has run the autoencoder and the fully connected stack.
+``predict``, ``joint_loss`` and the leaf step keep only the leaf reach mu
+(``forest.leaf_reach``, one tree at a time in row blocks, in the same tree
+halves), so a full-set pass holds (K, rows, 2^D) floats of forest state,
+not (K, rows, 3 * 2^D - 2). Those three run their forward in blocks of rows
+aligned to ``ROW_BLOCK`` (``_by_row_blocks``), on two threads from two
+blocks on, with every row's bits those of one pass over all rows; a block's
+trees then stay on its thread, since a ``beside`` call inside another
+starts no thread.
 
 One function, ``_allocate_model``, owns the parameter layout of every model
 (``init_model``'s, ``dataio.load_model``'s and the training loop's gradient
@@ -62,8 +68,8 @@ from math import ceil, prod
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .forest import (ForestParams, forest_backward, forest_forward,
-                     leaf_gradient, leaf_mixture, leaf_reach)
+from .forest import (ForestParams, by_tree_halves, forest_backward,
+                     forest_forward, leaf_gradient, leaf_mixture, leaf_reach)
 from .numerics import Layer, Rng, beside, binary_labels, sigmoid_chain
 
 __all__ = [
@@ -93,9 +99,10 @@ PROB_FLOOR = 1e-12
 
 # Soft routing sends every row through all 2^D - 1 decision nodes of every
 # tree, so the mini-batch forward holds a (K, rows, 2^(D+1) - 1) reach array
-# (at depth 10, 16 KB per row per tree) and its backward temporaries of the
-# same size over all K trees, and the full-set leaf step and predict hold the
-# (K, rows, 2^D) leaf reach mu (8 KB). The deepest config shipped uses 6.
+# and (K, rows, 2^D - 1) left and right probabilities (at depth 10, 32 KB
+# per row per tree) and its backward temporaries of the reach's size over
+# all K trees, and the full-set leaf step and predict hold the (K, rows, 2^D)
+# leaf reach mu (8 KB). The deepest config shipped uses 6.
 MAX_DEPTH = 10
 
 
@@ -295,24 +302,36 @@ def init_model(config: TrainConfig, n_features: int, rng: Rng) -> Model:
     return model
 
 
+def _block_names(config: TrainConfig):
+    """Yield the name of every block of ``config``'s model, in
+    ``parameter_blocks`` order, one at a time: a reader can take the first
+    few of a config that describes more blocks than it could allocate."""
+    for prefix, n_layers in (("encoder", config.ae_layer_count),
+                             ("decoder", config.ae_layer_count),
+                             ("fc", config.fc_layer_count)):
+        for i in range(n_layers):
+            yield f"{prefix}.{i}.W"
+            yield f"{prefix}.{i}.b"
+    for k in range(config.n_tree):
+        yield f"tree.{k}.routing"
+        yield f"tree.{k}.leaf_logits"
+
+
 def parameter_blocks(model: Model) -> list[tuple[str, np.ndarray]]:
-    """Named references to every trainable tensor, leaf logits included.
+    """Named references to every trainable tensor, leaf logits included,
+    named by ``_block_names``.
 
     The arrays are the model's own buffers: writing through them (e.g.
     ``block[...] = new``) updates the model. Tree k's blocks are the views
     ``forest.routing[k]`` and ``forest.leaf_logits[k]`` of the stacked
     forest tensors.
     """
-    blocks = []
-    for prefix, layers in (("encoder", model.autoencoder.encoder),
-                           ("decoder", model.autoencoder.decoder),
-                           ("fc", model.forest.fc)):
-        for i, layer in enumerate(layers):
-            blocks += [(f"{prefix}.{i}.W", layer.W), (f"{prefix}.{i}.b", layer.b)]
+    arrays = [array for layers in (model.autoencoder.encoder, model.autoencoder.decoder,
+                                   model.forest.fc)
+              for layer in layers for array in (layer.W, layer.b)]
     for k in range(model.forest.n_trees):
-        blocks.append((f"tree.{k}.routing", model.forest.routing[k]))
-        blocks.append((f"tree.{k}.leaf_logits", model.forest.leaf_logits[k]))
-    return blocks
+        arrays += [model.forest.routing[k], model.forest.leaf_logits[k]]
+    return list(zip(_block_names(model.config), arrays, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +360,9 @@ def _labeled_batch(X: np.ndarray, y, model: Model) -> tuple[np.ndarray, np.ndarr
 
 
 def _forward_cache(X: np.ndarray, model: Model) -> dict:
-    """One batched forward pass keeping every intermediate for backprop;
-    only the mini-batch backward needs it."""
+    """The mini-batch backward's forward through the autoencoder and the
+    fully connected stack, keeping every intermediate for backprop; the
+    forest's forward runs in ``_forest_pass``, beside its backward."""
     enc_acts = sigmoid_chain(X, model.autoencoder.encoder)
     H = enc_acts[-1]
     dec_acts = sigmoid_chain(H, model.autoencoder.decoder)
@@ -352,7 +372,6 @@ def _forward_cache(X: np.ndarray, model: Model) -> dict:
         "dec_acts": dec_acts,
         "fc_acts": fc_acts,
         "x_c": dec_acts[-1],
-        "forest": forest_forward(fc_acts[-1], model.forest),
     }
 
 
@@ -476,12 +495,39 @@ def _backward_layers(layers: list[Layer], acts: list[np.ndarray],
     return g
 
 
-def _tree_loss_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(mean over batch and trees of -log p_k[y]) / d p_k[y], (K, B); zero
-    where the probability floor is active."""
-    K, B = probs.shape[:2]
+def _tree_loss_grad(probs: np.ndarray, y: np.ndarray, n_trees: int) -> np.ndarray:
+    """d(mean over batch and ``n_trees`` trees of -log p_k[y]) / d p_k[y]
+    for the trees of ``probs`` (k, B), which may be some of the forest's;
+    zero where the probability floor is active."""
+    B = probs.shape[1]
     p_y = probs[:, np.arange(B), y]
-    return np.where(p_y > PROB_FLOOR, -1.0 / (K * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
+    return np.where(p_y > PROB_FLOOR,
+                    -1.0 / (n_trees * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
+
+
+def _forest_pass(XT: np.ndarray, y: np.ndarray, forest: ForestParams,
+                 g_routing: np.ndarray):
+    """The mini-batch forest pass: per tree, the forward, p_k[y], dL/dp_k[y]
+    and the backward, over the tree halves of ``by_tree_halves``.
+
+    Writes dL/d routing into ``g_routing``. Returns dL/dXT, with the trees'
+    terms added in tree order on this thread, and per half ``(trees, forest
+    cache, dL/dp_k[y])``, from which ``leaf_gradient`` gives that half's
+    leaf-logit gradient. Every tree's gemms and elementwise steps are those
+    of one pass over all trees, so every bit is too.
+    """
+    g_xt = np.empty((forest.n_trees, *XT.shape))
+
+    def half(trees):
+        part = ForestParams(forest.routing[trees], forest.leaf_logits[trees])
+        cache = forest_forward(XT, part)
+        g_py = _tree_loss_grad(cache["probs"], y, forest.n_trees)
+        forest_backward(XT, y, g_py, cache, part, out=(g_routing[trees], g_xt[trees]))
+        return trees, cache, g_py
+
+    halves = by_tree_halves(forest, len(XT), half)
+    # cumsum adds the trees' terms in tree order, where sum may pair them up.
+    return np.cumsum(g_xt, axis=0)[-1], halves
 
 
 def _check_finite(grad: Model):
@@ -500,8 +546,8 @@ def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model):
     block of ``model`` into the same block of the gradient model ``grad``,
     whose leaf logits it leaves alone.
 
-    Returns the forest cache and dL/d p_k[y], from which ``leaf_gradient``
-    gives the leaf-logit gradient.
+    Returns ``_forest_pass``'s halves, from which ``leaf_gradient`` gives
+    the leaf-logit gradient.
     """
     cache = _forward_cache(X, model)
 
@@ -511,9 +557,8 @@ def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model):
                                grad.autoencoder.decoder)
 
     # Trees: the forest carries d(mean_k -log p_k[y]) back to the tree input.
-    g_py = _tree_loss_grad(cache["forest"]["probs"], y)
-    grad.forest.routing[...], g_xt = forest_backward(
-        cache["fc_acts"][-1], y, g_py, cache["forest"], model.forest)
+    g_xt, halves = _forest_pass(cache["fc_acts"][-1], y, model.forest,
+                                grad.forest.routing)
 
     # Fully connected chain (identity pass-through when empty).
     g_h_fc = _backward_layers(model.forest.fc, cache["fc_acts"], g_xt, grad.forest.fc)
@@ -521,7 +566,7 @@ def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model):
     # Encoder receives gradient from both the decoder and the forest.
     _backward_layers(model.autoencoder.encoder, cache["enc_acts"], g_h_dec + g_h_fc,
                      grad.autoencoder.encoder)
-    return cache["forest"], g_py
+    return halves
 
 
 def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarray]:
@@ -531,9 +576,9 @@ def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarra
     """
     X, y = _labeled_batch(X, y, model)
     grad = _allocate_model(model.config, model.n_features)
-    forest_cache, g_py = _backward(X, y, model, grad)
-    grad.forest.leaf_logits[...] = leaf_gradient(y, g_py, forest_cache["mu"],
-                                                 forest_cache["leaf_dists"])
+    for trees, cache, g_py in _backward(X, y, model, grad):
+        grad.forest.leaf_logits[trees] = leaf_gradient(y, g_py, cache["mu"],
+                                                       cache["leaf_dists"])
     _check_finite(grad)
     return dict(parameter_blocks(grad))
 
@@ -578,7 +623,8 @@ def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, grad: Model,
     x_c, mu = _leaf_forward(X, model)
     mixture = leaf_mixture(mu, model.forest)
     grad.forest.leaf_logits[...] = leaf_gradient(
-        y, _tree_loss_grad(mixture["probs"], y), mu, mixture["leaf_dists"])
+        y, _tree_loss_grad(mixture["probs"], y, model.forest.n_trees), mu,
+        mixture["leaf_dists"])
     if not np.isfinite(grad.forest.leaf_logits).all():
         _check_finite(grad)
     model.forest.leaf_logits[...], accum = rmsprop_step(

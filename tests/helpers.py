@@ -6,7 +6,8 @@ recomputes every row from ``datetime.date`` objects and per-review scans,
 the sentiment reference runs a regex over each text, the review reference
 reads ``reviews.jsonl`` line by line into ``ReviewRecord``s, and the labels
 reference reads ``labels.tsv`` line by line. ``FullDisk`` stands in for a disk
-that fills up."""
+that fills up. ``backprop_forward`` is no oracle: it gathers what the
+training backward's forward computes, for tests to compare."""
 
 import base64
 import dataclasses
@@ -26,7 +27,8 @@ from spamforest.errors import ParseError
 from spamforest.features import ReviewRecord
 from spamforest.forest import leaf_mixture
 from spamforest.numerics import entropy, sigmoid
-from spamforest.training import joint_loss, parameter_blocks
+from spamforest.training import (_forest_pass, _forward_cache, joint_loss,
+                                 parameter_blocks)
 
 
 def rewrite_model_body(path, change):
@@ -143,9 +145,22 @@ def reference_forest_forward(XT, forest):
             **leaf_mixture(mu, forest)}
 
 
+def backprop_forward(X, model):
+    """The mini-batch backward's forward of ``X``: ``training._forward_cache``
+    plus, under "forest", the per-tree ``probs`` of ``_forest_pass`` (its
+    halves joined in tree order) and their tree mean ``forest_probs``."""
+    cache = _forward_cache(X, model)
+    _, halves = _forest_pass(cache["fc_acts"][-1], np.zeros(len(X), dtype=np.int64),
+                             model.forest, np.empty_like(model.forest.routing))
+    probs = np.concatenate([half["probs"] for _, half, _ in halves])
+    cache["forest"] = {"probs": probs, "forest_probs": probs.mean(axis=0)}
+    return cache
+
+
 def reference_forest_backward(XT, y, g_py, cache, forest):
     """``forest.forest_backward`` on a ``reference_forest_forward`` cache,
-    with the reach gradient stored row-major."""
+    with the reach gradient stored row-major: the routing gradient and each
+    tree's term of dL/dXT."""
     n_dec = forest.n_decision_nodes
     d, reach = cache["decisions"], cache["reach"]
     pi_y = cache["leaf_dists"][:, :, y].transpose(0, 2, 1)
@@ -157,7 +172,7 @@ def reference_forest_backward(XT, y, g_py, cache, forest):
                                 + g_reach[:, :, right] * (1.0 - d[:, :, nodes]))
     g_d = (g_reach[:, :, 1::2] - g_reach[:, :, 2::2]) * reach[:, :, :n_dec]
     g_f = g_d * d * (1.0 - d)
-    return g_f.transpose(0, 2, 1) @ XT, np.cumsum(g_f @ forest.routing, axis=0)[-1]
+    return g_f.transpose(0, 2, 1) @ XT, g_f @ forest.routing
 
 
 def rank_sum_brute_force(group_a, group_b):

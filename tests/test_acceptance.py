@@ -224,9 +224,11 @@ def test_09_leaf_validity_every_epoch():
 def epoch_work(monkeypatch, X, y, config):
     """``(rows, rows x weights)`` per call site over one ``train`` run.
 
-    Forest forward, leaf reach and backward count rows x ``forest.routing.size``
-    (K * (2^D - 1) * xt_dim); ``sigmoid_chain`` counts rows x the summed
-    ``W.size`` of its layers (encoder, decoder and fully connected stacks).
+    Forest forward, leaf reach and backward count tree-rows (rows x the trees
+    of the call, which may route half the forest) x one tree's weights
+    ``routing[0].size`` ((2^D - 1) * xt_dim); ``sigmoid_chain`` counts rows x
+    the summed ``W.size`` of its layers (encoder, decoder and fully connected
+    stacks).
     """
     counts = {}
 
@@ -234,17 +236,19 @@ def epoch_work(monkeypatch, X, y, config):
         original = getattr(training, name)
         counts[name] = [0, 0]
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             rows, weights = rows_and_weights(*args)
             counts[name][0] += rows
             counts[name][1] += rows * weights
-            return original(*args)
+            return original(*args, **kwargs)
         monkeypatch.setattr(training, name, wrapper)
 
-    counted("forest_forward", lambda XT, forest: (len(XT), forest.routing.size))
-    counted("leaf_reach", lambda XT, forest: (len(XT), forest.routing.size))
-    counted("forest_backward",
-            lambda XT, *rest: (len(XT), rest[-1].routing.size))
+    def tree_rows(XT, forest):
+        return len(XT) * forest.n_trees, forest.routing[0].size
+
+    counted("forest_forward", tree_rows)
+    counted("leaf_reach", tree_rows)
+    counted("forest_backward", lambda XT, *rest: tree_rows(XT, rest[-1]))
     counted("sigmoid_chain",
             lambda x, layers: (len(x), sum(layer.W.size for layer in layers)))
     train(X, y, config)
@@ -265,11 +269,12 @@ def test_10_cost_model_counts_linear_in_trees(monkeypatch):
     for k in (5, 10):
         one = work[k, 1]
         # Per epoch: the mini-batches' forward and backward, plus the leaf
-        # step's one full-set forward that keeps only the leaf reach: 2n
-        # forest-forward rows in all.
-        assert one["forest_forward"][0] == n
-        assert one["leaf_reach"][0] == n
-        assert one["forest_backward"][0] == n
+        # step's one full-set forward that keeps only the leaf reach: each
+        # of the k trees routes 2n rows forward in all, whether the
+        # mini-batch pass runs its trees in one call or in two halves.
+        assert one["forest_forward"][0] == k * n
+        assert one["leaf_reach"][0] == k * n
+        assert one["forest_backward"][0] == k * n
         assert one["sigmoid_chain"][0] == 3 * 2 * n  # encoder, decoder, fc
         for name, c in one.items():
             assert work[k, 3][name] == (3 * c[0], 3 * c[1]), name

@@ -398,11 +398,20 @@ class TestTrainEvaluatePredict:
          "model file manifest_version must be an integer or null, got '1'"),
         (with_classes(1), "n_classes must be 2, got 1"),
         (with_classes(3), "n_classes must be 2, got 3"),
+        # Configs of a size no model file could fill are refused before a
+        # model of that size is built.
+        (lambda body: body["config"].update(n_tree=10 ** 12),
+         "lacks tensor tree.5.routing for the model its config describes"),
+        (lambda body: body["config"].update(ae_layer_count=10 ** 15),
+         "lacks tensor encoder.2.W for the model its config describes"),
+        (lambda body: body["config"].update(ae_widths=[10 ** 12, 2]),
+         "config describes a model too large to allocate"),
     ], ids=["not-base64", "partial-float64", "negative-classes", "nan-leaf",
             "inf-encoder", "string-center", "null-center", "zero-scale",
             "bogus-method", "float-n-tree", "string-init-scale",
             "string-ae-widths", "string-reshuffle", "string-manifest-version",
-            "one-class", "three-classes"])
+            "one-class", "three-classes", "huge-n-tree", "huge-layer-count",
+            "huge-width"])
     def test_malformed_model_body_exits_2_naming_it(self, run_dir, tmp_path,
                                                     capsys, change, named):
         model = tmp_path / "model.json"
@@ -413,6 +422,7 @@ class TestTrainEvaluatePredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+        assert err.startswith(f"error: {model}: ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -446,7 +456,7 @@ class TestTrainEvaluatePredict:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {feat / 'features.tsv'}: holds {n_given} feature columns, "
-            f"but the model was trained with 3\n")
+            f"but the model {model} was trained with 3\n")
         assert not (tmp_path / "out").exists()
 
     def test_predict_imports_no_numpy_random(self, run_dir, tmp_path):
@@ -662,28 +672,6 @@ class TestWholeScoreFiles:
     a write that fails midway leaves neither a partial file nor a temporary
     one."""
 
-    @pytest.mark.parametrize("command, name, limit", [
-        ("predict", "predictions.tsv", 100), ("evaluate", "metrics.txt", 20)])
-    def test_failed_write_leaves_no_partial_file(self, run_dir, tmp_path, capsys,
-                                                 monkeypatch, command, name, limit):
-        out = tmp_path / "out"
-        args = [command, "--features", str(run_dir / "heldout"), "--model",
-                str(run_dir / "model.json"), "--out", str(out)]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(dataio, "open", FullDisk(limit).open, raising=False)
-            assert main(args) == 2
-        assert capsys.readouterr().err == "error: No space left on device\n"
-        assert os.listdir(out) == []
-
-        assert main(args) == 0
-        complete = (out / name).read_bytes()
-        with monkeypatch.context() as patch:
-            patch.setattr(dataio, "open", FullDisk(limit).open, raising=False)
-            assert main(args) == 2
-        assert (out / name).read_bytes() == complete
-        assert sorted(os.listdir(out)) == ["config.txt", name]
-
     @pytest.mark.parametrize("limit", ["small", "large"])
     @pytest.mark.parametrize("command", ["extract", "analyze", "train", "evaluate",
                                          "predict", "ablate"])
@@ -691,8 +679,9 @@ class TestWholeScoreFiles:
                                              tmp_path, capsys, monkeypatch,
                                              command, limit):
         # The files a command writes share the disk's room. A small room
-        # fails its first file; a large one, one character short of a
-        # complete run, fails only its last, so every other file is written.
+        # fails its first file, so nothing is written; a large one, one
+        # character short of a complete run, fails only its last, config.txt,
+        # so every other file is written. The error names the file.
         feat, cfg = str(corpus_run / "feat"), str(corpus_run / "train.cfg")
         model = str(corpus_run / "run" / "model.json")
         args = {
@@ -710,13 +699,19 @@ class TestWholeScoreFiles:
             assert main([command, "--out", str(tmp_path / "whole")] + args) == 0
         whole = tree_bytes(tmp_path / "whole")
         room = 10 if limit == "small" else (1 << 40) - disk.room - 1
+        failed = {"extract": "features.tsv", "analyze": "screening.tsv",
+                  "train": "training_log.tsv", "evaluate": "metrics.txt",
+                  "predict": "predictions.tsv", "ablate": "ablation.tsv",
+                  }[command] if limit == "small" else "config.txt"
         for out in (tmp_path / "out", tmp_path / "whole"):
             with monkeypatch.context() as patch:
                 patch.setattr(dataio, "open", FullDisk(room).open, raising=False)
                 assert main([command, "--out", str(out)] + args) == 2
-            assert capsys.readouterr().err == "error: No space left on device\n"
+            assert capsys.readouterr().err == \
+                f"error: No space left on device: {out / failed}\n"
         left = tree_bytes(tmp_path / "out")
         assert left == {name: whole[name] for name in left}
+        assert (left == {}) == (limit == "small") and failed not in left
         assert tree_bytes(tmp_path / "whole") == whole
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
@@ -1367,6 +1362,39 @@ class TestFeatureDirFuzz:
                 p_spam = np.loadtxt(out / "predictions.tsv", delimiter="\t",
                                     skiprows=1, usecols=3, ndmin=1)
                 assert np.all((p_spam >= 0) & (p_spam <= 1))
+
+
+class TestModelFileFuzz:
+    """Character edits of the golden model.json through ``predict``, the
+    file as edited or re-signed with a valid checksum, so that an edit that
+    keeps it JSON reaches the checks behind the checksum; a run that exits 0
+    scores every row with a finite p_spam in [0, 1]."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=CHAR_EDITS, resign=st.booleans())
+    def test_predict_exits_0_or_2_naming_the_file(self, edits, resign):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "model.json")
+            path.write_text(edit_chars((GOLDEN / "model.json").read_text(), edits),
+                            newline="")
+            if resign:
+                # Only a JSON object with a body can be re-signed.
+                with contextlib.suppress(ValueError, TypeError, KeyError):
+                    rewrite_model_body(path, lambda body: None)
+            out = Path(tmp, "out")
+            if run_fuzzed(["predict", "--features", str(GOLDEN / "features"),
+                           "--model", str(path), "--out", str(out)], path) == 0:
+                p_spam = np.loadtxt(out / "predictions.tsv", delimiter="\t",
+                                    skiprows=1, usecols=3, ndmin=1)
+                assert np.all((p_spam >= 0) & (p_spam <= 1))
+
+    def test_json_nested_too_deeply_exits_2_naming_the_file(self, tmp_path):
+        # json.load raises RecursionError, not a JSONDecodeError, here.
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run_fuzzed(["predict", "--features", str(GOLDEN / "features"),
+                           "--model", str(path), "--out", str(tmp_path / "out")],
+                          path) == 2
 
 
 def scoped_dataset(seed=4, n=240):

@@ -1,20 +1,24 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import (follow_forest, load_with_tensor_shape,
+from helpers import (backprop_forward, follow_forest, load_with_tensor_shape,
                      reference_forest_backward, reference_forest_forward,
                      rewrite_model_body)
+from spamforest import forest as forest_module
 from spamforest.dataio import load_model, save_model
 from spamforest.errors import ConfigError, ModelIntegrityError
-from spamforest.forest import (CHUNK_CELLS, ForestParams, forest_backward,
-                               forest_forward, leaf_gradient)
+from spamforest.forest import (CHUNK_CELLS, ForestParams, by_tree_halves,
+                               forest_backward, forest_forward, leaf_gradient)
 from spamforest.forest import leaf_reach as forest_leaf_reach
-from spamforest.numerics import Layer, Rng, sigmoid, sigmoid_chain
-from spamforest.training import (TrainConfig, _forward_cache, _loss_terms,
+from spamforest.numerics import Layer, Rng, beside, sigmoid, sigmoid_chain
+from spamforest.training import (ROW_BLOCK, TrainConfig, _forest_pass,
+                                 _loss_terms, _tree_loss_grad,
                                  init_model, joint_loss, predict)
 
 
@@ -247,24 +251,35 @@ class TestStackedForestPass:
                 reach[:, :, forest.n_decision_nodes:].view(np.int64))
 
     # leaf_reach reuses one routing buffer and one block of scratch for every
-    # tree, so beyond mu its peak does not grow with the tree count. The
-    # slack covers loop objects such as views and ints; one tree's routing
-    # output alone is 11 KB at depth 3 and 200 rows.
+    # tree of a half, so beyond mu its peak does not grow with the tree
+    # count. From two trees on a pass may split in halves, a set each; on two
+    # threads the sets are live at once or not as the threads happen to
+    # run, so the exact peak is taken with the halves run in turn (inside a
+    # ``beside`` call, which runs a nested call's halves on one thread), and
+    # the two-thread peak is bounded by two such sets. The slack covers loop
+    # objects such as views and ints, and the worker thread's own objects;
+    # one tree's routing output alone is 11 KB at depth 3 and 200 rows.
     @pytest.mark.parametrize("depth, rows", [(3, 200), (6, 2000)])
     def test_leaf_reach_scratch_independent_of_tree_count(self, rng, depth, rows):
         XT = rng.normal((rows, 4))
-        overhead = []
-        for n_trees in (1, 10):
-            forest = random_forest(rng, n_trees, depth, 4)
-            forest_leaf_reach(XT, forest)  # builds the cached level slices
+
+        def overhead(forest):
             tracemalloc.start()
             try:
                 mu = forest_leaf_reach(XT, forest)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            overhead.append(peak - mu.nbytes)
-        assert abs(overhead[1] - overhead[0]) < 1024, overhead
+            return peak - mu.nbytes
+
+        in_turn, threaded = [], []
+        for n_trees in (2, 10):
+            forest = random_forest(rng, n_trees, depth, 4)
+            forest_leaf_reach(XT, forest)  # builds the cached level slices
+            in_turn.append(beside(lambda: None, lambda: overhead(forest))[1])
+            threaded.append(overhead(forest))
+        assert abs(in_turn[1] - in_turn[0]) < 1024, in_turn
+        assert max(threaded) < 2 * in_turn[0] + 16384, (threaded, in_turn)
 
     @pytest.mark.parametrize("rows", [1, 515, 516, 517, 1035])
     def test_predict_and_joint_loss_equal_backprop_forward(self, rng, rows):
@@ -272,7 +287,7 @@ class TestStackedForestPass:
         model = init_model(TrainConfig(n_tree=3, n_depth=6, seed=4), 5, Rng(4))
         X = rng.normal((rows, 5))
         y = (rng.normal((rows,)) > 0).astype(np.int64)
-        cache = _forward_cache(X, model)
+        cache = backprop_forward(X, model)
         _, probs = predict(model, X)
         npt.assert_array_equal(probs.view(np.int64),
                                cache["forest"]["forest_probs"].view(np.int64))
@@ -315,6 +330,149 @@ class TestRowMajorOracle:
         # Depth 6 holds 127 reach cells per row, so 516 rows fill one block
         # and 1100 rows take three.
         self.check(rng, 10, 6, 1100)
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+class HalfFailed(Exception):
+    pass
+
+
+class TestTreeHalves:
+    """The mini-batch forest pass and ``leaf_reach`` split their trees in two
+    halves on two threads from 2 * CHUNK_CELLS reach cells on; every bit
+    must be that of one pass over all trees."""
+
+    @staticmethod
+    def count_handoffs(monkeypatch):
+        calls = []
+
+        def counted(worker, caller):
+            calls.append(threading.current_thread())
+            return beside(worker, caller)
+        monkeypatch.setattr(forest_module, "beside", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 5, 10])
+    def test_halves_equal_one_pass_over_all_trees(self, rng, monkeypatch, n_trees):
+        forest = random_forest(rng, n_trees, 3, 4, scale=2.0)
+        calls = self.count_handoffs(monkeypatch)
+        # 15 reach cells per tree and row at depth 3: the first row count
+        # stays below the split, the second reaches it.
+        split_rows = -(-2 * CHUNK_CELLS // (15 * n_trees))
+        for rows in (split_rows - 1, split_rows):
+            XT = rng.normal((rows, 4))
+            y = (rng.normal((rows,)) > 0).astype(np.int64)
+            cache = forest_forward(XT, forest)
+            g_py = _tree_loss_grad(cache["probs"], y, n_trees)
+            g_routing, g_terms = forest_backward(XT, y, g_py, cache, forest)
+            g_leaf = leaf_gradient(y, g_py, cache["mu"], cache["leaf_dists"])
+
+            del calls[:]
+            halved_g_routing = np.empty_like(forest.routing)
+            g_xt, halves = _forest_pass(XT, y, forest, halved_g_routing)
+            mu = forest_leaf_reach(XT, forest)
+            # One handoff for the pass and one for leaf_reach, or none.
+            split = n_trees >= 2 and rows == split_rows
+            assert len(calls) == (2 if split else 0), (rows, calls)
+            mid = (n_trees + 1) // 2
+            assert [trees for trees, _, _ in halves] == \
+                ([slice(0, mid), slice(mid, n_trees)] if split else [slice(0, n_trees)])
+
+            npt.assert_array_equal(bits(halved_g_routing), bits(g_routing))
+            npt.assert_array_equal(bits(g_xt), bits(np.cumsum(g_terms, axis=0)[-1]))
+            npt.assert_array_equal(bits(mu), bits(cache["mu"]))
+            for trees, half, half_g_py in halves:
+                for name in ("mu", "probs", "leaf_dists"):
+                    npt.assert_array_equal(bits(half[name]), bits(cache[name][trees]))
+                npt.assert_array_equal(bits(half_g_py), bits(g_py[trees]))
+                npt.assert_array_equal(
+                    bits(leaf_gradient(y, half_g_py, half["mu"], half["leaf_dists"])),
+                    bits(g_leaf[trees]))
+
+    def test_halves_equal_under_frequent_thread_switches(self, rng):
+        # The halves write disjoint slices of shared outputs; with a switch
+        # interval of a microsecond the threads interleave often, and no bit
+        # may change.
+        forest = random_forest(rng, 5, 3, 4, scale=2.0)
+        rows = -(-2 * CHUNK_CELLS // (15 * 5))
+        XT = rng.normal((rows, 4))
+        y = (rng.normal((rows,)) > 0).astype(np.int64)
+        want_g_routing = np.empty_like(forest.routing)
+        want_g_xt, _ = _forest_pass(XT, y, forest, want_g_routing)
+        mu = forest_leaf_reach(XT, forest)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g_routing = np.empty_like(forest.routing)
+                g_xt, _ = _forest_pass(XT, y, forest, g_routing)
+                npt.assert_array_equal(bits(g_routing), bits(want_g_routing))
+                npt.assert_array_equal(bits(g_xt), bits(want_g_xt))
+                npt.assert_array_equal(bits(forest_leaf_reach(XT, forest)), bits(mu))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
+    def test_exception_on_either_half_reaches_the_caller(self, rng, on_worker):
+        forest = random_forest(rng, 4, 3, 4)
+        caller, ran = threading.current_thread(), []
+
+        def body(trees):
+            ran.append(trees)
+            if (threading.current_thread() is not caller) == on_worker:
+                raise HalfFailed(f"trees {trees.start}-{trees.stop - 1}")
+            return trees
+
+        before = threading.active_count()
+        with pytest.raises(HalfFailed, match="trees 2-3" if on_worker else "trees 0-1"):
+            by_tree_halves(forest, CHUNK_CELLS, body)
+        assert threading.active_count() == before
+        assert sorted(trees.start for trees in ran) == [0, 2]
+        assert by_tree_halves(forest, CHUNK_CELLS, lambda trees: trees) == \
+            [slice(0, 2), slice(2, 4)]
+        assert threading.active_count() == before
+
+    def test_nested_beside_starts_no_third_thread(self):
+        before = threading.active_count()
+        seen = []
+
+        def outer():
+            me = threading.current_thread()
+            inner = beside(lambda: (threading.current_thread(), threading.active_count()),
+                           lambda: (threading.current_thread(), threading.active_count()))
+            seen.append((me, inner))
+            return me
+
+        worker, caller = beside(outer, outer)
+        assert worker is not caller and caller is threading.current_thread()
+        for me, inner in seen:
+            assert [thread for thread, _ in inner] == [me, me]
+            assert all(count <= before + 1 for _, count in inner)
+        assert threading.active_count() == before
+
+    def test_predict_row_blocks_route_halves_on_their_own_thread(self, monkeypatch):
+        # Two row blocks of 4096 rows, each 4 * 4096 * 15 reach cells, enough
+        # to split its trees were it not already on one of two threads.
+        model = init_model(TrainConfig(n_tree=4, n_depth=3, seed=6), 7, Rng(6))
+        X = Rng(7).normal((2 * ROW_BLOCK, 7))
+        counts, threads, original = [], set(), forest_module._route
+
+        def route(*args):
+            counts.append(threading.active_count())
+            threads.add(threading.current_thread())
+            return original(*args)
+
+        before = threading.active_count()
+        _, probs = predict(model, X)
+        monkeypatch.setattr(forest_module, "_route", route)
+        _, routed = predict(model, X)
+        npt.assert_array_equal(bits(routed), bits(probs))
+        # The worker may find no block left if the caller took both.
+        assert len(threads) <= 2 and max(counts) <= before + 1
+        assert threading.active_count() == before
 
 
 class TestHardRoutingEquivalence:

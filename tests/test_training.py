@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import backprop_forward
 from spamforest import cli, forest as forest_module, training
 from spamforest.dataio import LabeledDataset, save_features
 from spamforest.errors import ConfigError, NumericError, ShapeError
@@ -22,7 +23,7 @@ from spamforest.numerics import Rng, sigmoid_chain
 from spamforest.stats import screen_features
 from spamforest.training import (MAX_DEPTH, ROW_BLOCK, TrainConfig,
                                  _allocate_model, _by_row_blocks,
-                                 _forward_cache, _leaf_epoch_step, _leaf_forward,
+                                 _leaf_epoch_step, _leaf_forward,
                                  _loss_terms, gradients, init_model,
                                  joint_loss, parameter_blocks, predict,
                                  rmsprop_step, train)
@@ -34,7 +35,7 @@ def np_sigmoid(z):
 
 def forward_one(x, model):
     """(x_c, per-tree probabilities) of one vector from the training forward."""
-    cache = _forward_cache(np.asarray(x, dtype=np.float64)[None, :], model)
+    cache = backprop_forward(np.asarray(x, dtype=np.float64)[None, :], model)
     return cache["x_c"][0], cache["forest"]["probs"][:, 0, :]
 
 
@@ -174,7 +175,7 @@ class TestForward:
 
     def test_deterministic(self, desk_model, desk_batch):
         X, _ = desk_batch
-        a, b = (_forward_cache(X, desk_model) for _ in range(2))
+        a, b = (backprop_forward(X, desk_model) for _ in range(2))
         npt.assert_array_equal(a["x_c"], b["x_c"])
         npt.assert_array_equal(a["forest"]["probs"], b["forest"]["probs"])
         for u, v in zip(predict(desk_model, X), predict(desk_model, X)):
@@ -184,7 +185,7 @@ class TestForward:
         cfg = TrainConfig(n_tree=4, n_depth=3, seed=13)
         model = init_model(cfg, 7, Rng(cfg.seed))
         X = rng.normal((40, 7))
-        cached = _forward_cache(X, model)["forest"]["forest_probs"]
+        cached = backprop_forward(X, model)["forest"]["forest_probs"]
         labels, probs = predict(model, X)
         npt.assert_array_equal(probs.view(np.int64), cached.view(np.int64))
         npt.assert_array_equal(labels, cached.argmax(axis=1))
@@ -877,8 +878,8 @@ class TestFlatParameterBuffer:
         original = training.forest_backward
         seen = {"calls": 0}
 
-        def poisoned(*args):
-            g_routing, g_xt = original(*args)
+        def poisoned(*args, **kwargs):
+            g_routing, g_xt = original(*args, **kwargs)
             seen["calls"] += 1
             if seen["calls"] > 3:  # 3 batches per epoch
                 g_routing[1, 0, 0] = np.nan
