@@ -830,6 +830,8 @@ def load_features(in_dir) -> LabeledDataset:
             repeated = [(n, k) for n, k in Counter(names).items() if k > 1]
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON ({exc.msg})", exc.lineno) from None
+        except RecursionError:
+            raise ParseError("not a manifest: JSON nested too deeply") from None
         except KeyError as exc:
             raise ParseError(f"lacks {exc}") from None
         except TypeError:

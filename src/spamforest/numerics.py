@@ -10,16 +10,21 @@ They check no shapes: ``training._allocate_model`` fixes a model's, and
 Entropy is reported in nats (natural log) with the ``0 * log 0 := 0``
 convention. Softmax subtracts the row maximum before exponentiating.
 
-``beside`` is the package's one way to use a second thread: a plain
-``threading.Thread`` that ends before the call returns. It needs no
-``concurrent.futures``, whose import pulls in ``logging``.
+``beside`` is the package's one way to use a second thread. It hands its
+worker function to the thread of the innermost ``one_worker`` scope open on
+the calling thread, or of a scope it opens for its one call; a scope's
+thread starts at its first handoff and is joined when the scope ends, so no
+thread outlives a scope. It needs no ``concurrent.futures``, whose import
+pulls in ``logging``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -34,6 +39,7 @@ __all__ = [
     "sigmoid_chain",
     "binary_labels",
     "beside",
+    "one_worker",
 ]
 
 
@@ -154,48 +160,99 @@ def binary_labels(y, error: type[ValueError] = ValueError) -> np.ndarray:
     return y.astype(np.int64)
 
 
-# Whether this thread is running a function ``beside`` was handed.
-_inside_beside = threading.local()
+# Per thread: ``inside``, whether it is running a function ``beside`` was
+# handed; ``worker``, the ``_Worker`` of the scope open on it, if any.
+_local = threading.local()
+
+
+def _call(fn):
+    """``(True, fn())``, or ``(False, exc)`` if ``fn`` raised ``exc``."""
+    try:
+        return True, fn()
+    except BaseException as exc:  # handed to the thread that waits for it
+        return False, exc
+
+
+class _Worker:
+    """One thread that runs the functions handed to it, one at a time, and
+    returns each one's ``_call`` outcome. It starts at the first handoff."""
+
+    def __init__(self):
+        self._jobs, self._outcomes = SimpleQueue(), SimpleQueue()
+        self._thread = None
+
+    def hand(self, fn):
+        if self._thread is None:
+            thread = threading.Thread(target=self._serve, name="spamforest-worker")
+            thread.start()
+            self._thread = thread
+        self._jobs.put(fn)
+
+    def outcome(self):
+        """The outcome of the function handed last, once it has ended."""
+        return self._outcomes.get()
+
+    def _serve(self):
+        _local.inside = True
+        for fn in iter(self._jobs.get, None):
+            self._outcomes.put(_call(fn))
+
+    def close(self):
+        """Let the function in hand end, then end the thread and join it."""
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
+
+
+@contextmanager
+def one_worker():
+    """A scope in which every ``beside`` call on this thread hands its worker
+    function to one thread, kept from the first handoff until the scope
+    ends, also on an error. A scope opened inside another shares its
+    thread; a scope with no handoff starts none."""
+    if getattr(_local, "worker", None) is not None:
+        yield
+        return
+    _local.worker = kept = _Worker()
+    try:
+        yield
+    finally:
+        _local.worker = None
+        kept.close()
 
 
 def beside(worker, caller):
     """``(worker(), caller())``, with ``worker`` run on a second thread
     while this thread runs ``caller``.
 
-    The worker is joined before this returns, also when ``caller`` raises,
-    so no thread outlives the call. An exception raised by ``worker`` is
-    raised here once it has ended; one raised by ``caller`` wins over it.
+    The second thread is the one of the ``one_worker`` scope open on this
+    thread; outside any scope the call opens one for itself, so its thread
+    is joined before it returns. ``worker`` has ended before this returns,
+    also when ``caller`` raises. An exception raised by ``worker`` is raised
+    here, and leaves the scope's thread ready for the next call; one raised
+    by ``caller`` wins over it.
 
     A call made inside another (from a function handed to ``beside``, on
     either thread) runs ``worker`` and then ``caller`` on its own thread,
     so nested calls never start a third thread: ``predict``'s row blocks
     on two threads each route their trees on one.
     """
-    outcome = {}
-    nested = getattr(_inside_beside, "active", False)
-
-    def run():
-        _inside_beside.active = True
-        try:
-            outcome["value"] = worker()
-        except BaseException as exc:  # handed to the calling thread
-            outcome["error"] = exc
-
-    thread = None if nested else threading.Thread(target=run, name="spamforest-worker")
-    if thread is None:
-        run()
+    if getattr(_local, "inside", False):
+        theirs, mine = _call(worker), caller()
     else:
-        thread.start()
-    _inside_beside.active = True
-    try:
-        mine = caller()
-    finally:
-        _inside_beside.active = nested
-        if thread is not None:
-            thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"], mine
+        with one_worker():
+            kept = _local.worker
+            kept.hand(worker)
+            _local.inside = True
+            try:
+                mine = caller()
+            finally:
+                _local.inside = False
+                theirs = kept.outcome()
+    ok, value = theirs
+    if not ok:
+        raise value
+    return value, mine
 
 
 def norm_sf(z: float) -> float:

@@ -24,7 +24,13 @@ keeps the forest's decisions and reach for backprop: ``_forest_pass`` runs
 ``forest_forward`` and ``forest_backward`` over stacked node-major
 (K, nodes, rows) arrays, once per tree half of ``forest.by_tree_halves``
 (two threads from 2 * ``forest.CHUNK_CELLS`` reach cells on), after
-``_forward_cache`` has run the autoencoder and the fully connected stack.
+``_forward_cache`` has run the autoencoder and the fully connected stack;
+the trees' terms of dL/dx_t, and of the loss, are added in tree order
+(``_tree_sum``). Each epoch's mini-batch loop runs in one
+``numerics.one_worker`` scope, so its batches hand their second half to
+one thread, started at the first handoff and joined when the loop ends.
+The leaf step runs outside that scope, so a worker kept for the epoch
+does not keep the full-set pass's temporaries in its heap.
 ``predict``, ``joint_loss`` and the leaf step keep only the leaf reach mu
 (``forest.leaf_reach``, one tree at a time in row blocks, in the same tree
 halves), so a full-set pass holds (K, rows, 2^D) floats of forest state,
@@ -70,7 +76,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .forest import (ForestParams, by_tree_halves, forest_backward,
                      forest_forward, leaf_gradient, leaf_mixture, leaf_reach)
-from .numerics import Layer, Rng, beside, binary_labels, sigmoid_chain
+from .numerics import Layer, Rng, beside, binary_labels, one_worker, sigmoid_chain
 
 __all__ = [
     "TrainConfig",
@@ -471,9 +477,20 @@ def _loss_terms(X: np.ndarray, y: np.ndarray, x_c: np.ndarray,
     """The joint loss from a reconstruction ``x_c`` and per-tree ``probs``."""
     recon = ((X - x_c) ** 2).sum(axis=1)
     p_y = np.maximum(probs[:, np.arange(X.shape[0]), y], PROB_FLOOR)
-    # cumsum adds the trees' terms in tree order, where sum may pair them up.
-    tree_terms = np.cumsum(-np.log(p_y), axis=0)[-1] / probs.shape[0]
+    tree_terms = _tree_sum(-np.log(p_y)) / probs.shape[0]
     return float((recon + tree_terms).mean())
+
+
+def _tree_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...``, the sum over the first (tree) axis
+    added in tree order, where ``sum`` may pair terms up, with one in-place
+    add per tree. Every entry that is not NaN has the bits of
+    ``np.cumsum(terms, axis=0)[-1]``; which NaN a sum of two NaNs gives is
+    the add loop's choice, and a NaN ends training either way."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +543,7 @@ def _forest_pass(XT: np.ndarray, y: np.ndarray, forest: ForestParams,
         return trees, cache, g_py
 
     halves = by_tree_halves(forest, len(XT), half)
-    # cumsum adds the trees' terms in tree order, where sum may pair them up.
-    return np.cumsum(g_xt, axis=0)[-1], halves
+    return _tree_sum(g_xt), halves
 
 
 def _check_finite(grad: Model):
@@ -687,14 +703,15 @@ def train(X: np.ndarray, y: np.ndarray, config: TrainConfig,
             order = rng.permutation(n)
             X, y = X[order], y[order]
         try:
-            for b in range(n_batches):
-                sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
-                _backward(X[sl], y[sl], model, grad)
-                if not np.isfinite(grad.theta).all():
-                    _check_finite(grad)
-                model.theta[...], theta_accum = rmsprop_step(
-                    model.theta, grad.theta, theta_accum, config.learning_rate,
-                    config.epsilon)
+            with one_worker():
+                for b in range(n_batches):
+                    sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
+                    _backward(X[sl], y[sl], model, grad)
+                    if not np.isfinite(grad.theta).all():
+                        _check_finite(grad)
+                    model.theta[...], theta_accum = rmsprop_step(
+                        model.theta, grad.theta, theta_accum, config.learning_rate,
+                        config.epsilon)
             loss, acc, leaf_accum = _leaf_epoch_step(X, y, model, grad, leaf_accum,
                                                      config)
         except NumericError as exc:

@@ -1363,6 +1363,18 @@ class TestFeatureDirFuzz:
                                     skiprows=1, usecols=3, ndmin=1)
                 assert np.all((p_spam >= 0) & (p_spam <= 1))
 
+    def test_manifest_nested_too_deeply_exits_2_naming_it(self, tmp_path):
+        # json.load raises RecursionError, not a JSONDecodeError, here.
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        for other in ("features.tsv", "labels.tsv"):
+            (feat / other).write_bytes((GOLDEN / "features" / other).read_bytes())
+        path = feat / "manifest.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run_fuzzed(["predict", "--features", str(feat), "--model",
+                           str(GOLDEN / "model.json"), "--out", str(tmp_path / "out")],
+                          path) == 2
+
 
 class TestModelFileFuzz:
     """Character edits of the golden model.json through ``predict``, the

@@ -19,12 +19,12 @@ from spamforest.dataio import LabeledDataset, save_features
 from spamforest.errors import ConfigError, NumericError, ShapeError
 from spamforest.features import FeatureMatrix
 from spamforest.forest import leaf_mixture, leaf_reach
-from spamforest.numerics import Rng, sigmoid_chain
+from spamforest.numerics import Rng, beside, one_worker, sigmoid_chain
 from spamforest.stats import screen_features
 from spamforest.training import (MAX_DEPTH, ROW_BLOCK, TrainConfig,
                                  _allocate_model, _by_row_blocks,
                                  _leaf_epoch_step, _leaf_forward,
-                                 _loss_terms, gradients, init_model,
+                                 _loss_terms, _tree_sum, gradients, init_model,
                                  joint_loss, parameter_blocks, predict,
                                  rmsprop_step, train)
 
@@ -624,6 +624,164 @@ class TestRowBlockErrors:
         with pytest.raises(RowBlockFailed):
             _by_row_blocks(n_blocks * ROW_BLOCK, body, [(n_blocks * ROW_BLOCK, 1)])
         assert len(ran) < n_blocks
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+class TestTreeSum:
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 5, 10])
+    def test_equals_cumsum_in_tree_order(self, n_trees):
+        # IEEE 754 leaves open which NaN a sum of two NaNs returns, and
+        # numpy's contiguous add and cumsum's strided one answer differently,
+        # so a NaN result is checked as a NaN; every other entry, infinities
+        # and signed zeros included, bit for bit.
+        rng = np.random.default_rng(n_trees)
+        for shape in [(n_trees, 150, 15), (n_trees, 6026), (n_trees, 7, 3)]:
+            terms = rng.normal(size=shape) * rng.choice([1e-300, 1.0, 1e300], size=shape)
+            pick = rng.random(shape)
+            terms[pick < 0.05] = np.inf
+            terms[(pick >= 0.05) & (pick < 0.1)] = -np.inf
+            terms[(pick >= 0.1) & (pick < 0.15)] = np.nan
+            terms[(pick >= 0.15) & (pick < 0.2)] = -0.0
+            with np.errstate(invalid="ignore"):
+                got, want = _tree_sum(terms), np.cumsum(terms, axis=0)[-1]
+            assert got.shape == want.shape and not np.shares_memory(got, terms)
+            npt.assert_array_equal(np.isnan(got), np.isnan(want))
+            assert np.isnan(want).any() and np.isinf(want).any()
+            number = ~np.isnan(want)
+            npt.assert_array_equal(bits(got[number]), bits(want[number]))
+
+
+class WorkerFailed(Exception):
+    pass
+
+
+class TestKeptWorker:
+    """``train`` keeps one worker thread for each epoch's mini-batch loop,
+    started at the loop's first handoff, and joins it when the loop ends."""
+
+    @staticmethod
+    def count_starts(monkeypatch):
+        """Per training phase, the threads started and the forest's handoffs."""
+        seen = {"phase": "batches", "batches": [], "leaf step": []}
+        start, handoff, leaf_step = (threading.Thread.start, forest_module.beside,
+                                     training._leaf_epoch_step)
+
+        def counted_start(thread):
+            seen[seen["phase"]].append("start")
+            return start(thread)
+
+        def counted_handoff(worker, caller):
+            seen[seen["phase"]].append("handoff")
+            return handoff(worker, caller)
+
+        def phased(*args):
+            seen["phase"] = "leaf step"
+            try:
+                return leaf_step(*args)
+            finally:
+                seen["phase"] = "batches"
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(forest_module, "beside", counted_handoff)
+        monkeypatch.setattr(training, "_leaf_epoch_step", phased)
+        return seen
+
+    def test_one_thread_per_epoch_at_10_trees_of_depth_6(self, monkeypatch):
+        # 10 trees of depth 6 at batch 150 hold 190500 reach cells, so every
+        # batch hands half its trees to the worker.
+        cfg = TrainConfig(n_epoch=3, batch_size=150, n_tree=10, n_depth=6, seed=3)
+        X, y = Rng(4).normal((600, 7)), np.array([0, 1] * 300)
+        seen = self.count_starts(monkeypatch)
+        before = threading.active_count()
+        train(X, y, cfg)
+        assert threading.active_count() == before
+        # Each of the 3 epochs starts its worker at its first of 4 handoffs.
+        assert seen["batches"] == (["handoff", "start"] + ["handoff"] * 3) * 3
+
+    def test_default_structure_starts_none_in_the_batch_loop(self, monkeypatch):
+        # 5 trees of depth 3 at batch 50 hold 3750 reach cells.
+        seen = self.count_starts(monkeypatch)
+        before = threading.active_count()
+        train(Rng(4).normal((600, 7)), np.array([0, 1] * 300),
+              TrainConfig(n_epoch=3, seed=3))
+        assert seen["batches"] == []
+        assert threading.active_count() == before
+
+    def test_worker_half_raising_mid_epoch_names_block_and_epoch(self, monkeypatch):
+        original, caller, calls = training.forest_backward, threading.current_thread(), []
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                calls.append(len(calls))
+                if len(calls) == 6:  # epoch 1, batch 1 of 4
+                    raise NumericError("non-finite gradient in block tree.7.routing",
+                                       context="tree.7.routing")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forest_backward", failing)
+        cfg = TrainConfig(n_epoch=3, batch_size=150, n_tree=10, n_depth=6, seed=3)
+        before = threading.active_count()
+        with pytest.raises(NumericError) as info:
+            train(Rng(4).normal((600, 7)), np.array([0, 1] * 300), cfg)
+        assert threading.active_count() == before
+        assert str(info.value) == \
+            "non-finite gradient in block tree.7.routing at epoch 1"
+        assert info.value.context == 1
+
+    def test_raising_job_leaves_the_next_handoff_working(self):
+        def fail():
+            raise WorkerFailed("worker")
+
+        before = threading.active_count()
+        with one_worker():
+            with pytest.raises(WorkerFailed, match="worker"):
+                beside(fail, threading.current_thread)
+            first, _ = beside(threading.current_thread, threading.current_thread)
+            assert first.is_alive() and first is not threading.current_thread()
+            assert beside(threading.current_thread, lambda: 1) == (first, 1)
+            assert threading.active_count() == before + 1
+        assert not first.is_alive() and threading.active_count() == before
+
+    def test_nested_scopes_share_one_thread(self, monkeypatch):
+        starts, start = [], threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        with one_worker():
+            with one_worker():
+                inner, _ = beside(threading.current_thread, lambda: None)
+            outer, _ = beside(threading.current_thread, lambda: None)
+            assert inner is outer and inner.is_alive()
+        assert starts == [inner] and not inner.is_alive()
+
+    def test_handed_function_nests_on_its_own_thread(self, monkeypatch):
+        # A scope opened on the worker, or a call made there, starts no
+        # thread: both functions run on the worker.
+        def nested():
+            with one_worker():
+                return beside(threading.current_thread, threading.current_thread)
+
+        with one_worker():
+            worker, _ = beside(threading.current_thread, lambda: None)
+            starts = []
+            monkeypatch.setattr(threading.Thread, "start", starts.append)
+            inner, _ = beside(nested, lambda: None)
+        assert inner == (worker, worker) and starts == []
+
+    def test_scope_ends_its_thread_on_an_error(self):
+        before = threading.active_count()
+        with pytest.raises(WorkerFailed):
+            with one_worker():
+                beside(lambda: None, lambda: None)
+                assert threading.active_count() == before + 1
+                raise WorkerFailed("in the scope")
+        assert threading.active_count() == before
 
 
 class TestTrain:
