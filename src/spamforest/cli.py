@@ -128,14 +128,13 @@ def cmd_analyze(args) -> int:
         raise ValueError(
             f"{os.path.join(args.features, 'labels.tsv')}: every row has label "
             f"{ds.labels[0]}; screening compares the two classes")
-    results = screen_features(ds.features, ds.labels, paired_mode=args.paired)
+    results = screen_features(ds.features, ds.labels)
     report = os.path.join(args.out, "screening.tsv")
     write_screening_report(results, report)
     if args.histograms:
         write_histograms(ds.features, ds.labels,
                          os.path.join(args.out, "histograms"))
-    _echo_config(args.out, "analyze", None,
-                 {"features": args.features, "paired": args.paired})
+    _echo_config(args.out, "analyze", None, {"features": args.features})
     n_sig = sum(r.significant_at_05 for r in results)
     print(f"screened {len(results)} features, {n_sig} significant at 0.05; "
           f"report at {report}")
@@ -324,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="feature directory")
     p.add_argument("--histograms", action="store_true",
                    help="also write per-feature histogram CSVs")
-    p.add_argument("--paired", action="store_true",
-                   help="use the paired signed-rank test on trimmed groups")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train a model on a feature directory")

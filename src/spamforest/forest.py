@@ -28,11 +28,10 @@ row blocks of reused scratch. Both passes share one routing kernel
 
 Given the tree input, a tree's routing, reach and gradients depend on no
 other tree; only the sum of the trees' gradients into the tree input joins
-them. So a large pass splits its trees in two halves on two threads
-(``by_tree_halves``): ``leaf_reach`` does, and the training loop's
-mini-batch pass (``training._forest_pass``) runs ``forest_forward`` and
-``forest_backward`` once per half, with the trees' input-gradient terms
-added in tree order by the caller.
+them. So any slice of the trees can run as a forest of its own, and
+``forest_backward`` hands out each tree's term of that sum for the caller
+to add in tree order. This module holds kernels only and starts no thread:
+where a pass splits, over trees or over rows, is ``training``'s rule.
 
 The decisions, the reach and the reach gradient are stored node-major,
 (K, nodes, B), so that each level step of the recursion and of its backward
@@ -62,10 +61,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Layer, beside, sigmoid, softmax
+from .numerics import Layer, sigmoid, softmax
 
-__all__ = ["ForestParams", "by_tree_halves", "forest_forward", "leaf_reach",
-           "leaf_mixture", "leaf_gradient", "forest_backward"]
+__all__ = ["ForestParams", "forest_forward", "leaf_reach", "leaf_mixture",
+           "leaf_gradient", "forest_backward"]
 
 
 @dataclass
@@ -106,30 +105,6 @@ def _levels(depth: int) -> tuple:
 # leaf_reach routes one tree's row block of at most CHUNK_CELLS reach cells
 # at a time, so that its temporaries stay in cache whatever the row count.
 CHUNK_CELLS = 2 ** 16
-
-
-def by_tree_halves(forest: ForestParams, n_rows: int, body) -> list:
-    """``[body(trees), ...]`` over tree slices that cover the forest in tree
-    order, for a pass over ``n_rows`` rows.
-
-    With two trees or more and at least 2 * ``CHUNK_CELLS`` reach cells
-    (K * n_rows * (2^(D+1) - 1)), the trees split in two halves: trees
-    [0, ceil(K/2)) on this thread and [ceil(K/2), K) beside it
-    (``numerics.beside``), one handoff for the whole pass. Otherwise
-    ``body`` runs once over all K trees on this thread: on smaller passes
-    numpy's per-call cost, paid under the interpreter lock, outweighs what
-    a second thread runs. Given the tree input, a tree's routing, reach and
-    gradients depend on no other tree, so the halves share no state; each
-    writes its own trees' slices.
-    """
-    n_trees = forest.n_trees
-    cells = n_trees * n_rows * (2 * forest.n_decision_nodes + 1)
-    if n_trees < 2 or cells < 2 * CHUNK_CELLS:
-        return [body(slice(0, n_trees))]
-    mid = (n_trees + 1) // 2
-    second, first = beside(lambda: body(slice(mid, n_trees)),
-                           lambda: body(slice(0, mid)))
-    return [first, second]
 
 
 def _route(z: np.ndarray, d: np.ndarray, r: np.ndarray, depth: int) -> np.ndarray:
@@ -174,37 +149,32 @@ def forest_forward(XT: np.ndarray, forest: ForestParams) -> dict:
             "reach": r.transpose(0, 2, 1), "mu": mu, **leaf_mixture(mu, forest)}
 
 
-def leaf_reach(XT: np.ndarray, forest: ForestParams) -> np.ndarray:
+def leaf_reach(XT: np.ndarray, forest: ForestParams, out=None) -> np.ndarray:
     """The leaf reach mu (K, B, 2^D) of ``forest_forward``, bit for bit,
-    without its decisions and reach.
+    without its decisions and reach; written into ``out`` when given.
 
     The routing gemm runs one tree at a time over all B rows, the same BLAS
     call as ``forest_forward`` makes for that tree, into one buffer reused
     for every tree; the sigmoid and the reach recursion then run node-major
     in row blocks of at most ``CHUNK_CELLS`` reach cells, in scratch buffers
-    reused across blocks, and only each block's leaf nodes are kept. The
-    trees split in halves as ``by_tree_halves`` rules, each half with its
-    own routing buffer and scratch.
+    reused across trees and blocks, and only each block's leaf nodes are
+    kept.
     """
     n_rows, n_dec = XT.shape[0], forest.n_decision_nodes
     n_block = max(1, min(n_rows, CHUNK_CELLS // (2 * n_dec + 1)))
-    mu = np.empty((forest.n_trees, n_rows, n_dec + 1))
-
-    def route(trees):
-        z = np.empty((1, n_rows, n_dec))
-        d_buf = np.empty(n_dec * n_block)
-        r_buf = np.empty((2 * n_dec + 1) * n_block)
-        for k in range(trees.start, trees.stop):
-            np.matmul(XT, forest.routing[k:k + 1].transpose(0, 2, 1), out=z)
-            for lo in range(0, n_rows, n_block):
-                m = min(n_block, n_rows - lo)
-                # A block's scratch is the contiguous head of each buffer.
-                d = d_buf[:n_dec * m].reshape(1, n_dec, m)
-                r = r_buf[:(2 * n_dec + 1) * m].reshape(1, 2 * n_dec + 1, m)
-                _route(z[:, lo:lo + m], d, r, forest.depth)
-                mu[k, lo:lo + m] = r[0, n_dec:].T
-
-    by_tree_halves(forest, n_rows, route)
+    mu = np.empty((forest.n_trees, n_rows, n_dec + 1)) if out is None else out
+    z = np.empty((1, n_rows, n_dec))
+    d_buf = np.empty(n_dec * n_block)
+    r_buf = np.empty((2 * n_dec + 1) * n_block)
+    for k in range(forest.n_trees):
+        np.matmul(XT, forest.routing[k:k + 1].transpose(0, 2, 1), out=z)
+        for lo in range(0, n_rows, n_block):
+            m = min(n_block, n_rows - lo)
+            # A block's scratch is the contiguous head of each buffer.
+            d = d_buf[:n_dec * m].reshape(1, n_dec, m)
+            r = r_buf[:(2 * n_dec + 1) * m].reshape(1, 2 * n_dec + 1, m)
+            _route(z[:, lo:lo + m], d, r, forest.depth)
+            mu[k, lo:lo + m] = r[0, n_dec:].T
     return mu
 
 

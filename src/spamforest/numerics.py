@@ -160,8 +160,7 @@ def binary_labels(y, error: type[ValueError] = ValueError) -> np.ndarray:
     return y.astype(np.int64)
 
 
-# Per thread: ``inside``, whether it is running a function ``beside`` was
-# handed; ``worker``, the ``_Worker`` of the scope open on it, if any.
+# Per thread: ``worker``, the ``_Worker`` of the scope open on it, if any.
 _local = threading.local()
 
 
@@ -193,7 +192,6 @@ class _Worker:
         return self._outcomes.get()
 
     def _serve(self):
-        _local.inside = True
         for fn in iter(self._jobs.get, None):
             self._outcomes.put(_call(fn))
 
@@ -232,23 +230,15 @@ def beside(worker, caller):
     here, and leaves the scope's thread ready for the next call; one raised
     by ``caller`` wins over it.
 
-    A call made inside another (from a function handed to ``beside``, on
-    either thread) runs ``worker`` and then ``caller`` on its own thread,
-    so nested calls never start a third thread: ``predict``'s row blocks
-    on two threads each route their trees on one.
+    Calls do not nest: neither function makes a ``beside`` call of its own.
+    Each model pass splits in one way only (see ``training``).
     """
-    if getattr(_local, "inside", False):
-        theirs, mine = _call(worker), caller()
-    else:
-        with one_worker():
-            kept = _local.worker
-            kept.hand(worker)
-            _local.inside = True
-            try:
-                mine = caller()
-            finally:
-                _local.inside = False
-                theirs = kept.outcome()
+    with one_worker():
+        _local.worker.hand(worker)
+        try:
+            mine = caller()
+        finally:
+            theirs = _local.worker.outcome()
     ok, value = theirs
     if not ok:
         raise value

@@ -3,8 +3,7 @@
 Continuous features are compared between the two label groups with the
 Wilcoxon-Mann-Whitney rank-sum test (mid-ranks for ties); categorical
 features go through the Pearson chi-squared contingency test. A paired
-signed-rank test is also provided, plus a paper-literal screening mode
-that pairs the two groups after trimming them to equal length.
+signed-rank test is also provided.
 
 Both rank tests run on one engine: a statistic that sums a subset of the
 ranks, of size n_a for the rank-sum and of any size for the signed-rank.
@@ -214,12 +213,10 @@ def chi_squared_test(table, feature_name: str = "") -> TestResult:
 # Screening
 
 
-def screen_features(features: FeatureMatrix, labels,
-                    paired_mode: bool = False) -> list[TestResult]:
+def screen_features(features: FeatureMatrix, labels) -> list[TestResult]:
     """One TestResult per feature column, in feature order.
 
-    Continuous columns: rank-sum between label-1 and label-0 rows (or, with
-    ``paired_mode``, signed-rank on sorted groups trimmed to equal length).
+    Continuous columns: rank-sum between label-1 and label-0 rows.
     Categorical columns: chi-squared on the value-by-label table. Constant
     columns are reported with p = 1 and a degenerate note, never an error.
     """
@@ -244,10 +241,6 @@ def screen_features(features: FeatureMatrix, labels,
                     for v in np.unique(col)
                 ])
                 results.append(chi_squared_test(table, feature_name=name))
-            elif paired_mode:
-                k = min(spam.shape[0], genuine.shape[0])
-                diffs = np.sort(spam[:, j])[:k] - np.sort(genuine[:, j])[:k]
-                results.append(signed_rank_test(diffs, feature_name=name))
             else:
                 results.append(rank_sum_test(spam[:, j], genuine[:, j],
                                              feature_name=name))

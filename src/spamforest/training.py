@@ -10,35 +10,34 @@ x_c enters only the loss. The scalar objective is
     mean over samples [ ||x - x_c||^2 + mean over trees( -log p_tree[y] ) ]
 
 and every gradient is derived by hand, layer by layer, in one backward
-pass whose forest part is ``forest.forest_backward``, run per tree half
-(``_forest_pass``). The finite
-difference harness in the test suite is the arbiter of correctness.
+pass whose forest part is ``forest.forest_backward`` (``_forest_pass``).
+The finite difference harness in the test suite is the arbiter of correctness.
 
 Per-epoch cost model: one epoch costs O(n_batches * batch_size * (
 sum_l n_{l-1} n_l over encoder, decoder and fully connected layers +
 xt_dim * n_trees * n_leaves)). At a fixed depth the forest term grows
 linearly in the number of trees. Acceptance test 10 checks this by counting
 the rows and weights each epoch's forward and backward calls see; wall time
-is measured by the benchmark in ``perfbench/``. Only the mini-batch backward
-keeps the forest's decisions and reach for backprop: ``_forest_pass`` runs
-``forest_forward`` and ``forest_backward`` over stacked node-major
-(K, nodes, rows) arrays, once per tree half of ``forest.by_tree_halves``
-(two threads from 2 * ``forest.CHUNK_CELLS`` reach cells on), after
-``_forward_cache`` has run the autoencoder and the fully connected stack;
-the trees' terms of dL/dx_t, and of the loss, are added in tree order
-(``_tree_sum``). Each epoch's mini-batch loop runs in one
-``numerics.one_worker`` scope, so its batches hand their second half to
-one thread, started at the first handoff and joined when the loop ends.
-The leaf step runs outside that scope, so a worker kept for the epoch
-does not keep the full-set pass's temporaries in its heap.
-``predict``, ``joint_loss`` and the leaf step keep only the leaf reach mu
-(``forest.leaf_reach``, one tree at a time in row blocks, in the same tree
-halves), so a full-set pass holds (K, rows, 2^D) floats of forest state,
-not (K, rows, 3 * 2^D - 2). Those three run their forward in blocks of rows
-aligned to ``ROW_BLOCK`` (``_by_row_blocks``), on two threads from two
-blocks on, with every row's bits those of one pass over all rows; a block's
-trees then stay on its thread, since a ``beside`` call inside another
-starts no thread.
+is measured by the benchmark in ``perfbench/``. Each pass hands work to a
+second thread (``numerics.beside``) by one rule. The mini-batch backward,
+the only pass that keeps the forest's decisions and reach for backprop,
+splits its trees: ``_forest_pass`` runs ``forest_forward`` and
+``forest_backward`` over stacked node-major (K, nodes, rows) arrays once
+per tree half of ``by_tree_halves`` (two threads from 2 *
+``forest.CHUNK_CELLS`` reach cells on), after ``_forward_cache`` has run
+the autoencoder and the fully connected stack; the trees' terms of
+dL/dx_t, and of the loss, are added in tree order (``_tree_sum``). Each
+epoch's mini-batch loop runs in one ``numerics.one_worker`` scope, so its
+batches hand their second half to one thread, started at the first
+handoff and joined when the loop ends. The leaf step runs outside that
+scope, so a worker kept for the epoch does not keep the full-set pass's
+temporaries in its heap. ``predict``, ``joint_loss`` and the leaf step
+keep only the leaf reach mu (``forest.leaf_reach``), so a full-set pass
+holds (K, rows, 2^D) floats of forest state, not (K, rows, 3 * 2^D - 2),
+and they split their rows: the forward runs in blocks aligned to
+``ROW_BLOCK`` (``_by_row_blocks``), on two threads from two blocks on,
+each block writing its rows of outputs allocated once, with every row's
+bits those of one pass over all rows.
 
 One function, ``_allocate_model``, owns the parameter layout of every model
 (``init_model``'s, ``dataio.load_model``'s and the training loop's gradient
@@ -74,8 +73,8 @@ from math import ceil, prod
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .forest import (ForestParams, by_tree_halves, forest_backward,
-                     forest_forward, leaf_gradient, leaf_mixture, leaf_reach)
+from .forest import (CHUNK_CELLS, ForestParams, forest_backward, forest_forward,
+                     leaf_gradient, leaf_mixture, leaf_reach)
 from .numerics import Layer, Rng, beside, binary_labels, one_worker, sigmoid_chain
 
 __all__ = [
@@ -388,25 +387,20 @@ def _forward_cache(X: np.ndarray, model: Model) -> dict:
 # can depend on where the row sits in its operand: a gemv takes a tail path
 # for the last rows, and a small product takes another kernel. Aligned,
 # large blocks keep every row's bits those of one call over all rows.
-ROW_BLOCK = 4096
+ROW_BLOCK = 2048
 
 
-def _by_row_blocks(n_rows: int, body, shapes: list[tuple]) -> tuple:
-    """``body(slice(0, n_rows))``, computed in row blocks.
+def _by_row_blocks(n_rows: int, body):
+    """``body(rows)`` for the row blocks ``rows`` that cover ``n_rows`` rows;
+    each call writes its rows of outputs the caller allocated.
 
-    ``body(rows)`` returns a tuple of arrays, one per shape in ``shapes``,
-    each with the rows on its second-to-last axis. One block is that call
-    itself, on this thread. Two or more are taken in turn, last block first,
-    from one shared iterator by this thread and one worker (numpy releases
-    the interpreter lock inside each gemm and ufunc), and each block's
-    arrays are copied into its rows of outputs of ``shapes``. A block that
-    raises drains the iterator, so the other thread takes no new block, and
-    the exception reaches the caller once both threads are done.
+    One block runs on this thread. Two or more are taken in turn, last
+    block first, from one shared iterator by this thread and one worker
+    (numpy releases the interpreter lock inside each gemm and ufunc). A
+    block that raises drains the iterator, so the other thread takes no new
+    block, and the exception reaches the caller once both threads are done.
     """
     n_blocks = max(1, n_rows // ROW_BLOCK)
-    if n_blocks == 1:
-        return body(slice(0, n_rows))
-    outs = tuple(np.empty(shape) for shape in shapes)
     bounds = [b * ROW_BLOCK for b in range(n_blocks)] + [n_rows]
     # The last block, the largest, is handed out first: the two threads then
     # end closer together, and later blocks' temporaries fit in the memory
@@ -417,31 +411,35 @@ def _by_row_blocks(n_rows: int, body, shapes: list[tuple]) -> tuple:
     def take():
         try:
             for rows in blocks:
-                for out, part in zip(outs, body(rows)):
-                    out[..., rows, :] = part
+                body(rows)
         except BaseException:
             for _ in blocks:
                 pass
             raise
 
-    beside(take, take)
-    return outs
+    if n_blocks == 1:
+        take()
+    else:
+        beside(take, take)
 
 
-def _mu_shape(model: Model, n_rows: int) -> tuple:
-    """The shape (K, n_rows, 2^D) of the leaf reach of ``n_rows`` rows."""
-    return model.forest.n_trees, n_rows, model.forest.leaf_logits.shape[1]
+def _empty_mu(model: Model, n_rows: int) -> np.ndarray:
+    """An empty (K, n_rows, 2^D) array for the leaf reach of ``n_rows`` rows."""
+    return np.empty((model.forest.n_trees, n_rows, model.forest.leaf_logits.shape[1]))
 
 
 def _leaf_forward(X: np.ndarray, model: Model) -> tuple[np.ndarray, np.ndarray]:
     """The reconstruction x_c and the leaf reach mu of a batch, keeping no
     intermediate for backprop; computed in row blocks."""
+    x_c, mu = np.empty(X.shape), _empty_mu(model, len(X))
+
     def block(rows):
         H = sigmoid_chain(X[rows], model.autoencoder.encoder)[-1]
-        return (sigmoid_chain(H, model.autoencoder.decoder)[-1],
-                leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest))
+        x_c[rows] = sigmoid_chain(H, model.autoencoder.decoder)[-1]
+        leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest, out=mu[:, rows])
 
-    return _by_row_blocks(len(X), block, [X.shape, _mu_shape(model, len(X))])
+    _by_row_blocks(len(X), block)
+    return x_c, mu
 
 
 def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,12 +449,13 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     leaf reach is computed in row blocks, the leaf mixture over all rows.
     """
     X = _batch(X, model)
+    mu = _empty_mu(model, len(X))
 
     def block(rows):
         H = sigmoid_chain(X[rows], model.autoencoder.encoder)[-1]
-        return (leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest),)
+        leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest, out=mu[:, rows])
 
-    (mu,) = _by_row_blocks(len(X), block, [_mu_shape(model, len(X))])
+    _by_row_blocks(len(X), block)
     probs = leaf_mixture(mu, model.forest)["forest_probs"]
     return probs.argmax(axis=1), probs
 
@@ -520,6 +519,30 @@ def _tree_loss_grad(probs: np.ndarray, y: np.ndarray, n_trees: int) -> np.ndarra
     p_y = probs[:, np.arange(B), y]
     return np.where(p_y > PROB_FLOOR,
                     -1.0 / (n_trees * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
+
+
+def by_tree_halves(forest: ForestParams, n_rows: int, body) -> list:
+    """``[body(trees), ...]`` over tree slices that cover the forest in tree
+    order, for a pass over ``n_rows`` rows.
+
+    With two trees or more and at least 2 * ``CHUNK_CELLS`` reach cells
+    (K * n_rows * (2^(D+1) - 1)), the trees split in two halves: trees
+    [0, ceil(K/2)) on this thread and [ceil(K/2), K) beside it
+    (``numerics.beside``), one handoff for the whole pass. Otherwise
+    ``body`` runs once over all K trees on this thread: on smaller passes
+    numpy's per-call cost, paid under the interpreter lock, outweighs what
+    a second thread runs. Given the tree input, a tree's routing, reach and
+    gradients depend on no other tree, so the halves share no state; each
+    writes its own trees' slices.
+    """
+    n_trees = forest.n_trees
+    cells = n_trees * n_rows * (2 * forest.n_decision_nodes + 1)
+    if n_trees < 2 or cells < 2 * CHUNK_CELLS:
+        return [body(slice(0, n_trees))]
+    mid = (n_trees + 1) // 2
+    second, first = beside(lambda: body(slice(mid, n_trees)),
+                           lambda: body(slice(0, mid)))
+    return [first, second]
 
 
 def _forest_pass(XT: np.ndarray, y: np.ndarray, forest: ForestParams,

@@ -242,19 +242,6 @@ class TestAnalyze:
         assert rc == 2
         assert f"{feat / 'manifest.json'}: lacks 'features'" in capsys.readouterr().err
 
-    def test_paired_mode_flag(self, tmp_path):
-        labels = np.array([0] * 8 + [1] * 8)
-        r = Rng(3)
-        matrix = FeatureMatrix(r.normal((16, 1)).reshape(16, 1), ["f"],
-                               ["rating"], ["continuous"])
-        save_features(tmp_path / "feat", matrix, labels,
-                      [f"u{i}" for i in range(16)])
-        out = tmp_path / "screen"
-        assert main(["analyze", "--features", str(tmp_path / "feat"),
-                     "--out", str(out), "--paired"]) == 0
-        row = (out / "screening.tsv").read_text().splitlines()[1]
-        assert row.split("\t")[1].startswith("signed-rank")
-
 
 def poison_tensor(name, index, value):
     """A model body change that sets ``[index]`` of tensor ``name``'s flat

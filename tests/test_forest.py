@@ -10,15 +10,15 @@ import pytest
 from helpers import (backprop_forward, follow_forest, load_with_tensor_shape,
                      reference_forest_backward, reference_forest_forward,
                      rewrite_model_body)
-from spamforest import forest as forest_module
+from spamforest import forest as forest_module, training
 from spamforest.dataio import load_model, save_model
 from spamforest.errors import ConfigError, ModelIntegrityError
-from spamforest.forest import (CHUNK_CELLS, ForestParams, by_tree_halves,
-                               forest_backward, forest_forward, leaf_gradient)
+from spamforest.forest import (CHUNK_CELLS, ForestParams, forest_backward,
+                               forest_forward, leaf_gradient)
 from spamforest.forest import leaf_reach as forest_leaf_reach
 from spamforest.numerics import Layer, Rng, beside, sigmoid, sigmoid_chain
 from spamforest.training import (ROW_BLOCK, TrainConfig, _forest_pass,
-                                 _loss_terms, _tree_loss_grad,
+                                 _loss_terms, _tree_loss_grad, by_tree_halves,
                                  init_model, joint_loss, predict)
 
 
@@ -251,14 +251,9 @@ class TestStackedForestPass:
                 reach[:, :, forest.n_decision_nodes:].view(np.int64))
 
     # leaf_reach reuses one routing buffer and one block of scratch for every
-    # tree of a half, so beyond mu its peak does not grow with the tree
-    # count. From two trees on a pass may split in halves, a set each; on two
-    # threads the sets are live at once or not as the threads happen to
-    # run, so the exact peak is taken with the halves run in turn (inside a
-    # ``beside`` call, which runs a nested call's halves on one thread), and
-    # the two-thread peak is bounded by two such sets. The slack covers loop
-    # objects such as views and ints, and the worker thread's own objects;
-    # one tree's routing output alone is 11 KB at depth 3 and 200 rows.
+    # tree, so beyond mu its peak does not grow with the tree count. The
+    # slack covers loop objects such as views and ints; one tree's routing
+    # output alone is 11 KB at depth 3 and 200 rows.
     @pytest.mark.parametrize("depth, rows", [(3, 200), (6, 2000)])
     def test_leaf_reach_scratch_independent_of_tree_count(self, rng, depth, rows):
         XT = rng.normal((rows, 4))
@@ -272,14 +267,12 @@ class TestStackedForestPass:
                 tracemalloc.stop()
             return peak - mu.nbytes
 
-        in_turn, threaded = [], []
+        peaks = []
         for n_trees in (2, 10):
             forest = random_forest(rng, n_trees, depth, 4)
             forest_leaf_reach(XT, forest)  # builds the cached level slices
-            in_turn.append(beside(lambda: None, lambda: overhead(forest))[1])
-            threaded.append(overhead(forest))
-        assert abs(in_turn[1] - in_turn[0]) < 1024, in_turn
-        assert max(threaded) < 2 * in_turn[0] + 16384, (threaded, in_turn)
+            peaks.append(overhead(forest))
+        assert abs(peaks[1] - peaks[0]) < 1024, peaks
 
     @pytest.mark.parametrize("rows", [1, 515, 516, 517, 1035])
     def test_predict_and_joint_loss_equal_backprop_forward(self, rng, rows):
@@ -341,9 +334,9 @@ class HalfFailed(Exception):
 
 
 class TestTreeHalves:
-    """The mini-batch forest pass and ``leaf_reach`` split their trees in two
-    halves on two threads from 2 * CHUNK_CELLS reach cells on; every bit
-    must be that of one pass over all trees."""
+    """The mini-batch forest pass splits its trees in two halves on two
+    threads from 2 * CHUNK_CELLS reach cells on; every bit must be that of
+    one pass over all trees."""
 
     @staticmethod
     def count_handoffs(monkeypatch):
@@ -352,7 +345,7 @@ class TestTreeHalves:
         def counted(worker, caller):
             calls.append(threading.current_thread())
             return beside(worker, caller)
-        monkeypatch.setattr(forest_module, "beside", counted)
+        monkeypatch.setattr(training, "beside", counted)
         return calls
 
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 5, 10])
@@ -373,17 +366,15 @@ class TestTreeHalves:
             del calls[:]
             halved_g_routing = np.empty_like(forest.routing)
             g_xt, halves = _forest_pass(XT, y, forest, halved_g_routing)
-            mu = forest_leaf_reach(XT, forest)
-            # One handoff for the pass and one for leaf_reach, or none.
+            # One handoff for the pass, or none.
             split = n_trees >= 2 and rows == split_rows
-            assert len(calls) == (2 if split else 0), (rows, calls)
+            assert len(calls) == (1 if split else 0), (rows, calls)
             mid = (n_trees + 1) // 2
             assert [trees for trees, _, _ in halves] == \
                 ([slice(0, mid), slice(mid, n_trees)] if split else [slice(0, n_trees)])
 
             npt.assert_array_equal(bits(halved_g_routing), bits(g_routing))
             npt.assert_array_equal(bits(g_xt), bits(np.cumsum(g_terms, axis=0)[-1]))
-            npt.assert_array_equal(bits(mu), bits(cache["mu"]))
             for trees, half, half_g_py in halves:
                 for name in ("mu", "probs", "leaf_dists"):
                     npt.assert_array_equal(bits(half[name]), bits(cache[name][trees]))
@@ -402,7 +393,6 @@ class TestTreeHalves:
         y = (rng.normal((rows,)) > 0).astype(np.int64)
         want_g_routing = np.empty_like(forest.routing)
         want_g_xt, _ = _forest_pass(XT, y, forest, want_g_routing)
-        mu = forest_leaf_reach(XT, forest)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -411,7 +401,6 @@ class TestTreeHalves:
                 g_xt, _ = _forest_pass(XT, y, forest, g_routing)
                 npt.assert_array_equal(bits(g_routing), bits(want_g_routing))
                 npt.assert_array_equal(bits(g_xt), bits(want_g_xt))
-                npt.assert_array_equal(bits(forest_leaf_reach(XT, forest)), bits(mu))
         finally:
             sys.setswitchinterval(interval)
 
@@ -435,27 +424,9 @@ class TestTreeHalves:
             [slice(0, 2), slice(2, 4)]
         assert threading.active_count() == before
 
-    def test_nested_beside_starts_no_third_thread(self):
-        before = threading.active_count()
-        seen = []
-
-        def outer():
-            me = threading.current_thread()
-            inner = beside(lambda: (threading.current_thread(), threading.active_count()),
-                           lambda: (threading.current_thread(), threading.active_count()))
-            seen.append((me, inner))
-            return me
-
-        worker, caller = beside(outer, outer)
-        assert worker is not caller and caller is threading.current_thread()
-        for me, inner in seen:
-            assert [thread for thread, _ in inner] == [me, me]
-            assert all(count <= before + 1 for _, count in inner)
-        assert threading.active_count() == before
-
     def test_predict_row_blocks_route_halves_on_their_own_thread(self, monkeypatch):
-        # Two row blocks of 4096 rows, each 4 * 4096 * 15 reach cells, enough
-        # to split its trees were it not already on one of two threads.
+        # Two row blocks of ROW_BLOCK rows on two threads; routing either
+        # block starts no third thread.
         model = init_model(TrainConfig(n_tree=4, n_depth=3, seed=6), 7, Rng(6))
         X = Rng(7).normal((2 * ROW_BLOCK, 7))
         counts, threads, original = [], set(), forest_module._route

@@ -295,12 +295,6 @@ class TestScreenFeatures:
         assert len(results) == 3
         assert [r.feature_name for r in results] == ["a", "b", "c"]
 
-    def test_paired_mode_runs_signed_rank(self):
-        labels = np.array([0] * 6 + [1] * 6)
-        matrix = make_matrix({"f": [1, 2, 3, 4, 5, 6, 2, 3, 4, 5, 6, 7]})
-        (r,) = screen_features(matrix, labels, paired_mode=True)
-        assert r.method.startswith("signed-rank")
-
     def test_label_shape_checked(self):
         matrix = make_matrix({"f": [1.0, 2.0]})
         with pytest.raises(ValueError):

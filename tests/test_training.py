@@ -483,8 +483,10 @@ class TestFullSetPassMemory:
 
 
 # Row counts on either side of the one-block limit (2 * ROW_BLOCK) and of
-# later block edges, up to ten blocks' worth of rows.
-ROW_BLOCK_COUNTS = [8191, 8192, 8193, 12287, 16385, 24001, 40001]
+# later block edges, up to ten blocks' worth of rows, and the training
+# workloads' leaf step size.
+ROW_BLOCK_COUNTS = [2 * ROW_BLOCK - 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1,
+                    3 * ROW_BLOCK - 1, 4 * ROW_BLOCK + 1, 10 * ROW_BLOCK + 1, 5881]
 ROW_BLOCK_CONFIGS = {
     "default": {},
     "10x6": dict(n_tree=10, n_depth=6),
@@ -517,7 +519,7 @@ class TestRowBlockOracle:
             mu = leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest)
             probs = leaf_mixture(mu, model.forest)["forest_probs"]
             mu_digest = digest(mu)
-            del H, mu  # at 10 trees of depth 6, mu is 205 MB at 40001 rows
+            del H, mu  # at 10 trees of depth 6, mu is 105 MB at 20481 rows
             labels, got = predict(model, X)
             npt.assert_array_equal(got.view(np.int64), probs.view(np.int64),
                                    err_msg=str(rows))
@@ -535,13 +537,15 @@ class TestRowBlockPartition:
         them and the thread counts seen inside, and its output."""
         seen, lock = [], threading.Lock()
 
+        out = np.full(n_rows, -1.0)
+
         def body(rows):
             with lock:
                 seen.append((rows, threading.current_thread(), threading.active_count()))
-            return (np.arange(rows.start, rows.stop, dtype=float)[:, None],)
+            out[rows] = np.arange(rows.start, rows.stop)
 
-        (out,) = _by_row_blocks(n_rows, body, [(n_rows, 1)])
-        npt.assert_array_equal(out[:, 0], np.arange(n_rows))
+        _by_row_blocks(n_rows, body)
+        npt.assert_array_equal(out, np.arange(n_rows))
         return seen
 
     @pytest.mark.parametrize("n_rows", [0, 1, ROW_BLOCK, 2 * ROW_BLOCK - 1])
@@ -589,7 +593,7 @@ class TestRowBlockErrors:
         barrier, started = threading.Barrier(2, timeout=60), set()
         failing = "worker" if on_worker else "caller"
 
-        def reach(XT, forest):
+        def reach(XT, forest, out):
             # Each thread's first block waits for the other's, so that both
             # threads run one.
             me = threading.current_thread()
@@ -598,7 +602,7 @@ class TestRowBlockErrors:
                 barrier.wait()
             if (me is not caller) == on_worker:
                 raise RowBlockFailed(f"{failing} block failed")
-            return original(XT, forest)
+            return original(XT, forest, out=out)
 
         monkeypatch.setattr(training, "leaf_reach", reach)
         before = threading.active_count()
@@ -619,10 +623,9 @@ class TestRowBlockErrors:
             if threading.current_thread() is caller:
                 raise RowBlockFailed("caller block failed")
             time.sleep(0.1)
-            return (np.zeros((rows.stop - rows.start, 1)),)
 
         with pytest.raises(RowBlockFailed):
-            _by_row_blocks(n_blocks * ROW_BLOCK, body, [(n_blocks * ROW_BLOCK, 1)])
+            _by_row_blocks(n_blocks * ROW_BLOCK, body)
         assert len(ran) < n_blocks
 
 
@@ -666,7 +669,7 @@ class TestKeptWorker:
     def count_starts(monkeypatch):
         """Per training phase, the threads started and the forest's handoffs."""
         seen = {"phase": "batches", "batches": [], "leaf step": []}
-        start, handoff, leaf_step = (threading.Thread.start, forest_module.beside,
+        start, handoff, leaf_step = (threading.Thread.start, training.beside,
                                      training._leaf_epoch_step)
 
         def counted_start(thread):
@@ -685,7 +688,7 @@ class TestKeptWorker:
                 seen["phase"] = "batches"
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
-        monkeypatch.setattr(forest_module, "beside", counted_handoff)
+        monkeypatch.setattr(training, "beside", counted_handoff)
         monkeypatch.setattr(training, "_leaf_epoch_step", phased)
         return seen
 
@@ -759,20 +762,6 @@ class TestKeptWorker:
             outer, _ = beside(threading.current_thread, lambda: None)
             assert inner is outer and inner.is_alive()
         assert starts == [inner] and not inner.is_alive()
-
-    def test_handed_function_nests_on_its_own_thread(self, monkeypatch):
-        # A scope opened on the worker, or a call made there, starts no
-        # thread: both functions run on the worker.
-        def nested():
-            with one_worker():
-                return beside(threading.current_thread, threading.current_thread)
-
-        with one_worker():
-            worker, _ = beside(threading.current_thread, lambda: None)
-            starts = []
-            monkeypatch.setattr(threading.Thread, "start", starts.append)
-            inner, _ = beside(nested, lambda: None)
-        assert inner == (worker, worker) and starts == []
 
     def test_scope_ends_its_thread_on_an_error(self):
         before = threading.active_count()
