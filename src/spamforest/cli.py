@@ -28,7 +28,7 @@ from .errors import (ConfigError, FeatureMismatchError, ModelIntegrityError,
 from .features import SCOPES, build_feature_matrix
 from .metrics import compute_metrics, confusion, write_metrics_report
 from .stats import screen_features, write_histograms, write_screening_report
-from .training import Model, TrainConfig, config_value, predict, train
+from .training import Model, TrainConfig, _allocate_model, config_value, predict, train
 
 __all__ = ["main", "run_ablation", "load_config_file"]
 
@@ -67,11 +67,19 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _resolve_config(args) -> TrainConfig:
+def _resolve_config(args, n_features: int) -> TrainConfig:
+    """The TrainConfig of ``--config`` and ``--seed``. A config file whose
+    model is too large to allocate is refused here, naming the file."""
     values = load_config_file(args.config) if args.config else {}
     if args.seed is not None:
         values["seed"] = args.seed
-    return TrainConfig(**values)
+    config = TrainConfig(**values)
+    if args.config:
+        try:
+            _allocate_model(config, n_features)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
+    return config
 
 
 def _echo_config(out_dir, command: str, config: TrainConfig | None, extras: dict):
@@ -143,7 +151,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_features(args.features)
-    config = _resolve_config(args)
+    config = _resolve_config(args, ds.features.n_features)
     # the split checks the range
     train_count = ds.n_rows if args.train_count is None else args.train_count
 
@@ -273,7 +281,7 @@ def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int):
 
 def cmd_ablate(args) -> int:
     ds = load_features(args.features)
-    config = _resolve_config(args)
+    config = _resolve_config(args, ds.features.n_features)
     # the split checks the range
     train_count = ds.n_rows if args.train_count is None else args.train_count
     rows = run_ablation(ds, config, train_count)

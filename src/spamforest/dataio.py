@@ -240,6 +240,8 @@ def _json_objects(fh):
             fields = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON ({exc.msg})", ln) from None
+        except RecursionError:
+            raise ParseError("invalid JSON (nested too deeply)", ln) from None
         if not isinstance(fields, dict):
             raise ParseError("expected a JSON object", ln)
         yield ln, fields
@@ -255,8 +257,9 @@ def load_reviews(path) -> ReviewTable:
     """
     decode = json.JSONDecoder().raw_decode
     with open_text(path) as fh:
-        # A JSON or UTF-8 error, or an integer beyond int64, ends the one pass.
-        with suppress(ValueError, OverflowError):
+        # A JSON or UTF-8 error, JSON nested too deeply, or an integer beyond
+        # int64 ends the one pass.
+        with suppress(ValueError, OverflowError, RecursionError):
             rows = []
             for line in filter(None, map(str.strip, fh)):
                 fields, end = decode(line)
@@ -585,9 +588,8 @@ def _model_from_doc(doc) -> Model:
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelIntegrityError(
             f"model file body is incomplete: {type(exc).__name__} {exc}") from None
-    except MemoryError:
-        raise ModelIntegrityError(
-            "model file config describes a model too large to allocate") from None
+    except ConfigError as exc:
+        raise ModelIntegrityError(f"model file {exc}") from None
     blocks = dict(parameter_blocks(model))
     for name in sorted(blocks.keys() | tensors.keys()):
         if name not in blocks or name not in tensors:

@@ -280,15 +280,6 @@ def _read_wordlist(filename: str) -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
-@lru_cache(maxsize=None)
-def _lexicon() -> dict[str, int]:
-    """Word -> its polarity: 1 positive, -1 negative, 0 if listed as both."""
-    polarity = dict.fromkeys(_read_wordlist("positive_words.txt"), 1)
-    for word in _read_wordlist("negative_words.txt"):
-        polarity[word] = polarity.get(word, 0) - 1
-    return polarity
-
-
 # The words of a text are the [a-z']+ runs of its lowered str. Those are the
 # runs of bytes a-z and ' in its UTF-8 encoding, since every non-ASCII
 # character encodes to bytes >= 0x80. _WORD_BYTES maps every other byte to
@@ -302,7 +293,11 @@ _SEPARATOR_MARK = 2
 
 @lru_cache(maxsize=None)
 def _token_polarity() -> dict[bytes, int]:
-    polarity = {w.encode(): p for w, p in _lexicon().items()}
+    """UTF-8 word -> its polarity: 1 positive, -1 negative, 0 if listed as
+    both; and the separator token -> ``_SEPARATOR_MARK``."""
+    polarity = dict.fromkeys(map(str.encode, _read_wordlist("positive_words.txt")), 1)
+    for word in map(str.encode, _read_wordlist("negative_words.txt")):
+        polarity[word] = polarity.get(word, 0) - 1
     polarity[_SEPARATOR] = _SEPARATOR_MARK
     return polarity
 

@@ -10,11 +10,11 @@ They check no shapes: ``training._allocate_model`` fixes a model's, and
 Entropy is reported in nats (natural log) with the ``0 * log 0 := 0``
 convention. Softmax subtracts the row maximum before exponentiating.
 
-``beside`` is the package's one way to use a second thread. It hands its
-worker function to the thread of the innermost ``one_worker`` scope open on
-the calling thread, or of a scope it opens for its one call; a scope's
-thread starts at its first handoff and is joined when the scope ends, so no
-thread outlives a scope. It needs no ``concurrent.futures``, whose import
+``beside`` is the package's one way to use a second thread: one
+``_Worker.run`` handoff to the thread of the ``one_worker`` scope open on the
+calling thread, or of a scope it opens for its one call. A scope's thread
+starts at its first handoff and is ended and joined when the scope ends, so
+no thread outlives a scope. It needs no ``concurrent.futures``, whose import
 pulls in ``logging``.
 """
 
@@ -164,50 +164,44 @@ def binary_labels(y, error: type[ValueError] = ValueError) -> np.ndarray:
 _local = threading.local()
 
 
-def _call(fn):
-    """``(True, fn())``, or ``(False, exc)`` if ``fn`` raised ``exc``."""
-    try:
-        return True, fn()
-    except BaseException as exc:  # handed to the thread that waits for it
-        return False, exc
-
-
 class _Worker:
-    """One thread that runs the functions handed to it, one at a time, and
-    returns each one's ``_call`` outcome. It starts at the first handoff."""
+    """One thread that runs the functions queued in ``jobs``, one at a time,
+    until ``None`` is queued. ``run`` starts it at the first handoff."""
 
     def __init__(self):
-        self._jobs, self._outcomes = SimpleQueue(), SimpleQueue()
-        self._thread = None
+        self.jobs, self._outcomes = SimpleQueue(), SimpleQueue()
+        self.thread = None
 
-    def hand(self, fn):
-        if self._thread is None:
+    def run(self, worker, caller):
+        """``beside``'s handoff: ``worker`` there, ``caller`` on this thread."""
+        if self.thread is None:
             thread = threading.Thread(target=self._serve, name="spamforest-worker")
             thread.start()
-            self._thread = thread
-        self._jobs.put(fn)
-
-    def outcome(self):
-        """The outcome of the function handed last, once it has ended."""
-        return self._outcomes.get()
+            self.thread = thread
+        self.jobs.put(worker)
+        try:
+            mine = caller()
+        finally:
+            theirs, error = self._outcomes.get()
+        if error is not None:
+            raise error
+        return theirs, mine
 
     def _serve(self):
-        for fn in iter(self._jobs.get, None):
-            self._outcomes.put(_call(fn))
-
-    def close(self):
-        """Let the function in hand end, then end the thread and join it."""
-        if self._thread is not None:
-            self._jobs.put(None)
-            self._thread.join()
+        # Each outcome goes straight to the queue: no local keeps it alive.
+        for fn in iter(self.jobs.get, None):
+            try:
+                self._outcomes.put((fn(), None))
+            except BaseException as exc:  # raised by ``run`` on the caller
+                self._outcomes.put((None, exc))
 
 
 @contextmanager
 def one_worker():
     """A scope in which every ``beside`` call on this thread hands its worker
-    function to one thread, kept from the first handoff until the scope
-    ends, also on an error. A scope opened inside another shares its
-    thread; a scope with no handoff starts none."""
+    function to one thread, started at the first handoff and ended and joined
+    when the scope ends, also on an error. A scope opened inside another
+    shares its thread; a scope with no handoff starts none."""
     if getattr(_local, "worker", None) is not None:
         yield
         return
@@ -216,7 +210,9 @@ def one_worker():
         yield
     finally:
         _local.worker = None
-        kept.close()
+        if kept.thread is not None:
+            kept.jobs.put(None)
+            kept.thread.join()
 
 
 def beside(worker, caller):
@@ -234,15 +230,7 @@ def beside(worker, caller):
     Each model pass splits in one way only (see ``training``).
     """
     with one_worker():
-        _local.worker.hand(worker)
-        try:
-            mine = caller()
-        finally:
-            theirs = _local.worker.outcome()
-    ok, value = theirs
-    if not ok:
-        raise value
-    return value, mine
+        return _local.worker.run(worker, caller)
 
 
 def norm_sf(z: float) -> float:

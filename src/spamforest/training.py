@@ -259,7 +259,8 @@ def _default_encoder_widths(n_features: int, n_layers: int) -> list[int]:
 
 def _allocate_model(config: TrainConfig, n_features: int) -> Model:
     """The all-zero model of ``config``; the one owner of the parameter layout,
-    and so of every shape: nothing downstream checks them again.
+    and so of every shape: nothing downstream checks them again. A model
+    too large to allocate raises ConfigError.
 
     The weight set theta is one float64 vector, ``model.theta``: every
     ``Layer.W``/``.b`` (encoder, decoder, fully connected) and the stacked
@@ -285,12 +286,16 @@ def _allocate_model(config: TrainConfig, n_features: int) -> Model:
               for shape in ((n_out, n_in), (n_out,))]
     shapes.append((config.n_tree, n_dec, xt_dim))
     sizes = [prod(shape) for shape in shapes]
-    theta = np.zeros(sum(sizes))
+    try:
+        theta = np.zeros(sum(sizes))
+        leaves = np.zeros((config.n_tree, n_dec + 1, N_CLASSES))
+    except (MemoryError, ValueError):  # beyond memory, or beyond numpy's sizes
+        raise ConfigError("config describes a model too large to allocate") from None
     views = iter([chunk.reshape(shape) for chunk, shape in
                   zip(np.split(theta, np.cumsum(sizes)[:-1]), shapes)])
     encoder, decoder, fc = [[Layer(next(views), next(views)) for _ in stack]
                             for stack in stacks]
-    forest = ForestParams(next(views), np.zeros((config.n_tree, n_dec + 1, N_CLASSES)), fc)
+    forest = ForestParams(next(views), leaves, fc)
     return Model(AutoencoderParams(encoder, decoder), forest, config, theta)
 
 

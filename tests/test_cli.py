@@ -1006,6 +1006,38 @@ class TestParseErrorsNameTheFile:
         assert capsys.readouterr().err.startswith(f"error: {cfg}: {where}")
         assert not (tmp_path / "out").exists()
 
+    # json.loads raises RecursionError, not a JSONDecodeError, on JSON nested
+    # this deeply: as a whole line, and as a value inside a valid object.
+    NESTED = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize("bad", [NESTED, '{"nested": ' + NESTED + ", " + REVIEW[1:]],
+                             ids=["line", "value"])
+    def test_reviews_nested_too_deeply(self, tmp_path, capsys, bad):
+        reviews, scores = tmp_path / "reviews.jsonl", tmp_path / "scores.tsv"
+        reviews.write_text(self.REVIEW + bad.rstrip("\n") + "\n")
+        scores.write_text("u0\t0.1\n")
+        assert main(["extract", "--reviews", str(reviews), "--scores", str(scores),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {reviews}: line 2: invalid JSON (nested too deeply)\n"
+        assert not (tmp_path / "out").exists()
+
+    # Each model is 371 to 888 TiB at the golden fixture's 58 features, beyond
+    # a 47-bit address space, so its allocation fails at once.
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("config", ["n_tree = 1000000000000\n",
+                                        "ae_widths = 1000000000000,2\n",
+                                        "fc_width = 1000000000000\n"],
+                             ids=["n_tree", "ae_widths", "fc_width"])
+    def test_config_too_large_to_allocate(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        assert main([command, "--features", str(GOLDEN / "extract"), "--out",
+                     str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: config describes a model too large to allocate\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name, edit, where", [
         ("features.tsv", lambda lines: lines[:2] + ["x\tx\n"] + lines[3:],
          "line 3: could not convert string to float: 'x'"),

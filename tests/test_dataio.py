@@ -81,6 +81,20 @@ class TestLoadReviews:
         with pytest.raises(ParseError, match="line 2"):
             load_reviews(path)
 
+    # json.loads raises RecursionError, not a JSONDecodeError, on JSON nested
+    # this deeply: as a whole line, and as a value inside a valid object.
+    @pytest.mark.parametrize("bad", [
+        "[" * 100000 + "]" * 100000,
+        '{"nested": ' + "[" * 100000 + "]" * 100000 + ", " + record_json(rec())[1:],
+    ], ids=["line", "value"])
+    def test_json_nested_too_deeply_line_numbered(self, tmp_path, bad):
+        path = tmp_path / "reviews.jsonl"
+        path.write_text(record_json(rec()) + "\n" + bad + "\n")
+        with pytest.raises(ParseError) as err:
+            load_reviews(path)
+        assert str(err.value) == f"{path}: line 2: invalid JSON (nested too deeply)"
+        assert err.value.line_number == 2
+
     def test_missing_required_field(self, tmp_path):
         path = tmp_path / "reviews.jsonl"
         path.write_text('{"user_id": "u"}\n')

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (lexicon_words, records_of, reference_feature_rows,
                      reference_sentiment)
 from spamforest import features
-from spamforest.dataio import save_features
+from spamforest.dataio import label_and_cap_users, load_features, save_features
 from spamforest.features import (MANIFEST_VERSION, REVIEW_FEATURES,
                                  USER_FEATURES, Columns, ReviewRecord,
                                  ReviewTable, build_feature_matrix,
@@ -318,6 +319,34 @@ class TestManifest:
         assert set(matrix.scopes) <= {"history", "rating", "feedback", "time",
                                       "product", "review"}
         assert set(matrix.kinds) <= {"continuous", "categorical"}
+
+
+USER_SCOPES = ("history", "rating", "feedback", "time")
+
+
+def assert_user_scope_constant_per_user(matrix, user_ids):
+    """Every column whose scope describes the user takes one value, bit for
+    bit, across each user's rows."""
+    cols = [j for j, scope in enumerate(matrix.scopes) if scope in USER_SCOPES]
+    _, first, users = np.unique(user_ids, return_index=True, return_inverse=True)
+    assert cols and (np.bincount(users) > 1).any()
+    values = matrix.values[:, cols].view(np.int64)
+    np.testing.assert_array_equal(values, values[first[users]])
+
+
+class TestUserScopeColumns:
+    def test_constant_within_each_user_of_the_golden_fixture(self):
+        ds = load_features(Path(__file__).parent / "data" / "golden" / "extract")
+        assert_user_scope_constant_per_user(ds.features, ds.user_ids)
+
+    def test_constant_within_each_user_of_a_capped_corpus(self):
+        from spamforest.synthetic import synthetic_review_corpus
+
+        records, scores = synthetic_review_corpus(400, 400, 600, seed=7)
+        capped, _ = label_and_cap_users(ReviewTable.from_records(records), scores,
+                                        cap=5, seed=3)
+        assert len(capped) < len(records)
+        assert_user_scope_constant_per_user(*build_feature_matrix(capped))
 
 
 records_strategy = st.lists(
