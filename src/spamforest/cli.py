@@ -18,6 +18,7 @@ import dataclasses
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 
 from .dataio import (LabeledDataset, _replace_when_written, apply_normalization,
                      label_and_cap_users, load_features, load_model, load_reviews,
@@ -82,6 +83,17 @@ def _resolve_config(args, n_features: int) -> TrainConfig:
     return config
 
 
+@contextmanager
+def _naming(path):
+    """A ValueError raised in the block names the file ``path``, if given."""
+    try:
+        yield
+    except ValueError as exc:
+        if path is not None:
+            exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _echo_config(out_dir, command: str, config: TrainConfig | None, extras: dict):
     lines = [f"command = {command}"]
     if config is not None:
@@ -109,11 +121,13 @@ def cmd_extract(args) -> int:
     scores = load_spam_scores(args.scores)
     if len(reviews) == 0:
         raise ParseError(f"{args.reviews}: holds no review records")
-    # Each category names a features.tsv column, so it must encode as UTF-8.
-    unwritable = sorted(c for c in set(reviews.category.tolist())
-                        if c.encode(errors="replace").decode() != c)
-    if unwritable:
-        raise ParseError(f"{args.reviews}: category {unwritable[0]!r} is not UTF-8 text")
+    # Each category names a features.tsv column, so it must encode as UTF-8
+    # and hold none of the header's separators: a tab or a line break.
+    for c in sorted(set(reviews.category.tolist())):
+        if c.encode(errors="replace").decode() != c:
+            raise ParseError(f"{args.reviews}: category {c!r} is not UTF-8 text")
+        if any(ch in c for ch in "\t\n\r"):
+            raise ParseError(f"{args.reviews}: category {c!r} holds a tab or a line break")
     try:
         capped, row_labels = label_and_cap_users(reviews, scores,
                                                  cap=args.cap, seed=args.seed)
@@ -156,7 +170,8 @@ def cmd_train(args) -> int:
     train_count = ds.n_rows if args.train_count is None else args.train_count
 
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
-    normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
+    with _naming(os.path.join(args.features, "features.tsv")):
+        normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
 
     result = train(normed.values, ds.labels[train_idx], config)
     with _replace_when_written(os.path.join(args.out, "training_log.tsv")) as fh:
@@ -209,8 +224,9 @@ def _load_and_normalize(features_dir, model_path) -> tuple[Model, LabeledDataset
             f"{model.manifest_version}, features carry "
             f"{ds.features.manifest_version}")
     _check_columns(features_dir, model_path, model, ds.features.names)
-    matrix = ds.features if model.norm_stats is None else \
-        apply_normalization(ds.features, model.norm_stats)
+    with _naming(f"{os.path.join(features_dir, 'features.tsv')} under {model_path}"):
+        matrix = ds.features if model.norm_stats is None else \
+            apply_normalization(ds.features, model.norm_stats)
     return model, LabeledDataset(matrix, ds.labels, ds.user_ids)
 
 
@@ -247,20 +263,23 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int):
+def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int,
+                 features_file=None):
     """Train one model per feature scope plus the full set, shared seed.
 
     Returns rows ``(scope, n_features, accuracy, is_reference)``; accuracy
     is measured on the held-out rows when ``train_count`` leaves any,
     otherwise on the training rows. Scopes without features are skipped
-    with a warning.
+    with a warning. A normalization error names ``features_file``, the
+    file ``ds`` was read from, when given.
     """
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
     eval_idx = test_idx if len(test_idx) > 0 else train_idx
     # Normalization fits and applies column by column, so one fit serves
     # every column subset.
-    normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
-    evaluated = apply_normalization(_rows(ds.features, eval_idx), stats)
+    with _naming(features_file):
+        normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
+        evaluated = apply_normalization(_rows(ds.features, eval_idx), stats)
 
     def run_subset(cols):
         result = train(normed.values[:, cols], ds.labels[train_idx], config)
@@ -284,7 +303,8 @@ def cmd_ablate(args) -> int:
     config = _resolve_config(args, ds.features.n_features)
     # the split checks the range
     train_count = ds.n_rows if args.train_count is None else args.train_count
-    rows = run_ablation(ds, config, train_count)
+    rows = run_ablation(ds, config, train_count,
+                        os.path.join(args.features, "features.tsv"))
     with _replace_when_written(os.path.join(args.out, "ablation.tsv")) as fh:
         fh.write("scope\tn_features\taccuracy\treference\n")
         for scope, n_feat, acc, ref in rows:

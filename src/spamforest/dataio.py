@@ -574,6 +574,9 @@ def _model_from_doc(doc) -> Model:
         if "encoder.0.W" not in tensors or tensors["encoder.0.W"].ndim != 2:
             raise ModelIntegrityError(
                 "model file needs a 2-D tensor encoder.0.W (width, n_features)")
+        if tensors["encoder.0.W"].shape[1] == 0:
+            raise ModelIntegrityError("model file tensor encoder.0.W has 0 columns "
+                                      "(n_features); a model needs at least one")
         # A config of more blocks than the file holds tensors is refused
         # before a model of its size is built.
         names = list(itertools.islice(_block_names(config), len(tensors) + 1))

@@ -21,23 +21,24 @@ the rows and weights each epoch's forward and backward calls see; wall time
 is measured by the benchmark in ``perfbench/``. Each pass hands work to a
 second thread (``numerics.beside``) by one rule. The mini-batch backward,
 the only pass that keeps the forest's decisions and reach for backprop,
-splits its trees: ``_forest_pass`` runs ``forest_forward`` and
+splits its trees: after ``_forward_cache`` has run the autoencoder and the
+fully connected stack, ``_forest_pass`` runs ``forest_forward`` and
 ``forest_backward`` over stacked node-major (K, nodes, rows) arrays once
 per tree half of ``by_tree_halves`` (two threads from 2 *
-``forest.CHUNK_CELLS`` reach cells on), after ``_forward_cache`` has run
-the autoencoder and the fully connected stack; the trees' terms of
-dL/dx_t, and of the loss, are added in tree order (``_tree_sum``). Each
-epoch's mini-batch loop runs in one ``numerics.one_worker`` scope, so its
-batches hand their second half to one thread, started at the first
-handoff and joined when the loop ends. The leaf step runs outside that
-scope, so a worker kept for the epoch does not keep the full-set pass's
-temporaries in its heap. ``predict``, ``joint_loss`` and the leaf step
-keep only the leaf reach mu (``forest.leaf_reach``), so a full-set pass
-holds (K, rows, 2^D) floats of forest state, not (K, rows, 3 * 2^D - 2),
-and they split their rows: the forward runs in blocks aligned to
-``ROW_BLOCK`` (``_by_row_blocks``), on two threads from two blocks on,
-each block writing its rows of outputs allocated once, with every row's
-bits those of one pass over all rows.
+``forest.CHUNK_CELLS`` reach cells on). Each half writes its trees' slices
+of the routing gradient and of the terms of dL/dx_t, added in tree order
+(``_tree_sum``), and its forest cache dies with it. Each epoch's
+mini-batch loop runs in one ``numerics.one_worker`` scope: its batches
+hand their second half to one thread, started at the first handoff and
+joined when the loop ends, so the leaf step, outside that scope, leaves no
+full-set temporaries in that thread's heap. The one full-set forward,
+``_leaf_forward``, serves ``predict`` (without the decoder),
+``joint_loss``, the leaf step and ``gradients``' leaf blocks. It keeps
+only the reconstruction and the leaf reach mu (``forest.leaf_reach``),
+(K, rows, 2^D) floats of forest state, not (K, rows, 3 * 2^D - 2), and
+runs in row blocks aligned to ``ROW_BLOCK`` (``_by_row_blocks``), on two
+threads from two blocks on, each block writing its rows of outputs
+allocated once, with every row's bits those of one pass over all rows.
 
 One function, ``_allocate_model``, owns the parameter layout of every model
 (``init_model``'s, ``dataio.load_model``'s and the training loop's gradient
@@ -53,10 +54,10 @@ finiteness once and takes one AdaGrad ``rmsprop_step``; that
 backward computes no leaf-logit gradient. The leaf logits take one step per
 epoch from the full-training-set gradient, which needs only one full-set
 forward's leaf reach mu, leaf distributions pi (the softmax of the logits,
-so always valid) and true-class probabilities; that forward keeps only the
-reconstruction and mu. The step changes only pi, so the epoch's logged
-loss and accuracy reuse mu and the reconstruction and recompute only the
-leaf mixture mu @ pi.
+so always valid) and true-class probabilities (``_leaf_logit_gradient``,
+which ``gradients`` runs too). The step changes only pi, so the epoch's
+logged loss and accuracy reuse mu and the reconstruction and recompute
+only the leaf mixture mu @ pi.
 
 The loop owns the model exclusively while training; per-batch gradient
 reductions are plain indexed sums, so results are reproducible for a fixed
@@ -428,19 +429,18 @@ def _by_row_blocks(n_rows: int, body):
         beside(take, take)
 
 
-def _empty_mu(model: Model, n_rows: int) -> np.ndarray:
-    """An empty (K, n_rows, 2^D) array for the leaf reach of ``n_rows`` rows."""
-    return np.empty((model.forest.n_trees, n_rows, model.forest.leaf_logits.shape[1]))
-
-
-def _leaf_forward(X: np.ndarray, model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """The reconstruction x_c and the leaf reach mu of a batch, keeping no
-    intermediate for backprop; computed in row blocks."""
-    x_c, mu = np.empty(X.shape), _empty_mu(model, len(X))
+def _leaf_forward(X: np.ndarray, model: Model,
+                  decode: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """The reconstruction x_c (None without ``decode``, which skips the
+    decoder) and the leaf reach mu of a batch, keeping no intermediate for
+    backprop; computed in row blocks. The one full-set forward."""
+    x_c = np.empty(X.shape) if decode else None
+    mu = np.empty((model.forest.n_trees, len(X), model.forest.leaf_logits.shape[1]))
 
     def block(rows):
         H = sigmoid_chain(X[rows], model.autoencoder.encoder)[-1]
-        x_c[rows] = sigmoid_chain(H, model.autoencoder.decoder)[-1]
+        if decode:
+            x_c[rows] = sigmoid_chain(H, model.autoencoder.decoder)[-1]
         leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest, out=mu[:, rows])
 
     _by_row_blocks(len(X), block)
@@ -448,19 +448,9 @@ def _leaf_forward(X: np.ndarray, model: Model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, forest probabilities) for a 2-D batch; argmax ties go low.
-
-    Runs encoder -> fully connected -> forest; the decoder is skipped. The
-    leaf reach is computed in row blocks, the leaf mixture over all rows.
-    """
-    X = _batch(X, model)
-    mu = _empty_mu(model, len(X))
-
-    def block(rows):
-        H = sigmoid_chain(X[rows], model.autoencoder.encoder)[-1]
-        leaf_reach(sigmoid_chain(H, model.forest.fc)[-1], model.forest, out=mu[:, rows])
-
-    _by_row_blocks(len(X), block)
+    """(labels, forest probabilities) for a 2-D batch; argmax ties go low:
+    ``_leaf_forward`` without the decoder, then the leaf mixture."""
+    _, mu = _leaf_forward(_batch(X, model), model, decode=False)
     probs = leaf_mixture(mu, model.forest)["forest_probs"]
     return probs.argmax(axis=1), probs
 
@@ -526,9 +516,10 @@ def _tree_loss_grad(probs: np.ndarray, y: np.ndarray, n_trees: int) -> np.ndarra
                     -1.0 / (n_trees * B * np.maximum(p_y, PROB_FLOOR)), 0.0)
 
 
-def by_tree_halves(forest: ForestParams, n_rows: int, body) -> list:
-    """``[body(trees), ...]`` over tree slices that cover the forest in tree
-    order, for a pass over ``n_rows`` rows.
+def by_tree_halves(forest: ForestParams, n_rows: int, body) -> None:
+    """``body(trees)`` over tree slices that cover the forest, for a pass
+    over ``n_rows`` rows; each call writes its trees' slices of outputs the
+    caller allocated.
 
     With two trees or more and at least 2 * ``CHUNK_CELLS`` reach cells
     (K * n_rows * (2^(D+1) - 1)), the trees split in two halves: trees
@@ -537,29 +528,27 @@ def by_tree_halves(forest: ForestParams, n_rows: int, body) -> list:
     ``body`` runs once over all K trees on this thread: on smaller passes
     numpy's per-call cost, paid under the interpreter lock, outweighs what
     a second thread runs. Given the tree input, a tree's routing, reach and
-    gradients depend on no other tree, so the halves share no state; each
-    writes its own trees' slices.
+    gradients depend on no other tree, so the halves share no state.
     """
     n_trees = forest.n_trees
     cells = n_trees * n_rows * (2 * forest.n_decision_nodes + 1)
     if n_trees < 2 or cells < 2 * CHUNK_CELLS:
-        return [body(slice(0, n_trees))]
-    mid = (n_trees + 1) // 2
-    second, first = beside(lambda: body(slice(mid, n_trees)),
-                           lambda: body(slice(0, mid)))
-    return [first, second]
+        body(slice(0, n_trees))
+    else:
+        mid = (n_trees + 1) // 2
+        beside(lambda: body(slice(mid, n_trees)), lambda: body(slice(0, mid)))
 
 
 def _forest_pass(XT: np.ndarray, y: np.ndarray, forest: ForestParams,
-                 g_routing: np.ndarray):
+                 g_routing: np.ndarray) -> np.ndarray:
     """The mini-batch forest pass: per tree, the forward, p_k[y], dL/dp_k[y]
     and the backward, over the tree halves of ``by_tree_halves``.
 
-    Writes dL/d routing into ``g_routing``. Returns dL/dXT, with the trees'
-    terms added in tree order on this thread, and per half ``(trees, forest
-    cache, dL/dp_k[y])``, from which ``leaf_gradient`` gives that half's
-    leaf-logit gradient. Every tree's gemms and elementwise steps are those
-    of one pass over all trees, so every bit is too.
+    Writes dL/d routing into ``g_routing`` and returns dL/dXT, with the
+    trees' terms added in tree order on this thread; the leaf logits take
+    their gradient from the full-set forward instead. Every tree's gemms
+    and elementwise steps are those of one pass over all trees, so every
+    bit is too.
     """
     g_xt = np.empty((forest.n_trees, *XT.shape))
 
@@ -568,10 +557,19 @@ def _forest_pass(XT: np.ndarray, y: np.ndarray, forest: ForestParams,
         cache = forest_forward(XT, part)
         g_py = _tree_loss_grad(cache["probs"], y, forest.n_trees)
         forest_backward(XT, y, g_py, cache, part, out=(g_routing[trees], g_xt[trees]))
-        return trees, cache, g_py
 
-    halves = by_tree_halves(forest, len(XT), half)
-    return _tree_sum(g_xt), halves
+    by_tree_halves(forest, len(XT), half)
+    return _tree_sum(g_xt)
+
+
+def _leaf_logit_gradient(y: np.ndarray, mu: np.ndarray, forest: ForestParams,
+                         out: np.ndarray):
+    """Write dL/d leaf logits of the tree term of the joint loss into
+    ``out``, from the leaf reach ``mu`` of ``_leaf_forward``: the one
+    leaf-gradient path, of ``gradients`` and of the epoch's leaf step."""
+    mixture = leaf_mixture(mu, forest)
+    out[...] = leaf_gradient(y, _tree_loss_grad(mixture["probs"], y, forest.n_trees),
+                             mu, mixture["leaf_dists"])
 
 
 def _check_finite(grad: Model):
@@ -585,14 +583,10 @@ def _check_finite(grad: Model):
             raise NumericError(f"non-finite gradient in block {name}", context=name)
 
 
-def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model):
+def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model) -> None:
     """The one backward pass for a validated batch: writes dL/d every theta
     block of ``model`` into the same block of the gradient model ``grad``,
-    whose leaf logits it leaves alone.
-
-    Returns ``_forest_pass``'s halves, from which ``leaf_gradient`` gives
-    the leaf-logit gradient.
-    """
+    whose leaf logits it leaves alone."""
     cache = _forward_cache(X, model)
 
     # Decoder chain, seeded by d/dx_c of mean_b ||x - x_c||^2.
@@ -601,8 +595,7 @@ def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model):
                                grad.autoencoder.decoder)
 
     # Trees: the forest carries d(mean_k -log p_k[y]) back to the tree input.
-    g_xt, halves = _forest_pass(cache["fc_acts"][-1], y, model.forest,
-                                grad.forest.routing)
+    g_xt = _forest_pass(cache["fc_acts"][-1], y, model.forest, grad.forest.routing)
 
     # Fully connected chain (identity pass-through when empty).
     g_h_fc = _backward_layers(model.forest.fc, cache["fc_acts"], g_xt, grad.forest.fc)
@@ -610,19 +603,19 @@ def _backward(X: np.ndarray, y: np.ndarray, model: Model, grad: Model):
     # Encoder receives gradient from both the decoder and the forest.
     _backward_layers(model.autoencoder.encoder, cache["enc_acts"], g_h_dec + g_h_fc,
                      grad.autoencoder.encoder)
-    return halves
 
 
 def gradients(X: np.ndarray, y: np.ndarray, model: Model) -> dict[str, np.ndarray]:
     """Exact gradient of joint_loss with respect to every parameter block.
 
     Keys match ``parameter_blocks`` names; shapes match the parameters.
+    Theta's blocks are ``_backward``'s, the leaf logits' the leaf step's.
     """
     X, y = _labeled_batch(X, y, model)
     grad = _allocate_model(model.config, model.n_features)
-    for trees, cache, g_py in _backward(X, y, model, grad):
-        grad.forest.leaf_logits[trees] = leaf_gradient(y, g_py, cache["mu"],
-                                                       cache["leaf_dists"])
+    _backward(X, y, model, grad)
+    _leaf_logit_gradient(y, _leaf_forward(X, model, decode=False)[1], model.forest,
+                         grad.forest.leaf_logits)
     _check_finite(grad)
     return dict(parameter_blocks(grad))
 
@@ -654,10 +647,9 @@ def rmsprop_step(theta: np.ndarray, grad: np.ndarray, accum: np.ndarray,
 def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, grad: Model,
                      accum: np.ndarray,
                      config: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """The epoch's leaf-logit step from one full-set forward pass that keeps
-    only the reconstruction and the leaf reach mu; the leaf gradient goes
-    into the gradient model ``grad``, and ``accum`` is the leaf logits'
-    squared-gradient accumulator.
+    """The epoch's leaf-logit step from one full-set ``_leaf_forward``; the
+    leaf gradient goes into the gradient model ``grad``, and ``accum`` is
+    the leaf logits' squared-gradient accumulator.
 
     Returns the joint loss and training accuracy of the stepped model, equal
     to ``joint_loss`` and ``predict`` on it, and the updated accumulator. The
@@ -665,10 +657,7 @@ def _leaf_epoch_step(X: np.ndarray, y: np.ndarray, model: Model, grad: Model,
     hold and only the leaf mixture is recomputed.
     """
     x_c, mu = _leaf_forward(X, model)
-    mixture = leaf_mixture(mu, model.forest)
-    grad.forest.leaf_logits[...] = leaf_gradient(
-        y, _tree_loss_grad(mixture["probs"], y, model.forest.n_trees), mu,
-        mixture["leaf_dists"])
+    _leaf_logit_gradient(y, mu, model.forest, grad.forest.leaf_logits)
     if not np.isfinite(grad.forest.leaf_logits).all():
         _check_finite(grad)
     model.forest.leaf_logits[...], accum = rmsprop_step(

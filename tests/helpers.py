@@ -25,10 +25,9 @@ import numpy as np
 from spamforest.dataio import open_text
 from spamforest.errors import ParseError
 from spamforest.features import ReviewRecord
-from spamforest.forest import leaf_mixture
+from spamforest.forest import forest_forward, leaf_mixture
 from spamforest.numerics import entropy, sigmoid
-from spamforest.training import (_forest_pass, _forward_cache, joint_loss,
-                                 parameter_blocks)
+from spamforest.training import _forward_cache, joint_loss, parameter_blocks
 
 
 def rewrite_model_body(path, change):
@@ -147,12 +146,11 @@ def reference_forest_forward(XT, forest):
 
 def backprop_forward(X, model):
     """The mini-batch backward's forward of ``X``: ``training._forward_cache``
-    plus, under "forest", the per-tree ``probs`` of ``_forest_pass`` (its
-    halves joined in tree order) and their tree mean ``forest_probs``."""
+    plus, under "forest", the per-tree ``probs`` of one ``forest_forward``
+    over all trees (each tree half of ``_forest_pass`` gives its trees' bits)
+    and their tree mean ``forest_probs``."""
     cache = _forward_cache(X, model)
-    _, halves = _forest_pass(cache["fc_acts"][-1], np.zeros(len(X), dtype=np.int64),
-                             model.forest, np.empty_like(model.forest.routing))
-    probs = np.concatenate([half["probs"] for _, half, _ in halves])
+    probs = forest_forward(cache["fc_acts"][-1], model.forest)["probs"]
     cache["forest"] = {"probs": probs, "forest_probs": probs.mean(axis=0)}
     return cache
 

@@ -130,6 +130,41 @@ class TestExtract:
             2, f"error: {reviews}: category 'books\\ud800' is not UTF-8 text\n")
         assert not (out / "features.tsv").exists()
 
+    @staticmethod
+    def extract_categories(tmp_path, categories):
+        recs = [ReviewRecord(f"u{i}", "p0", 4, 1, 2, 100, category, "fine",
+                             "good product") for i, category in enumerate(categories)]
+        reviews = tmp_path / "r.jsonl"
+        reviews.write_text("\n".join(record_json(r) for r in recs) + "\n")
+        scores = tmp_path / "s.tsv"
+        scores.write_text("".join(f"u{i}\t{0.1 + 0.8 * (i % 2)}\n"
+                                  for i in range(len(categories))))
+        out = tmp_path / "out"
+        rc = main(["extract", "--reviews", str(reviews), "--scores",
+                   str(scores), "--out", str(out)])
+        return rc, reviews, out
+
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r", "\r\n"])
+    def test_category_with_tab_or_line_break_exits_2_before_any_output(
+            self, tmp_path, capsys, separator):
+        # The category names a features.tsv column, whose header a tab or a
+        # line break would split.
+        category = f"books{separator}audio"
+        rc, reviews, out = self.extract_categories(tmp_path, [category, "books"])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: {reviews}: category {category!r} holds a tab or a line break\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_category_with_other_line_separator_extracts_and_reads_back(
+            self, tmp_path, separator):
+        # str.splitlines breaks at these, but a file read line by line, and
+        # a header split at tabs, do not.
+        category = f"books{separator}audio"
+        rc, _, out = self.extract_categories(tmp_path, [category, "books"])
+        assert rc == 0
+        assert f"category_ratio:{category}" in load_features(out).features.names
+
     def test_rerun_byte_identical(self, corpus_files, tmp_path):
         reviews, scores = corpus_files
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -505,8 +540,29 @@ class TestTrainEvaluatePredict:
                        "--config", str(cfg)])
         assert rc == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {feat / 'features.tsv'}: ")
         assert "column 2 ('x1')" in err and normalization in err
         assert not (out / "model.json").exists()
+
+    def test_overflowing_normalization_under_ablate_names_the_file(
+            self, gaussian_features, tmp_path, capsys):
+        ds = load_features(gaussian_features)
+        values = ds.features.values.copy()
+        values[3, 1], values[7, 1] = 1.7e308, 1.7e308
+        feat = tmp_path / "feat"
+        save_features(feat, dataclasses.replace(ds.features, values=values),
+                      ds.labels, ds.user_ids)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_epoch = 1\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["ablate", "--features", str(feat), "--out", str(out),
+                       "--config", str(cfg)])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: {feat / 'features.tsv'}: feature column 2 ('x1') overflows "
+               f"float64 under zscore normalization\n")
+        assert not (out / "ablation.tsv").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_overflow_past_training_range_exits_2(self, tmp_path, capsys,
@@ -532,7 +588,10 @@ class TestTrainEvaluatePredict:
             rc = main([command, "--features", str(tmp_path / "far"), "--model",
                        str(tmp_path / "model" / "model.json"), "--out", str(out)])
         assert rc == 2
-        assert "column 1 ('c0')" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        model = tmp_path / "model" / "model.json"
+        assert err.startswith(f"error: {tmp_path / 'far' / 'features.tsv'} under {model}: ")
+        assert "column 1 ('c0')" in err
         assert not (out / "predictions.tsv").exists()
         assert not (out / "metrics.txt").exists()
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (records_of, reference_load_reviews,
-                     reference_read_labels, rewrite_model_body)
+                     reference_read_labels, rewrite_model_body, zeros_tensor)
 from spamforest import dataio
 from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
                                NormStats, apply_normalization,
@@ -818,6 +818,25 @@ class TestModelSerialization:
         self.rewrite_body(path, reshape)
         with pytest.raises(ModelIntegrityError, match=r"encoder\.0\.W"):
             load_model(path)
+
+    def test_first_encoder_without_columns_names_the_tensor(self, tmp_path, capsys):
+        # A (width, 0) encoder.0.W is 2-D, but describes a model of no input
+        # feature; the error names the tensor, not the train-time check.
+        path = tmp_path / "model.json"
+        path.write_bytes((GOLDEN / "model.json").read_bytes())
+        width = load_model(path).autoencoder.encoder[0].W.shape[0]
+        rewrite_model_body(path, lambda body: body["tensors"].update(
+            {"encoder.0.W": zeros_tensor((width, 0))}))
+        message = ("model file tensor encoder.0.W has 0 columns (n_features); "
+                   "a model needs at least one")
+        with pytest.raises(ModelIntegrityError, match=re.escape(message)):
+            load_model(path)
+        from spamforest.cli import main
+        out = tmp_path / "out"
+        assert main(["predict", "--features", str(GOLDEN / "features"),
+                     "--model", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (out / "predictions.tsv").exists()
 
     @pytest.mark.parametrize("key, value, match", [
         ("n_tree", 2.0, r"model file config: n_tree must be an integer, got 2\.0"),

@@ -348,57 +348,107 @@ class TestTreeHalves:
         monkeypatch.setattr(training, "beside", counted)
         return calls
 
+    @staticmethod
+    def record_halves(monkeypatch):
+        """Each half's tree slice, and whether the calling thread ran it."""
+        seen, original = [], training.by_tree_halves
+
+        def recorded(forest, n_rows, body):
+            caller = threading.current_thread()
+
+            def seen_body(trees):
+                seen.append((trees, threading.current_thread() is caller))
+                body(trees)
+            return original(forest, n_rows, seen_body)
+        monkeypatch.setattr(training, "by_tree_halves", recorded)
+        return seen
+
+    @staticmethod
+    def split_rows(n_trees, depth=3):
+        """The first row count whose pass splits (2 * CHUNK_CELLS reach
+        cells, 2^(depth+1) - 1 per tree and row)."""
+        return -(-2 * CHUNK_CELLS // ((2 ** (depth + 1) - 1) * n_trees))
+
+    @staticmethod
+    def one_pass(XT, y, forest):
+        """The routing gradient and dL/dXT of one pass over all trees."""
+        cache = forest_forward(XT, forest)
+        g_py = _tree_loss_grad(cache["probs"], y, forest.n_trees)
+        g_routing, g_terms = forest_backward(XT, y, g_py, cache, forest)
+        return g_routing, np.cumsum(g_terms, axis=0)[-1]
+
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 5, 10])
     def test_halves_equal_one_pass_over_all_trees(self, rng, monkeypatch, n_trees):
         forest = random_forest(rng, n_trees, 3, 4, scale=2.0)
         calls = self.count_handoffs(monkeypatch)
-        # 15 reach cells per tree and row at depth 3: the first row count
-        # stays below the split, the second reaches it.
-        split_rows = -(-2 * CHUNK_CELLS // (15 * n_trees))
+        seen = self.record_halves(monkeypatch)
+        # The first row count stays below the split, the second reaches it.
+        split_rows = self.split_rows(n_trees)
         for rows in (split_rows - 1, split_rows):
             XT = rng.normal((rows, 4))
             y = (rng.normal((rows,)) > 0).astype(np.int64)
-            cache = forest_forward(XT, forest)
-            g_py = _tree_loss_grad(cache["probs"], y, n_trees)
-            g_routing, g_terms = forest_backward(XT, y, g_py, cache, forest)
-            g_leaf = leaf_gradient(y, g_py, cache["mu"], cache["leaf_dists"])
+            g_routing, g_xt = self.one_pass(XT, y, forest)
 
-            del calls[:]
+            del calls[:], seen[:]
             halved_g_routing = np.empty_like(forest.routing)
-            g_xt, halves = _forest_pass(XT, y, forest, halved_g_routing)
+            halved_g_xt = _forest_pass(XT, y, forest, halved_g_routing)
             # One handoff for the pass, or none.
             split = n_trees >= 2 and rows == split_rows
             assert len(calls) == (1 if split else 0), (rows, calls)
             mid = (n_trees + 1) // 2
-            assert [trees for trees, _, _ in halves] == \
-                ([slice(0, mid), slice(mid, n_trees)] if split else [slice(0, n_trees)])
+            # Trees [0, ceil(K/2)) on the calling thread, the rest beside it.
+            assert sorted(seen, key=lambda half: half[0].start) == (
+                [(slice(0, mid), True), (slice(mid, n_trees), False)] if split
+                else [(slice(0, n_trees), True)])
 
             npt.assert_array_equal(bits(halved_g_routing), bits(g_routing))
-            npt.assert_array_equal(bits(g_xt), bits(np.cumsum(g_terms, axis=0)[-1]))
-            for trees, half, half_g_py in halves:
-                for name in ("mu", "probs", "leaf_dists"):
-                    npt.assert_array_equal(bits(half[name]), bits(cache[name][trees]))
-                npt.assert_array_equal(bits(half_g_py), bits(g_py[trees]))
-                npt.assert_array_equal(
-                    bits(leaf_gradient(y, half_g_py, half["mu"], half["leaf_dists"])),
-                    bits(g_leaf[trees]))
+            npt.assert_array_equal(bits(halved_g_xt), bits(g_xt))
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 5, 10])
+    def test_gradients_leaf_blocks_equal_one_pass_leaf_gradient(self, monkeypatch,
+                                                                n_trees):
+        # gradients takes its leaf blocks from the full-set forward's leaf
+        # reach, not from the mini-batch pass's per-half caches: on both
+        # sides of the tree split, and over more than two row blocks, they
+        # must be forest.leaf_gradient on one forest_forward over all trees.
+        model = init_model(TrainConfig(n_tree=n_trees, n_depth=3, seed=n_trees), 5,
+                           Rng(n_trees))
+        calls = self.count_handoffs(monkeypatch)
+        split_rows = self.split_rows(n_trees)
+        for rows in (split_rows - 1, split_rows, 2 * ROW_BLOCK + 3):
+            data = Rng(rows)
+            X = data.normal((rows, 5))
+            y = (data.normal((rows,)) > 0).astype(np.int64)
+            XT = sigmoid_chain(sigmoid_chain(X, model.autoencoder.encoder)[-1],
+                               model.forest.fc)[-1]
+            cache = forest_forward(XT, model.forest)
+            g_py = _tree_loss_grad(cache["probs"], y, n_trees)
+            want = leaf_gradient(y, g_py, cache["mu"], cache["leaf_dists"])
+
+            del calls[:]
+            grads = training.gradients(X, y, model)
+            # One handoff for the tree split, one for two row blocks or more.
+            split = n_trees >= 2 and rows >= split_rows
+            assert len(calls) == split + (rows >= 2 * ROW_BLOCK), (rows, calls)
+            for k in range(n_trees):
+                npt.assert_array_equal(bits(grads[f"tree.{k}.leaf_logits"]),
+                                       bits(want[k]))
 
     def test_halves_equal_under_frequent_thread_switches(self, rng):
         # The halves write disjoint slices of shared outputs; with a switch
         # interval of a microsecond the threads interleave often, and no bit
-        # may change.
+        # may differ from one pass over all trees.
         forest = random_forest(rng, 5, 3, 4, scale=2.0)
-        rows = -(-2 * CHUNK_CELLS // (15 * 5))
+        rows = self.split_rows(5)
         XT = rng.normal((rows, 4))
         y = (rng.normal((rows,)) > 0).astype(np.int64)
-        want_g_routing = np.empty_like(forest.routing)
-        want_g_xt, _ = _forest_pass(XT, y, forest, want_g_routing)
+        want_g_routing, want_g_xt = self.one_pass(XT, y, forest)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 g_routing = np.empty_like(forest.routing)
-                g_xt, _ = _forest_pass(XT, y, forest, g_routing)
+                g_xt = _forest_pass(XT, y, forest, g_routing)
                 npt.assert_array_equal(bits(g_routing), bits(want_g_routing))
                 npt.assert_array_equal(bits(g_xt), bits(want_g_xt))
         finally:
@@ -413,15 +463,16 @@ class TestTreeHalves:
             ran.append(trees)
             if (threading.current_thread() is not caller) == on_worker:
                 raise HalfFailed(f"trees {trees.start}-{trees.stop - 1}")
-            return trees
 
         before = threading.active_count()
         with pytest.raises(HalfFailed, match="trees 2-3" if on_worker else "trees 0-1"):
             by_tree_halves(forest, CHUNK_CELLS, body)
         assert threading.active_count() == before
         assert sorted(trees.start for trees in ran) == [0, 2]
-        assert by_tree_halves(forest, CHUNK_CELLS, lambda trees: trees) == \
-            [slice(0, 2), slice(2, 4)]
+        # The next pass runs both halves again.
+        del ran[:]
+        assert by_tree_halves(forest, CHUNK_CELLS, ran.append) is None
+        assert sorted(ran, key=lambda trees: trees.start) == [slice(0, 2), slice(2, 4)]
         assert threading.active_count() == before
 
     def test_predict_row_blocks_route_halves_on_their_own_thread(self, monkeypatch):
