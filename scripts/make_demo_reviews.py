@@ -6,6 +6,7 @@ Produces <out>/reviews.jsonl and <out>/scores.tsv in the formats the
 """
 
 import argparse
+import dataclasses
 import json
 import os
 
@@ -32,14 +33,7 @@ def main():
     reviews_path = os.path.join(args.out, "reviews.jsonl")
     with open(reviews_path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps({
-                "user_id": r.user_id, "product_id": r.product_id,
-                "rating": r.rating, "helpful_votes": r.helpful_votes,
-                "unhelpful_votes": r.unhelpful_votes,
-                "timestamp": r.timestamp, "category": r.category,
-                "summary_text": r.summary_text, "review_text": r.review_text,
-                "user_name": r.user_name, "user_memo": r.user_memo,
-            }) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(r)) + "\n")
     scores_path = os.path.join(args.out, "scores.tsv")
     with open(scores_path, "w", encoding="utf-8") as fh:
         for uid, score in sorted(scores.items()):

@@ -18,14 +18,13 @@ import dataclasses
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 
 from .dataio import (LabeledDataset, _replace_when_written, apply_normalization,
                      label_and_cap_users, load_features, load_model, load_reviews,
-                     load_reviews_delimited, load_spam_scores, normalize,
+                     load_reviews_delimited, load_spam_scores, naming, normalize,
                      open_text, save_features, save_model, split_train_test)
-from .errors import (ConfigError, FeatureMismatchError, ModelIntegrityError,
-                     ModelVersionError, ParseError)
+from .errors import (INPUT_ERRORS, ConfigError, FeatureMismatchError, ModelVersionError,
+                     ParseError)
 from .features import SCOPES, build_feature_matrix
 from .metrics import compute_metrics, confusion, write_metrics_report
 from .stats import screen_features, write_histograms, write_screening_report
@@ -76,22 +75,9 @@ def _resolve_config(args, n_features: int) -> TrainConfig:
         values["seed"] = args.seed
     config = TrainConfig(**values)
     if args.config:
-        try:
+        with naming(args.config):
             _allocate_model(config, n_features)
-        except ConfigError as exc:
-            raise ConfigError(f"{args.config}: {exc}") from None
     return config
-
-
-@contextmanager
-def _naming(path):
-    """A ValueError raised in the block names the file ``path``, if given."""
-    try:
-        yield
-    except ValueError as exc:
-        if path is not None:
-            exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def _echo_config(out_dir, command: str, config: TrainConfig | None, extras: dict):
@@ -128,13 +114,9 @@ def cmd_extract(args) -> int:
             raise ParseError(f"{args.reviews}: category {c!r} is not UTF-8 text")
         if any(ch in c for ch in "\t\n\r"):
             raise ParseError(f"{args.reviews}: category {c!r} holds a tab or a line break")
-    try:
+    with naming(args.scores, ParseError):  # authors the scores file lacks
         capped, row_labels = label_and_cap_users(reviews, scores,
                                                  cap=args.cap, seed=args.seed)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # authors the scores file does not cover
-        raise ValueError(f"{args.scores}: {exc}") from None
     matrix, user_ids = build_feature_matrix(capped)
     save_features(args.out, matrix, row_labels, user_ids)
     _echo_config(args.out, "extract", None,
@@ -170,7 +152,7 @@ def cmd_train(args) -> int:
     train_count = ds.n_rows if args.train_count is None else args.train_count
 
     train_idx, test_idx = split_shuffle_batch(ds.n_rows, train_count, config.seed)
-    with _naming(os.path.join(args.features, "features.tsv")):
+    with naming(os.path.join(args.features, "features.tsv")):
         normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
 
     result = train(normed.values, ds.labels[train_idx], config)
@@ -224,7 +206,7 @@ def _load_and_normalize(features_dir, model_path) -> tuple[Model, LabeledDataset
             f"{model.manifest_version}, features carry "
             f"{ds.features.manifest_version}")
     _check_columns(features_dir, model_path, model, ds.features.names)
-    with _naming(f"{os.path.join(features_dir, 'features.tsv')} under {model_path}"):
+    with naming(f"{os.path.join(features_dir, 'features.tsv')} under {model_path}"):
         matrix = ds.features if model.norm_stats is None else \
             apply_normalization(ds.features, model.norm_stats)
     return model, LabeledDataset(matrix, ds.labels, ds.user_ids)
@@ -277,7 +259,7 @@ def run_ablation(ds: LabeledDataset, config: TrainConfig, train_count: int,
     eval_idx = test_idx if len(test_idx) > 0 else train_idx
     # Normalization fits and applies column by column, so one fit serves
     # every column subset.
-    with _naming(features_file):
+    with naming(features_file):
         normed, stats = normalize(_rows(ds.features, train_idx), config.normalization)
         evaluated = apply_normalization(_rows(ds.features, eval_idx), stats)
 
@@ -393,7 +375,7 @@ def main(argv=None) -> int:
         where = f": {exc.filename}" if exc.filename is not None else ""
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
-    except (ValueError, ModelVersionError, ModelIntegrityError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

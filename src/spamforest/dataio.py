@@ -34,6 +34,10 @@ body of ``user_id<TAB>0|1`` lines, each ending in a newline (LF or CRLF), is
 taken whole, and any other body is checked line by line, which skips blank
 lines and names the line of a malformed one.
 
+Input errors: every reader opens its file with ``open_text``, inside
+``naming(path)``, so an error in ``errors.INPUT_ERRORS`` raised while the
+file is open reads ``<path>: <message>``.
+
 Outputs: every file a command writes, in these formats or not, goes through
 ``_replace_when_written``, so it appears under its name only when complete.
 
@@ -61,9 +65,9 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import (ConfigError, ModelIntegrityError, ModelVersionError,
-                     ParseError)
-from .features import FeatureMatrix, ReviewRecord, ReviewTable
+from .errors import (INPUT_ERRORS, ConfigError, ModelIntegrityError,
+                     ModelVersionError, ParseError)
+from .features import KINDS, SCOPES, FeatureMatrix, ReviewRecord, ReviewTable
 from .numerics import Rng, beside, binary_labels
 from .training import (N_CLASSES, NORMALIZATION_METHODS, Model, TrainConfig,
                        _allocate_model, _block_names, config_value,
@@ -85,6 +89,7 @@ __all__ = [
     "save_features",
     "load_features",
     "open_text",
+    "naming",
 ]
 
 # 2: the body stores the training feature names ("feature_names").
@@ -160,23 +165,33 @@ class LabeledDataset:
 
 
 @contextmanager
-def open_text(path):
-    """Open a UTF-8 text file for reading. A ParseError raised in the block,
-    and bytes that are not UTF-8, surface as a ParseError reading
-    ``<path>: line N: <reason>``, with ``line_number`` kept."""
+def naming(path, errors=INPUT_ERRORS):
+    """An error of a type in ``errors`` raised in the block reads
+    ``<path>: <message>``; a ``path`` of None names nothing."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except (UnicodeDecodeError, ParseError) as exc:
-        if isinstance(exc, UnicodeDecodeError):
+        yield
+    except errors as exc:
+        if path is not None:
+            exc.args = (f"{os.fspath(path)}: {exc}",)
+        raise
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading inside ``naming(path)``. Bytes that
+    are not UTF-8 surface as a ParseError reading ``<path>: line N:
+    <reason>``, with ``line_number`` kept."""
+    with naming(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                yield fh
+        except UnicodeDecodeError as exc:
             # A UTF-8 character never spans a newline, so lines decode alone;
             # only a line holding bad bytes changes on a lossy round trip.
             with open(path, "rb") as fh:
                 line = next((ln for ln, raw in enumerate(fh, start=1)
                              if raw.decode("utf-8", "ignore").encode() != raw), None)
-            exc = ParseError(f"not UTF-8 text ({exc.reason})", line)
-        exc.args = (f"{os.fspath(path)}: {exc}",)
-        raise exc from None
+            raise ParseError(f"not UTF-8 text ({exc.reason})", line) from None
 
 
 def _record_from_fields(fields: dict, line_number: int) -> ReviewRecord:
@@ -352,7 +367,8 @@ def label_and_cap_users(table: ReviewTable, spam_scores: dict[str, float],
     subsample of exactly ``cap``, in original order: one ``Rng.subsample``
     draw per such user, in sorted user order. Returns
     ``(capped_table, row_labels)`` with ``row_labels[i]`` the label of
-    review i's author in ``capped_table``.
+    review i's author in ``capped_table``. Authors ``spam_scores`` lacks
+    raise ParseError.
     """
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
@@ -362,7 +378,7 @@ def label_and_cap_users(table: ReviewTable, spam_scores: dict[str, float],
     missing = [u for u in users if u not in spam_scores]
     if missing:
         more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
-        raise ValueError(
+        raise ParseError(
             f"no spam score for {len(missing)} user(s): {missing[:5]}{more}")
 
     rank = {u: i for i, u in enumerate(users)}
@@ -523,21 +539,17 @@ def save_model(path, model: Model):
 def load_model(path) -> Model:
     """Load a model file; bit-exact inverse of save_model. A file this
     version cannot load raises ModelIntegrityError or ModelVersionError
-    reading ``<path>: <reason>``."""
-    try:
-        with open_text(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ModelIntegrityError(
-                    f"model file is not valid JSON: {exc.msg}") from None
-            except RecursionError:
-                raise ModelIntegrityError(
-                    "model file is not a model: JSON nested too deeply") from None
+    reading ``<path>: <reason>``, as ``open_text`` names it."""
+    with open_text(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelIntegrityError(
+                f"model file is not valid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ModelIntegrityError(
+                "model file is not a model: JSON nested too deeply") from None
         return _model_from_doc(doc)
-    except (ModelIntegrityError, ModelVersionError) as exc:
-        exc.args = (f"{os.fspath(path)}: {exc}",)
-        raise exc from None
 
 
 def _model_from_doc(doc) -> Model:
@@ -848,6 +860,11 @@ def load_features(in_dir) -> LabeledDataset:
         if repeated:
             raise ParseError(f"feature name {repeated[0][0]!r} appears "
                              f"{repeated[0][1]} times")
+        for key, allowed, given in (("scope", SCOPES, scopes), ("kind", KINDS, kinds)):
+            bad = next((j for j, v in enumerate(given) if v not in allowed), None)
+            if bad is not None:
+                raise ParseError(f"feature {names[bad]!r} has {key} {given[bad]!r}; "
+                                 f"a {key} is one of {', '.join(allowed)}")
 
     path = os.path.join(in_dir, "features.tsv")
     with open_text(path) as fh:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. ``INPUT_ERRORS`` are those of
+a bad input: the CLI exits 2 on them, and ``dataio.naming`` names their file."""
 
 
 class ShapeError(ValueError):
@@ -46,3 +47,6 @@ class NumericError(ArithmeticError):
     def __init__(self, message, context=None):
         super().__init__(message)
         self.context = context
+
+
+INPUT_ERRORS = (ValueError, ModelIntegrityError, ModelVersionError)

@@ -63,6 +63,7 @@ __all__ = [
     "CATEGORY_BLOCK",
     "REVIEW_FEATURES",
     "SCOPES",
+    "KINDS",
     "feature_columns",
     "Columns",
     "extract_user_features",
@@ -74,6 +75,7 @@ __all__ = [
 MANIFEST_VERSION = 1
 
 SCOPES = ("history", "rating", "feedback", "time", "product", "review")
+KINDS = ("continuous", "categorical")
 
 _EPOCH = date(1970, 1, 1)
 # Timestamps must name a representable date: date.min .. date.max.

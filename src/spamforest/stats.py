@@ -285,7 +285,9 @@ def write_histograms(features: FeatureMatrix, labels, out_dir):
 
     Feature ``name`` goes to ``hist_<quote(name)>.csv``: letters, digits and
     ``_.-~`` stay, every other character is percent-encoded, so distinct
-    names never share a file.
+    names never share a file. A column gets no file unless its 21 edges are
+    finite and strictly increase and every density is finite: a constant
+    column, or one too narrow or too wide for float64 to cut, is skipped.
     """
     import os
     from urllib.parse import quote
@@ -293,12 +295,14 @@ def write_histograms(features: FeatureMatrix, labels, out_dir):
     labels = np.asarray(labels)
     for j, name in enumerate(features.names):
         col = features.values[:, j]
-        lo, hi = col.min(), col.max()
-        if lo == hi:
+        with np.errstate(all="ignore"):
+            edges = np.linspace(col.min(), col.max(), 21)
+            if not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+                continue
+            dens0, _ = np.histogram(col[labels == 0], bins=edges, density=True)
+            dens1, _ = np.histogram(col[labels == 1], bins=edges, density=True)
+        if not (np.isfinite(dens0).all() and np.isfinite(dens1).all()):
             continue
-        edges = np.linspace(lo, hi, 21)
-        dens0, _ = np.histogram(col[labels == 0], bins=edges, density=True)
-        dens1, _ = np.histogram(col[labels == 1], bins=edges, density=True)
         path = os.path.join(out_dir, f"hist_{quote(name, safe='')}.csv")
         with _replace_when_written(path) as fh:
             fh.write("bin_start,bin_end,density_genuine,density_spam\n")

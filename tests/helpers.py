@@ -6,8 +6,9 @@ recomputes every row from ``datetime.date`` objects and per-review scans,
 the sentiment reference runs a regex over each text, the review reference
 reads ``reviews.jsonl`` line by line into ``ReviewRecord``s, and the labels
 reference reads ``labels.tsv`` line by line. ``FullDisk`` stands in for a disk
-that fills up. ``backprop_forward`` is no oracle: it gathers what the
-training backward's forward computes, for tests to compare."""
+that fills up, and ``uncuttable_columns`` for columns no histogram can cut.
+``backprop_forward`` is no oracle: it gathers what the training backward's
+forward computes, for tests to compare."""
 
 import base64
 import dataclasses
@@ -24,10 +25,19 @@ import numpy as np
 
 from spamforest.dataio import open_text
 from spamforest.errors import ParseError
-from spamforest.features import ReviewRecord
+from spamforest.features import FeatureMatrix, ReviewRecord
 from spamforest.forest import forest_forward, leaf_mixture
 from spamforest.numerics import entropy, sigmoid
 from spamforest.training import _forward_cache, joint_loss, parameter_blocks
+
+
+def uncuttable_columns():
+    """A 4-row matrix of a constant, a one-ulp, a +-1.7e308 and an ordinary
+    column; only the last can be cut into 20 histogram bins."""
+    columns = {"constant": [1.0] * 4, "one_ulp": [1.0, np.nextafter(1.0, 2.0)] * 2,
+               "huge": [-1.7e308, 1.7e308] * 2, "ordinary": [0.0, 1.0, 2.0, 3.0]}
+    return FeatureMatrix(np.column_stack(list(columns.values())), list(columns),
+                         ["rating"] * 4, ["continuous"] * 4)
 
 
 def rewrite_model_body(path, change):

@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (FullDisk, reference_load_reviews, reference_read_labels,
-                     rewrite_model_body, write_delimited_reviews, zeros_tensor)
+                     rewrite_model_body, uncuttable_columns,
+                     write_delimited_reviews, zeros_tensor)
 from spamforest import dataio
 from spamforest.cli import load_config_file, main, run_ablation
 from spamforest.dataio import (LabeledDataset, load_features, load_spam_scores,
                                save_features)
 from spamforest.errors import ParseError
-from spamforest.features import FeatureMatrix, ReviewRecord
+from spamforest.features import KINDS, SCOPES, FeatureMatrix, ReviewRecord
 from spamforest.numerics import Rng
 from spamforest.training import ROW_BLOCK, TrainConfig
 
@@ -83,6 +84,19 @@ class TestExtract:
         npt.assert_array_equal(ds.labels, [0, 1, 0])
         assert ds.features.manifest_version == 1
         assert (out / "config.txt").exists()
+
+    def test_cap_below_one_exits_2_naming_no_file(self, tmp_path, capsys):
+        # The scores file names the authors it lacks, not a bad --cap.
+        reviews = tmp_path / "r.jsonl"
+        reviews.write_text(record_json(ReviewRecord("u0", "p0", 4, 1, 0, 10, "books",
+                                                    "fine", "good product")) + "\n")
+        scores = tmp_path / "s.tsv"
+        scores.write_text("u0\t0.1\n")
+        out = tmp_path / "out"
+        assert main(["extract", "--reviews", str(reviews), "--scores",
+                     str(scores), "--cap", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cap must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_missing_score_file_exits_2(self, tmp_path, capsys):
         reviews = tmp_path / "r.jsonl"
@@ -246,6 +260,36 @@ class TestAnalyze:
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "screening.tsv").read_bytes() == \
             (GOLDEN / "screening.tsv").read_bytes()
+
+    def test_histograms_skip_columns_twenty_bins_cannot_cut(self, tmp_path):
+        # pyproject.toml turns a RuntimeWarning into a failure.
+        save_features(tmp_path / "feat", uncuttable_columns(),
+                      np.array([0, 0, 1, 1]), [f"u{i}" for i in range(4)])
+        out = tmp_path / "screen"
+        assert main(["analyze", "--histograms", "--features",
+                     str(tmp_path / "feat"), "--out", str(out)]) == 0
+        assert [p.name for p in (out / "histograms").iterdir()] == \
+            ["hist_ordinary.csv"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("scope", "nonsense"), ("kind", "weird"), ("kind", ["continuous"])],
+        ids=["unknown-scope", "unknown-kind", "kind-not-a-string"])
+    def test_unknown_scope_or_kind_exits_2_naming_the_manifest(
+            self, tmp_path, capsys, key, value):
+        feat = tmp_path / "feat"
+        matrix = FeatureMatrix(np.arange(8.0).reshape(4, 2), ["a", "b"],
+                               ["rating", "rating"], ["continuous", "continuous"])
+        save_features(feat, matrix, np.array([0, 1, 0, 1]), [f"u{i}" for i in range(4)])
+        manifest = json.loads((feat / "manifest.json").read_text())
+        manifest["features"][1][key] = value
+        (feat / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", "--features", str(feat),
+                     "--out", str(tmp_path / "screen")]) == 2
+        allowed = ", ".join(SCOPES if key == "scope" else KINDS)
+        assert capsys.readouterr().err == (
+            f"error: {feat / 'manifest.json'}: feature 'b' has {key} {value!r}; "
+            f"a {key} is one of {allowed}\n")
+        assert not (tmp_path / "screen").exists()
 
     def test_label_equal_feature_flagged_significant(self, tmp_path):
         labels = np.array([0] * 20 + [1] * 20)

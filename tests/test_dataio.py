@@ -1167,10 +1167,20 @@ class TestFeatureFiles:
             f'{{"name": "{name}", "scope": "rating", "kind": "continuous"}}'
             for name in ("x0", "x1", "x0")) + "]}",
          "manifest.json: feature name 'x0' appears 2 times"),
+        *((f'{{"manifest_version": 1, "features": [{{"name": "a", '
+           f'"scope": {scope}, "kind": {kind}}}]}}',
+           re.escape(f"manifest.json: feature 'a' has {message}"))
+          for scope, kind, message in [
+              ('"nonsense"', '"continuous"', "scope 'nonsense'; a scope is one of "
+               "history, rating, feedback, time, product, review"),
+              ('"rating"', '"weird"',
+               "kind 'weird'; a kind is one of continuous, categorical"),
+              ('"rating"', '["continuous"]',
+               "kind ['continuous']; a kind is one of continuous, categorical")]),
     ], ids=["no-features", "no-version", "no-name", "no-scope", "no-kind",
             "features-string", "top-level-list", "invalid-json",
             "version-string", "version-float", "version-bool", "version-list",
-            "repeated-name"])
+            "repeated-name", "unknown-scope", "unknown-kind", "kind-not-a-string"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, rng, text,
                                                 message):
         matrix = FeatureMatrix(rng.normal((2, 1)), ["a"], ["rating"],

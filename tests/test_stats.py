@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rank_sum_brute_force, signed_rank_brute_force
+from helpers import (rank_sum_brute_force, signed_rank_brute_force,
+                     uncuttable_columns)
 from spamforest.errors import DegenerateInputError
 from spamforest.features import FeatureMatrix
 from spamforest.stats import (_midranks, chi_squared_test, rank_sum_test,
@@ -336,6 +337,14 @@ class TestReports:
         content = written[0].read_text().splitlines()
         assert content[0] == "bin_start,bin_end,density_genuine,density_spam"
         assert len(content) == 21
+
+    def test_columns_twenty_bins_cannot_cut_get_no_file(self, tmp_path):
+        # Only "ordinary" can be cut: one ulp gives 21 edges that do not
+        # strictly increase, and +-1.7e308 overflows linspace's range.
+        write_histograms(uncuttable_columns(), np.array([0, 0, 1, 1]),
+                         tmp_path / "hists")
+        assert [p.name for p in (tmp_path / "hists").iterdir()] == \
+            ["hist_ordinary.csv"]
 
     def test_histogram_files_distinct_for_colliding_names(self, tmp_path, rng):
         # Replacing unsafe characters with "_" would map all three names to
