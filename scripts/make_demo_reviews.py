@@ -13,14 +13,14 @@ import os
 from spamforest.synthetic import synthetic_review_corpus
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--genuine", type=int, default=40)
     parser.add_argument("--spammers", type=int, default=40)
     parser.add_argument("--products", type=int, default=60)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     try:
         records, scores = synthetic_review_corpus(

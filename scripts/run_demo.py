@@ -5,9 +5,9 @@ all through the CLI entry points. Everything lands under --out."""
 
 import argparse
 import os
-import subprocess
 import sys
 
+from make_demo_reviews import main as make_demo_reviews
 from spamforest.cli import main as cli
 
 
@@ -26,10 +26,7 @@ def main():
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
-    subprocess.run([sys.executable,
-                    os.path.join(os.path.dirname(__file__),
-                                 "make_demo_reviews.py"),
-                    "--out", args.out, "--seed", str(args.seed)], check=True)
+    make_demo_reviews(["--out", args.out, "--seed", str(args.seed)])
 
     config_path = os.path.join(args.out, "train.cfg")
     with open(config_path, "w", encoding="utf-8") as fh:

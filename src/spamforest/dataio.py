@@ -67,7 +67,8 @@ import numpy as np
 
 from .errors import (INPUT_ERRORS, ConfigError, ModelIntegrityError,
                      ModelVersionError, ParseError)
-from .features import KINDS, SCOPES, FeatureMatrix, ReviewRecord, ReviewTable
+from .features import (KINDS, SCOPES, FeatureMatrix, ReviewRecord, ReviewTable,
+                       _segments)
 from .numerics import Rng, beside, binary_labels
 from .training import (N_CLASSES, NORMALIZATION_METHODS, Model, TrainConfig,
                        _allocate_model, _block_names, config_value,
@@ -383,12 +384,12 @@ def label_and_cap_users(table: ReviewTable, spam_scores: dict[str, float],
 
     rank = {u: i for i, u in enumerate(users)}
     codes = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
-    sizes = np.bincount(codes, minlength=len(users))
+    sizes, starts = _segments(codes, len(users))
     # order[start:start + size] are one user's rows, in original order.
     order = np.argsort(codes, kind="stable")
     drawn = []
     rng = Rng(seed)
-    for start, size in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()):
+    for start, size in zip(starts.tolist(), sizes.tolist()):
         if size > cap:
             drawn += rng.subsample(range(start, start + size), cap)
     keep = sizes[codes] <= cap
@@ -456,9 +457,7 @@ def apply_normalization(features: FeatureMatrix, stats: NormStats) -> FeatureMat
         if not np.isfinite(values[:, j]).all():
             raise ValueError(f"feature column {j + 1} ({features.names[j]!r}) "
                              f"is not finite after {stats.method} normalization")
-    return FeatureMatrix(values, list(features.names),
-                         list(features.scopes), list(features.kinds),
-                         features.manifest_version)
+    return dataclasses.replace(features, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -668,14 +667,12 @@ def _sha256(data) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _companion_digest(tsv_path, shape: bytes, payload, write_tsv=None) -> bytes:
+def _companion_digest(tsv_path, shape: bytes, payload) -> bytes:
     """``sha256(sha256(bytes of tsv_path) + shape + sha256(payload))``. The
-    payload is hashed on a worker while this thread runs ``write_tsv``, when
-    given, and then reads and hashes the file; an exception raised on the
-    worker is raised here, after ``write_tsv`` has run."""
+    payload is hashed on a worker while this thread reads and hashes the
+    file; an exception raised on the worker is raised here. A save and a
+    load derive the digest by this one call."""
     def hash_tsv():
-        if write_tsv is not None:
-            write_tsv()
         h = hashlib.sha256()
         with open(tsv_path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 20), b""):
@@ -735,19 +732,16 @@ def _replace_when_written(path, mode="w"):
 
 def save_features(out_dir, matrix: FeatureMatrix, labels, user_ids):
     """Write features.tsv, features.bin, labels.tsv and manifest.json into
-    ``out_dir``, each moved into place only when complete. The payload's
-    digest is computed on a worker while features.tsv is formatted."""
+    ``out_dir``, each moved into place only when complete. Once features.tsv
+    is complete, the companion's digest is derived from it as a load does."""
     labels = np.asarray(labels, dtype=np.int64)
     tsv_path = os.path.join(out_dir, "features.tsv")
     values = np.ascontiguousarray(matrix.values, "<f8")
     shape = np.array(values.shape, "<i8").tobytes()
-
-    def write_tsv():
-        with _replace_when_written(tsv_path) as fh:
-            fh.write("\t".join(matrix.names) + "\n")
-            _write_cells(fh, values)
-
-    digest = _companion_digest(tsv_path, shape, values.data, write_tsv)
+    with _replace_when_written(tsv_path) as fh:
+        fh.write("\t".join(matrix.names) + "\n")
+        _write_cells(fh, values)
+    digest = _companion_digest(tsv_path, shape, values.data)
     with _replace_when_written(os.path.join(out_dir, "features.bin"), "wb") as fh:
         fh.write(_COMPANION_TAG + digest + shape)
         fh.write(values.data)

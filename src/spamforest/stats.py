@@ -11,7 +11,9 @@ With at most ``EXACT_LIMIT`` ranks one dynamic program counts the subsets
 of twice-scaled ranks (mid-ranks are halves, so doubling makes them
 integers) by size and sum, and the tails are exact, the two-sided p-value
 being min(1, 2 * min(one-sided)). Larger samples use the normal
-approximation with tie correction and a 0.5 continuity correction.
+approximation with tie correction and a 0.5 continuity correction. The
+mid-ranks and the tie correction come from the runs of equal values in one
+stable sort, so they count the same tie groups; each NaN is a run of its own.
 
 Group convention for screening: group a holds the label-1 (spam) rows, so
 a small ``p_less`` means the feature runs lower for spammers.
@@ -60,18 +62,19 @@ class TestResult:
     note: str = ""
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing the mean of their rank range."""
+def _midranks(values: np.ndarray):
+    """``(ranks, ties)``: ranks 1..n with ties sharing the mean of their rank
+    range, and ``ties``, sum(t^3 - t) over the tie groups of sizes t."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     # Tie groups are runs of equal neighbours; NaN equals nothing, so each
     # NaN is a group of its own. A group over i..j gets (i + j) / 2 + 1.
     bounds = np.concatenate(
         ([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [len(values)]))
+    sizes = np.diff(bounds)
     ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] - 1) / 2.0 + 1.0,
-                             np.diff(bounds))
-    return ranks
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] - 1) / 2.0 + 1.0, sizes)
+    return ranks, float((sizes.astype(np.float64) ** 3 - sizes).sum())
 
 
 def _result(name, statistic, p_two, p_less, p_greater, method, note=""):
@@ -89,12 +92,6 @@ def _result(name, statistic, p_two, p_less, p_greater, method, note=""):
 
 # ---------------------------------------------------------------------------
 # Rank tests
-
-
-def _tie_term(values: np.ndarray) -> float:
-    """sum(t^3 - t) over the tie groups of ``values``."""
-    _, counts = np.unique(values, return_counts=True)
-    return float((counts.astype(np.float64) ** 3 - counts).sum())
 
 
 def _rank_test(name, test, statistic, ranks, size, mean, var):
@@ -137,13 +134,12 @@ def rank_sum_test(group_a, group_b, feature_name: str = "") -> TestResult:
     if a.size == 0 or b.size == 0:
         raise ValueError("both groups must be non-empty")
 
-    pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    ranks, ties = _midranks(np.concatenate([a, b]))
     n_a, n_b = a.size, b.size
     n = n_a + n_b
     statistic = float(ranks[:n_a].sum())
     var = (n_a * n_b * (n + 1) / 12.0
-           - n_a * n_b * _tie_term(pooled) / (12.0 * n * (n - 1)))
+           - n_a * n_b * ties / (12.0 * n * (n - 1)))
     if var <= 0 and n > EXACT_LIMIT:  # every pooled value tied
         return _result(feature_name, statistic, 1.0, 1.0, 1.0, "rank-sum-normal",
                        note="degenerate: all pooled values tied")
@@ -163,9 +159,9 @@ def signed_rank_test(paired_diffs, feature_name: str = "") -> TestResult:
         raise DegenerateInputError("all paired differences are zero")
 
     n = diffs.size
-    ranks = _midranks(np.abs(diffs))
+    ranks, ties = _midranks(np.abs(diffs))
     # Zero differences are gone, so var > 0 even when every |d| is tied.
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(diffs)) / 48.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
     return _rank_test(feature_name, "signed-rank", float(ranks[diffs > 0].sum()),
                       ranks, None, n * (n + 1) / 4.0, var)
 

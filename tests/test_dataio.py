@@ -18,7 +18,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (records_of, reference_load_reviews,
+from helpers import (FullDisk, records_of, reference_load_reviews,
                      reference_read_labels, rewrite_model_body, zeros_tensor)
 from spamforest import dataio
 from spamforest.dataio import (MODEL_FORMAT_VERSION, LabeledDataset,
@@ -1387,6 +1387,41 @@ class TestFeatureCompanion:
                       ["u0", "u1", "u2", "u3"])
         assert (tmp_path / "features.bin").read_bytes() == \
             companion_bytes(tmp_path / "features.tsv", values)
+
+    @staticmethod
+    def count_handoffs(monkeypatch, root):
+        """The files under ``root`` at each ``beside`` handoff of dataio."""
+        handoffs, beside = [], dataio.beside
+
+        def counted(worker, caller):
+            handoffs.append(sorted(p.name for p in root.rglob("*") if p.is_file()))
+            return beside(worker, caller)
+
+        monkeypatch.setattr(dataio, "beside", counted)
+        return handoffs
+
+    def test_save_hands_off_once_when_features_tsv_is_complete(self, tmp_path,
+                                                               rng, monkeypatch):
+        # A save derives the digest by the load's call, once features.tsv is
+        # in place.
+        handoffs = self.count_handoffs(monkeypatch, tmp_path)
+        values = rng.normal((4, 3))
+        save_features(tmp_path, small_matrix(values), np.array([0, 1, 0, 1]),
+                      ["u0", "u1", "u2", "u3"])
+        assert handoffs == [["features.tsv"]]
+        assert (tmp_path / "features.bin").read_bytes() == \
+            companion_bytes(tmp_path / "features.tsv", values)
+
+    def test_failed_features_tsv_write_hands_off_nothing(self, tmp_path, rng,
+                                                         monkeypatch):
+        handoffs = self.count_handoffs(monkeypatch, tmp_path)
+        monkeypatch.setattr(dataio, "open", FullDisk(10).open, raising=False)
+        with pytest.raises(OSError) as err:
+            save_features(tmp_path, small_matrix(rng.normal((4, 3))),
+                          np.array([0, 1, 0, 1]), ["u0", "u1", "u2", "u3"])
+        assert err.value.filename == str(tmp_path / "features.tsv")
+        assert handoffs == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("edit", COMPANION_EDITS.values(),
                              ids=COMPANION_EDITS.keys())

@@ -11,6 +11,7 @@ from helpers import (rank_sum_brute_force, signed_rank_brute_force,
                      uncuttable_columns)
 from spamforest.errors import DegenerateInputError
 from spamforest.features import FeatureMatrix
+from spamforest.numerics import norm_sf
 from spamforest.stats import (_midranks, chi_squared_test, rank_sum_test,
                               screen_features, signed_rank_test,
                               write_histograms, write_screening_report)
@@ -43,8 +44,12 @@ class TestMidranks:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_arrays)
     def test_matches_loop_bitwise(self, values):
-        np.testing.assert_array_equal(_midranks(values).view(np.int64),
-                                      loop_midranks(values).view(np.int64))
+        ranks, ties = _midranks(values)
+        loop = loop_midranks(values)
+        np.testing.assert_array_equal(ranks.view(np.int64), loop.view(np.int64))
+        # Each of the loop's runs shares one mid-rank that no other run has.
+        _, t = np.unique(loop, return_counts=True)
+        assert ties == (t ** 3 - t).sum()
 
     @pytest.mark.parametrize("values", [
         [7.0], [4.0] * 9, [0.0, -0.0, 0.0, -0.0], [math.nan] * 3,
@@ -52,13 +57,35 @@ class TestMidranks:
     ])
     def test_edge_cases_match_loop_bitwise(self, values):
         values = np.array(values, dtype=np.float64)
-        np.testing.assert_array_equal(_midranks(values).view(np.int64),
+        np.testing.assert_array_equal(_midranks(values)[0].view(np.int64),
                                       loop_midranks(values).view(np.int64))
 
     def test_nans_are_not_merged(self):
         # Each NaN is its own group, unlike np.unique, which merges them.
-        np.testing.assert_array_equal(_midranks(np.array([math.nan, 1.0, math.nan])),
+        np.testing.assert_array_equal(_midranks(np.array([math.nan, 1.0, math.nan]))[0],
                                       [2.0, 1.0, 3.0])
+
+    def test_rank_sum_counts_each_nan_as_its_own_tie_group(self):
+        # n = 17 > EXACT_LIMIT. The variance's tie term counts the runs that
+        # gave the mid-ranks, one per NaN, so it is 0 here; merging the three
+        # NaNs, as np.unique does, would make it 3^3 - 3.
+        a = [math.nan] * 3 + [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        b = [1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5]
+        n_a, n_b = len(a), len(b)
+        n = n_a + n_b
+        loop = loop_midranks(np.array(a + b))
+        _, t = np.unique(loop, return_counts=True)
+        assert len(t) == n  # no two values tie, NaNs included
+        w = float(loop[:n_a].sum())
+        mean = n_a * (n + 1) / 2.0
+        sd = (n_a * n_b * (n + 1) / 12.0
+              - n_a * n_b * float((t ** 3 - t).sum()) / (12.0 * n * (n - 1))) ** 0.5
+
+        r = rank_sum_test(a, b)
+        assert r.method == "rank-sum-normal" and r.statistic == w
+        assert r.p_greater == norm_sf((w - 0.5 - mean) / sd)
+        assert r.p_less == norm_sf(-(w + 0.5 - mean) / sd)
+        assert r.p_two_sided == min(1.0, 2.0 * norm_sf(max(abs(w - mean) - 0.5, 0.0) / sd))
 
 
 class TestRankSumExact:
